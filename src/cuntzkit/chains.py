@@ -54,9 +54,9 @@ def make_cover(pieces) -> Cover:
     return Cover(sp, pieces)
 
 
-def union_of(cover: Cover) -> OpenSet:
-    out = geo.empty_set(cover.space)
-    for p in cover.pieces:
+def union_of(sp: SpaceDescriptor, pieces) -> OpenSet:
+    out = geo.empty_set(sp)
+    for p in pieces:
         out = geo.union(out, p)
     return out
 
@@ -95,10 +95,7 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
             return False
         if not geo.subset(p, cover.pieces[idx]):
             return False
-    covered = geo.empty_set(target.space)
-    for p in w.pieces:
-        covered = geo.union(covered, p)
-    return geo.subset(target, covered)
+    return geo.subset(target, union_of(target.space, w.pieces))
 
 
 def decide_chainable(target: OpenSet) -> bool:
@@ -115,50 +112,38 @@ def decide_almost_chainable(sp: SpaceDescriptor) -> bool:
     return all(c.kind != "circle" for c in sp.components)
 
 
-def decide_piecewise_chainable(sp: SpaceDescriptor) -> bool:
-    return decide_almost_chainable(sp)
-
-
 def components_as_space(target: OpenSet) -> SpaceDescriptor | None:
     """The connected components of an open set, viewed as an abstract space."""
     comps = []
     for piece in geo.connected_components(target):
-        ci, part = next((i, p) for i, p in enumerate(piece.parts) if p is not False and p != ())
-        comp = target.space.components[ci]
-        if comp.kind == "point":
+        desc = _component_span(piece)
+        if desc is None:
+            comps.append(geo.circle(target.space.components[_home(piece)].length))
+        elif desc[1] is None:
             comps.append(geo.point())
-        elif comp.kind == "circle" and part == ((frac(0), True, comp.length, True),):
-            comps.append(geo.circle(comp.length))
         else:
-            spans = geo._circle_spans(part, comp.length) if comp.kind == "circle" else list(part)
-            comps.append(geo.arc(spans[0][2] - spans[0][0]))
+            a, _, b, _ = desc[1]
+            comps.append(geo.arc(b - a))
     if not comps:
         return None
     return geo.space(*comps)
 
 
+def _home(piece: OpenSet) -> int:
+    """The index of the component a nonempty connected piece lies on."""
+    return next(ci for ci in range(len(piece.space.components)) if geo.spans(piece, ci))
+
+
 def _component_span(piece: OpenSet):
     """Describe a connected open piece: (ci, None) for a point, or
     (ci, (a, a_in, b, b_in)) in lifted coordinates. None for a full circle."""
-    ci, part = next((i, p) for i, p in enumerate(piece.parts) if p is not False and p != ())
-    comp = piece.space.components[ci]
-    if comp.kind == "point":
+    ci = _home(piece)
+    kind = piece.space.components[ci].kind
+    if kind == "point":
         return ci, None
-    if comp.kind == "circle":
-        if part == ((frac(0), True, comp.length, True),):
-            return None
-        spans = geo._circle_spans(part, comp.length)
-        return ci, spans[0]
-    return ci, part[0]
-
-
-def _window_set(sp: SpaceDescriptor, ci: int, a, a_in, b, b_in) -> OpenSet:
-    comp = sp.components[ci]
-    if comp.kind == "circle":
-        raw = [[] if c.kind != "point" else False for c in sp.components]
-        raw[ci] = [(a % comp.length, (a % comp.length) + (b - a))]
-        return geo.normalize(sp, raw)
-    return OpenSet(sp, geo._only(sp, ci, ((a, a_in, b, b_in),)))
+    if kind == "circle" and piece == geo.component_set(piece.space, ci):
+        return None
+    return ci, geo.spans(piece, ci)[0]
 
 
 def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
@@ -177,7 +162,7 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
     ci, span = desc
     sp = target.space
     if span is None:
-        piece = OpenSet(sp, geo._only(sp, ci, True))
+        piece = geo.component_set(sp, ci)
         return ChainWitness("chain", (piece,), frac(0), (0,))
     a, a_in, b, b_in = span
     length = b - a
@@ -189,7 +174,7 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
         hi = lo + w
         lo_in = a_in if i == 0 else False
         hi_in = b_in if i == 2 * n - 2 else False
-        pieces.append(_window_set(sp, ci, lo, lo_in, hi, hi_in))
+        pieces.append(geo.component_set(sp, ci, (lo, lo_in, hi, hi_in)))
     return ChainWitness("chain", tuple(pieces), mesh_of(pieces), (0,) * len(pieces))
 
 
@@ -242,57 +227,19 @@ def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
     return delta
 
 
-def _arc_interval_delta(cover: Cover, ci: int, span):
-    a, a_in, b, b_in = span
+def _cover_delta(cover: Cover, ci: int, k, window=None, absorb_hi: bool = True):
+    """The escape margin of _sweep_delta over the lifted interval k of
+    component ci, against the spans of every cover piece clipped to the
+    window (k itself by default). Pieces stay separate: the sweep must only
+    see intervals lying inside a single piece. None when one piece holds
+    the whole component."""
+    whole = geo.component_set(cover.space, ci)
     ivs = []
     for p in cover.pieces:
-        ivs.extend(geo._intersect(p.parts[ci], (span,)))
-    return _sweep_delta(ivs, a, a_in, b, b_in)
-
-
-def _circle_spans_lifted(cover: Cover, ci: int, L):
-    """Per cover piece, the connected spans of the piece on the circle,
-    unrolled onto the line with one copy per turn. Kept separate piece by
-    piece: the sweep must only see intervals lying inside a single piece."""
-    per = []
-    full = False
-    for p in cover.pieces:
-        part = p.parts[ci]
-        if not part:
-            continue
-        if part == ((frac(0), True, L, True),):
-            full = True
-            continue
-        rows = []
-        for (c, cin, d, din) in geo._circle_spans(part, L):
-            for m in (-1, 0, 1):
-                rows.append((c + m * L, cin, d + m * L, din))
-        per.append(rows)
-    return per, full
-
-
-def _circle_full_delta(cover: Cover, ci: int, L):
-    """Connected-arc escape margin on a whole circle, via the lifted window
-    [L, 2L] so every point is probed with its full left context."""
-    per, full = _circle_spans_lifted(cover, ci, L)
-    if full:
-        return None
-    window = ((frac(0), True, 3 * L, True),)
-    ivs = []
-    for rows in per:
-        ivs.extend(geo._intersect(rows, window))
-    return _sweep_delta(ivs, L, True, 2 * L, True, absorb_hi=False)
-
-
-def _circle_arc_delta(cover: Cover, ci: int, span, L):
-    a, a_in, b, b_in = span
-    per, full = _circle_spans_lifted(cover, ci, L)
-    if full:
-        return None
-    ivs = []
-    for rows in per:
-        ivs.extend(geo._intersect(rows, (span,)))
-    return _sweep_delta(ivs, a, a_in, b, b_in)
+        if geo.restrict(p, ci) == whole:
+            return None
+        ivs.extend(geo.spans(p, ci, window or k))
+    return _sweep_delta(ivs, *k, absorb_hi=absorb_hi)
 
 
 def lebesgue_number(cover: Cover) -> Fraction:
@@ -300,7 +247,7 @@ def lebesgue_number(cover: Cover) -> Fraction:
     delta lies inside one cover piece. On circles a subset of diameter d
     is only pinned inside an arc of length 2d, so the arc margin is halved."""
     sp = cover.space
-    if not geo.sets_equal(union_of(cover), geo.full_set(sp)):
+    if not geo.sets_equal(union_of(sp, cover.pieces), geo.full_set(sp)):
         raise ValueError("not a cover of the whole space")
     best = frac(2)
     for ci, comp in enumerate(sp.components):
@@ -308,9 +255,13 @@ def lebesgue_number(cover: Cover) -> Fraction:
             continue
         L = comp.length
         if comp.kind == "arc":
-            d = _arc_interval_delta(cover, ci, (frac(0), True, L, True))
+            d = _cover_delta(cover, ci, (frac(0), True, L, True))
         else:
-            d = _circle_full_delta(cover, ci, L)
+            # Sweep the lifted copy [L, 2L] of the circle with spans clipped
+            # to [0, 3L], so every point is probed with its full context.
+            d = _cover_delta(
+                cover, ci, (L, True, 2 * L, True), (frac(0), True, 3 * L, True), absorb_hi=False
+            )
             if d is not None:
                 d = d / 2
         if d is not None:
@@ -321,18 +272,12 @@ def lebesgue_number(cover: Cover) -> Fraction:
 def _component_chain(cover: Cover, piece: OpenSet) -> tuple[list, list]:
     """A chain covering one connected target piece, with each window inside
     some cover piece; returns (windows, refine indices)."""
-    sp = cover.space
-    desc = _component_span(piece)
-    ci, span = desc
-    comp = sp.components[ci]
+    ci, span = _component_span(piece)
     if span is None:
-        window = OpenSet(sp, geo._only(sp, ci, True))
+        window = geo.component_set(cover.space, ci)
         idx = _containing_piece(cover, window)
         return [window], [idx]
-    if comp.kind == "circle":
-        delta = _circle_arc_delta(cover, ci, span, comp.length)
-    else:
-        delta = _arc_interval_delta(cover, ci, span)
+    delta = _cover_delta(cover, ci, span)
     if delta is None:
         delta = span[2] - span[0] + 1
     witness = epsilon_chain(piece, delta)
@@ -353,7 +298,7 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
     a component is a whole circle."""
     if target.space != cover.space:
         raise geo.SpaceMismatchError("target lives on a different space")
-    if not geo.subset(target, union_of(cover)):
+    if not geo.subset(target, union_of(cover.space, cover.pieces)):
         raise ValueError("cover does not cover target")
     comps = geo.connected_components(target)
     for piece in comps:
@@ -391,14 +336,14 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
     sp = target.space
     desc = _component_span(comps[0])
     if desc is not None and desc[1] is None:
-        piece = OpenSet(sp, geo._only(sp, desc[0], True))
+        piece = geo.component_set(sp, desc[0])
         if geo.diameter(piece) < eps:
             return ChainWitness("chain", (piece,), frac(0), (0,))
         return None
     n = 2 ** depth
     if desc is None:
-        ci = next(i for i, p in enumerate(target.parts) if p is not False and p != ())
-        L = target.space.components[ci].length
+        ci = _home(target)
+        L = sp.components[ci].length
         g = L / n
         arcs = []
         roots = []
@@ -406,7 +351,7 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
             if min(l * g, L / 2) >= eps:
                 continue
             for i in range(n):
-                w = _window_set(sp, ci, i * g, False, (i + l) * g, False)
+                w = geo.component_set(sp, ci, (i * g, False, (i + l) * g, False))
                 arcs.append(w)
                 if i == 0:
                     # A chain around the circle can be rotated so its first
@@ -423,7 +368,7 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
                     continue
                 lo_in = a_in if i == 0 else False
                 hi_in = b_in if j == n else False
-                arcs.append(_window_set(sp, ci, a0 + i * g, lo_in, a0 + j * g, hi_in))
+                arcs.append(geo.component_set(sp, ci, (a0 + i * g, lo_in, a0 + j * g, hi_in)))
         roots = arcs
     return _chain_dfs(target, arcs, roots)
 
@@ -438,7 +383,7 @@ def _chain_dfs(target: OpenSet, arcs, roots):
         last = chain_pieces[-1]
         if geo.subset(target, geo.union(earlier, last)):
             return chain_pieces
-        k = (earlier.parts, last.parts)
+        k = (earlier, last)
         if k in seen:
             return None
         seen.add(k)

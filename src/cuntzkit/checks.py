@@ -18,7 +18,7 @@ from . import chains
 from . import geometry as geo
 from . import lsc
 from . import models
-from .geometry import InputError, frac
+from .geometry import InputError
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,8 @@ def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
     width = max(len(r) for r in rows)
     rows = [r + (model.zero,) * (width - len(r)) for r in rows]
     ok, why = _validate_refinable(model, xs, xps, rows)
-    assert ok, why
+    if not ok:
+        raise AssertionError(why)
     data = {"rows": [[_ser(model, e) for e in row] for row in rows]}
     return PropertyVerdict("witness", data, tuple(log))
 
@@ -188,7 +189,8 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
     found, searched_all = _assign_rows(model, xs, xps, cand_rows)
     if found is not None:
         ok, why = _validate_refinable(model, xs, xps, found)
-        assert ok, why
+        if not ok:
+            raise AssertionError(why)
         log.append("assembled rows from decompositions of the pinched sums")
         data = {"rows": [[_ser(model, e) for e in row] for row in found]}
         return PropertyVerdict("witness", data, tuple(log))
@@ -519,10 +521,7 @@ def _validate_weak_chain(x, y, ys, xp, zs):
         for j in range(i + 2, len(zs)):
             if not lsc.leq(lsc.add(zs[i], zs[j]), xp):
                 return False, f"pieces {i} and {j} overlap although they are far apart"
-    total = lsc.zero(xp.space)
-    for z in zs:
-        total = lsc.add(total, z)
-    if not lsc.leq(xp, total):
+    if not lsc.leq(xp, lsc.sum(xp.space, zs)):
         return False, "the pieces do not cover the support"
     return True, None
 
@@ -533,10 +532,7 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
         raise InputError("$.instance.ys", "need at least one cover element")
     if not lsc.way_below(x, y):
         raise InputError("$.instance.x", "x must be way below y")
-    total = ys[0]
-    for t in ys[1:]:
-        total = lsc.add(total, t)
-    if not lsc.way_below(y, total):
+    if not lsc.way_below(y, lsc.sum(space, ys)):
         raise InputError("$.instance.y", "y must be way below the sum of the cover elements")
     e = lsc.unit(space)
     xp = lsc.meet(x, e)
@@ -551,7 +547,8 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
     if len(ys) == 1:
         zs = [xp]
         ok, why = _validate_weak_chain(x, y, ys, xp, zs)
-        assert ok, why
+        if not ok:
+            raise AssertionError(why)
         log.append("a single cover element admits the one piece chain")
         data = {"xp": lsc.element_to_json(xp), "zs": [lsc.element_to_json(z) for z in zs], "m": 1}
         return PropertyVerdict("witness", data, tuple(log))
@@ -565,7 +562,8 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
     zs = [lsc.indicator(geo.intersect(w, supp)) for w in res.pieces]
     zs = [z for z in zs if not geo.is_empty(lsc.supp(z))]
     ok, why = _validate_weak_chain(x, y, ys, xp, zs)
-    assert ok, why
+    if not ok:
+        raise AssertionError(why)
     log.append(f"refined the cover supports to an almost chain of {len(zs)} pieces over the support")
     data = {
         "xp": lsc.element_to_json(xp),
@@ -575,38 +573,6 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
     return PropertyVerdict("witness", data, tuple(log))
 
 
-def _restrict_to_component(s: geo.OpenSet, ci: int) -> geo.OpenSet:
-    parts = []
-    for i, comp in enumerate(s.space.components):
-        if i == ci:
-            parts.append(s.parts[i])
-        else:
-            parts.append(False if comp.kind == "point" else ())
-    return geo.OpenSet(s.space, tuple(parts))
-
-
-def _full_circle(space: geo.SpaceDescriptor, ci: int) -> geo.OpenSet:
-    parts = []
-    for i, comp in enumerate(space.components):
-        if i == ci:
-            parts.append(((frac(0), True, comp.length, True),))
-        else:
-            parts.append(False if comp.kind == "point" else ())
-    return geo.OpenSet(space, tuple(parts))
-
-
-def _circle_arc(space: geo.SpaceDescriptor, ci: int, a, b) -> geo.OpenSet:
-    """The open arc running forward from a to b, wrapping past the seam
-    when b lands at or before a."""
-    L = space.components[ci].length
-    a = frac(a) % L
-    b = frac(b) % L
-    hi = b if b > a else b + L
-    raw = [False if c.kind == "point" else [] for c in space.components]
-    raw[ci] = [(a, hi)]
-    return geo.normalize(space, raw)
-
-
 def _circle_block_search(space, ci, traces, bounds, log):
     """Pieces going around one whole circle component, or None.
 
@@ -614,7 +580,7 @@ def _circle_block_search(space, ci, traces, bounds, log):
     it, three piece combinations where the outer pieces are forced apart,
     and bounded chains of single arcs with breakpoint endpoints.
     """
-    fullc = _full_circle(space, ci)
+    fullc = geo.component_set(space, ci)
     for tr in traces:
         if geo.subset(fullc, tr):
             return [fullc]
@@ -634,9 +600,7 @@ def _circle_block_search(space, ci, traces, bounds, log):
     grid = 2 ** min(bounds.depth, 4)
     bps = set()
     for tr in traces:
-        for piece in tr.parts[ci]:
-            bps.add(piece[0] % L)
-            bps.add(piece[2] % L)
+        bps.update(x % L for x in geo.breakpoints(tr, ci))
     for k in range(grid):
         bps.add(L * k / grid)
     bps = sorted(bps)
@@ -645,7 +609,9 @@ def _circle_block_search(space, ci, traces, bounds, log):
         for b in bps:
             if a == b:
                 continue
-            arc = _circle_arc(space, ci, a, b)
+            # The open arc running forward from a to b, through the seam
+            # when b lies at or before a.
+            arc = geo.component_set(space, ci, (a, False, b if b > a else b + L, False))
             if any(geo.subset(arc, tr) for tr in traces):
                 arcs.append(arc)
     cap = min(8, 2 * len(traces) + 2)
@@ -671,7 +637,7 @@ def _circle_dfs(space, fullc, arcs, cap):
             return seq
         if len(seq) >= cap or budget[0] <= 0:
             return None
-        key = (earlier.parts, None if last is None else last.parts)
+        key = (earlier, last)
         if key in seen:
             return None
         seen.add(key)
@@ -690,21 +656,17 @@ def _circle_dfs(space, fullc, arcs, cap):
 
 
 def _weak_chain_circles(space, x, y, ys, xp, supp, cover, bounds, log):
-    full = []
-    rest_parts = []
-    for ci, comp in enumerate(space.components):
-        part = supp.parts[ci]
-        if comp.kind == "circle" and part == ((frac(0), True, comp.length, True),):
-            full.append(ci)
-            rest_parts.append(())
-        else:
-            rest_parts.append(part)
-    rest = geo.OpenSet(space, tuple(rest_parts))
+    slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
+    full = [
+        ci for ci, comp in enumerate(space.components)
+        if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)
+    ]
+    rest = chains.union_of(space, [s for ci, s in enumerate(slices) if ci not in full])
     blocks = []
     for ci in full:
         traces = []
         for t in ys:
-            tr = _restrict_to_component(lsc.supp(t), ci)
+            tr = geo.restrict(lsc.supp(t), ci)
             if not geo.is_empty(tr):
                 traces.append(tr)
         block = _circle_block_search(space, ci, traces, bounds, log)
@@ -726,13 +688,15 @@ def _weak_chain_circles(space, x, y, ys, xp, supp, cover, bounds, log):
     zs = [lsc.indicator(b) for b in blocks]
     if not geo.is_empty(rest):
         res = chains.refine_to_almost_chain(cover, rest)
-        assert not isinstance(res, chains.Impossible)
+        if isinstance(res, chains.Impossible):
+            raise AssertionError("the support off its whole circles has a whole circle component")
         for w in res.pieces:
             z = lsc.indicator(geo.intersect(w, rest))
             if not geo.is_empty(lsc.supp(z)):
                 zs.append(z)
     ok, why = _validate_weak_chain(x, y, ys, xp, zs)
-    assert ok, why
+    if not ok:
+        raise AssertionError(why)
     data = {
         "xp": lsc.element_to_json(xp),
         "zs": [lsc.element_to_json(z) for z in zs],

@@ -84,7 +84,7 @@ def _bounds_of(args) -> checks.SearchBounds:
     return checks.SearchBounds(depth=depth, propto_cap=base.propto_cap, compact_cap=base.compact_cap)
 
 
-def _model_of(args, space) -> models.Model:
+def _model_of(args, space):
     selector = getattr(args, "model", None) or "lsc"
     return models.load_model(selector, space=space)
 
@@ -101,12 +101,6 @@ def _parse_elements(model, space, items, path: str):
     if not isinstance(items, list):
         raise InputError(path, "expected a list")
     return [_parse_element(model, space, it, f"{path}[{i}]") for i, it in enumerate(items)]
-
-
-def _serialize_element(model, el):
-    if model.kind == "lsc":
-        return lsc.element_to_json(el)
-    return model.el_str(el)
 
 
 def _verdict_exit(verdict: checks.PropertyVerdict) -> int:
@@ -296,7 +290,7 @@ def cmd_chains_decide(args) -> int:
     _emit({
         "chainable": chainable,
         "almost_chainable": chains.decide_almost_chainable(sp),
-        "piecewise_chainable": chains.decide_piecewise_chainable(sp),
+        "piecewise_chainable": chains.decide_almost_chainable(sp),
     })
     return EXIT_OK if chainable else EXIT_NEGATIVE
 

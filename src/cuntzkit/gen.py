@@ -77,11 +77,7 @@ def grid_points(sp: geo.SpaceDescriptor, *sets) -> list:
             continue
         vals = {Fraction(0), comp.length, comp.length / 2}
         for s in sets:
-            part = s.parts[ci]
-            if isinstance(part, tuple):
-                for a, _, b, _ in part:
-                    vals.add(a)
-                    vals.add(b)
+            vals.update(geo.breakpoints(s, ci))
         ordered = sorted(vals)
         probes = set(ordered)
         for x, y in zip(ordered, ordered[1:]):
@@ -89,15 +85,6 @@ def grid_points(sp: geo.SpaceDescriptor, *sets) -> list:
         for p in sorted(probes):
             out.append((ci, p))
     return out
-
-
-def rand_point(rng: random.Random, sp: geo.SpaceDescriptor):
-    ci = rng.randrange(len(sp.components))
-    comp = sp.components[ci]
-    if comp.kind == "point":
-        return ci, None
-    d = rng.choice(DENOMS)
-    return ci, comp.length * Fraction(rng.randint(0, d), d)
 
 
 def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, inf_bias: float = 0.2):

@@ -193,6 +193,14 @@ def _circle_closure(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
     return _seam_sync(_seg_closure(pieces), L)
 
 
+def _wrap(a: Rat, ain: bool, b: Rat, bin_: bool, L: Rat) -> list[Piece]:
+    """Cut a lifted circle interval (a < b <= a + L) at the seam into pieces of [0, L]."""
+    a, b = a % L, a % L + (b - a)
+    if b <= L:
+        return [(a, ain, b, bin_)]
+    return [(a, ain, L, True), (frac(0), True, b - L, bin_)]
+
+
 def _shift_circle(pieces: Sequence[Piece], d: Rat, L: Rat) -> tuple[Piece, ...]:
     out: list[Piece] = []
     for a, ain, b, bin_ in pieces:
@@ -211,6 +219,9 @@ def _shift_circle(pieces: Sequence[Piece], d: Rat, L: Rat) -> tuple[Piece, ...]:
 # Public set types. `parts` holds, per component, either a piece tuple
 # (arc/circle) or a bool (point). Both types share the representation; the
 # distinction is the openness/closedness invariant of the stored pieces.
+# This module is the only one that reads `parts`: other modules see a set
+# through the set operations and the per-component views `component_set`,
+# `restrict`, `spans`, `breakpoints` and `embed`.
 
 Part = Union[tuple[Piece, ...], bool]
 
@@ -328,13 +339,7 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
                     raise InputError(ivpath, "circle intervals carry no inclusion flags")
                 if b - a > L:
                     raise InputError(ivpath, "wrap interval longer than the circle")
-                a = a % L
-                b = a + (frac(iv[1]) - frac(iv[0]))
-                if b <= L:
-                    pieces.append((a, False, b, False))
-                else:
-                    pieces.append((a, False, L, True))
-                    pieces.append((frac(0), True, b - L, False))
+                pieces.extend(_wrap(a, False, b, False, L))
         merged = _merge(pieces)
         if comp.kind == "circle":
             merged = _seam_sync(merged, L)
@@ -474,6 +479,90 @@ def _only(sp: SpaceDescriptor, ci: int, part: Part) -> tuple[Part, ...]:
     return tuple(base)
 
 
+# ---------------------------------------------------------------------------
+# Per-component views. Coordinates are lifted: on a circle of length L a
+# span through the seam is one interval (a, a_in, b, b_in) with
+# 0 <= a < L < b, and a point component is the degenerate span
+# (0, True, 0, True).
+
+
+def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> OpenSet:
+    """The whole component ci, or its open interval span in lifted
+    coordinates (a < b <= a + L on a circle, wrapping through the seam).
+    A point component is always the whole point."""
+    comp = sp.components[ci]
+    if comp.kind == "point":
+        part: Part = True
+    elif span is None:
+        part = ((frac(0), True, comp.length, True),)
+    else:
+        a, ain, b, bin_ = span
+        L = comp.length
+        if comp.kind == "arc":
+            if not 0 <= a < b <= L:
+                raise ValueError("span leaves the arc")
+            part = ((a, ain, b, bin_),)
+        else:
+            if not a < b <= a + L:
+                raise ValueError("span is empty or longer than the circle")
+            part = _seam_sync(_wrap(a, ain, b, bin_, L), L)
+        if not _open_part_ok(comp, part):
+            raise ValueError("span is not open in the component")
+    return OpenSet(sp, _only(sp, ci, part))
+
+
+def restrict(s: SetLike, ci: int):
+    """s on component ci only, empty on every other component."""
+    return type(s)(s.space, _only(s.space, ci, s.parts[ci]))
+
+
+def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
+    """The connected spans of s on component ci, sorted, in lifted
+    coordinates; a whole circle is the one span (0, True, L, True).
+
+    With a lifted window, the spans on a circle are repeated every L along
+    the line and each copy is clipped to the window."""
+    comp = s.space.components[ci]
+    part = s.parts[ci]
+    if comp.kind == "point":
+        return [(frac(0), True, frac(0), True)] if part else []
+    if comp.kind == "arc":
+        return list(part if window is None else _intersect(part, (window,)))
+    out = _circle_spans(part, comp.length)
+    if window is None:
+        return out
+    # Lifted spans lie in [0, 2L), so copy m lies in [mL, (m + 2)L).
+    L = comp.length
+    lo, hi = window[0], window[2]
+    copies = [
+        (a + m * L, ain, b + m * L, bin_)
+        for m in range(lo // L - 1, hi // L + 1)
+        for a, ain, b, bin_ in out
+    ]
+    return list(_intersect(copies, (window,)))
+
+
+def breakpoints(s: SetLike, ci: int) -> list[Rat]:
+    """The endpoints of the pieces stored for component ci, each in [0, L].
+    A set through a circle's seam contributes both 0 and L; a point
+    component has none."""
+    part = s.parts[ci]
+    if isinstance(part, bool):
+        return []
+    return sorted({x for a, _, b, _ in part for x in (a, b)})
+
+
+def embed(s: SetLike, target: SpaceDescriptor, offset: int):
+    """s re-housed on a larger space whose component list contains the
+    components of s verbatim from the given offset on; empty elsewhere."""
+    src = s.space.components
+    if target.components[offset:offset + len(src)] != src:
+        raise SpaceMismatchError("target space does not contain the source components")
+    parts = list(empty_set(target).parts)
+    parts[offset:offset + len(src)] = s.parts
+    return type(s)(target, tuple(parts))
+
+
 def _geodesic(x: Rat, y: Rat, L: Rat) -> Rat:
     d = abs(x - y)
     return min(d, L - d)
@@ -531,14 +620,7 @@ def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
             if (b - a) + 2 * delta >= L:
                 full = True
                 break
-            a2, b2 = a - delta, b + delta
-            if a2 < 0:
-                a2, b2 = a2 + L, b2 + L
-            if b2 <= L:
-                pieces.append((a2, False, b2, False))
-            else:
-                pieces.append((a2, False, L, True))
-                pieces.append((frac(0), True, b2 - L, False))
+            pieces.extend(_wrap(a - delta, False, b + delta, False, L))
         if full:
             parts.append(((frac(0), True, L, True),))
         else:
@@ -716,13 +798,7 @@ def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet
             else:
                 if b - a > L or a < 0:
                     raise InputError(f"{here}[{ii}]", "wrap interval longer than the circle")
-                a2 = a % L
-                b2 = a2 + (b - a)
-                if b2 <= L:
-                    pieces.append((a2, True, b2, True))
-                else:
-                    pieces.append((a2, True, L, True))
-                    pieces.append((frac(0), True, b2 - L, True))
+                pieces.extend(_wrap(a, True, b, True, L))
         merged = _merge(pieces)
         if comp.kind == "circle":
             merged = _seam_sync(merged, L)

@@ -76,10 +76,6 @@ def supp(f: LscElement) -> OpenSet:
     return f.levels[0] if f.levels else f.infinity
 
 
-def is_bounded(f: LscElement) -> bool:
-    return geo.is_empty(f.infinity)
-
-
 def eval_at(f: LscElement, ci: int, p=None):
     if not 0 <= ci < len(f.space.components):
         raise ValueError("component index outside the space")
@@ -93,7 +89,7 @@ def eval_at(f: LscElement, ci: int, p=None):
             raise ValueError("point outside the space")
     if geo.contains_point(f.infinity, ci, p):
         return math.inf
-    return sum(1 for lv in f.levels if geo.contains_point(lv, ci, p))
+    return len([lv for lv in f.levels if geo.contains_point(lv, ci, p)])
 
 
 def leq(f: LscElement, g: LscElement) -> bool:
@@ -131,6 +127,17 @@ def add(f: LscElement, g: LscElement) -> LscElement:
             acc = geo.union(acc, geo.intersect(lf, lg))
         levels.append(acc)
     return from_levels(sp, levels, geo.union(f.infinity, g.infinity))
+
+
+def sum(sp: SpaceDescriptor, terms) -> LscElement:
+    """The sum of the terms: zero for none, else a left fold of add from the first."""
+    terms = list(terms)
+    if not terms:
+        return zero(sp)
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = add(acc, t)
+    return acc
 
 
 def way_below(f: LscElement, g: LscElement) -> bool:
@@ -298,7 +305,8 @@ def interpolate_between(f: LscElement, h: LscElement) -> LscElement:
         for k in range(1, len(f.levels) + 1)
     ]
     g = from_levels(f.space, levels)
-    assert way_below(f, g) and way_below(g, h)
+    if not (way_below(f, g) and way_below(g, h)):
+        raise AssertionError("the interpolant is not strictly between its bounds")
     return g
 
 

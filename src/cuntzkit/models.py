@@ -303,7 +303,8 @@ class RationalModel(_Ops):
 
             with_tail(k, k, [])
         for d in out:
-            assert self.eq(self.sum(d), c)
+            if not self.eq(self.sum(d), c):
+                raise AssertionError(f"a decomposition of {self.el_str(c)} sums elsewhere")
         return out, True
 
     def closure(self, values, depth: int = 3, cap: int = 160):
@@ -549,10 +550,7 @@ class LscModel:
         return lsc.scalar_mul(n, a)
 
     def sum(self, seq):
-        acc = self.zero
-        for a in seq:
-            acc = lsc.add(acc, a)
-        return acc
+        return lsc.sum(self.space, seq)
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -570,20 +568,8 @@ class LscModel:
 def embed_element(f: lsc.LscElement, target: geo.SpaceDescriptor, offset: int) -> lsc.LscElement:
     """Re-house an element on a larger space whose component list contains
     the element's components verbatim starting at the given offset."""
-    src = f.space.components
-    if target.components[offset:offset + len(src)] != src:
-        raise geo.SpaceMismatchError("target space does not contain the source components")
-
-    def lift(s: geo.OpenSet) -> geo.OpenSet:
-        parts = []
-        for ci, comp in enumerate(target.components):
-            if offset <= ci < offset + len(src):
-                parts.append(s.parts[ci - offset])
-            else:
-                parts.append(False if comp.kind == "point" else ())
-        return geo.OpenSet(target, tuple(parts))
-
-    return lsc.LscElement(target, tuple(lift(lv) for lv in f.levels), lift(f.infinity))
+    levels = tuple(geo.embed(lv, target, offset) for lv in f.levels)
+    return lsc.LscElement(target, levels, geo.embed(f.infinity, target, offset))
 
 
 def direct_sum(m1, m2):

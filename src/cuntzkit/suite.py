@@ -31,13 +31,6 @@ def _rng_for(seed: int, name: str) -> random.Random:
     return random.Random(int(digest, 16))
 
 
-def _sum(sp, terms):
-    acc = lsc.zero(sp)
-    for t in terms:
-        acc = lsc.add(acc, t)
-    return acc
-
-
 def _chk_pairwise_ordered_sum(rng, cases, mutate):
     off = "add-off-by-one" in mutate
     fails = []
@@ -46,7 +39,7 @@ def _chk_pairwise_ordered_sum(rng, cases, mutate):
         xs = gen.rand_decreasing_indicators(rng, sp, rng.randrange(0, 4))
         ys = gen.rand_decreasing_indicators(rng, sp, rng.randrange(0, 4))
         zs = lsc.ordered_sum_pairwise(xs, ys, off_by_one=off)
-        if _sum(sp, zs) != _sum(sp, xs + ys):
+        if lsc.sum(sp, zs) != lsc.sum(sp, xs + ys):
             fails.append({"case": i, "detail": "merged sum differs from the term sum"})
             continue
         if any(not lsc.leq(b, a) for a, b in zip(zs, zs[1:])):
@@ -60,7 +53,7 @@ def _chk_ordered_refold(rng, cases, mutate):
         sp = gen.rand_space(rng, max_components=2)
         terms = [gen.rand_indicator(rng, sp) for _ in range(rng.randrange(0, 5))]
         out = lsc.ofs_normalize(terms)
-        if _sum(sp, out) != _sum(sp, terms):
+        if lsc.sum(sp, out) != lsc.sum(sp, terms):
             fails.append({"case": i, "detail": "refold changes the sum"})
             continue
         if any(not lsc.leq(b, a) for a, b in zip(out, out[1:])):
@@ -75,7 +68,7 @@ def _chk_bounded_decomposition(rng, cases, mutate):
         f = gen.rand_bounded_lsc(rng, sp)
         n = lsc.num_levels(f) + rng.randrange(0, 2)
         parts = lsc.decompose_below_ne(f, max(n, 1))
-        if _sum(sp, parts) != f:
+        if lsc.sum(sp, parts) != f:
             fails.append({"case": i, "detail": "level indicators do not resum"})
             continue
         if len(parts) > max(n, 1):
@@ -192,7 +185,7 @@ def _chk_termwise_wayb(rng, cases, mutate):
         if any(not lsc.way_below(f, g) for f, g in zip(fs, gs)):
             fails.append({"case": i, "detail": "interpolant is not way below its bound"})
             continue
-        if not lsc.way_below(_sum(sp, fs), _sum(sp, gs)):
+        if not lsc.way_below(lsc.sum(sp, fs), lsc.sum(sp, gs)):
             fails.append({"case": i, "detail": "termwise way below does not sum"})
     return fails
 
@@ -241,7 +234,7 @@ def _chk_topological_order(rng, cases, mutate):
             ys = fixed
         else:
             ys = chain()
-        sum_le = lsc.leq(_sum(sp, xs), _sum(sp, ys))
+        sum_le = lsc.leq(lsc.sum(sp, xs), lsc.sum(sp, ys))
         termwise = all(lsc.leq(a, b) for a, b in zip(xs, ys))
         if sum_le != termwise:
             fails.append({"case": i, "detail": "sum order and termwise order disagree"})

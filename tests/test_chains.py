@@ -180,8 +180,8 @@ def test_deciders():
 
     assert chains.decide_almost_chainable(geo.space(geo.arc(1), geo.point()))
     assert not chains.decide_almost_chainable(geo.space(geo.arc(1), geo.circle(1)))
-    assert chains.decide_piecewise_chainable(geo.space(geo.arc(1), geo.arc(2), geo.point()))
-    assert not chains.decide_piecewise_chainable(geo.space(geo.circle(1)))
+    assert chains.decide_almost_chainable(geo.space(geo.arc(1), geo.arc(2), geo.point()))
+    assert not chains.decide_almost_chainable(geo.space(geo.circle(1)))
 
 
 def test_components_as_space():

@@ -1,11 +1,15 @@
 import json
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cuntzkit
 from cuntzkit import checks, lsc, models
 from cuntzkit import geometry as geo
 from cuntzkit.geometry import InputError
@@ -182,6 +186,44 @@ def test_weak_chain_arc_witness():
     ok, why = checks._validate_weak_chain(x, y, [y1, y2], xp, zs)
     assert ok, why
     assert xp == chi((F(1, 8), F(3, 8)))
+
+
+REJECTING_VALIDATOR = """
+import sys
+from fractions import Fraction as F
+from cuntzkit import checks, lsc
+from cuntzkit import geometry as geo
+
+if not sys.flags.optimize:
+    sys.exit(3)
+ARC = geo.space(geo.arc(1))
+
+
+def chi(a, b):
+    return lsc.indicator(geo.normalize(ARC, [[(a, b)]]))
+
+
+checks._validate_weak_chain = lambda *args: (False, "rejected on purpose")
+x, y = chi(F(1, 8), F(3, 8)), chi(F(1, 16), F(7, 16))
+try:
+    checks.check_weak_chainability(ARC, x, y, [chi(F(0), F(1, 4)), chi(F(3, 16), F(1, 2))])
+except AssertionError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_witness_revalidation_survives_python_O():
+    # python -O strips assert statements; a witness that fails its
+    # revalidation must still raise instead of being returned.
+    src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REJECTING_VALIDATOR],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "rejected on purpose"
 
 
 def test_weak_chain_single_cover_element_shortcut():

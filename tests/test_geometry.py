@@ -218,3 +218,178 @@ def test_components_partition(seed):
     for i, p in enumerate(pieces):
         for q in pieces[i + 1 :]:
             assert geo.is_empty(geo.intersect(p, q))
+
+
+# ---------------------------------------------------------------------------
+# Per-component views, each against an independent route.
+
+SEAM_KINDS = ("arc", "circle", "circle", "point")
+
+
+def in_span(iv, p) -> bool:
+    a, ain, b, bin_ = iv
+    return (a < p or (a == p and ain)) and (p < b or (p == b and bin_))
+
+
+def test_views_of_a_set_through_the_seam():
+    s = opens(CIRC, [[(F("1/4"), F("1/2")), (F("3/4"), F("5/4"))]])
+    assert geo.spans(s, 0) == [(F("1/4"), False, F("1/2"), False), (F("3/4"), False, F("5/4"), False)]
+    assert geo.breakpoints(s, 0) == [F(0), F("1/4"), F("1/2"), F("3/4"), F(1)]
+    assert geo.spans(s, 0, (F(1), True, F(2), True)) == [
+        (F(1), True, F("5/4"), False),
+        (F("5/4"), False, F("3/2"), False),
+        (F("7/4"), False, F(2), True),
+    ]
+    assert geo.component_set(CIRC, 0, (F("3/4"), False, F("5/4"), False)) == opens(CIRC, [[(F("3/4"), F("5/4"))]])
+    assert geo.spans(geo.full_set(CIRC), 0) == [(F(0), True, F(1), True)]
+
+
+def test_component_set_rejects_bad_spans():
+    for sp, span in (
+        (ARC, (F("1/2"), False, F("1/2"), False)),
+        (ARC, (F("1/4"), True, F("1/2"), False)),
+        (ARC, (F("1/2"), False, F(2), False)),
+        (CIRC, (F(0), False, F("3/2"), False)),
+    ):
+        with pytest.raises(ValueError):
+            geo.component_set(sp, 0, span)
+
+
+def test_embed_rejects_foreign_components():
+    with pytest.raises(geo.SpaceMismatchError):
+        geo.embed(geo.full_set(ARC), geo.space(geo.point(), geo.circle(1)), 1)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_restrict_over_all_components_unions_back(seed):
+    rng = seeded(seed)
+    sp = gen.rand_space(rng, kinds=SEAM_KINDS)
+    s = gen.rand_open_set(rng, sp)
+    for x in (s, geo.closure(s)):
+        back = geo.empty_set(sp) if isinstance(x, geo.OpenSet) else geo.empty_closed(sp)
+        for ci in range(len(sp.components)):
+            r = geo.restrict(x, ci)
+            assert type(r) is type(x) and geo.subset(r, x)
+            assert all(geo.is_empty(geo.restrict(r, cj)) for cj in range(len(sp.components)) if cj != ci)
+            back = geo.union(back, r)
+        assert back == x
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_component_set_equals_normalize(seed):
+    rng = seeded(seed)
+    sp = gen.rand_space(rng, kinds=SEAM_KINDS)
+    for ci, comp in enumerate(sp.components):
+        raw = [False if c.kind == "point" else [] for c in sp.components]
+        if comp.kind == "point":
+            raw[ci] = True
+            assert geo.component_set(sp, ci) == geo.normalize(sp, raw)
+            continue
+        L = comp.length
+        d = rng.choice(gen.DENOMS)
+        if comp.kind == "arc":
+            i = rng.randrange(d)
+            a, b = L * F(i, d), L * F(rng.randint(i + 1, d), d)
+            ain, bin_ = a == 0 and rng.random() < 0.5, b == L and rng.random() < 0.5
+            raw[ci] = [(a, b, ain, bin_)]
+            assert geo.component_set(sp, ci, (a, ain, b, bin_)) == geo.normalize(sp, raw)
+            raw[ci] = [(F(0), L, True, True)]
+        else:
+            a = L * F(rng.randrange(d), d)
+            b = a + L * F(rng.randint(1, d), d)
+            raw[ci] = [(a, b)]
+            want = geo.normalize(sp, raw)
+            turns = rng.randint(-2, 2) * L
+            assert geo.component_set(sp, ci, (a + turns, False, b + turns, False)) == want
+            raw[ci] = "full"
+        assert geo.component_set(sp, ci) == geo.normalize(sp, raw)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_spans_agree_with_connected_components(seed):
+    rng = seeded(seed)
+    sp = gen.rand_space(rng, kinds=SEAM_KINDS)
+    s = gen.rand_open_set(rng, sp, full_bias=0.2)
+    built = {
+        geo.component_set(sp, ci, span)
+        for ci in range(len(sp.components))
+        for span in geo.spans(s, ci)
+    }
+    assert built == set(geo.connected_components(s))
+    assert sum(len(geo.spans(s, ci)) for ci in range(len(sp.components))) == len(built)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_windowed_spans_match_pointwise_membership(seed):
+    # A lifted point lies in the clipped spans exactly when it lies in the
+    # window and its image lies in the set.
+    rng = seeded(seed)
+    sp = gen.rand_space(rng, kinds=SEAM_KINDS)
+    s = gen.rand_open_set(rng, sp, full_bias=0.2)
+    for ci, comp in enumerate(sp.components):
+        if comp.kind == "point":
+            continue
+        L = comp.length
+        if comp.kind == "arc":
+            lo = L * F(rng.randint(0, 3), 4)
+            hi = min(L, lo + L * F(rng.randint(1, 4), 4))
+        else:
+            lo = L * F(rng.randint(-4, 8), 4)
+            hi = lo + L * F(rng.randint(1, 8), 4)
+        window = (lo, rng.random() < 0.5, hi, rng.random() < 0.5)
+        got = geo.spans(s, ci, window)
+        marks = {x + m * L for x in geo.breakpoints(s, ci) + [F(0), L] for m in range(-2, 6)} | {lo, hi}
+        marks = sorted(marks)
+        probes = marks + [(x + y) / 2 for x, y in zip(marks, marks[1:])]
+        for p in probes:
+            in_window = in_span(window, p)
+            want = in_window and oracles.member(s, ci, p)
+            assert any(in_span(iv, p) for iv in got) == want
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_breakpoints_agree_with_json_endpoints(seed):
+    rng = seeded(seed)
+    sp = gen.rand_space(rng, kinds=SEAM_KINDS)
+    s = gen.rand_open_set(rng, sp, full_bias=0.2)
+    enc = geo.set_to_json(s)
+    for ci, comp in enumerate(sp.components):
+        got = geo.breakpoints(s, ci)
+        assert got == sorted(set(got))
+        ends = {F(e) for iv in enc["sets"][ci] for e in iv[:2]}
+        if comp.kind == "point":
+            assert got == []
+        elif comp.kind == "arc":
+            assert set(got) == ends
+        elif enc["full_flags"][ci]:
+            assert got == [F(0), comp.length]
+        else:
+            L = comp.length
+            seam = {F(0)} if geo.contains_point(s, ci, F(0)) else set()
+            assert {x % L for x in got} == {e % L for e in ends} | seam
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_embed_commutes_with_union_and_intersect(seed):
+    rng = seeded(seed)
+    sp = gen.rand_space(rng, max_components=2, kinds=SEAM_KINDS)
+    pre = gen.rand_space(rng, max_components=2)
+    post = gen.rand_space(rng, max_components=2)
+    target = geo.SpaceDescriptor(pre.components + sp.components + post.components)
+    off = len(pre.components)
+    a, b = gen.rand_open_set(rng, sp), gen.rand_open_set(rng, sp)
+
+    def up(x):
+        return geo.embed(x, target, off)
+
+    assert up(geo.union(a, b)) == geo.union(up(a), up(b))
+    assert up(geo.intersect(a, b)) == geo.intersect(up(a), up(b))
+    assert up(geo.empty_set(sp)) == geo.empty_set(target)
+    for ci in range(len(sp.components)):
+        assert geo.spans(up(a), off + ci) == geo.spans(a, ci)

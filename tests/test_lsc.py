@@ -294,3 +294,21 @@ def test_json_round_trip_random(seed):
     sp = gen.rand_space(rng)
     f = gen.rand_lsc(rng, sp)
     assert lsc.element_from_json(sp, lsc.element_to_json(f)) == f
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_sum_is_the_add_fold(seed):
+    # zero for no terms, the term itself for one, the add fold from zero
+    # for many, and blind to the order of the terms
+    rng = seeded(seed)
+    sp = gen.rand_space(rng)
+    terms = [gen.rand_lsc(rng, sp) for _ in range(rng.randint(1, 4))]
+    assert lsc.sum(sp, []) == lsc.zero(sp)
+    assert lsc.sum(sp, terms[:1]) == terms[0]
+    total = lsc.zero(sp)
+    for t in terms:
+        total = lsc.add(total, t)
+    assert lsc.sum(sp, terms) == total
+    rng.shuffle(terms)
+    assert lsc.sum(sp, terms) == total
