@@ -62,14 +62,54 @@ def union_of(sp: SpaceDescriptor, pieces) -> OpenSet:
 
 
 def chain_pattern_ok(pieces, almost: bool) -> bool:
-    for i in range(len(pieces)):
-        for j in range(i, len(pieces)):
-            meets = not geo.is_empty(geo.intersect(pieces[i], pieces[j]))
-            if j - i >= 2 and meets:
+    """Pieces two or more apart in the list never meet; for a chain (not an
+    almost chain) every piece is also nonempty and meets the next one.
+
+    Pieces can only meet where their closed spans overlap on some
+    component, so a sort-and-sweep over the spans names the candidate
+    pairs and only those get the exact test."""
+    if not almost:
+        for i, p in enumerate(pieces):
+            if geo.is_empty(p):
                 return False
-            if not almost and j - i <= 1 and not meets:
+            if i and geo.is_empty(geo.intersect(pieces[i - 1], p)):
+                return False
+    tested = set()
+    for pair in _closure_overlaps(pieces):
+        i, j = pair
+        if j - i >= 2 and pair not in tested:
+            tested.add(pair)
+            if not geo.is_empty(geo.intersect(pieces[i], pieces[j])):
                 return False
     return True
+
+
+def _closure_overlaps(pieces):
+    """Yield each pair (i, j), i < j, of pieces whose closed spans overlap on
+    some component, possibly more than once. A span through a circle's
+    seam is split at L, so both halves keep the seam point."""
+    if not pieces:
+        return
+    sp = pieces[0].space
+    if any(p.space != sp for p in pieces):
+        raise geo.SpaceMismatchError("chain pieces live on different spaces")
+    for ci, comp in enumerate(sp.components):
+        ivs = []
+        for i, p in enumerate(pieces):
+            for a, _, b, _ in geo.spans(p, ci):
+                if comp.kind == "circle" and b > comp.length:
+                    ivs.append((a, comp.length, i))
+                    ivs.append((frac(0), b - comp.length, i))
+                else:
+                    ivs.append((a, b, i))
+        ivs.sort()
+        active: list = []  # (hi, i) of spans that may still overlap the next one
+        for lo, hi, i in ivs:
+            active = [t for t in active if t[0] >= lo]
+            for _, j in active:
+                if j != i:
+                    yield (j, i) if j < i else (i, j)
+            active.append((hi, i))
 
 
 def mesh_of(pieces) -> Fraction:
@@ -341,68 +381,91 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
             return ChainWitness("chain", (piece,), frac(0), (0,))
         return None
     n = 2 ** depth
+    spans = []
+    masks = []
     if desc is None:
         ci = _home(target)
         L = sp.components[ci].length
         g = L / n
-        arcs = []
         roots = []
         for l in range(1, n):
             if min(l * g, L / 2) >= eps:
                 continue
             for i in range(n):
-                w = geo.component_set(sp, ci, (i * g, False, (i + l) * g, False))
-                arcs.append(w)
                 if i == 0:
                     # A chain around the circle can be rotated so its first
                     # piece starts at grid point 0; roots need only these.
-                    roots.append(w)
+                    roots.append(len(masks))
+                spans.append((i * g, False, (i + l) * g, False))
+                masks.append(grid_arc_mask(i, l, n, cyclic=True))
+        full = (1 << 2 * n) - 1
     else:
-        ci, span = desc
-        a0, a_in, b0, b_in = span
+        ci, (a0, a_in, b0, b_in) = desc
         g = (b0 - a0) / n
-        arcs = []
         for i in range(n):
             for j in range(i + 1, n + 1):
                 if (j - i) * g >= eps:
                     continue
                 lo_in = a_in if i == 0 else False
                 hi_in = b_in if j == n else False
-                arcs.append(geo.component_set(sp, ci, (a0 + i * g, lo_in, a0 + j * g, hi_in)))
-        roots = arcs
-    return _chain_dfs(target, arcs, roots)
+                spans.append((a0 + i * g, lo_in, a0 + j * g, hi_in))
+                mask = grid_arc_mask(i, j - i, n + 1, cyclic=False)
+                masks.append(mask | lo_in << 2 * i | hi_in << 2 * j)
+        roots = range(len(masks))
+        full = grid_arc_mask(0, n, n + 1, cyclic=False) | a_in | b_in << 2 * n
+    got = _chain_dfs(masks, roots, full)
+    if got is None:
+        return None
+    pieces = tuple(geo.component_set(sp, ci, spans[c]) for c in got)
+    w = ChainWitness("chain", pieces, mesh_of(pieces), (0,) * len(pieces))
+    if not verify_witness(w, target, make_cover([target])):
+        raise AssertionError("search produced a chain that fails verify_witness")
+    return w
 
 
-def _chain_dfs(target: OpenSet, arcs, roots):
+def grid_arc_mask(start: int, cells: int, points: int, cyclic: bool) -> int:
+    """The grid mask of the open arc running `cells` cells forward from grid
+    point `start` over `points` sorted grid points: bit 2k stands for grid
+    point k and bit 2k + 1 for the open cell after it, so the arc sets its
+    cells and its interior points. On a cyclic grid (a whole circle) the
+    last cell runs from the last point back to point 0, and an arc of fewer
+    than `points` cells may pass through it. Grid-aligned sets meet iff
+    their masks share a bit."""
+    m = ((1 << (2 * cells - 1)) - 1) << (2 * start + 1)
+    if cyclic:
+        m = (m | m >> 2 * points) & ((1 << 2 * points) - 1)
+    return m
+
+
+def _chain_dfs(masks, roots, full):
+    """The first chain, as indices into masks, that starts at a root and
+    whose masks cover full; None when there is none."""
     # The future of a partial chain depends only on the union of the earlier
     # pieces (which new pieces must avoid) and on the last piece (which the
     # next one must meet), so that pair is the memo key.
     seen = set()
 
-    def dfs(chain_pieces, earlier):
-        last = chain_pieces[-1]
-        if geo.subset(target, geo.union(earlier, last)):
-            return chain_pieces
+    def dfs(chain, earlier):
+        last = masks[chain[-1]]
+        cur = earlier | last
+        if not full & ~cur:
+            return chain
         k = (earlier, last)
         if k in seen:
             return None
         seen.add(k)
-        for cand in arcs:
-            if geo.is_empty(geo.intersect(cand, last)):
+        for c, cand in enumerate(masks):
+            if not cand & last or cand & earlier:
                 continue
-            if not geo.is_empty(geo.intersect(cand, earlier)):
-                continue
-            got = dfs(chain_pieces + [cand], geo.union(earlier, last))
+            got = dfs(chain + [c], cur)
             if got is not None:
                 return got
         return None
 
     for root in roots:
-        got = dfs([root], geo.empty_set(target.space))
+        got = dfs([root], 0)
         if got is not None:
-            if not chain_pattern_ok(got, almost=False):
-                raise AssertionError("search produced a non-chain")
-            return ChainWitness("chain", tuple(got), mesh_of(got), (0,) * len(got))
+            return got
     return None
 
 

@@ -604,20 +604,33 @@ def _circle_block_search(space, ci, traces, bounds, log):
     for k in range(grid):
         bps.add(L * k / grid)
     bps = sorted(bps)
+    m = len(bps)
+    # Every trace breakpoint is a grid point, so each trace is a union of
+    # grid points and open cells; its grid mask (see chains.grid_arc_mask)
+    # reads membership at every grid point and at every cell's midpoint.
+    probes = [q for a, b in zip(bps, bps[1:] + [L]) for q in (a, (a + b) / 2)]
+    trace_masks = [
+        sum(1 << k for k, q in enumerate(probes) if geo.contains_point(tr, ci, q)) for tr in traces
+    ]
     arcs = []
-    for a in bps:
-        for b in bps:
-            if a == b:
+    masks = []
+    for s in range(m):
+        for t in range(m):
+            if s == t:
                 continue
-            # The open arc running forward from a to b, through the seam
-            # when b lies at or before a.
-            arc = geo.component_set(space, ci, (a, False, b if b > a else b + L, False))
-            if any(geo.subset(arc, tr) for tr in traces):
-                arcs.append(arc)
+            # The open arc running forward from bps[s] to bps[t], through the
+            # seam when t comes before s.
+            mask = chains.grid_arc_mask(s, (t - s) % m, m, cyclic=True)
+            if any(not mask & ~tm for tm in trace_masks):
+                arcs.append((s, t))
+                masks.append(mask)
     cap = min(8, 2 * len(traces) + 2)
-    found = _circle_dfs(space, fullc, arcs, cap)
+    found = _circle_dfs(masks, (1 << 2 * m) - 1, cap)
     if found is not None:
-        return found
+        return [
+            geo.component_set(space, ci, (bps[s], False, bps[t] if t > s else bps[t] + L, False))
+            for s, t in (arcs[i] for i in found)
+        ]
     log.append(
         f"circle component {ci}: no one or two trace cover, no forced three piece "
         f"combination, and no chain of single arcs over {len(bps)} breakpoints "
@@ -626,14 +639,17 @@ def _circle_block_search(space, ci, traces, bounds, log):
     return None
 
 
-def _circle_dfs(space, fullc, arcs, cap):
-    empty = geo.empty_set(space)
+def _circle_dfs(masks, full, cap):
+    """Indices into masks of at most cap arcs, each disjoint from all but
+    the one before it, whose masks cover full; None when a budget of 20000
+    arcs visited, the cap or the candidates run out."""
     seen = set()
     budget = [20000]
 
+    # last is 0 before the first arc: no arc has an empty mask.
     def rec(earlier, last, seq):
-        cur = geo.union(earlier, last) if last is not None else earlier
-        if geo.subset(fullc, cur):
+        cur = earlier | last
+        if not full & ~cur:
             return seq
         if len(seq) >= cap or budget[0] <= 0:
             return None
@@ -641,18 +657,18 @@ def _circle_dfs(space, fullc, arcs, cap):
         if key in seen:
             return None
         seen.add(key)
-        for a in arcs:
+        for i, a in enumerate(masks):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
-            if not geo.is_empty(geo.intersect(a, earlier)):
+            if a & earlier:
                 continue
-            res = rec(cur, a, seq + [a])
+            res = rec(cur, a, seq + [i])
             if res is not None:
                 return res
         return None
 
-    return rec(empty, None, [])
+    return rec(0, 0, [])
 
 
 def _weak_chain_circles(space, x, y, ys, xp, supp, cover, bounds, log):

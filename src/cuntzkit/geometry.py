@@ -830,6 +830,8 @@ def _raw_from_json(sp: SpaceDescriptor, obj, path: str, open_mode: bool):
                 raise InputError(here, "a full circle carries no intervals")
             raw.append("full")
             continue
+        if not isinstance(entry, list):
+            raise InputError(here, "expected a list of intervals")
         ivs = []
         for ii, iv in enumerate(entry):
             ivpath = f"{here}[{ii}]"

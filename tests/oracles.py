@@ -103,3 +103,165 @@ def way_below_oracle(f, g, kmax: int = 64) -> bool:
         if leq_oracle(f, cap):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Chain pattern and bounded searches, on OpenSet algebra alone: every pair
+# of pieces is intersected, and the searches build an OpenSet at every node.
+# The library's sweep and grid-mask searches must agree with these exactly.
+
+
+def chain_pattern_ok(pieces, almost: bool) -> bool:
+    for i in range(len(pieces)):
+        for j in range(i, len(pieces)):
+            meets = not geo.is_empty(geo.intersect(pieces[i], pieces[j]))
+            if j - i >= 2 and meets:
+                return False
+            if not almost and j - i <= 1 and not meets:
+                return False
+    return True
+
+
+def exhaustive_chain_search(target, eps, depth: int = 4):
+    from cuntzkit import chains
+
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    comps = geo.connected_components(target)
+    if len(comps) != 1:
+        raise ValueError("the grid search handles one connected target")
+    sp = target.space
+    desc = chains._component_span(comps[0])
+    if desc is not None and desc[1] is None:
+        piece = geo.component_set(sp, desc[0])
+        if geo.diameter(piece) < eps:
+            return chains.ChainWitness("chain", (piece,), Fraction(0), (0,))
+        return None
+    n = 2 ** depth
+    if desc is None:
+        ci = chains._home(target)
+        L = sp.components[ci].length
+        g = L / n
+        arcs = []
+        roots = []
+        for l in range(1, n):
+            if min(l * g, L / 2) >= eps:
+                continue
+            for i in range(n):
+                w = geo.component_set(sp, ci, (i * g, False, (i + l) * g, False))
+                arcs.append(w)
+                if i == 0:
+                    roots.append(w)
+    else:
+        ci, span = desc
+        a0, a_in, b0, b_in = span
+        g = (b0 - a0) / n
+        arcs = []
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                if (j - i) * g >= eps:
+                    continue
+                lo_in = a_in if i == 0 else False
+                hi_in = b_in if j == n else False
+                arcs.append(geo.component_set(sp, ci, (a0 + i * g, lo_in, a0 + j * g, hi_in)))
+        roots = arcs
+    seen = set()
+
+    def dfs(chain_pieces, earlier):
+        last = chain_pieces[-1]
+        if geo.subset(target, geo.union(earlier, last)):
+            return chain_pieces
+        k = (earlier, last)
+        if k in seen:
+            return None
+        seen.add(k)
+        for cand in arcs:
+            if geo.is_empty(geo.intersect(cand, last)):
+                continue
+            if not geo.is_empty(geo.intersect(cand, earlier)):
+                continue
+            got = dfs(chain_pieces + [cand], geo.union(earlier, last))
+            if got is not None:
+                return got
+        return None
+
+    for root in roots:
+        got = dfs([root], geo.empty_set(sp))
+        if got is not None:
+            if not chain_pattern_ok(got, almost=False):
+                raise AssertionError("search produced a non-chain")
+            return chains.ChainWitness("chain", tuple(got), chains.mesh_of(got), (0,) * len(got))
+    return None
+
+
+def circle_block_search(space, ci, traces, bounds, log):
+    import itertools
+
+    fullc = geo.component_set(space, ci)
+    for tr in traces:
+        if geo.subset(fullc, tr):
+            return [fullc]
+    for i in range(len(traces)):
+        for j in range(i, len(traces)):
+            if geo.subset(fullc, geo.union(traces[i], traces[j])):
+                return [traces[i], traces[j]]
+    for i, j, k in itertools.product(range(len(traces)), repeat=3):
+        v1 = traces[i]
+        v3 = geo.intersect(traces[k], geo.complement(geo.closure(v1)))
+        if geo.is_empty(v3):
+            continue
+        if geo.subset(fullc, geo.union(geo.union(v1, traces[j]), v3)):
+            return [v1, traces[j], v3]
+
+    L = space.components[ci].length
+    grid = 2 ** min(bounds.depth, 4)
+    bps = set()
+    for tr in traces:
+        bps.update(x % L for x in geo.breakpoints(tr, ci))
+    for k in range(grid):
+        bps.add(L * k / grid)
+    bps = sorted(bps)
+    arcs = []
+    for a in bps:
+        for b in bps:
+            if a == b:
+                continue
+            arc = geo.component_set(space, ci, (a, False, b if b > a else b + L, False))
+            if any(geo.subset(arc, tr) for tr in traces):
+                arcs.append(arc)
+    cap = min(8, 2 * len(traces) + 2)
+    empty = geo.empty_set(space)
+    seen = set()
+    budget = [20000]
+
+    def rec(earlier, last, seq):
+        cur = geo.union(earlier, last) if last is not None else earlier
+        if geo.subset(fullc, cur):
+            return seq
+        if len(seq) >= cap or budget[0] <= 0:
+            return None
+        key = (earlier, last)
+        if key in seen:
+            return None
+        seen.add(key)
+        for a in arcs:
+            if budget[0] <= 0:
+                return None
+            budget[0] -= 1
+            if not geo.is_empty(geo.intersect(a, earlier)):
+                continue
+            res = rec(cur, a, seq + [a])
+            if res is not None:
+                return res
+        return None
+
+    found = rec(empty, None, [])
+    if found is not None:
+        return found
+    log.append(
+        f"circle component {ci}: no one or two trace cover, no forced three piece "
+        f"combination, and no chain of single arcs over {len(bps)} breakpoints "
+        f"(up to {cap} pieces) goes around"
+    )
+    return None

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from cuntzkit import chains, gen
 from cuntzkit import geometry as geo
 
@@ -225,6 +226,94 @@ def test_exhaustive_search_rejects_circle():
     # Independent of the structural decider: no grid chain covers a circle.
     target = geo.full_set(CIRCLE)
     assert chains.exhaustive_chain_search(target, F("1/2"), depth=3) is None
+
+
+def _search_targets(rng):
+    """Seeded connected targets: arcs with and without closed ends, circle
+    arcs, whole circles, circles minus a point, and point components."""
+    for _ in range(40):
+        sp = gen.rand_space(rng, max_components=3)
+        yield gen.rand_connected_target(rng, sp, allow_full_circle=True)
+    for L in (F(1), F(3, 2)):
+        sp = geo.space(geo.point(), geo.circle(L))
+        for x in (F(0), L / 4):
+            yield geo.normalize(sp, [False, [(x, x + L)]])
+        yield geo.normalize(sp, [True, []])
+    yield arcset((F(0), F(1), True, True))
+    yield arcset((F(0), F(1, 2), True, False))
+    yield arcset((F(1, 4), F(1), False, True))
+
+
+def test_grid_search_matches_the_openset_oracle():
+    rng = random.Random(2024)
+    outcomes = set()
+    for target in _search_targets(rng):
+        for depth in (1, 2, 3):
+            eps = F(rng.randint(1, 12), rng.choice([4, 8, 12]))
+            got = chains.exhaustive_chain_search(target, eps, depth)
+            assert got == oracles.exhaustive_chain_search(target, eps, depth), (target, eps, depth)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _sweep_cases(rng):
+    """Seeded piece lists for the sweep: random multi-interval sets on
+    spaces with arcs, circles (spans through the seam included) and
+    points; epsilon chains, whose pieces two apart touch without meeting;
+    and epsilon chains with two pieces swapped or one widened."""
+    for _ in range(150):
+        sp = gen.rand_space(rng, max_components=3)
+        n = rng.randint(0, 6)
+        yield [gen.rand_open_set(rng, sp, max_intervals=3, full_bias=0.1) for _ in range(n)]
+    for _ in range(60):
+        sp = gen.rand_space(rng, max_components=2)
+        target = gen.rand_connected_target(rng, sp)
+        if not chains.decide_chainable(target):
+            continue
+        pieces = list(chains.epsilon_chain(target, F(rng.randint(1, 8), 16)).pieces)
+        yield pieces
+        if len(pieces) >= 2:
+            i, j = rng.sample(range(len(pieces)), 2)
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+            yield pieces
+    circle = geo.space(geo.circle(1), geo.point())
+    yield [geo.normalize(circle, [[(a, a + F(1, 2))], False]) for a in (F(3, 4), F(0), F(1, 4), F(1, 2))]
+    yield [geo.normalize(circle, [[(F(7, 8), F(9, 8))], True]), geo.normalize(circle, [[(F(1, 8), F(1, 4))], True])]
+    yield [arcset((F(0), F(1, 2), True, False)), arcset((F(1, 2), F(1), False, True))]
+    yield [arcset((F(0), F(1, 2), True, False)), arcset((F(1, 4), F(3, 4))), arcset((F(1, 2), F(1), False, True))]
+
+
+def test_chain_pattern_sweep_matches_all_pairs_oracle():
+    rng = random.Random(99)
+    seen = set()
+    for pieces in _sweep_cases(rng):
+        for almost in (False, True):
+            got = chains.chain_pattern_ok(pieces, almost)
+            assert got == oracles.chain_pattern_ok(pieces, almost), (pieces, almost)
+            seen.add((almost, got))
+    assert len(seen) == 4
+
+
+def test_verify_witness_on_a_4001_piece_chain():
+    target = geo.full_set(ARC)
+    cover = chains.make_cover([target])
+    w = chains.epsilon_chain(target, F(1, 2000))
+    assert len(w.pieces) == 4001
+    assert chains.verify_witness(w, target, cover)
+
+    # Piece k widened past its right end meets piece k + 2 as well.
+    pieces = list(w.pieces)
+    k = 2000
+    (a, a_in, b, _), = geo.spans(pieces[k], 0)
+    pieces[k] = geo.component_set(ARC, 0, (a, a_in, b + (b - a) / 4, False))
+    assert not geo.is_empty(geo.intersect(pieces[k], pieces[k + 2]))
+    wide = chains.ChainWitness("chain", tuple(pieces), chains.mesh_of(pieces), w.refines)
+    assert not chains.verify_witness(wide, target, cover)
+
+    pieces = list(w.pieces)
+    pieces[10], pieces[3000] = pieces[3000], pieces[10]
+    swapped = chains.ChainWitness("chain", tuple(pieces), w.mesh, w.refines)
+    assert not chains.verify_witness(swapped, target, cover)
 
 
 # intersect-with-neighbors pattern holds with consecutive overlap on every generated chain

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cuntzkit
+import oracles
 from cuntzkit import checks, lsc, models
 from cuntzkit import geometry as geo
 from cuntzkit.geometry import InputError
@@ -293,6 +294,40 @@ def test_weak_chain_mixed_space_circle_block_plus_arc():
     xp = lsc.element_from_json(sp, v.data["xp"])
     ok, why = checks._validate_weak_chain(x, y, [y1, y2], xp, zs)
     assert ok, why
+
+
+def _circle_block_cases(rng):
+    """Traces on a circle for the block search: the middle-piece and three
+    short arc instances above, then seeded traces, some of several arcs and
+    some through the seam, on spaces with and without a second component."""
+    three = [[(F(1, 4), F(3, 4))], [(F(1, 5), F(3, 10)), (F(7, 10), F(4, 5))], [(F(3, 4), F(5, 4))]]
+    short = [[(F(0), F(3, 10))], [(F(1, 4), F(11, 20))], [(F(1, 2), F(21, 20))]]
+    for raws in (three, short):
+        yield CIRCLE, [geo.normalize(CIRCLE, [ivs]) for ivs in raws], 2
+    for case in range(8):
+        L = F(rng.choice([1, 3]), rng.choice([1, 2]))
+        sp = geo.space(geo.circle(L), geo.arc(1)) if case % 3 else geo.space(geo.circle(L))
+        d = rng.choice([8, 10, 12])
+        traces = []
+        for _ in range(rng.randint(1, 3)):
+            ivs = []
+            for _ in range(rng.choice([1, 1, 2])):
+                a = L * F(rng.randrange(d), d)
+                ivs.append((a, a + L * F(rng.randint(1, d - 1), d)))
+            traces.append(geo.normalize(sp, [ivs] + [[]] * (len(sp.components) - 1)))
+        yield sp, traces, rng.randint(1, 4)
+
+
+def test_circle_block_search_matches_the_openset_oracle():
+    sizes = set()
+    for sp, traces, depth in _circle_block_cases(random.Random(3)):
+        bounds = checks.SearchBounds(depth=depth)
+        got_log, want_log = [], []
+        got = checks._circle_block_search(sp, 0, traces, bounds, got_log)
+        want = oracles.circle_block_search(sp, 0, traces, bounds, want_log)
+        assert (got, got_log) == (want, want_log), (traces, bounds)
+        sizes.add(None if got is None else len(got))
+    assert sizes == {None, 1, 2, 3}
 
 
 def test_weak_chain_random_arc_instances_always_chain():

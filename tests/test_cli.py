@@ -2,11 +2,15 @@
 and the error channel."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 from fractions import Fraction as F
 
 import pytest
 
+import cuntzkit
 from cuntzkit import cli
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
@@ -120,6 +124,20 @@ def test_lsc_leq_exit_codes(capsys, arc_file, tmp_path):
     assert code == 0 and json.loads(out)["holds"] is True
     code, out, _ = run(capsys, ["lsc", "leq", "-s", arc_file, "--instance", rev])
     assert code == 1 and json.loads(out)["holds"] is False
+
+
+def test_non_list_sets_entry_is_exit_2(arc_file, tmp_path):
+    # Run as a process: a crash would exit 1, the counterexample code.
+    b = lsc.element_to_json(chi((0, F(1, 2), True, False)))
+    inst = write_json(tmp_path, "i.json", {"a": {"levels": [{"sets": [5]}]}, "b": b})
+    src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuntzkit.cli", "lsc", "leq", "-s", arc_file, "--instance", inst],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "$.a.levels[0].sets[0]" in proc.stderr
 
 
 def test_lsc_wb_exit_codes(capsys, arc_file, tmp_path):
