@@ -37,6 +37,14 @@ class Impossible:
     reason: str
 
 
+# The most pieces epsilon_chain builds; it builds 2 * (len // eps + 1) - 1.
+MAX_CHAIN_PIECES = 100_000
+
+
+class ChainTooLargeError(ValueError):
+    """The requested mesh needs more than MAX_CHAIN_PIECES pieces."""
+
+
 class NotChainableError(ValueError):
     pass
 
@@ -187,7 +195,10 @@ def _component_span(piece: OpenSet):
 
 
 def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
-    """A chain of mesh below eps covering a connected chainable target."""
+    """A chain of mesh below eps covering a connected chainable target.
+
+    Raises ChainTooLargeError, before it builds any piece, when the chain
+    would have more than MAX_CHAIN_PIECES pieces."""
     eps = frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -207,6 +218,10 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
     a, a_in, b, b_in = span
     length = b - a
     n = length // eps + 1
+    if 2 * n - 1 > MAX_CHAIN_PIECES:
+        raise ChainTooLargeError(
+            f"eps {eps} needs {2 * n - 1} pieces, more than the cap of {MAX_CHAIN_PIECES}"
+        )
     w = length / n
     pieces = []
     for i in range(2 * n - 1):

@@ -577,8 +577,22 @@ def _circle_block_search(space, ci, traces, bounds, log):
     """Pieces going around one whole circle component, or None.
 
     Tries, in order: one trace covering the circle, two traces covering
-    it, three piece combinations where the outer pieces are forced apart,
-    and bounded chains of single arcs with breakpoint endpoints.
+    it, and three piece combinations where the outer pieces are forced
+    apart.
+
+    No chain of single arcs, each inside a trace, can go around once two
+    traces fail. In a chain each arc avoids every arc except the one
+    before it. An open arc that holds a boundary point of the first arc
+    meets the first arc, so only the second arc can hold the first arc's
+    two boundary points. The second arc is connected, so it either runs
+    through the gap outside the first arc, and the two make the whole
+    circle, or it holds the whole closure of the first arc, and the chain
+    from the second arc on goes around as well. By induction on the
+    length, some two consecutive arcs make the whole circle, and the two
+    traces that hold them were tried above. The log line still reports
+    the breakpoint grid (trace breakpoints plus 2**min(depth, 4) even
+    points) and the piece cap min(8, 2 * len(traces) + 2) of the arc
+    chains this rules out.
     """
     fullc = geo.component_set(space, ci)
     for tr in traces:
@@ -603,72 +617,13 @@ def _circle_block_search(space, ci, traces, bounds, log):
         bps.update(x % L for x in geo.breakpoints(tr, ci))
     for k in range(grid):
         bps.add(L * k / grid)
-    bps = sorted(bps)
-    m = len(bps)
-    # Every trace breakpoint is a grid point, so each trace is a union of
-    # grid points and open cells; its grid mask (see chains.grid_arc_mask)
-    # reads membership at every grid point and at every cell's midpoint.
-    probes = [q for a, b in zip(bps, bps[1:] + [L]) for q in (a, (a + b) / 2)]
-    trace_masks = [
-        sum(1 << k for k, q in enumerate(probes) if geo.contains_point(tr, ci, q)) for tr in traces
-    ]
-    arcs = []
-    masks = []
-    for s in range(m):
-        for t in range(m):
-            if s == t:
-                continue
-            # The open arc running forward from bps[s] to bps[t], through the
-            # seam when t comes before s.
-            mask = chains.grid_arc_mask(s, (t - s) % m, m, cyclic=True)
-            if any(not mask & ~tm for tm in trace_masks):
-                arcs.append((s, t))
-                masks.append(mask)
     cap = min(8, 2 * len(traces) + 2)
-    found = _circle_dfs(masks, (1 << 2 * m) - 1, cap)
-    if found is not None:
-        return [
-            geo.component_set(space, ci, (bps[s], False, bps[t] if t > s else bps[t] + L, False))
-            for s, t in (arcs[i] for i in found)
-        ]
     log.append(
         f"circle component {ci}: no one or two trace cover, no forced three piece "
         f"combination, and no chain of single arcs over {len(bps)} breakpoints "
         f"(up to {cap} pieces) goes around"
     )
     return None
-
-
-def _circle_dfs(masks, full, cap):
-    """Indices into masks of at most cap arcs, each disjoint from all but
-    the one before it, whose masks cover full; None when a budget of 20000
-    arcs visited, the cap or the candidates run out."""
-    seen = set()
-    budget = [20000]
-
-    # last is 0 before the first arc: no arc has an empty mask.
-    def rec(earlier, last, seq):
-        cur = earlier | last
-        if not full & ~cur:
-            return seq
-        if len(seq) >= cap or budget[0] <= 0:
-            return None
-        key = (earlier, last)
-        if key in seen:
-            return None
-        seen.add(key)
-        for i, a in enumerate(masks):
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            if a & earlier:
-                continue
-            res = rec(cur, a, seq + [i])
-            if res is not None:
-                return res
-        return None
-
-    return rec(0, 0, [])
 
 
 def _weak_chain_circles(space, x, y, ys, xp, supp, cover, bounds, log):

@@ -3,7 +3,8 @@
 Exit codes: 0 for a positive verdict (witness found, identity holds,
 validation passed), 1 for a negative verdict backed by evidence
 (counterexample, not chainable, axiom failure), 2 for malformed input,
-3 when a search gave up without either answer.
+3 when a search gave up without either answer, 4 for an internal error
+(any other exception, reported as one line on stderr).
 
 All structured output is JSON on stdout, printed with sorted keys so
 identical inputs produce byte-identical bytes.
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload) -> None:
@@ -254,11 +256,15 @@ def cmd_chains_epsilon_chain(args) -> int:
     inst = _instance_of(args)
     target = geo.open_set_from_json(sp, _field(inst, "target"), "$.target")
     eps = geo.frac_from_str(_field(inst, "eps"), "$.eps")
+    if eps <= 0:
+        raise InputError("$.eps", "eps must be positive")
     try:
         w = chains.epsilon_chain(target, eps)
     except chains.NotChainableError as exc:
         _emit({"chainable": False, "reason": str(exc)})
         return EXIT_NEGATIVE
+    except chains.ChainTooLargeError as exc:
+        raise InputError("$.eps", str(exc))
     except ValueError as exc:
         raise InputError("$.target", str(exc))
     _emit({"chainable": True, "witness": chains.witness_to_json(w),
@@ -519,6 +525,11 @@ def main(argv=None) -> int:
     except geo.SpaceMismatchError as exc:
         print(f"error: $: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A crash must never read as a verdict: 1 is a counterexample.
+        msg = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ Piece = tuple[Rat, bool, Rat, bool]
 
 
 def frac(value) -> Rat:
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def frac_to_str(x: Rat) -> str:
@@ -100,10 +100,22 @@ def point() -> Component:
 # ---------------------------------------------------------------------------
 # Cut algebra on a single segment [0, L].
 #
-# A set is a sorted tuple of disjoint, non-mergeable pieces. These helpers
-# are the single source of truth for set operations; circle semantics are
-# layered on top by keeping the seam rule "0 in S iff L in S" and syncing
-# it after closure.
+# A set is a canonical piece tuple: sorted by left end, every piece valid
+# (`_piece_ok`), and no two pieces touching, so each piece is one connected
+# component and the tuple is unique for its point set. These helpers are the
+# single source of truth for set operations. Every helper that takes a part
+# relies on that invariant and keeps it with one linear sweep: union merges
+# two sorted tuples, intersect advances whichever piece ends first, subset
+# looks for each piece in the one piece that can hold its right end, and the
+# gaps of a canonical tuple are its canonical complement. Raw pieces (from
+# input, from wrapping or shifting around a circle, from growing each piece
+# into a neighborhood) may be unsorted or touching; those entry points
+# (`normalize`, `closed_set_from_json`, `neighborhood`, `_shift_circle`,
+# `component_set`, the seam piece in `connected_components` and the periodic
+# copies in `spans`) call `_merge` first. Circle semantics are layered on top
+# by keeping the seam rule "0 in S iff L in S", which `_seam_sync` restores.
+
+_ZERO = Fraction(0)
 
 
 def _piece_ok(p: Piece) -> bool:
@@ -111,32 +123,32 @@ def _piece_ok(p: Piece) -> bool:
     return a < b or (a == b and ain and bin_)
 
 
+def _coalesce(items: Iterable[Piece]) -> tuple[Piece, ...]:
+    """Join touching neighbours of valid pieces sorted by (a, not a_in)."""
+    out: list[Piece] = []
+    for p in items:
+        if out:
+            a, ain, b, bin_ = p
+            pa, pain, pb, pbin = out[-1]
+            if a < pb or (a == pb and (pbin or ain)):
+                if b > pb or (b == pb and bin_ and not pbin):
+                    out[-1] = (pa, pain, b, bin_)
+                continue
+        out.append(p)
+    return tuple(out)
+
+
 def _merge(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
-    items = sorted(
+    """The canonical tuple of raw pieces in any order; invalid ones are dropped."""
+    return _coalesce(sorted(
         (p for p in pieces if _piece_ok(p)),
         key=lambda p: (p[0], not p[1], p[2], not p[3]),
-    )
-    out: list[Piece] = []
-    for a, ain, b, bin_ in items:
-        if out:
-            pa, pain, pb, pbin = out[-1]
-            touches = a < pb or (a == pb and (pbin or ain))
-            if touches:
-                if b > pb or (b == pb and bin_ and not pbin):
-                    if b > pb:
-                        out[-1] = (pa, pain, b, bin_)
-                    else:
-                        out[-1] = (pa, pain, pb, True)
-                elif a == pb and ain and not pbin:
-                    out[-1] = (pa, pain, pb, True)
-                continue
-        out.append((a, ain, b, bin_))
-    return tuple(out)
+    ))
 
 
 def _complement(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
     out: list[Piece] = []
-    cur = frac(0)
+    cur = _ZERO
     cur_in = True
     for a, ain, b, bin_ in pieces:
         if cur < a or (cur == a and cur_in and not ain):
@@ -144,34 +156,72 @@ def _complement(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
         cur, cur_in = b, not bin_
     if cur < L or (cur == L and cur_in):
         out.append((cur, cur_in, L, True))
-    return _merge(out)
+    return tuple(out)
 
 
 def _intersect(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
     out = []
-    for a1, i1, b1, j1 in xs:
-        for a2, i2, b2, j2 in ys:
-            if a2 > b1 or a1 > b2:
-                continue
-            if a1 > a2 or (a1 == a2 and not i1):
-                a, ain = a1, i1
-            else:
-                a, ain = a2, i2
-            if b1 < b2 or (b1 == b2 and not j1):
-                b, bin_ = b1, j1
-            else:
-                b, bin_ = b2, j2
-            if _piece_ok((a, ain, b, bin_)):
-                out.append((a, ain, b, bin_))
-    return _merge(out)
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        a1, i1, b1, j1 = xs[i]
+        a2, i2, b2, j2 = ys[j]
+        if a1 > a2 or (a1 == a2 and not i1):
+            a, ain = a1, i1
+        else:
+            a, ain = a2, i2
+        # The piece that ends first meets nothing further on the other side.
+        if b1 < b2 or (b1 == b2 and not j1):
+            b, bin_ = b1, j1
+            i += 1
+        else:
+            b, bin_ = b2, j2
+            j += 1
+        if a < b or (a == b and ain and bin_):
+            out.append((a, ain, b, bin_))
+    return tuple(out)
+
+
+def _by_start(xs: Sequence[Piece], ys: Sequence[Piece]) -> Iterable[Piece]:
+    """The pieces of two sorted tuples, merged in (a, not a_in) order."""
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        if x[0] < y[0] or (x[0] == y[0] and x[1]):
+            yield x
+            i += 1
+        else:
+            yield y
+            j += 1
+    yield from xs[i:] or ys[j:]
 
 
 def _union(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
-    return _merge(tuple(xs) + tuple(ys))
+    if not xs:
+        return ys
+    if not ys:
+        return xs
+    return _coalesce(_by_start(xs, ys))
+
+
+def _subset(xs: Sequence[Piece], ys: Sequence[Piece]) -> bool:
+    """Whether xs lies in ys. Only the first piece of ys that reaches the
+    right end of a piece of xs can hold that piece."""
+    j, ny = 0, len(ys)
+    for a, ain, b, bin_ in xs:
+        while j < ny and (ys[j][2] < b or (ys[j][2] == b and bin_ and not ys[j][3])):
+            j += 1
+        if j == ny:
+            return False
+        c, cin = ys[j][0], ys[j][1]
+        if c > a or (c == a and ain and not cin):
+            return False
+    return True
 
 
 def _seg_closure(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
-    return _merge((a, True, b, True) for a, _, b, _ in pieces)
+    return _coalesce([(a, True, b, True) for a, _, b, _ in pieces])
 
 
 def _contains(pieces: Sequence[Piece], p: Rat) -> bool:
@@ -181,12 +231,24 @@ def _contains(pieces: Sequence[Piece], p: Rat) -> bool:
     return False
 
 
-def _seam_sync(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
-    """Circle seam rule: the points 0 and L are the same point."""
-    if _contains(pieces, frac(0)) or _contains(pieces, L):
-        z = frac(0)
-        return _merge(tuple(pieces) + ((z, True, z, True), (L, True, L, True)))
-    return _merge(pieces)
+def _seam_sync(pieces: tuple[Piece, ...], L: Rat) -> tuple[Piece, ...]:
+    """Circle seam rule: the points 0 and L are the same point. Only the
+    first piece of a canonical tuple can hold 0 and only the last can hold
+    L, so at most those two change."""
+    if not pieces:
+        return pieces
+    a, ain, b, bin_ = pieces[0]
+    la, lain, lb, lbin = pieces[-1]
+    has0 = a == 0 and ain
+    if has0 == (lb == L and lbin):
+        return pieces
+    if has0:
+        if lb == L:
+            return pieces[:-1] + ((la, lain, L, True),)
+        return pieces + ((L, True, L, True),)
+    if a == 0:
+        return ((_ZERO, True, b, bin_),) + pieces[1:]
+    return ((_ZERO, True, _ZERO, True),) + pieces
 
 
 def _circle_closure(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
@@ -198,7 +260,7 @@ def _wrap(a: Rat, ain: bool, b: Rat, bin_: bool, L: Rat) -> list[Piece]:
     a, b = a % L, a % L + (b - a)
     if b <= L:
         return [(a, ain, b, bin_)]
-    return [(a, ain, L, True), (frac(0), True, b - L, bin_)]
+    return [(a, ain, L, True), (_ZERO, True, b - L, bin_)]
 
 
 def _shift_circle(pieces: Sequence[Piece], d: Rat, L: Rat) -> tuple[Piece, ...]:
@@ -211,8 +273,8 @@ def _shift_circle(pieces: Sequence[Piece], d: Rat, L: Rat) -> tuple[Piece, ...]:
             out.append((a2 - L, ain, b2 - L, bin_))
         else:
             out.append((a2, ain, L, True))
-            out.append((frac(0), True, b2 - L, bin_))
-    return _seam_sync(out, L)
+            out.append((_ZERO, True, b2 - L, bin_))
+    return _seam_sync(_merge(out), L)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +304,7 @@ SetLike = Union[OpenSet, ClosedSet]
 
 
 def _check_same_space(a: SetLike, b: SetLike):
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError("operands live on different spaces")
 
 
@@ -256,7 +318,7 @@ def _open_part_ok(comp: Component, pieces: tuple[Piece, ...]) -> bool:
         if bin_ and b != L:
             return False
     if comp.kind == "circle" and pieces:
-        if _contains(pieces, frac(0)) != _contains(pieces, L):
+        if _contains(pieces, _ZERO) != _contains(pieces, L):
             return False
     return True
 
@@ -271,7 +333,7 @@ def full_set(sp: SpaceDescriptor) -> OpenSet:
         if c.kind == "point":
             parts.append(True)
         else:
-            parts.append(((frac(0), True, c.length, True),))
+            parts.append(((_ZERO, True, c.length, True),))
     return OpenSet(sp, tuple(parts))
 
 
@@ -308,7 +370,7 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
         if entry == "full":
             if comp.kind != "circle":
                 raise InputError(here, "the full flag is only for circles")
-            parts.append(((frac(0), True, L, True),))
+            parts.append(((_ZERO, True, L, True),))
             continue
         pieces: list[Piece] = []
         for ii, iv in enumerate(entry):
@@ -343,7 +405,7 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
         merged = _merge(pieces)
         if comp.kind == "circle":
             merged = _seam_sync(merged, L)
-            if merged == ((frac(0), True, L, True),):
+            if merged == ((_ZERO, True, L, True),):
                 parts.append(merged)
                 continue
         if not _open_part_ok(comp, merged):
@@ -418,7 +480,7 @@ def subset(a: SetLike, b: SetLike) -> bool:
             if pa and not pb:
                 return False
         else:
-            if _intersect(pa, _complement(pb, comp.length)):
+            if not _subset(pa, pb):
                 return False
     return True
 
@@ -456,10 +518,10 @@ def connected_components(a: SetLike) -> list:
             continue
         pieces = list(part)
         if comp.kind == "circle":
-            if part == ((frac(0), True, comp.length, True),):
+            if part == ((_ZERO, True, comp.length, True),):
                 out.append(cls(a.space, _only(a.space, ci, part)))
                 continue
-            if _contains(part, frac(0)):
+            if _contains(part, _ZERO):
                 # The first and last pieces meet through the seam.
                 seam_part = _merge([pieces[0], pieces[-1]])
                 out.append(cls(a.space, _only(a.space, ci, seam_part)))
@@ -494,7 +556,7 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
     if comp.kind == "point":
         part: Part = True
     elif span is None:
-        part = ((frac(0), True, comp.length, True),)
+        part = ((_ZERO, True, comp.length, True),)
     else:
         a, ain, b, bin_ = span
         L = comp.length
@@ -505,7 +567,7 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
         else:
             if not a < b <= a + L:
                 raise ValueError("span is empty or longer than the circle")
-            part = _seam_sync(_wrap(a, ain, b, bin_, L), L)
+            part = _seam_sync(_merge(_wrap(a, ain, b, bin_, L)), L)
         if not _open_part_ok(comp, part):
             raise ValueError("span is not open in the component")
     return OpenSet(sp, _only(sp, ci, part))
@@ -525,20 +587,21 @@ def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
     comp = s.space.components[ci]
     part = s.parts[ci]
     if comp.kind == "point":
-        return [(frac(0), True, frac(0), True)] if part else []
+        return [(_ZERO, True, _ZERO, True)] if part else []
     if comp.kind == "arc":
         return list(part if window is None else _intersect(part, (window,)))
     out = _circle_spans(part, comp.length)
     if window is None:
         return out
-    # Lifted spans lie in [0, 2L), so copy m lies in [mL, (m + 2)L).
+    # Lifted spans lie in [0, 2L), so copy m lies in [mL, (m + 2)L). Copies
+    # of a whole circle touch end to end, so the copies are merged first.
     L = comp.length
     lo, hi = window[0], window[2]
-    copies = [
+    copies = _merge(
         (a + m * L, ain, b + m * L, bin_)
         for m in range(lo // L - 1, hi // L + 1)
         for a, ain, b, bin_ in out
-    ]
+    )
     return list(_intersect(copies, (window,)))
 
 
@@ -570,14 +633,14 @@ def _geodesic(x: Rat, y: Rat, L: Rat) -> Rat:
 
 def component_diameter(comp: Component, pieces: tuple[Piece, ...]) -> Rat:
     if comp.kind == "point":
-        return frac(0)
+        return _ZERO
     if not pieces:
-        return frac(0)
+        return _ZERO
     L = comp.length
     if comp.kind == "arc":
         return max(b for _, _, b, _ in pieces) - min(a for a, _, _, _ in pieces)
     cl = _circle_closure(pieces, L)
-    if cl == ((frac(0), True, L, True),):
+    if cl == ((_ZERO, True, L, True),):
         return L / 2
     if _intersect(cl, _shift_circle(cl, L / 2, L)):
         return L / 2
@@ -606,12 +669,12 @@ def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
             pieces = []
             for a, _, b, _ in part:
                 a2, b2 = a - delta, b + delta
-                na, nain = (frac(0), True) if a2 < 0 else (a2, False)
+                na, nain = (_ZERO, True) if a2 < 0 else (a2, False)
                 nb, nbin = (L, True) if b2 > L else (b2, False)
                 pieces.append((na, nain, nb, nbin))
             parts.append(_merge(pieces))
             continue
-        if part == ((frac(0), True, L, True),):
+        if part == ((_ZERO, True, L, True),):
             parts.append(part)
             continue
         pieces = []
@@ -622,7 +685,7 @@ def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
                 break
             pieces.extend(_wrap(a - delta, False, b + delta, False, L))
         if full:
-            parts.append(((frac(0), True, L, True),))
+            parts.append(((_ZERO, True, L, True),))
         else:
             parts.append(_seam_sync(_merge(pieces), L))
     return OpenSet(s.space, tuple(parts))
@@ -635,7 +698,7 @@ def set_distance(a: SetLike, b: SetLike) -> Rat | None:
         return None
     ca, cb = closure(a), closure(b)
     if not is_empty(intersect(ca, cb)):
-        return frac(0)
+        return _ZERO
     cands = []
     occ_a, occ_b = set(), set()
     for ci, (comp, pa, pb) in enumerate(zip(a.space.components, ca.parts, cb.parts)):
@@ -670,13 +733,13 @@ def diameter(a: SetLike) -> Rat:
         if comp.kind == "point":
             if part:
                 occupied += 1
-                per.append(frac(0))
+                per.append(_ZERO)
         else:
             if part:
                 occupied += 1
                 per.append(component_diameter(comp, part))
     if occupied == 0:
-        return frac(0)
+        return _ZERO
     best = max(per)
     if occupied >= 2:
         best = max(best, frac(2))
@@ -731,7 +794,7 @@ def _circle_spans(pieces: tuple[Piece, ...], L: Rat) -> list[tuple[Rat, bool, Ra
     if not pieces:
         return []
     items = list(pieces)
-    if _contains(items, frac(0)) and len(items) >= 2:
+    if _contains(items, _ZERO) and len(items) >= 2:
         first = items[0]
         last = items[-1]
         items = items[1:-1]
@@ -754,7 +817,7 @@ def set_to_json(a: SetLike) -> dict:
             continue
         L = comp.length
         if comp.kind == "circle":
-            if part == ((frac(0), True, L, True),):
+            if part == ((_ZERO, True, L, True),):
                 sets.append([])
                 fulls.append(True)
                 continue
@@ -769,7 +832,7 @@ def set_to_json(a: SetLike) -> dict:
 
 def open_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> OpenSet:
     raw = _raw_from_json(sp, obj, path, open_mode=True)
-    return normalize(sp, raw, path)
+    return normalize(sp, raw, f"{path}.sets")
 
 
 def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet:
@@ -782,7 +845,7 @@ def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet
             continue
         L = comp.length
         if entry == "full":
-            parts.append(((frac(0), True, L, True),))
+            parts.append(((_ZERO, True, L, True),))
             continue
         pieces: list[Piece] = []
         for ii, iv in enumerate(entry):

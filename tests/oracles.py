@@ -265,3 +265,136 @@ def circle_block_search(space, ci, traces, bounds, log):
         f"(up to {cap} pieces) goes around"
     )
     return None
+
+
+# ---------------------------------------------------------------------------
+# The cut algebra by sort and re-merge: every operation pairs up or
+# concatenates raw pieces and sorts them back into canonical form, without
+# assuming its inputs are canonical. The library's linear sweeps over
+# canonical piece tuples must agree with these exactly, part for part.
+
+
+def merge(pieces):
+    items = sorted(
+        (p for p in pieces if p[0] < p[2] or (p[0] == p[2] and p[1] and p[3])),
+        key=lambda p: (p[0], not p[1], p[2], not p[3]),
+    )
+    out = []
+    for a, ain, b, bin_ in items:
+        if out:
+            pa, pain, pb, pbin = out[-1]
+            touches = a < pb or (a == pb and (pbin or ain))
+            if touches:
+                if b > pb or (b == pb and bin_ and not pbin):
+                    if b > pb:
+                        out[-1] = (pa, pain, b, bin_)
+                    else:
+                        out[-1] = (pa, pain, pb, True)
+                elif a == pb and ain and not pbin:
+                    out[-1] = (pa, pain, pb, True)
+                continue
+        out.append((a, ain, b, bin_))
+    return tuple(out)
+
+
+def seg_complement(pieces, L):
+    out = []
+    cur, cur_in = Fraction(0), True
+    for a, ain, b, bin_ in pieces:
+        if cur < a or (cur == a and cur_in and not ain):
+            out.append((cur, cur_in, a, not ain))
+        cur, cur_in = b, not bin_
+    if cur < L or (cur == L and cur_in):
+        out.append((cur, cur_in, L, True))
+    return merge(out)
+
+
+def seg_intersect(xs, ys):
+    out = []
+    for a1, i1, b1, j1 in xs:
+        for a2, i2, b2, j2 in ys:
+            if a2 > b1 or a1 > b2:
+                continue
+            if a1 > a2 or (a1 == a2 and not i1):
+                a, ain = a1, i1
+            else:
+                a, ain = a2, i2
+            if b1 < b2 or (b1 == b2 and not j1):
+                b, bin_ = b1, j1
+            else:
+                b, bin_ = b2, j2
+            out.append((a, ain, b, bin_))
+    return merge(out)
+
+
+def seg_union(xs, ys):
+    return merge(tuple(xs) + tuple(ys))
+
+
+def seam_sync(pieces, L):
+    def has(x):
+        return any((a < x or (a == x and ain)) and (x < b or (x == b and bin_)) for a, ain, b, bin_ in pieces)
+
+    if has(Fraction(0)) or has(L):
+        z = Fraction(0)
+        return merge(tuple(pieces) + ((z, True, z, True), (L, True, L, True)))
+    return merge(pieces)
+
+
+def _result(cls, space, parts):
+    return cls(space, tuple(parts))
+
+
+def _joint_class(a, b):
+    return geo.OpenSet if isinstance(a, geo.OpenSet) and isinstance(b, geo.OpenSet) else geo.ClosedSet
+
+
+def union(a, b):
+    parts = []
+    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+        if comp.kind == "point":
+            parts.append(pa or pb)
+        elif comp.kind == "circle":
+            parts.append(seam_sync(seg_union(pa, pb), comp.length))
+        else:
+            parts.append(seg_union(pa, pb))
+    return _result(_joint_class(a, b), a.space, parts)
+
+
+def intersect(a, b):
+    parts = []
+    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+        parts.append((pa and pb) if comp.kind == "point" else seg_intersect(pa, pb))
+    return _result(_joint_class(a, b), a.space, parts)
+
+
+def complement(a):
+    parts = []
+    for comp, pa in zip(a.space.components, a.parts):
+        parts.append((not pa) if comp.kind == "point" else seg_complement(pa, comp.length))
+    return _result(geo.ClosedSet if isinstance(a, geo.OpenSet) else geo.OpenSet, a.space, parts)
+
+
+def closure(a):
+    parts = []
+    for comp, pa in zip(a.space.components, a.parts):
+        if comp.kind == "point":
+            parts.append(pa)
+            continue
+        closed = merge((x, True, y, True) for x, _, y, _ in pa)
+        parts.append(seam_sync(closed, comp.length) if comp.kind == "circle" else closed)
+    return _result(geo.ClosedSet, a.space, parts)
+
+
+def interior(c):
+    return complement(closure(complement(c)))
+
+
+def subset(a, b) -> bool:
+    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+        if comp.kind == "point":
+            if pa and not pb:
+                return False
+        elif seg_intersect(pa, seg_complement(pb, comp.length)):
+            return False
+    return True

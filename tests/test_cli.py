@@ -126,18 +126,53 @@ def test_lsc_leq_exit_codes(capsys, arc_file, tmp_path):
     assert code == 1 and json.loads(out)["holds"] is False
 
 
+def run_process(argv):
+    """Run the CLI as its own process, so a crash shows as a crash."""
+    src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "cuntzkit.cli", *argv],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+
+
 def test_non_list_sets_entry_is_exit_2(arc_file, tmp_path):
     # Run as a process: a crash would exit 1, the counterexample code.
     b = lsc.element_to_json(chi((0, F(1, 2), True, False)))
     inst = write_json(tmp_path, "i.json", {"a": {"levels": [{"sets": [5]}]}, "b": b})
-    src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "cuntzkit.cli", "lsc", "leq", "-s", arc_file, "--instance", inst],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
-    )
+    proc = run_process(["lsc", "leq", "-s", arc_file, "--instance", inst])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "$.a.levels[0].sets[0]" in proc.stderr
+
+
+def test_backwards_interval_error_names_its_sets_path(arc_file, tmp_path):
+    b = lsc.element_to_json(chi((0, F(1, 2), True, False)))
+    bad = {"levels": [{"sets": [[["1", "1/2", False, False]]], "full_flags": [False]}]}
+    inst = write_json(tmp_path, "i.json", {"a": bad, "b": b})
+    proc = run_process(["lsc", "leq", "-s", arc_file, "--instance", inst])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: $.a.levels[0].sets[0][0]: interval needs a < b\n"
+
+
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_epsilon_chain_nonpositive_eps_is_exit_2_at_eps(arc_file, tmp_path, eps):
+    inst = write_json(tmp_path, "c.json", {"target": full_arc_target(), "eps": eps})
+    proc = run_process(["chains", "epsilon-chain", "-s", arc_file, "--instance", inst])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: $.eps: eps must be positive\n"
+
+
+def test_internal_error_is_exit_4(capsys, arc_file, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler broke\nmid message")
+
+    monkeypatch.setattr(cli, "cmd_space_validate", broken)
+    code, out, err = run(capsys, ["space", "validate", "-s", arc_file])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: handler broke mid message\n"
 
 
 def test_lsc_wb_exit_codes(capsys, arc_file, tmp_path):
@@ -206,6 +241,21 @@ def test_chains_epsilon_chain_arc(capsys, arc_file, tmp_path):
     payload = json.loads(out)
     assert payload["chainable"] is True
     assert F(*map(int, (payload["mesh"].split("/") + ["1"])[:2])) < F(1, 100)
+
+
+def test_chains_epsilon_chain_cap(capsys, arc_file, tmp_path, monkeypatch):
+    # 2 * (2000 + 1) - 1 = 4001 pieces is well inside the cap.
+    inst = write_json(tmp_path, "c.json", {"target": full_arc_target(), "eps": "1/2000"})
+    code, out, _ = run(capsys, ["chains", "epsilon-chain", "-s", arc_file, "--instance", inst])
+    assert code == 0
+    assert len(json.loads(out)["witness"]["pieces"]) == 4001
+    # About 2M pieces: rejected before any piece is built.
+    built = []
+    monkeypatch.setattr(geo, "component_set", lambda *a: built.append(a))
+    inst = write_json(tmp_path, "c.json", {"target": full_arc_target(), "eps": "1/1000000"})
+    code, out, err = run(capsys, ["chains", "epsilon-chain", "-s", arc_file, "--instance", inst])
+    assert code == 2 and out == "" and built == []
+    assert err.startswith("error: $.eps: eps 1/1000000 needs 2000001 pieces")
 
 
 def test_chains_epsilon_chain_circle(capsys, circle_file, tmp_path):

@@ -393,3 +393,123 @@ def test_embed_commutes_with_union_and_intersect(seed):
     assert up(geo.empty_set(sp)) == geo.empty_set(target)
     for ci in range(len(sp.components)):
         assert geo.spans(up(a), off + ci) == geo.spans(a, ci)
+
+
+# ---------------------------------------------------------------------------
+# The linear sweeps of the cut algebra against the sort-and-re-merge oracle.
+# Endpoints sit on a grid of quarters, so pieces often touch without meeting,
+# closed sets hold isolated points, arc pieces are half open at the ends and
+# circle sets run into the seam from the 0 side, the L side or both.
+
+KERNEL = geo.space(geo.arc(1), geo.circle(1), geo.point(), geo.circle(F(3, 2)))
+
+
+def coarse_open_set(rng, sp):
+    raw = []
+    for comp in sp.components:
+        if comp.kind == "point":
+            raw.append(rng.random() < 0.5)
+            continue
+        n = int(comp.length * 4)
+        if comp.kind == "circle" and rng.random() < 0.05:
+            raw.append("full")
+            continue
+        ivs = []
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(n)
+            if comp.kind == "arc":
+                j = rng.randint(i + 1, n)
+                ivs.append((F(i, 4), F(j, 4), i == 0 and rng.random() < 0.5, j == n and rng.random() < 0.5))
+            else:
+                ivs.append((F(i, 4), F(i + rng.randint(1, n), 4)))
+        raw.append(ivs)
+    return geo.normalize(sp, raw)
+
+
+def coarse_closed_set(rng, sp):
+    sets, fulls = [], []
+    for comp in sp.components:
+        if comp.kind == "point":
+            sets.append([])
+            fulls.append(rng.random() < 0.5)
+            continue
+        n = int(comp.length * 4)
+        ivs = []
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, n)
+            # Often a single point, including 0 or L alone on a circle.
+            j = i if rng.random() < 0.4 else rng.randint(i, n if comp.kind == "arc" else i + n)
+            ivs.append([f"{i}/4", f"{j}/4", True, True])
+        sets.append(ivs)
+        fulls.append(False)
+    return geo.closed_set_from_json(sp, {"sets": sets, "full_flags": fulls})
+
+
+def is_canonical(s) -> bool:
+    for comp, part in zip(s.space.components, s.parts):
+        if comp.kind == "point":
+            continue
+        if not all(geo._piece_ok(p) for p in part):
+            return False
+        for (_, _, pb, pbin), (qa, qain, _, _) in zip(part, part[1:]):
+            if not (pb < qa or (pb == qa and not pbin and not qain)):
+                return False
+        if comp.kind == "circle" and part:
+            # The seam rule: 0 and L are one point of the circle.
+            if (part[0][0] == 0 and part[0][1]) != (part[-1][2] == comp.length and part[-1][3]):
+                return False
+    return True
+
+
+def same(got, want) -> bool:
+    return type(got) is type(want) and got.parts == want.parts
+
+
+def test_cut_algebra_sweeps_match_the_merge_oracle():
+    for seed in range(60):
+        rng = seeded(seed)
+        opens_ = [coarse_open_set(rng, KERNEL) for _ in range(3)]
+        closeds = [coarse_closed_set(rng, KERNEL) for _ in range(2)]
+        pool = opens_ + closeds
+        pool += [geo.closure(s) for s in opens_] + [geo.complement(s) for s in pool]
+        for x in pool:
+            for op, got, want in (
+                ("complement", geo.complement(x), oracles.complement(x)),
+                ("closure", geo.closure(x), oracles.closure(x)),
+                ("interior", geo.interior(x), oracles.interior(x)),
+            ):
+                assert same(got, want), (seed, op, x)
+                assert is_canonical(got), (seed, op, x)
+            for y in pool:
+                for op, got, want in (
+                    ("union", geo.union(x, y), oracles.union(x, y)),
+                    ("intersect", geo.intersect(x, y), oracles.intersect(x, y)),
+                ):
+                    assert same(got, want), (seed, op, x, y)
+                    assert is_canonical(got), (seed, op, x, y)
+                assert geo.subset(x, y) == oracles.subset(x, y), (seed, x, y)
+
+
+def test_segment_sweeps_match_the_merge_oracle():
+    # Canonical tuples with any endpoint flags, half open and degenerate
+    # pieces mixed, reach every branch of the seam patch as well.
+    L = F(1)
+    grid = [F(i, 4) for i in range(5)]
+    rng = seeded(0)
+
+    def canonical():
+        raw = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = sorted(rng.sample(grid, 2)) if rng.random() < 0.7 else [rng.choice(grid)] * 2
+            raw.append((a, rng.random() < 0.5, b, rng.random() < 0.5))
+        want = oracles.merge(raw)
+        assert geo._merge(raw) == want
+        return want
+
+    for _ in range(3000):
+        xs, ys = canonical(), canonical()
+        assert geo._union(xs, ys) == oracles.seg_union(xs, ys)
+        assert geo._intersect(xs, ys) == oracles.seg_intersect(xs, ys)
+        assert geo._complement(xs, L) == oracles.seg_complement(xs, L)
+        assert geo._seam_sync(xs, L) == oracles.seam_sync(xs, L)
+        assert geo._subset(xs, ys) == (not oracles.seg_intersect(xs, oracles.seg_complement(ys, L)))
