@@ -511,7 +511,7 @@ def witness_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ChainWitness
     )
     mesh = geo.frac_from_str(obj.get("mesh", "0"), f"{path}.mesh")
     refines = obj.get("refines", [])
-    if not isinstance(refines, list) or not all(isinstance(i, int) for i in refines):
+    if not isinstance(refines, list) or not all(type(i) is int for i in refines):  # not bool
         raise InputError(f"{path}.refines", "expected a list of piece indices")
     return ChainWitness(kind, pieces, mesh, tuple(refines))
 

@@ -147,7 +147,7 @@ def cmd_lsc_eval(args) -> int:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise InputError(here, "expected [component, point]")
             ci = entry[0]
-            if not isinstance(ci, int) or not 0 <= ci < len(sp.components):
+            if type(ci) is not int or not 0 <= ci < len(sp.components):  # bool is an int too
                 raise InputError(f"{here}[0]", "component index outside the space")
             p = None if entry[1] is None else geo.frac_from_str(entry[1], f"{here}[1]")
             pts.append((ci, p))
@@ -238,7 +238,7 @@ def cmd_lsc_decompose(args) -> int:
     inst = _instance_of(args)
     f = lsc.element_from_json(sp, _field(inst, "element"), "$.element")
     n = _field(inst, "n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int too
         raise InputError("$.n", "expected a positive integer")
     try:
         parts = lsc.decompose_below_ne(f, n)

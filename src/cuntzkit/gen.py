@@ -41,20 +41,20 @@ def rand_open_set(rng: random.Random, sp: geo.SpaceDescriptor, max_intervals: in
             raw.append("full")
             continue
         d = rng.choice(DENOMS)
-        grid = [L * Fraction(i, d) for i in range(d + 1)]
+        Ln, Ld = L.numerator, L.denominator
         ivs = []
         for _ in range(rng.randint(0, max_intervals)):
+            # Grid point i is L * i / d; only the drawn ones are built.
             if comp.kind == "arc":
                 i = rng.randrange(d)
                 j = rng.randrange(i, d)
-                a, b = grid[i], grid[j + 1]
-                ain = a == 0 and rng.random() < 0.5
-                bin_ = b == L and rng.random() < 0.5
-                ivs.append((a, b, ain, bin_))
+                ain = i == 0 and rng.random() < 0.5
+                bin_ = j + 1 == d and rng.random() < 0.5
+                ivs.append((Fraction(Ln * i, Ld * d), Fraction(Ln * (j + 1), Ld * d), ain, bin_))
             else:
-                a = grid[rng.randrange(d)]
-                b = a + grid[rng.randint(1, d)]
-                ivs.append((a, b))
+                i = rng.randrange(d)
+                j = rng.randint(1, d)
+                ivs.append((Fraction(Ln * i, Ld * d), Fraction(Ln * (i + j), Ld * d)))
         raw.append(ivs)
     return geo.normalize(sp, raw)
 

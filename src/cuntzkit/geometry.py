@@ -2,9 +2,10 @@
 
 A space is a finite ordered disjoint union of components, each an arc
 (a segment [0, L]), a circle of circumference L, or an isolated point.
-All coordinates are exact rationals. Open and closed subsets are kept in
-a canonical form so that structural equality coincides with equality of
-the represented point sets.
+All coordinates are exact rationals; a set stores them as integers over
+one least common denominator per component. Open and closed subsets are
+kept in a canonical form so that structural equality coincides with
+equality of the represented point sets.
 
 The metric is the arc-length metric inside a component (geodesic on
 circles) and a constant 2 between points of different components.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence, Union
 
 
@@ -51,7 +53,7 @@ def frac_from_str(s, path: str = "$") -> Rat:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             raise InputError(path, f"expected a rational 'p/q', got {s!r}")
-    if isinstance(s, int):
+    if type(s) is int:  # not bool, which JSON spells true/false
         return Fraction(s)
     raise InputError(path, f"expected a rational 'p/q' string, got {type(s).__name__}")
 
@@ -100,22 +102,22 @@ def point() -> Component:
 # ---------------------------------------------------------------------------
 # Cut algebra on a single segment [0, L].
 #
-# A set is a canonical piece tuple: sorted by left end, every piece valid
-# (`_piece_ok`), and no two pieces touching, so each piece is one connected
-# component and the tuple is unique for its point set. These helpers are the
-# single source of truth for set operations. Every helper that takes a part
-# relies on that invariant and keeps it with one linear sweep: union merges
-# two sorted tuples, intersect advances whichever piece ends first, subset
-# looks for each piece in the one piece that can hold its right end, and the
-# gaps of a canonical tuple are its canonical complement. Raw pieces (from
-# input, from wrapping or shifting around a circle, from growing each piece
-# into a neighborhood) may be unsorted or touching; those entry points
-# (`normalize`, `closed_set_from_json`, `neighborhood`, `_shift_circle`,
-# `component_set`, the seam piece in `connected_components` and the periodic
-# copies in `spans`) call `_merge` first. Circle semantics are layered on top
-# by keeping the seam rule "0 in S iff L in S", which `_seam_sync` restores.
-
-_ZERO = Fraction(0)
+# A stored arc or circle part is (d, pieces): each coordinate x is kept as
+# the integer x*d, where d is the least common denominator of L and every
+# endpoint (an empty part has d == L.denominator). The pieces are sorted by
+# left end, each valid (`_piece_ok`), no two touching. This canonical form
+# is unique for the point set, so equal sets compare and hash the same.
+#
+# The segment helpers run on any ordered numbers, each as one linear sweep
+# over canonical tuples; raw pieces (input, wraps around a circle, grown
+# neighborhoods) go through `_merge` first, and `_seam_sync` keeps the
+# circle rule "0 in S iff L in S". Two parts meet at the lcm of their
+# scales (`_common`). Where an endpoint can vanish (coalescing in a union,
+# closure or `_merge`; any intersection) `_least` restores the least scale;
+# a complement keeps its endpoints and its scale. Fractions only cross the
+# boundary: `normalize`, `closed_set_from_json`, `component_set`,
+# `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
+# `diameter`, `set_distance` and `set_to_json` give them back.
 
 
 def _piece_ok(p: Piece) -> bool:
@@ -146,9 +148,9 @@ def _merge(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
     ))
 
 
-def _complement(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
+def _complement(pieces: Sequence[Piece], L) -> tuple[Piece, ...]:
     out: list[Piece] = []
-    cur = _ZERO
+    cur = 0
     cur_in = True
     for a, ain, b, bin_ in pieces:
         if cur < a or (cur == a and cur_in and not ain):
@@ -198,10 +200,6 @@ def _by_start(xs: Sequence[Piece], ys: Sequence[Piece]) -> Iterable[Piece]:
 
 
 def _union(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
-    if not xs:
-        return ys
-    if not ys:
-        return xs
     return _coalesce(_by_start(xs, ys))
 
 
@@ -224,14 +222,14 @@ def _seg_closure(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
     return _coalesce([(a, True, b, True) for a, _, b, _ in pieces])
 
 
-def _contains(pieces: Sequence[Piece], p: Rat) -> bool:
+def _contains(pieces: Sequence[Piece], p) -> bool:
     for a, ain, b, bin_ in pieces:
         if (a < p or (a == p and ain)) and (p < b or (p == b and bin_)):
             return True
     return False
 
 
-def _seam_sync(pieces: tuple[Piece, ...], L: Rat) -> tuple[Piece, ...]:
+def _seam_sync(pieces: tuple[Piece, ...], L) -> tuple[Piece, ...]:
     """Circle seam rule: the points 0 and L are the same point. Only the
     first piece of a canonical tuple can hold 0 and only the last can hold
     L, so at most those two change."""
@@ -247,45 +245,89 @@ def _seam_sync(pieces: tuple[Piece, ...], L: Rat) -> tuple[Piece, ...]:
             return pieces[:-1] + ((la, lain, L, True),)
         return pieces + ((L, True, L, True),)
     if a == 0:
-        return ((_ZERO, True, b, bin_),) + pieces[1:]
-    return ((_ZERO, True, _ZERO, True),) + pieces
+        return ((0, True, b, bin_),) + pieces[1:]
+    return ((0, True, 0, True),) + pieces
 
 
-def _circle_closure(pieces: Sequence[Piece], L: Rat) -> tuple[Piece, ...]:
-    return _seam_sync(_seg_closure(pieces), L)
-
-
-def _wrap(a: Rat, ain: bool, b: Rat, bin_: bool, L: Rat) -> list[Piece]:
+def _wrap(a, ain: bool, b, bin_: bool, L) -> list[Piece]:
     """Cut a lifted circle interval (a < b <= a + L) at the seam into pieces of [0, L]."""
     a, b = a % L, a % L + (b - a)
     if b <= L:
         return [(a, ain, b, bin_)]
-    return [(a, ain, L, True), (_ZERO, True, b - L, bin_)]
+    return [(a, ain, L, True), (0, True, b - L, bin_)]
 
 
-def _shift_circle(pieces: Sequence[Piece], d: Rat, L: Rat) -> tuple[Piece, ...]:
-    out: list[Piece] = []
-    for a, ain, b, bin_ in pieces:
-        a2, b2 = a + d, b + d
-        if b2 <= L:
-            out.append((a2, ain, b2, bin_))
-        elif a2 >= L:
-            out.append((a2 - L, ain, b2 - L, bin_))
+def _at(x: Rat, d: int) -> int:
+    """x as an integer at scale d, a multiple of x's denominator."""
+    return x.numerator * (d // x.denominator)
+
+
+def _rescale(pieces: tuple[Piece, ...], m: int) -> tuple[Piece, ...]:
+    return tuple([(a * m, ain, b * m, bin_) for a, ain, b, bin_ in pieces])
+
+
+def _least(d: int, pieces: tuple[Piece, ...], L: Rat) -> Part:
+    """The part (d, pieces) at its least scale: only d // L.denominator can
+    be divided out, and only as far as every endpoint allows."""
+    k = d // L.denominator
+    for a, _, b, _ in pieces:
+        k = gcd(k, a, b)
+    if k == 1:
+        return d, pieces
+    return d // k, tuple([(a // k, ain, b // k, bin_) for a, ain, b, bin_ in pieces])
+
+
+def _common(pa: Part, pb: Part) -> tuple[int, tuple[Piece, ...], tuple[Piece, ...]]:
+    """The pieces of two parts of one component at the lcm of their scales."""
+    (da, xs), (db, ys) = pa, pb
+    if da == db:
+        return da, xs, ys
+    d = lcm(da, db)
+    return d, xs if d == da else _rescale(xs, d // da), ys if d == db else _rescale(ys, d // db)
+
+
+def _full(L: Rat) -> Part:
+    return L.denominator, ((0, True, L.numerator, True),)
+
+
+def _empty(c: Component) -> Part:
+    return False if c.kind == "point" else (c.length.denominator, ())
+
+
+def _part(comp: Component, ivs: Sequence[Piece]) -> Part:
+    """The canonical part of raw rational intervals on an arc or circle;
+    circle intervals are lifted (a < b <= a + L) and wrap through the seam."""
+    L = comp.length
+    d = lcm(L.denominator, *[x.denominator for a, _, b, _ in ivs for x in (a, b)])
+    Li = _at(L, d)
+    pieces = []
+    for a, ain, b, bin_ in ivs:
+        if comp.kind == "arc":
+            pieces.append((_at(a, d), ain, _at(b, d), bin_))
         else:
-            out.append((a2, ain, L, True))
-            out.append((_ZERO, True, b2 - L, bin_))
-    return _seam_sync(_merge(out), L)
+            pieces.extend(_wrap(_at(a, d), ain, _at(b, d), bin_, Li))
+    merged = _merge(pieces)
+    # Only coalescing or dropping a piece can take an endpoint away.
+    shrunk = len(merged) < len(pieces)
+    if comp.kind == "circle":
+        merged = _seam_sync(merged, Li)
+    return _least(d, merged, L) if shrunk else (d, merged)
+
+
+def _rat(part: Part) -> tuple[Piece, ...]:
+    d, pieces = part
+    return tuple((Fraction(a, d), ain, Fraction(b, d), bin_) for a, ain, b, bin_ in pieces)
 
 
 # ---------------------------------------------------------------------------
-# Public set types. `parts` holds, per component, either a piece tuple
-# (arc/circle) or a bool (point). Both types share the representation; the
-# distinction is the openness/closedness invariant of the stored pieces.
-# This module is the only one that reads `parts`: other modules see a set
-# through the set operations and the per-component views `component_set`,
-# `restrict`, `spans`, `breakpoints` and `embed`.
+# Public set types. `parts` holds, per component, either a scaled part
+# (d, pieces) (arc/circle) or a bool (point). Both types share the
+# representation; the distinction is the openness/closedness invariant of
+# the stored pieces. This module is the only one that reads `parts`: other
+# modules see a set through the set operations and the per-component views
+# `component_set`, `restrict`, `spans`, `breakpoints` and `embed`.
 
-Part = Union[tuple[Piece, ...], bool]
+Part = Union[tuple[int, tuple[Piece, ...]], bool]
 
 
 @dataclass(frozen=True)
@@ -303,38 +345,30 @@ class ClosedSet:
 SetLike = Union[OpenSet, ClosedSet]
 
 
+def _rat_parts(s: SetLike) -> tuple:
+    """The parts of s with Fraction coordinates, for tests to read."""
+    return tuple(p if isinstance(p, bool) else _rat(p) for p in s.parts)
+
+
 def _check_same_space(a: SetLike, b: SetLike):
     if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError("operands live on different spaces")
 
 
-def _open_part_ok(comp: Component, pieces: tuple[Piece, ...]) -> bool:
-    L = comp.length
-    for a, ain, b, bin_ in pieces:
-        if a == b:
-            return False
-        if ain and a != 0:
-            return False
-        if bin_ and b != L:
-            return False
-    if comp.kind == "circle" and pieces:
-        if _contains(pieces, _ZERO) != _contains(pieces, L):
-            return False
-    return True
+def _open_part_ok(comp: Component, part: Part) -> bool:
+    d, pieces = part
+    L = _at(comp.length, d)
+    if any(a == b or (ain and a != 0) or (bin_ and b != L) for a, ain, b, bin_ in pieces):
+        return False
+    return comp.kind != "circle" or _contains(pieces, 0) == _contains(pieces, L)
 
 
 def empty_set(sp: SpaceDescriptor) -> OpenSet:
-    return OpenSet(sp, tuple(() if c.kind != "point" else False for c in sp.components))
+    return OpenSet(sp, tuple(_empty(c) for c in sp.components))
 
 
 def full_set(sp: SpaceDescriptor) -> OpenSet:
-    parts: list[Part] = []
-    for c in sp.components:
-        if c.kind == "point":
-            parts.append(True)
-        else:
-            parts.append(((_ZERO, True, c.length, True),))
-    return OpenSet(sp, tuple(parts))
+    return OpenSet(sp, tuple(True if c.kind == "point" else _full(c.length) for c in sp.components))
 
 
 def full_closed(sp: SpaceDescriptor) -> ClosedSet:
@@ -370,47 +404,40 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
         if entry == "full":
             if comp.kind != "circle":
                 raise InputError(here, "the full flag is only for circles")
-            parts.append(((_ZERO, True, L, True),))
+            parts.append(_full(L))
             continue
-        pieces: list[Piece] = []
+        # Each check compares p/q with r/s as p*s against r*q.
+        Ln, Ld = L.numerator, L.denominator
+        ivs = []
         for ii, iv in enumerate(entry):
             ivpath = f"{here}[{ii}]"
             iv = tuple(iv)
-            if len(iv) == 2:
-                a, b = frac(iv[0]), frac(iv[1])
-                ain = bin_ = False
-            elif len(iv) == 4:
-                a, b = frac(iv[0]), frac(iv[1])
-                ain, bin_ = bool(iv[2]), bool(iv[3])
-            else:
+            if len(iv) not in (2, 4):
                 raise InputError(ivpath, "expected (a, b) or (a, b, incl_left, incl_right)")
-            if a >= b:
+            a, b = frac(iv[0]), frac(iv[1])
+            ain, bin_ = (bool(iv[2]), bool(iv[3])) if len(iv) == 4 else (False, False)
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            if an * bd >= bn * ad:
                 raise InputError(ivpath, "interval needs a < b")
-            if a < 0:
+            if an < 0:
                 raise InputError(ivpath, "interval starts before the component")
             if comp.kind == "arc":
-                if b > L:
+                if bn * Ld > Ln * bd:
                     raise InputError(ivpath, "interval ends beyond the arc")
-                if ain and a != 0:
+                if ain and an != 0:
                     raise InputError(ivpath, "left inclusion is legal only at 0")
-                if bin_ and b != L:
+                if bin_ and bn * Ld != Ln * bd:
                     raise InputError(ivpath, "right inclusion is legal only at L")
-                pieces.append((a, ain, b, bin_))
             else:
                 if ain or bin_:
                     raise InputError(ivpath, "circle intervals carry no inclusion flags")
-                if b - a > L:
+                if (bn * ad - an * bd) * Ld > Ln * ad * bd:
                     raise InputError(ivpath, "wrap interval longer than the circle")
-                pieces.extend(_wrap(a, False, b, False, L))
-        merged = _merge(pieces)
-        if comp.kind == "circle":
-            merged = _seam_sync(merged, L)
-            if merged == ((_ZERO, True, L, True),):
-                parts.append(merged)
-                continue
-        if not _open_part_ok(comp, merged):
+            ivs.append((a, ain, b, bin_))
+        part = _part(comp, ivs)
+        if not _open_part_ok(comp, part):
             raise InputError(here, "the described set is not open in the component")
-        parts.append(merged)
+        parts.append(part)
     return OpenSet(sp, tuple(parts))
 
 
@@ -420,11 +447,17 @@ def union(a: SetLike, b: SetLike):
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
         if comp.kind == "point":
             parts.append(pa or pb)
-        else:
-            u = _union(pa, pb)
-            if comp.kind == "circle":
-                u = _seam_sync(u, comp.length)
-            parts.append(u)
+            continue
+        if not pa[1] or not pb[1]:
+            parts.append(pb if not pa[1] else pa)
+            continue
+        d, xs, ys = _common(pa, pb)
+        u = _union(xs, ys)
+        # Only coalescing pieces can take an endpoint away.
+        shrunk = len(u) < len(xs) + len(ys)
+        if comp.kind == "circle":
+            u = _seam_sync(u, _at(comp.length, d))
+        parts.append(_least(d, u, comp.length) if shrunk else (d, u))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -436,7 +469,8 @@ def intersect(a: SetLike, b: SetLike):
         if comp.kind == "point":
             parts.append(pa and pb)
         else:
-            parts.append(_intersect(pa, pb))
+            d, xs, ys = _common(pa, pb)
+            parts.append(_least(d, _intersect(xs, ys), comp.length))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -446,10 +480,13 @@ def closure(a: SetLike) -> ClosedSet:
     for comp, pa in zip(a.space.components, a.parts):
         if comp.kind == "point":
             parts.append(pa)
-        elif comp.kind == "circle":
-            parts.append(_circle_closure(pa, comp.length))
-        else:
-            parts.append(_seg_closure(pa))
+            continue
+        d, pieces = pa
+        cl = _seg_closure(pieces)
+        shrunk = len(cl) < len(pieces)
+        if comp.kind == "circle":
+            cl = _seam_sync(cl, _at(comp.length, d))
+        parts.append(_least(d, cl, comp.length) if shrunk else (d, cl))
     return ClosedSet(a.space, tuple(parts))
 
 
@@ -460,7 +497,8 @@ def complement(a: SetLike):
         if comp.kind == "point":
             parts.append(not pa)
         else:
-            parts.append(_complement(pa, comp.length))
+            d, pieces = pa
+            parts.append((d, _complement(pieces, _at(comp.length, d))))
     cls = ClosedSet if isinstance(a, OpenSet) else OpenSet
     return cls(a.space, tuple(parts))
 
@@ -470,7 +508,10 @@ def interior(c: SetLike) -> OpenSet:
 
 
 def is_empty(a: SetLike) -> bool:
-    return all(p is False or p == () for p in a.parts)
+    for p in a.parts:
+        if p is True or (p is not False and p[1]):
+            return False
+    return True
 
 
 def subset(a: SetLike, b: SetLike) -> bool:
@@ -479,9 +520,8 @@ def subset(a: SetLike, b: SetLike) -> bool:
         if comp.kind == "point":
             if pa and not pb:
                 return False
-        else:
-            if not _subset(pa, pb):
-                return False
+        elif pa[1] and not _subset(*_common(pa, pb)[1:]):
+            return False
     return True
 
 
@@ -497,7 +537,8 @@ def contains_point(a: SetLike, ci: int, p: Rat | None = None) -> bool:
         return bool(part)
     if comp.kind == "circle":
         p = p % comp.length
-    return _contains(part, frac(p))
+    d, pieces = part
+    return _contains(pieces, frac(p) * d)
 
 
 def compactly_contained(a: OpenSet, b: OpenSet) -> bool:
@@ -514,31 +555,21 @@ def connected_components(a: SetLike) -> list:
             if part:
                 out.append(cls(a.space, _only(a.space, ci, True)))
             continue
-        if not part:
-            continue
-        pieces = list(part)
-        if comp.kind == "circle":
-            if part == ((_ZERO, True, comp.length, True),):
-                out.append(cls(a.space, _only(a.space, ci, part)))
-                continue
-            if _contains(part, _ZERO):
-                # The first and last pieces meet through the seam.
-                seam_part = _merge([pieces[0], pieces[-1]])
-                out.append(cls(a.space, _only(a.space, ci, seam_part)))
-                pieces = pieces[1:-1]
+        d, pieces = part
+        L = comp.length
+        if comp.kind == "circle" and _contains(pieces, 0):
+            # The first and last pieces meet through the seam (a whole
+            # circle is one piece, met by itself).
+            seam_part = _least(d, _merge([pieces[0], pieces[-1]]), L)
+            out.append(cls(a.space, _only(a.space, ci, seam_part)))
+            pieces = pieces[1:-1]
         for p in pieces:
-            out.append(cls(a.space, _only(a.space, ci, (p,))))
+            out.append(cls(a.space, _only(a.space, ci, _least(d, (p,), L))))
     return out
 
 
 def _only(sp: SpaceDescriptor, ci: int, part: Part) -> tuple[Part, ...]:
-    base = []
-    for i, c in enumerate(sp.components):
-        if i == ci:
-            base.append(part)
-        else:
-            base.append(False if c.kind == "point" else ())
-    return tuple(base)
+    return tuple(part if i == ci else _empty(c) for i, c in enumerate(sp.components))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +577,8 @@ def _only(sp: SpaceDescriptor, ci: int, part: Part) -> tuple[Part, ...]:
 # span through the seam is one interval (a, a_in, b, b_in) with
 # 0 <= a < L < b, and a point component is the degenerate span
 # (0, True, 0, True).
+
+_ZERO = Fraction(0)
 
 
 def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> OpenSet:
@@ -556,18 +589,17 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
     if comp.kind == "point":
         part: Part = True
     elif span is None:
-        part = ((_ZERO, True, comp.length, True),)
+        part = _full(comp.length)
     else:
         a, ain, b, bin_ = span
+        a, b = frac(a), frac(b)
         L = comp.length
         if comp.kind == "arc":
             if not 0 <= a < b <= L:
                 raise ValueError("span leaves the arc")
-            part = ((a, ain, b, bin_),)
-        else:
-            if not a < b <= a + L:
-                raise ValueError("span is empty or longer than the circle")
-            part = _seam_sync(_merge(_wrap(a, ain, b, bin_, L)), L)
+        elif not a < b <= a + L:
+            raise ValueError("span is empty or longer than the circle")
+        part = _part(comp, [(a, ain, b, bin_)])
         if not _open_part_ok(comp, part):
             raise ValueError("span is not open in the component")
     return OpenSet(sp, _only(sp, ci, part))
@@ -588,9 +620,10 @@ def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
     part = s.parts[ci]
     if comp.kind == "point":
         return [(_ZERO, True, _ZERO, True)] if part else []
+    pieces = _rat(part)
     if comp.kind == "arc":
-        return list(part if window is None else _intersect(part, (window,)))
-    out = _circle_spans(part, comp.length)
+        return list(pieces if window is None else _intersect(pieces, (window,)))
+    out = _circle_spans(pieces, comp.length)
     if window is None:
         return out
     # Lifted spans lie in [0, 2L), so copy m lies in [mL, (m + 2)L). Copies
@@ -612,7 +645,8 @@ def breakpoints(s: SetLike, ci: int) -> list[Rat]:
     part = s.parts[ci]
     if isinstance(part, bool):
         return []
-    return sorted({x for a, _, b, _ in part for x in (a, b)})
+    d, pieces = part
+    return [Fraction(x, d) for x in sorted({x for a, _, b, _ in pieces for x in (a, b)})]
 
 
 def embed(s: SetLike, target: SpaceDescriptor, offset: int):
@@ -626,26 +660,29 @@ def embed(s: SetLike, target: SpaceDescriptor, offset: int):
     return type(s)(target, tuple(parts))
 
 
-def _geodesic(x: Rat, y: Rat, L: Rat) -> Rat:
+def _geodesic(x, y, L):
     d = abs(x - y)
     return min(d, L - d)
 
 
-def component_diameter(comp: Component, pieces: tuple[Piece, ...]) -> Rat:
-    if comp.kind == "point":
+def component_diameter(comp: Component, part: Part) -> Rat:
+    if comp.kind == "point" or not part[1]:
         return _ZERO
-    if not pieces:
-        return _ZERO
+    d, pieces = part
     L = comp.length
     if comp.kind == "arc":
-        return max(b for _, _, b, _ in pieces) - min(a for a, _, _, _ in pieces)
-    cl = _circle_closure(pieces, L)
-    if cl == ((_ZERO, True, L, True),):
+        return Fraction(pieces[-1][2] - pieces[0][0], d)
+    Li = _at(L, d)
+    cl = _seam_sync(_seg_closure(pieces), Li)
+    if cl == ((0, True, Li, True),):
         return L / 2
-    if _intersect(cl, _shift_circle(cl, L / 2, L)):
+    # Turned by half the circle, which is Li at scale 2d.
+    cl2 = _rescale(cl, 2)
+    turned = _merge(p for a, ain, b, bin_ in cl2 for p in _wrap(a + Li, ain, b + Li, bin_, 2 * Li))
+    if _intersect(cl2, _seam_sync(turned, 2 * Li)):
         return L / 2
     ends = [a for a, _, _, _ in cl] + [b for _, _, b, _ in cl]
-    return max(_geodesic(x, y, L) for x in ends for y in ends)
+    return Fraction(max(_geodesic(x, y, Li) for x in ends for y in ends), d)
 
 
 def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
@@ -665,29 +702,21 @@ def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
             parts.append(bool(part))
             continue
         L = comp.length
+        d0, pieces = part
+        d = lcm(d0, delta.denominator)
+        pieces = _rescale(pieces, d // d0)
+        Li, r = _at(L, d), _at(delta, d)
         if comp.kind == "arc":
-            pieces = []
-            for a, _, b, _ in part:
-                a2, b2 = a - delta, b + delta
-                na, nain = (_ZERO, True) if a2 < 0 else (a2, False)
-                nb, nbin = (L, True) if b2 > L else (b2, False)
-                pieces.append((na, nain, nb, nbin))
-            parts.append(_merge(pieces))
+            # Growing past an end of the arc takes that end in.
+            grown = _merge((a - r, False, b + r, False) for a, _, b, _ in pieces)
+            parts.append(_least(d, _intersect(grown, ((0, True, Li, True),)), L))
             continue
-        if part == ((_ZERO, True, L, True),):
-            parts.append(part)
-            continue
-        pieces = []
-        full = False
-        for a, _, b, _ in _circle_spans(part, L):
-            if (b - a) + 2 * delta >= L:
-                full = True
-                break
-            pieces.extend(_wrap(a - delta, False, b + delta, False, L))
-        if full:
-            parts.append(((_ZERO, True, L, True),))
+        lifted = _circle_spans(pieces, Li)
+        if any((b - a) + 2 * r >= Li for a, _, b, _ in lifted):
+            parts.append(_full(L))
         else:
-            parts.append(_seam_sync(_merge(pieces), L))
+            grown = _merge(p for a, _, b, _ in lifted for p in _wrap(a - r, False, b + r, False, Li))
+            parts.append(_least(d, _seam_sync(grown, Li), L))
     return OpenSet(s.space, tuple(parts))
 
 
@@ -700,26 +729,17 @@ def set_distance(a: SetLike, b: SetLike) -> Rat | None:
     if not is_empty(intersect(ca, cb)):
         return _ZERO
     cands = []
-    occ_a, occ_b = set(), set()
-    for ci, (comp, pa, pb) in enumerate(zip(a.space.components, ca.parts, cb.parts)):
-        if comp.kind == "point":
-            if pa:
-                occ_a.add(ci)
-            if pb:
-                occ_b.add(ci)
+    occ_a = [ci for ci, p in enumerate(ca.parts) if p is True or (p is not False and p[1])]
+    occ_b = [ci for ci, p in enumerate(cb.parts) if p is True or (p is not False and p[1])]
+    for comp, pa, pb in zip(a.space.components, ca.parts, cb.parts):
+        if comp.kind == "point" or not (pa[1] and pb[1]):
             continue
-        if pa:
-            occ_a.add(ci)
-        if pb:
-            occ_b.add(ci)
-        if not pa or not pb:
-            continue
-        ends_a = [e for p in pa for e in (p[0], p[2])]
-        ends_b = [e for p in pb for e in (p[0], p[2])]
-        if comp.kind == "circle":
-            cands.append(min(_geodesic(x, y, comp.length) for x in ends_a for y in ends_b))
-        else:
-            cands.append(min(abs(x - y) for x in ends_a for y in ends_b))
+        d, xs, ys = _common(pa, pb)
+        ends_a = [e for p in xs for e in (p[0], p[2])]
+        ends_b = [e for p in ys for e in (p[0], p[2])]
+        # On an arc the geodesic formula reads L as infinite.
+        Li = _at(comp.length, d) if comp.kind == "circle" else inf
+        cands.append(Fraction(min(_geodesic(x, y, Li) for x in ends_a for y in ends_b), d))
     if any(i != j for i in occ_a for j in occ_b):
         cands.append(frac(2))
     return min(cands)
@@ -727,21 +747,15 @@ def set_distance(a: SetLike, b: SetLike) -> Rat | None:
 
 def diameter(a: SetLike) -> Rat:
     """Sup of pairwise distances; 0 for the empty set."""
-    per = []
-    occupied = 0
-    for comp, part in zip(a.space.components, a.parts):
-        if comp.kind == "point":
-            if part:
-                occupied += 1
-                per.append(_ZERO)
-        else:
-            if part:
-                occupied += 1
-                per.append(component_diameter(comp, part))
-    if occupied == 0:
+    per = [
+        _ZERO if part is True else component_diameter(comp, part)
+        for comp, part in zip(a.space.components, a.parts)
+        if part is True or (part is not False and part[1])
+    ]
+    if not per:
         return _ZERO
     best = max(per)
-    if occupied >= 2:
+    if len(per) >= 2:
         best = max(best, frac(2))
     return best
 
@@ -789,44 +803,35 @@ def space_from_json(obj, path: str = "$") -> SpaceDescriptor:
     return SpaceDescriptor(tuple(comps))
 
 
-def _circle_spans(pieces: tuple[Piece, ...], L: Rat) -> list[tuple[Rat, bool, Rat, bool]]:
+def _circle_spans(pieces: tuple[Piece, ...], L) -> list[Piece]:
     """Glue the seam back into wrap intervals for serialization."""
-    if not pieces:
-        return []
-    items = list(pieces)
-    if _contains(items, _ZERO) and len(items) >= 2:
-        first = items[0]
-        last = items[-1]
-        items = items[1:-1]
-        glued = (last[0], last[1], first[2] + L, first[3])
-        if glued[0] >= L:
-            glued = (glued[0] - L, glued[1], glued[2] - L, glued[3])
-        spans = [glued] + [tuple(p) for p in items]
-        spans.sort()
-        return spans
-    return [tuple(p) for p in items]
+    if len(pieces) >= 2 and _contains(pieces, 0):
+        (_, _, fb, fbin), *mid, (la, lain, _, _) = pieces
+        # A last piece that is the point L glues on as the first piece.
+        glued = (la - L, lain, fb, fbin) if la >= L else (la, lain, fb + L, fbin)
+        return sorted([glued, *mid])
+    return list(pieces)
+
+
+def _ratio_str(x: int, d: int) -> str:
+    """The 'p/q' string of x / d, as frac_to_str prints it."""
+    g = gcd(x, d)
+    return f"{x // g}/{d // g}"
 
 
 def set_to_json(a: SetLike) -> dict:
     sets = []
     fulls = []
     for comp, part in zip(a.space.components, a.parts):
-        if comp.kind == "point":
+        full = part is True or (comp.kind == "circle" and part == _full(comp.length))
+        fulls.append(full)
+        if comp.kind == "point" or full:
             sets.append([])
-            fulls.append(bool(part))
             continue
-        L = comp.length
+        d, pieces = part
         if comp.kind == "circle":
-            if part == ((_ZERO, True, L, True),):
-                sets.append([])
-                fulls.append(True)
-                continue
-            spans = _circle_spans(part, L)
-            sets.append([[frac_to_str(s[0]), frac_to_str(s[2]), s[1], s[3]] for s in spans])
-            fulls.append(False)
-        else:
-            sets.append([[frac_to_str(p[0]), frac_to_str(p[2]), p[1], p[3]] for p in part])
-            fulls.append(False)
+            pieces = _circle_spans(pieces, _at(comp.length, d))
+        sets.append([[_ratio_str(a, d), _ratio_str(b, d), ain, bin_] for a, ain, b, bin_ in pieces])
     return {"sets": sets, "full_flags": fulls}
 
 
@@ -845,9 +850,9 @@ def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet
             continue
         L = comp.length
         if entry == "full":
-            parts.append(((_ZERO, True, L, True),))
+            parts.append(_full(L))
             continue
-        pieces: list[Piece] = []
+        ivs = []
         for ii, iv in enumerate(entry):
             a, b, ain, bin_ = frac(iv[0]), frac(iv[1]), bool(iv[2]), bool(iv[3])
             if not (ain and bin_):
@@ -857,15 +862,10 @@ def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet
             if comp.kind == "arc":
                 if a < 0 or b > L:
                     raise InputError(f"{here}[{ii}]", "interval leaves the arc")
-                pieces.append((a, True, b, True))
-            else:
-                if b - a > L or a < 0:
-                    raise InputError(f"{here}[{ii}]", "wrap interval longer than the circle")
-                pieces.extend(_wrap(a, True, b, True, L))
-        merged = _merge(pieces)
-        if comp.kind == "circle":
-            merged = _seam_sync(merged, L)
-        parts.append(merged)
+            elif b - a > L or a < 0:
+                raise InputError(f"{here}[{ii}]", "wrap interval longer than the circle")
+            ivs.append((a, True, b, True))
+        parts.append(_part(comp, ivs))
     return ClosedSet(sp, tuple(parts))
 
 

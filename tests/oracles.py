@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's set algebra and order relations:
 membership is decided by direct endpoint arithmetic on the stored pieces,
-function values are recounted per point, and comparisons run over probe
-grids. Slow and simple on purpose.
+read as Fractions through `geo._rat_parts`, function values are recounted
+per point, and comparisons run over probe grids. Slow and simple on
+purpose.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cuntzkit import gen
@@ -17,7 +19,7 @@ from cuntzkit import geometry as geo
 
 def member(s, ci: int, p) -> bool:
     comp = s.space.components[ci]
-    part = s.parts[ci]
+    part = geo._rat_parts(s)[ci]
     if comp.kind == "point":
         return bool(part)
     candidates = [Fraction(p)]
@@ -59,7 +61,7 @@ def shrink_open_set(s, k: int):
     full circles. The family increases back to s as k grows."""
     raw = []
     step = Fraction(1, k)
-    for comp, part in zip(s.space.components, s.parts):
+    for comp, part in zip(s.space.components, geo._rat_parts(s)):
         if comp.kind == "point":
             raw.append(bool(part))
             continue
@@ -270,8 +272,10 @@ def circle_block_search(space, ci, traces, bounds, log):
 # ---------------------------------------------------------------------------
 # The cut algebra by sort and re-merge: every operation pairs up or
 # concatenates raw pieces and sorts them back into canonical form, without
-# assuming its inputs are canonical. The library's linear sweeps over
-# canonical piece tuples must agree with these exactly, part for part.
+# assuming its inputs are canonical. It runs on Fraction pieces read through
+# `geo._rat_parts`, apart from the library's integer scales. The library's
+# linear sweeps over canonical piece tuples must agree with these exactly,
+# part for part.
 
 
 def merge(pieces):
@@ -341,49 +345,62 @@ def seam_sync(pieces, L):
     return merge(pieces)
 
 
-def _result(cls, space, parts):
-    return cls(space, tuple(parts))
+@dataclass(frozen=True)
+class Result:
+    """An oracle set: the library class it stands for and its Fraction parts."""
+
+    cls: type
+    space: geo.SpaceDescriptor
+    parts: tuple
+
+
+def rat_parts(s):
+    return s.parts if isinstance(s, Result) else geo._rat_parts(s)
+
+
+def _cls(s):
+    return s.cls if isinstance(s, Result) else type(s)
 
 
 def _joint_class(a, b):
-    return geo.OpenSet if isinstance(a, geo.OpenSet) and isinstance(b, geo.OpenSet) else geo.ClosedSet
+    return geo.OpenSet if _cls(a) is geo.OpenSet and _cls(b) is geo.OpenSet else geo.ClosedSet
 
 
 def union(a, b):
     parts = []
-    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+    for comp, pa, pb in zip(a.space.components, rat_parts(a), rat_parts(b)):
         if comp.kind == "point":
             parts.append(pa or pb)
         elif comp.kind == "circle":
             parts.append(seam_sync(seg_union(pa, pb), comp.length))
         else:
             parts.append(seg_union(pa, pb))
-    return _result(_joint_class(a, b), a.space, parts)
+    return Result(_joint_class(a, b), a.space, tuple(parts))
 
 
 def intersect(a, b):
     parts = []
-    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+    for comp, pa, pb in zip(a.space.components, rat_parts(a), rat_parts(b)):
         parts.append((pa and pb) if comp.kind == "point" else seg_intersect(pa, pb))
-    return _result(_joint_class(a, b), a.space, parts)
+    return Result(_joint_class(a, b), a.space, tuple(parts))
 
 
 def complement(a):
     parts = []
-    for comp, pa in zip(a.space.components, a.parts):
+    for comp, pa in zip(a.space.components, rat_parts(a)):
         parts.append((not pa) if comp.kind == "point" else seg_complement(pa, comp.length))
-    return _result(geo.ClosedSet if isinstance(a, geo.OpenSet) else geo.OpenSet, a.space, parts)
+    return Result(geo.ClosedSet if _cls(a) is geo.OpenSet else geo.OpenSet, a.space, tuple(parts))
 
 
 def closure(a):
     parts = []
-    for comp, pa in zip(a.space.components, a.parts):
+    for comp, pa in zip(a.space.components, rat_parts(a)):
         if comp.kind == "point":
             parts.append(pa)
             continue
         closed = merge((x, True, y, True) for x, _, y, _ in pa)
         parts.append(seam_sync(closed, comp.length) if comp.kind == "circle" else closed)
-    return _result(geo.ClosedSet, a.space, parts)
+    return Result(geo.ClosedSet, a.space, tuple(parts))
 
 
 def interior(c):
@@ -391,7 +408,7 @@ def interior(c):
 
 
 def subset(a, b) -> bool:
-    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+    for comp, pa, pb in zip(a.space.components, rat_parts(a), rat_parts(b)):
         if comp.kind == "point":
             if pa and not pb:
                 return False

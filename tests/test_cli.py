@@ -145,6 +145,41 @@ def test_non_list_sets_entry_is_exit_2(arc_file, tmp_path):
     assert "$.a.levels[0].sets[0]" in proc.stderr
 
 
+def test_boolean_length_is_exit_2(tmp_path):
+    # JSON true is a Python int; it must not read as the length 1.
+    sp = write_json(tmp_path, "s.json", {"components": [{"kind": "arc", "length": True}]})
+    proc = run_process(["space", "validate", "-s", sp])
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: $.components[0].length: ")
+
+
+def test_boolean_component_index_is_exit_2(capsys, arc_file, tmp_path):
+    f = chi((0, F(1, 2), True, False))
+    ev = write_json(tmp_path, "ev.json", {"element": lsc.element_to_json(f), "points": [[False, "1/4"]]})
+    code, _, err = run(capsys, ["lsc", "eval", "-s", arc_file, "--instance", ev])
+    assert code == 2 and "$.points[0][0]" in err
+
+
+def test_boolean_decompose_count_is_exit_2(capsys, arc_file, tmp_path):
+    f = chi((0, F(1, 2), True, False))
+    bad = write_json(tmp_path, "bad.json", {"element": lsc.element_to_json(f), "n": True})
+    code, _, err = run(capsys, ["lsc", "decompose", "-s", arc_file, "--instance", bad])
+    assert code == 2 and "$.n" in err
+
+
+def test_boolean_refines_index_is_exit_2(capsys, arc_file, tmp_path):
+    piece = geo.set_to_json(geo.normalize(ARC, [((F(0), F(1), True, True),)]))
+    witness = {"kind": "chain", "pieces": [piece], "mesh": "1/1", "refines": [False]}
+    ver = write_json(tmp_path, "v.json", {
+        "witness": witness,
+        "target": full_arc_target(),
+        "cover": {"pieces": [piece]},
+    })
+    code, _, err = run(capsys, ["chains", "verify", "-s", arc_file, "--instance", ver])
+    assert code == 2 and "$.witness.refines" in err
+
+
 def test_backwards_interval_error_names_its_sets_path(arc_file, tmp_path):
     b = lsc.element_to_json(chi((0, F(1, 2), True, False)))
     bad = {"levels": [{"sets": [[["1", "1/2", False, False]]], "full_flags": [False]}]}

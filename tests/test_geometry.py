@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzkit import gen
 from cuntzkit import geometry as geo
+from cuntzkit import lsc
 
 import oracles
 
@@ -19,7 +22,7 @@ def opens(sp, raw):
 
 def test_normalize_merges_overlaps():
     s = opens(ARC, [[(F(0), F("1/2")), (F("1/4"), F("3/4"))]])
-    assert s.parts == (((F(0), False, F("3/4"), False),),)
+    assert geo._rat_parts(s) == (((F(0), False, F("3/4"), False),),)
 
 
 def test_normalize_circle_wrap_covers_everything():
@@ -70,7 +73,7 @@ def test_circle_wrap_intersection():
 
 def test_closure_adds_endpoints():
     c = geo.closure(opens(ARC, [[(F(0), F("1/2"))]]))
-    assert c.parts == (((F(0), True, F("1/2"), True),),)
+    assert geo._rat_parts(c) == (((F(0), True, F("1/2"), True),),)
 
 
 def test_interior_of_closed_union_point():
@@ -121,7 +124,7 @@ def test_point_component_sets():
     s = geo.normalize(sp, [[(F(0), F("1/2"))], True])
     assert oracles.member(s, 1, None)
     assert geo.diameter(s) == 2
-    assert geo.complement(s).parts[1] is False
+    assert geo._rat_parts(geo.complement(s))[1] is False
 
 
 def seeded(seed):
@@ -395,6 +398,50 @@ def test_embed_commutes_with_union_and_intersect(seed):
         assert geo.spans(up(a), off + ci) == geo.spans(a, ci)
 
 
+def least_scale(comp, rat_part):
+    """The least common denominator of L and every endpoint of a part."""
+    return math.lcm(comp.length.denominator, *(x.denominator for a, _, b, _ in rat_part for x in (a, b)))
+
+
+def test_one_set_has_one_least_scale():
+    # One set: (5/4, 3/2] + [0, 1/2) on a circle of length 3/2, (1/6, 1] on
+    # an arc and nothing on a second arc. Each writing splits it into
+    # overlapping pieces at denominators 2, 4 and 12, or lifts it by a turn.
+    sp = geo.space(geo.circle(F(3, 2)), geo.arc(1), geo.arc(F(1, 2)))
+    writings = [
+        [[(F(5, 4), F(2))], [(F(1, 6), F(1), False, True)], []],
+        [
+            [(F(5, 4), F(3, 2)), (F(17, 12), F(19, 12)), (F(0), F(1, 2))],
+            [(F(1, 6), F(1, 2)), (F(5, 12), F(3, 4)), (F(7, 12), F(1), False, True)],
+            [],
+        ],
+        [
+            [(F(11, 4), F(7, 2)), (F(1, 12), F(1, 4))],
+            [(F(1, 6), F(3, 4)), (F(1, 2), F(1), False, True), (F(11, 12), F(1), False, True)],
+            [],
+        ],
+    ]
+    sets = [geo.normalize(sp, w) for w in writings]
+    # The pieces of the second writing, one set each, joined by union.
+    singles = [
+        geo.normalize(sp, [[iv] if i == ci else [] for i in range(3)])
+        for ci, ivs in enumerate(writings[1]) for iv in ivs
+    ]
+    sets.append(functools.reduce(geo.union, singles))
+    sets.append(geo.intersect(sets[-1], geo.full_set(sp)))
+    for s in sets:
+        assert s == sets[0] and hash(s) == hash(sets[0])
+        for comp, (d, _), rat in zip(sp.components, s.parts, geo._rat_parts(s)):
+            assert d == least_scale(comp, rat)
+    assert [d for d, _ in sets[0].parts] == [4, 6, 2]
+    assert geo.is_empty(geo.restrict(sets[0], 2)) and sets[0].parts[2] == (2, ())
+    # An intersection that leaves nothing falls back to each L's denominator.
+    away = geo.normalize(sp, [[(F(1, 2), F(5, 4))], [(F(1, 12), F(1, 6))], []])
+    gone = geo.intersect(sets[0], away)
+    assert gone == geo.empty_set(sp)
+    assert [d for d, _ in gone.parts] == [2, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # The linear sweeps of the cut algebra against the sort-and-re-merge oracle.
 # Endpoints sit on a grid of quarters, so pieces often touch without meeting,
@@ -446,9 +493,11 @@ def coarse_closed_set(rng, sp):
 
 
 def is_canonical(s) -> bool:
-    for comp, part in zip(s.space.components, s.parts):
+    for comp, stored, part in zip(s.space.components, s.parts, geo._rat_parts(s)):
         if comp.kind == "point":
             continue
+        if stored[0] != least_scale(comp, part):
+            return False
         if not all(geo._piece_ok(p) for p in part):
             return False
         for (_, _, pb, pbin), (qa, qain, _, _) in zip(part, part[1:]):
@@ -462,7 +511,7 @@ def is_canonical(s) -> bool:
 
 
 def same(got, want) -> bool:
-    return type(got) is type(want) and got.parts == want.parts
+    return type(got) is want.cls and geo._rat_parts(got) == want.parts
 
 
 def test_cut_algebra_sweeps_match_the_merge_oracle():
@@ -513,3 +562,54 @@ def test_segment_sweeps_match_the_merge_oracle():
         assert geo._complement(xs, L) == oracles.seg_complement(xs, L)
         assert geo._seam_sync(xs, L) == oracles.seam_sync(xs, L)
         assert geo._subset(xs, ys) == (not oracles.seg_intersect(xs, oracles.seg_complement(ys, L)))
+
+
+# ---------------------------------------------------------------------------
+# The JSON readers take any decoded JSON value: each returns a set or an
+# element, or raises InputError, and nothing else.
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+    | st.sampled_from(["arc", "circle", "point", "0", "1/2", "1", "3/2", "-1", "1/0", "x"])
+)
+JSON_KEYS = st.sampled_from(["components", "kind", "length", "sets", "full_flags", "levels", "infinity"])
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS | st.text(max_size=2), inner, max_size=4),
+    max_leaves=24,
+)
+# Values shaped like a space, a set or an element reach the deeper checks:
+# mostly legal rationals and flags, with a few values of the wrong type.
+JSON_RATIONALS = st.sampled_from(["0", "1/4", "1/2", "1", "5/4", "3/2", "2", "-1", "1/0", "x", 1, True, 0.5, None])
+JSON_FLAGS = st.sampled_from([False, True, False, True, 0, 1, None, "x"])
+JSON_INTERVALS = st.lists(st.tuples(JSON_RATIONALS, JSON_RATIONALS, JSON_FLAGS, JSON_FLAGS).map(list), max_size=3)
+JSON_SET = st.fixed_dictionaries({
+    "sets": st.tuples(JSON_INTERVALS, JSON_INTERVALS, st.just([]) | JSON_INTERVALS).map(list)
+    | st.lists(JSON_INTERVALS | JSON_SCALARS, max_size=4),
+    "full_flags": st.just([False, False, False]) | st.lists(JSON_FLAGS, min_size=3, max_size=3),
+})
+JSON_ELEMENT = st.fixed_dictionaries({"levels": st.lists(JSON_SET, max_size=3), "infinity": JSON_SET | JSON_SCALARS})
+JSON_SPACE = st.fixed_dictionaries({
+    "components": st.lists(
+        st.fixed_dictionaries({"kind": st.sampled_from(["arc", "circle", "point", "disc", 1]), "length": JSON_RATIONALS}),
+        max_size=3,
+    ),
+})
+READER_SPACE = geo.space(geo.arc(1), geo.circle(F(3, 2)), geo.point())
+
+
+@given(JSON_VALUES | JSON_SPACE | JSON_SET | JSON_ELEMENT)
+@settings(max_examples=400, deadline=None)
+def test_json_readers_return_or_raise_input_error(obj):
+    readers = (
+        (geo.SpaceDescriptor, lambda: geo.space_from_json(obj)),
+        (geo.OpenSet, lambda: geo.open_set_from_json(READER_SPACE, obj)),
+        (geo.ClosedSet, lambda: geo.closed_set_from_json(READER_SPACE, obj)),
+        (lsc.LscElement, lambda: lsc.element_from_json(READER_SPACE, obj)),
+    )
+    for want, read in readers:
+        try:
+            got = read()
+        except geo.InputError:
+            continue
+        assert isinstance(got, want)
