@@ -149,6 +149,8 @@ def cmd_lsc_eval(args) -> int:
             ci = entry[0]
             if type(ci) is not int or not 0 <= ci < len(sp.components):  # bool is an int too
                 raise InputError(f"{here}[0]", "component index outside the space")
+            if entry[1] is None and sp.components[ci].kind != "point":
+                raise InputError(f"{here}[1]", "arc and circle components need a point")
             p = None if entry[1] is None else geo.frac_from_str(entry[1], f"{here}[1]")
             pts.append((ci, p))
     else:

@@ -10,6 +10,8 @@ a finite grid built from the piece endpoints; they are never enumerated.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import gen
 from . import geometry as geo
 from . import lsc
@@ -17,31 +19,29 @@ from . import lsc
 
 def point_complement(sp: geo.SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
     """The open set of everything except one point of component ci."""
-    comp = sp.components[ci]
     raw = []
     for i, c in enumerate(sp.components):
-        if i != ci:
-            if c.kind == "point":
-                raw.append(True)
-            elif c.kind == "arc":
-                raw.append([(geo.frac(0), c.length, True, True)])
-            else:
-                raw.append("full")
-            continue
         if c.kind == "point":
-            raw.append(False)
-        elif c.kind == "arc":
-            q = geo.frac(p)
-            ivs = []
-            if q > 0:
-                ivs.append((geo.frac(0), q, True, False))
-            if q < c.length:
-                ivs.append((q, c.length, False, True))
-            raw.append(ivs)
-        else:
-            q = geo.frac(p) % c.length
-            raw.append([(q, q + c.length)])
-    return geo.normalize(sp, raw)
+            raw.append(i != ci)
+            continue
+        L = c.length
+        if i != ci:
+            raw.append("full" if c.kind == "circle" else (L.denominator, [(0, L.numerator, True, True)]))
+            continue
+        q = geo.frac(p) % L if c.kind == "circle" else geo.frac(p)
+        # L and q as the integers Ln and Q at their least common scale d.
+        d = lcm(L.denominator, q.denominator)
+        Ln, Q = L.numerator * (d // L.denominator), q.numerator * (d // q.denominator)
+        if c.kind == "circle":
+            raw.append((d, [(Q, Q + Ln)]))
+            continue
+        ivs = []
+        if Q > 0:
+            ivs.append((0, Q, True, False))
+        if Q < Ln:
+            ivs.append((Q, Ln, False, True))
+        raw.append((d, ivs))
+    return geo.grid_set(sp, raw)
 
 
 def _unit_indicator(y: lsc.LscElement):

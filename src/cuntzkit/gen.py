@@ -44,19 +44,19 @@ def rand_open_set(rng: random.Random, sp: geo.SpaceDescriptor, max_intervals: in
         Ln, Ld = L.numerator, L.denominator
         ivs = []
         for _ in range(rng.randint(0, max_intervals)):
-            # Grid point i is L * i / d; only the drawn ones are built.
+            # Grid point i is L * i / d, the integer Ln * i at scale Ld * d.
             if comp.kind == "arc":
                 i = rng.randrange(d)
                 j = rng.randrange(i, d)
                 ain = i == 0 and rng.random() < 0.5
                 bin_ = j + 1 == d and rng.random() < 0.5
-                ivs.append((Fraction(Ln * i, Ld * d), Fraction(Ln * (j + 1), Ld * d), ain, bin_))
+                ivs.append((Ln * i, Ln * (j + 1), ain, bin_))
             else:
                 i = rng.randrange(d)
                 j = rng.randint(1, d)
-                ivs.append((Fraction(Ln * i, Ld * d), Fraction(Ln * (i + j), Ld * d)))
-        raw.append(ivs)
-    return geo.normalize(sp, raw)
+                ivs.append((Ln * i, Ln * (i + j)))
+        raw.append((Ld * d, ivs))
+    return geo.grid_set(sp, raw)
 
 
 def rand_nonempty_open_set(rng: random.Random, sp: geo.SpaceDescriptor, **kw) -> geo.OpenSet:

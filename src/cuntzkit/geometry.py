@@ -114,10 +114,12 @@ def point() -> Component:
 # circle rule "0 in S iff L in S". Two parts meet at the lcm of their
 # scales (`_common`). Where an endpoint can vanish (coalescing in a union,
 # closure or `_merge`; any intersection) `_least` restores the least scale;
-# a complement keeps its endpoints and its scale. Fractions only cross the
-# boundary: `normalize`, `closed_set_from_json`, `component_set`,
-# `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
-# `diameter`, `set_distance` and `set_to_json` give them back.
+# a complement keeps its endpoints and its scale. Raw intervals become a
+# part through `_part` alone. `grid_set` takes integers at a scale, and
+# otherwise Fractions only cross the boundary: `normalize`,
+# `closed_set_from_json`, `component_set`, `neighborhood` and
+# `contains_point` take them; `spans`, `breakpoints`, `diameter`,
+# `set_distance` and `set_to_json` give them back.
 
 
 def _piece_ok(p: Piece) -> bool:
@@ -294,24 +296,19 @@ def _empty(c: Component) -> Part:
     return False if c.kind == "point" else (c.length.denominator, ())
 
 
-def _part(comp: Component, ivs: Sequence[Piece]) -> Part:
-    """The canonical part of raw rational intervals on an arc or circle;
-    circle intervals are lifted (a < b <= a + L) and wrap through the seam."""
-    L = comp.length
-    d = lcm(L.denominator, *[x.denominator for a, _, b, _ in ivs for x in (a, b)])
-    Li = _at(L, d)
-    pieces = []
-    for a, ain, b, bin_ in ivs:
-        if comp.kind == "arc":
-            pieces.append((_at(a, d), ain, _at(b, d), bin_))
-        else:
-            pieces.extend(_wrap(_at(a, d), ain, _at(b, d), bin_, Li))
+def _part(comp: Component, d: int, pieces: Sequence[Piece]) -> Part:
+    """The canonical part of raw pieces on an arc or circle, at the least
+    scale d of L and their ends; circle pieces are lifted (a < b <= a + L)
+    and wrap through the seam."""
+    Li = _at(comp.length, d)
+    if comp.kind == "circle":
+        pieces = [p for a, ain, b, bin_ in pieces for p in _wrap(a, ain, b, bin_, Li)]
     merged = _merge(pieces)
     # Only coalescing or dropping a piece can take an endpoint away.
     shrunk = len(merged) < len(pieces)
     if comp.kind == "circle":
         merged = _seam_sync(merged, Li)
-    return _least(d, merged, L) if shrunk else (d, merged)
+    return _least(d, merged, comp.length) if shrunk else (d, merged)
 
 
 def _rat(part: Part) -> tuple[Piece, ...]:
@@ -388,8 +385,38 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
     with 0 <= a < b <= L and inclusion flags legal only at the space ends.
     Circle intervals are (a, b) with 0 <= a < b <= a + L; b > L wraps
     through the seam. The represented point set is unchanged; only the
-    representation is canonicalized.
+    representation is canonicalized. Each entry's rationals go to their
+    least common scale, and `grid_set` checks and builds the set.
     """
+    if len(raw) == len(sp.components):
+        raw = [
+            entry if comp.kind == "point" or entry == "full" else _on_grid(comp.length, entry)
+            for comp, entry in zip(sp.components, raw)
+        ]
+    return grid_set(sp, raw, path)
+
+
+def _on_grid(L: Rat, ivs) -> tuple[int, list[tuple]]:
+    """Rational intervals (a, b, ...) as integers at the least scale of L
+    and their ends; what follows b rides along. An interval of the wrong
+    length is kept as it is, for `grid_set` to report in its place."""
+    d = L.denominator
+    out = []
+    for iv in map(tuple, ivs):
+        if len(iv) in (2, 4):
+            a, b = frac(iv[0]), frac(iv[1])
+            d = lcm(d, a.denominator, b.denominator)
+            iv = (a, b) + iv[2:]
+        out.append(iv)
+    return d, [(_at(iv[0], d), _at(iv[1], d)) + iv[2:] if len(iv) in (2, 4) else iv for iv in out]
+
+
+def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
+    """`normalize` on an integer grid: an arc or circle entry is "full" or
+    (d, intervals), where d is a positive multiple of the denominator of
+    the component's length and each interval end is an integer x standing
+    for x/d. Every check of `normalize` is made, with the same messages
+    and paths."""
     if len(raw) != len(sp.components):
         raise InputError(path, f"expected {len(sp.components)} component entries, got {len(raw)}")
     parts: list[Part] = []
@@ -406,35 +433,36 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
                 raise InputError(here, "the full flag is only for circles")
             parts.append(_full(L))
             continue
-        # Each check compares p/q with r/s as p*s against r*q.
-        Ln, Ld = L.numerator, L.denominator
-        ivs = []
-        for ii, iv in enumerate(entry):
+        d, ivs = entry
+        if d <= 0 or d % L.denominator:
+            raise InputError(here, "the scale must be a positive multiple of the length's denominator")
+        Li = _at(L, d)
+        pieces = []
+        for ii, iv in enumerate(ivs):
             ivpath = f"{here}[{ii}]"
             iv = tuple(iv)
             if len(iv) not in (2, 4):
                 raise InputError(ivpath, "expected (a, b) or (a, b, incl_left, incl_right)")
-            a, b = frac(iv[0]), frac(iv[1])
+            a, b = iv[0], iv[1]
             ain, bin_ = (bool(iv[2]), bool(iv[3])) if len(iv) == 4 else (False, False)
-            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-            if an * bd >= bn * ad:
+            if a >= b:
                 raise InputError(ivpath, "interval needs a < b")
-            if an < 0:
+            if a < 0:
                 raise InputError(ivpath, "interval starts before the component")
             if comp.kind == "arc":
-                if bn * Ld > Ln * bd:
+                if b > Li:
                     raise InputError(ivpath, "interval ends beyond the arc")
-                if ain and an != 0:
+                if ain and a != 0:
                     raise InputError(ivpath, "left inclusion is legal only at 0")
-                if bin_ and bn * Ld != Ln * bd:
+                if bin_ and b != Li:
                     raise InputError(ivpath, "right inclusion is legal only at L")
             else:
                 if ain or bin_:
                     raise InputError(ivpath, "circle intervals carry no inclusion flags")
-                if (bn * ad - an * bd) * Ld > Ln * ad * bd:
+                if b - a > Li:
                     raise InputError(ivpath, "wrap interval longer than the circle")
-            ivs.append((a, ain, b, bin_))
-        part = _part(comp, ivs)
+            pieces.append((a, ain, b, bin_))
+        part = _part(comp, *_least(d, pieces, L))
         if not _open_part_ok(comp, part):
             raise InputError(here, "the described set is not open in the component")
         parts.append(part)
@@ -599,7 +627,8 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
                 raise ValueError("span leaves the arc")
         elif not a < b <= a + L:
             raise ValueError("span is empty or longer than the circle")
-        part = _part(comp, [(a, ain, b, bin_)])
+        d = lcm(L.denominator, a.denominator, b.denominator)
+        part = _part(comp, d, [(_at(a, d), ain, _at(b, d), bin_)])
         if not _open_part_ok(comp, part):
             raise ValueError("span is not open in the component")
     return OpenSet(sp, _only(sp, ci, part))
@@ -864,8 +893,9 @@ def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet
                     raise InputError(f"{here}[{ii}]", "interval leaves the arc")
             elif b - a > L or a < 0:
                 raise InputError(f"{here}[{ii}]", "wrap interval longer than the circle")
-            ivs.append((a, True, b, True))
-        parts.append(_part(comp, ivs))
+            ivs.append((a, b))
+        d, ivs = _on_grid(L, ivs)
+        parts.append(_part(comp, d, [(a, True, b, True) for a, b in ivs]))
     return ClosedSet(sp, tuple(parts))
 
 

@@ -38,13 +38,19 @@ def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) ->
     for hi, lo in zip(promoted, promoted[1:]):
         if not geo.subset(lo, hi):
             raise ValueError("levels must be decreasing under inclusion")
-    while promoted and promoted[-1] == v:
-        promoted.pop()
-    return LscElement(sp, tuple(promoted), v)
+    return _trusted(sp, promoted, v)
+
+
+def _trusted(sp: SpaceDescriptor, levels: list, v: OpenSet) -> LscElement:
+    """The element of levels that are already nested and contain v: only
+    trailing levels equal to v are dropped."""
+    while levels and levels[-1] == v:
+        levels.pop()
+    return LscElement(sp, tuple(levels), v)
 
 
 def indicator(s: OpenSet) -> LscElement:
-    return from_levels(s.space, [s])
+    return _trusted(s.space, [s], geo.empty_set(s.space))
 
 
 def zero(sp: SpaceDescriptor) -> LscElement:
@@ -103,14 +109,14 @@ def join(f: LscElement, g: LscElement) -> LscElement:
     _same_space(f, g)
     m = max(len(f.levels), len(g.levels))
     levels = [geo.union(level(f, k), level(g, k)) for k in range(1, m + 1)]
-    return from_levels(f.space, levels, geo.union(f.infinity, g.infinity))
+    return _trusted(f.space, levels, geo.union(f.infinity, g.infinity))
 
 
 def meet(f: LscElement, g: LscElement) -> LscElement:
     _same_space(f, g)
     m = max(len(f.levels), len(g.levels))
     levels = [geo.intersect(level(f, k), level(g, k)) for k in range(1, m + 1)]
-    return from_levels(f.space, levels, geo.intersect(f.infinity, g.infinity))
+    return _trusted(f.space, levels, geo.intersect(f.infinity, g.infinity))
 
 
 def add(f: LscElement, g: LscElement) -> LscElement:
@@ -126,7 +132,7 @@ def add(f: LscElement, g: LscElement) -> LscElement:
             lg = full if n - j == 0 else level(g, n - j)
             acc = geo.union(acc, geo.intersect(lf, lg))
         levels.append(acc)
-    return from_levels(sp, levels, geo.union(f.infinity, g.infinity))
+    return _trusted(sp, levels, geo.union(f.infinity, g.infinity))
 
 
 def sum(sp: SpaceDescriptor, terms) -> LscElement:
@@ -160,7 +166,7 @@ def scalar_mul(n: int, f: LscElement) -> LscElement:
     if n == 0:
         return zero(f.space)
     levels = [f.levels[(k + n - 1) // n - 1] for k in range(1, n * len(f.levels) + 1)]
-    return from_levels(f.space, levels, f.infinity)
+    return _trusted(f.space, levels, f.infinity)
 
 
 def infinity_of(f: LscElement) -> LscElement:
@@ -248,44 +254,43 @@ def decompose_below_ne(y: LscElement, n: int) -> list:
 
 
 def _complement_bounded(y: LscElement, z: LscElement) -> LscElement:
-    """Largest x with x + y <= z for bounded operands.
+    """Largest x with x + y <= z, for bounded y.
 
     The pointwise difference z - y need not be lower semicontinuous; the
     k-th level of the answer is the interior of {z - y >= k}, the largest
     open set any admissible x can put there. {z - y >= k} is assembled
     from the closed sets {y <= j} against the open sets {z >= j + k}.
+
+    Only the first len(z.levels) levels need computing. Past them every
+    {z >= j + k} is z's infinity part V, and the sets {y <= j} cover the
+    space because y is bounded, so {z - y >= k} is V, which is open: every
+    later level is V, and V is the answer's infinity part. Each level
+    holds V for the same reason, and the levels shrink as k grows.
     """
     sp = y.space
+    below = [geo.complement(level(y, j + 1)) for j in range(len(y.levels) + 1)]
     out = []
     for k in range(1, len(z.levels) + 1):
         d = geo.empty_set(sp)
-        for j in range(len(y.levels) + 1):
-            below = geo.complement(level(y, j + 1))
-            d = geo.union(d, geo.intersect(below, level(z, j + k)))
+        for j, b in enumerate(below):
+            d = geo.union(d, geo.intersect(b, level(z, j + k)))
         out.append(geo.interior(d))
-    return from_levels(sp, out)
+    return _trusted(sp, out, z.infinity)
 
 
 def almost_complement(y: LscElement, z: LscElement) -> LscElement:
     """The largest x with x + y <= z, for bounded y <= z.
 
-    Computed on the cap z meet m*e at the stabilization bound m, with the
-    next cap checked to certify that the tail only keeps adding the
-    indicator of z's infinity part.
+    Computed directly by `_complement_bounded`: since y is finite
+    everywhere, x may be infinite exactly where z is, so x takes z's
+    infinity part, and only z's stored levels need a level of x.
     """
     _same_space(y, z)
     if not geo.is_empty(y.infinity):
         raise ValueError("left operand must be bounded")
     if not leq(y, z):
         raise ValueError("left operand must lie below the right operand")
-    e = unit(y.space)
-    m_star = len(y.levels) + len(z.levels)
-    c1 = _complement_bounded(y, meet(z, scalar_mul(m_star, e)))
-    c2 = _complement_bounded(y, meet(z, scalar_mul(m_star + 1, e)))
-    vz = indicator(z.infinity)
-    if c2 != add(c1, vz):
-        raise AssertionError("cap sequence failed to stabilize")
-    return add(c1, infinity_of(vz))
+    return _complement_bounded(y, z)
 
 
 def interpolate_between(f: LscElement, h: LscElement) -> LscElement:

@@ -415,3 +415,38 @@ def subset(a, b) -> bool:
         elif seg_intersect(pa, seg_complement(pb, comp.length)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The almost complement by caps: the bounded construction runs on z capped
+# at m and at m + 1 copies of the unit, and the second cap must only add
+# the indicator of z's infinity part. The library computes it in one pass
+# and must agree exactly.
+
+
+def complement_bounded(y, z):
+    """Largest x with x + y <= z for bounded y and z: level k is the
+    interior of the union over j of {y <= j} and {z >= j + k}."""
+    from cuntzkit import lsc
+
+    out = []
+    for k in range(1, len(z.levels) + 1):
+        d = geo.empty_set(y.space)
+        for j in range(len(y.levels) + 1):
+            below = geo.complement(lsc.level(y, j + 1))
+            d = geo.union(d, geo.intersect(below, lsc.level(z, j + k)))
+        out.append(geo.interior(d))
+    return lsc.from_levels(y.space, out)
+
+
+def almost_complement_capped(y, z):
+    from cuntzkit import lsc
+
+    e = lsc.unit(y.space)
+    m = len(y.levels) + len(z.levels)
+    c1 = complement_bounded(y, lsc.meet(z, lsc.scalar_mul(m, e)))
+    c2 = complement_bounded(y, lsc.meet(z, lsc.scalar_mul(m + 1, e)))
+    vz = lsc.indicator(z.infinity)
+    if c2 != lsc.add(c1, vz):
+        raise AssertionError("cap sequence failed to stabilize")
+    return lsc.add(c1, lsc.infinity_of(vz))

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -221,7 +222,7 @@ def test_witness_revalidation_survives_python_O():
     src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", REJECTING_VALIDATOR],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "rejected on purpose"

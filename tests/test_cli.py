@@ -2,6 +2,7 @@
 and the error channel."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -131,7 +132,7 @@ def run_process(argv):
     src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "cuntzkit.cli", *argv],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -159,6 +160,15 @@ def test_boolean_component_index_is_exit_2(capsys, arc_file, tmp_path):
     ev = write_json(tmp_path, "ev.json", {"element": lsc.element_to_json(f), "points": [[False, "1/4"]]})
     code, _, err = run(capsys, ["lsc", "eval", "-s", arc_file, "--instance", ev])
     assert code == 2 and "$.points[0][0]" in err
+
+
+def test_missing_coordinate_on_an_arc_or_circle_is_exit_2(capsys, arc_file, circle_file, tmp_path):
+    for sp, space_file in ((ARC, arc_file), (CIRCLE, circle_file)):
+        f = chi((0, F(1, 2)), sp=sp)
+        ev = write_json(tmp_path, "ev.json", {"element": lsc.element_to_json(f), "points": [[0, None]]})
+        code, out, err = run(capsys, ["lsc", "eval", "-s", space_file, "--instance", ev])
+        assert code == 2 and out == "", err
+        assert err.startswith("error: $.points[0][1]: ")
 
 
 def test_boolean_decompose_count_is_exit_2(capsys, arc_file, tmp_path):

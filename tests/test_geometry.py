@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -613,3 +614,132 @@ def test_json_readers_return_or_raise_input_error(obj):
         except geo.InputError:
             continue
         assert isinstance(got, want)
+
+
+HALF_ARC = geo.space(geo.arc(F(1, 2)))
+POINT_ARC = geo.space(geo.point(), geo.arc(1))
+
+
+@pytest.mark.parametrize("sp, raw, path, reason", [
+    (ARC, [], "$", "expected 1 component entries, got 0"),
+    (POINT_ARC, [1, (1, [])], "$[0]", "point components take a boolean"),
+    (ARC, ["full"], "$[0]", "the full flag is only for circles"),
+    (HALF_ARC, [(3, [])], "$[0]", "the scale must be a positive multiple of the length's denominator"),
+    (HALF_ARC, [(0, [])], "$[0]", "the scale must be a positive multiple of the length's denominator"),
+    (HALF_ARC, [(-2, [])], "$[0]", "the scale must be a positive multiple of the length's denominator"),
+    (ARC, [(4, [(0, 1), (1,)])], "$[0][1]", "expected (a, b) or (a, b, incl_left, incl_right)"),
+    (ARC, [(4, [(2, 2)])], "$[0][0]", "interval needs a < b"),
+    (ARC, [(4, [(-1, 2)])], "$[0][0]", "interval starts before the component"),
+    (HALF_ARC, [(4, [(1, 3)])], "$[0][0]", "interval ends beyond the arc"),
+    (ARC, [(4, [(1, 2, True, False)])], "$[0][0]", "left inclusion is legal only at 0"),
+    (ARC, [(4, [(1, 2, False, True)])], "$[0][0]", "right inclusion is legal only at L"),
+    (CIRC, [(4, [(0, 2, True, False)])], "$[0][0]", "circle intervals carry no inclusion flags"),
+    (CIRC, [(4, [(3, 8)])], "$[0][0]", "wrap interval longer than the circle"),
+])
+def test_grid_set_rejects_malformed_entries(sp, raw, path, reason):
+    with pytest.raises(geo.InputError) as err:
+        geo.grid_set(sp, raw, "$")
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
+def test_grid_set_never_builds_a_set_that_is_not_open():
+    # The interval checks leave only open sets, so the last check of
+    # grid_set ("the described set is not open in the component") is a
+    # guard no input reaches: on a small grid, every interval and every
+    # pair of accepted intervals either fails an interval check or gives
+    # a canonical open set.
+    def build(sp, d, ivs):
+        try:
+            s = geo.grid_set(sp, [(d, ivs)])
+        except geo.InputError as exc:
+            assert exc.reason != "the described set is not open in the component"
+            return False
+        assert is_canonical(s) and geo.interior(s) == s
+        return True
+
+    built = 0
+    for comp in (geo.arc(1), geo.circle(1), geo.arc(F(3, 2)), geo.circle(F(1, 2))):
+        sp = geo.space(comp)
+        d = 2 * comp.length.denominator
+        ends = range(-1, int(2 * comp.length * d) + 2)
+        flags = (False, True)
+        accepted = [iv for iv in itertools.product(ends, ends, flags, flags) if build(sp, d, [iv])]
+        assert accepted
+        built += len(accepted) + sum(build(sp, d, [x, y]) for x in accepted for y in accepted)
+    assert built > 1_000
+
+
+def fraction_route(sp, raw):
+    """The Fraction parts of a valid normalize entry list, by wrapping
+    circle intervals at the seam and merging with the oracle."""
+    parts = []
+    for comp, entry in zip(sp.components, raw):
+        L = comp.length
+        if comp.kind == "point":
+            parts.append(entry)
+        elif entry == "full":
+            parts.append(((F(0), True, L, True),))
+        elif comp.kind == "arc":
+            parts.append(oracles.merge([(a, ain, b, bin_) for a, b, ain, bin_ in entry]))
+        else:
+            pieces = []
+            for a, b in entry:
+                a, b = a % L, a % L + (b - a)
+                pieces += [(a, False, b, False)] if b <= L else [(a, False, L, True), (F(0), True, b - L, False)]
+            parts.append(oracles.seam_sync(pieces, L))
+    return tuple(parts)
+
+
+def raw_pair(rng, sp):
+    """One entry list for normalize and the same for grid_set, at a scale
+    that need not be the least; about one in eight is malformed."""
+    raw, grid = [], []
+    for comp in sp.components:
+        if comp.kind == "point":
+            raw.append(rng.random() < 0.5)
+            grid.append(raw[-1])
+            continue
+        if comp.kind == "circle" and rng.random() < 0.05:
+            raw.append("full")
+            grid.append("full")
+            continue
+        d = comp.length.denominator * rng.choice((1, 2, 3, 4, 6, 12))
+        Li = int(comp.length * d)
+        ivs = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.03:
+                a, b = rng.randint(-1, 2 * Li), rng.randint(-1, 2 * Li)
+                ivs.append((a, b, rng.random() < 0.5, rng.random() < 0.5))
+            elif comp.kind == "arc":
+                a = rng.randrange(Li)
+                b = rng.randint(a + 1, Li)
+                ivs.append((a, b, a == 0 and rng.random() < 0.5, b == Li and rng.random() < 0.5))
+            else:
+                a = rng.randrange(2 * Li)
+                ivs.append((a, a + rng.randint(1, Li), False, False))
+        raw.append([(F(a, d), F(b, d), ain, bin_) if comp.kind == "arc" else (F(a, d), F(b, d))
+                    for a, b, ain, bin_ in ivs])
+        grid.append((d, [(a, b, ain, bin_) if comp.kind == "arc" else (a, b) for a, b, ain, bin_ in ivs]))
+    return raw, grid
+
+
+def test_normalize_and_grid_set_match_the_fraction_route():
+    comps = (geo.arc(1), geo.arc(F(3, 2)), geo.circle(1), geo.circle(F(1, 2)), geo.point())
+    rng = seeded(4_242)
+    built = rejected = 0
+    for _ in range(3_000):
+        sp = geo.space(*(rng.choice(comps) for _ in range(rng.randint(1, 3))))
+        raw, grid = raw_pair(rng, sp)
+        try:
+            s = geo.normalize(sp, raw, "$.sets")
+        except geo.InputError as exc:
+            with pytest.raises(geo.InputError) as err:
+                geo.grid_set(sp, grid, "$.sets")
+            assert (err.value.path, err.value.reason) == (exc.path, exc.reason)
+            rejected += 1
+            continue
+        g = geo.grid_set(sp, grid, "$.sets")
+        assert g == s and is_canonical(s)
+        assert geo._rat_parts(s) == fraction_route(sp, raw), (sp, raw)
+        built += 1
+    assert built > 2_000 and rejected > 100

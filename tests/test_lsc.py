@@ -312,3 +312,60 @@ def test_sum_is_the_add_fold(seed):
     assert lsc.sum(sp, terms) == total
     rng.shuffle(terms)
     assert lsc.sum(sp, terms) == total
+
+
+def complement_pairs(seed: int, count: int):
+    """Seeded (y, z) with bounded y <= z, half of them z = y + something
+    and half y = (something bounded) meet z; z is infinite somewhere in
+    about a fifth of them."""
+    rng = seeded(seed)
+    for i in range(count):
+        sp = gen.rand_space(rng, max_components=2)
+        if i % 2:
+            y = gen.rand_bounded_lsc(rng, sp)
+            z = lsc.add(y, gen.rand_lsc(rng, sp, inf_bias=0.4))
+        else:
+            z = gen.rand_lsc(rng, sp, inf_bias=0.4)
+            y = lsc.meet(gen.rand_bounded_lsc(rng, sp), z)
+        yield y, z
+
+
+def test_almost_complement_matches_the_cap_route():
+    # The direct almost complement against the cap route it replaced:
+    # the bounded construction on z capped at m and m + 1 copies of the
+    # unit, plus the infinite part of z.
+    pairs = infinite = 0
+    for y, z in complement_pairs(20_260, 1_600):
+        assert lsc.almost_complement(y, z) == oracles.almost_complement_capped(y, z)
+        pairs += 1
+        infinite += not geo.is_empty(z.infinity)
+    assert pairs == 1_600 and infinite >= 200
+
+
+def assert_canonical(f):
+    for hi, lo in zip(f.levels, f.levels[1:]):
+        assert geo.subset(lo, hi)
+    for lv in f.levels:
+        assert geo.subset(f.infinity, lv)
+    assert not f.levels or f.levels[-1] != f.infinity
+    assert f == lsc.from_levels(f.space, f.levels, f.infinity)
+
+
+def test_every_operation_returns_canonical_elements():
+    # The operations build their levels without the checks of
+    # from_levels; each output must pass them and come back unchanged.
+    rng = seeded(77)
+    for y, z in complement_pairs(78, 300):
+        sp = y.space
+        f, g = gen.rand_lsc(rng, sp), gen.rand_lsc(rng, sp)
+        outs = [
+            lsc.indicator(gen.rand_open_set(rng, sp)),
+            lsc.indicator(geo.empty_set(sp)),
+            lsc.join(f, g),
+            lsc.meet(f, g),
+            lsc.add(f, g),
+            lsc.scalar_mul(rng.randint(0, 3), f),
+            lsc.almost_complement(y, z),
+        ]
+        for out in outs:
+            assert_canonical(out)
