@@ -700,116 +700,69 @@ def _ax(status, cases, counterexample=None):
     return {"status": status, "cases": cases, "counterexample": counterexample}
 
 
+def _scan(found) -> dict:
+    """Report on an axiom from its cases in order, each None when the case
+    holds and else its counterexample: cases are counted up to and
+    including the first counterexample."""
+    cases = 0
+    for bad in found:
+        cases += 1
+        if bad is not None:
+            return _ax("fail", cases, bad)
+    return _ax("pass", cases)
+
+
 def check_axioms(table) -> dict:
     els = list(table.elements())
+    le, add, name = table.le, table.add, table.el_str
     report = {}
-
-    cases = 0
-    bad = None
-    for x in els:
-        for y in els:
-            if not table.le(x, y):
-                continue
-            for z in els:
-                cases += 1
-                if not table.le(table.add(x, z), table.add(y, z)):
-                    bad = {"x": table.el_str(x), "y": table.el_str(y), "z": table.el_str(z)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report["o3"] = _ax("fail" if bad else "pass", cases, bad)
-
-    cases = 0
-    bad = None
-    for xp in els:
-        for x in els:
-            if not table.le(xp, x):
-                continue
-            for z in els:
-                if not table.le(x, z):
-                    continue
-                cases += 1
-                if not any(
-                    table.le(table.add(xp, c), z) and table.le(z, table.add(x, c))
-                    for c in els
-                ):
-                    bad = {"xp": table.el_str(xp), "x": table.el_str(x), "z": table.el_str(z)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report["o5"] = _ax("fail" if bad else "pass", cases, bad)
-
-    cases = 0
-    bad = None
-    for x in els:
-        for y in els:
-            for z in els:
-                cases += 1
-                if table.le(table.add(x, z), table.add(y, z)) and not table.le(x, y):
-                    bad = {"x": table.el_str(x), "y": table.el_str(y), "z": table.el_str(z)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report["weak_cancellation"] = _ax("fail" if bad else "pass", cases, bad)
-
+    report["o3"] = _scan(
+        None if le(add(x, z), add(y, z)) else {"x": name(x), "y": name(y), "z": name(z)}
+        for x in els for y in els if le(x, y) for z in els
+    )
+    report["o5"] = _scan(
+        None if any(le(add(xp, c), z) and le(z, add(x, c)) for c in els)
+        else {"xp": name(xp), "x": name(x), "z": name(z)}
+        for xp in els for x in els if le(xp, x) for z in els if le(x, z)
+    )
+    report["weak_cancellation"] = _scan(
+        {"x": name(x), "y": name(y), "z": name(z)}
+        if le(add(x, z), add(y, z)) and not le(x, y) else None
+        for x in els for y in els for z in els
+    )
     if table.has_lattice_tables:
-        cases = 0
-        bad = None
-        for x in els:
-            for y in els:
-                cases += 1
-                lhs = table.add(x, y)
-                rhs = table.add(table.join(x, y), table.meet(x, y))
-                if lhs != rhs:
-                    bad = {"x": table.el_str(x), "y": table.el_str(y)}
-                    break
-            if bad:
-                break
-        report["lattice_law"] = _ax("fail" if bad else "pass", cases, bad)
+        report["lattice_law"] = _scan(
+            None if add(x, y) == add(table.join(x, y), table.meet(x, y))
+            else {"x": name(x), "y": name(y)}
+            for x in els for y in els
+        )
     else:
         report["lattice_law"] = _ax("skipped", 0)
-
     if table.unit is not None:
-        down = [h for h in els if table.le(h, table.unit)]
+        down = [h for h in els if le(h, table.unit)]
         max_len = 3 if len(down) <= 8 else 2
-        cases = 0
-        bad = None
-        for length in range(1, max_len + 1):
-            seqs = _increasing_tuples(table, down, length)
-            for xs_seq in seqs:
-                sx = table.sum(xs_seq)
-                for ys_seq in seqs:
-                    cases += 1
-                    termwise = all(table.le(a, b) for a, b in zip(xs_seq, ys_seq))
-                    sum_le = table.le(sx, table.sum(ys_seq))
-                    if termwise and not sum_le:
-                        bad = {
-                            "xs": [table.el_str(a) for a in xs_seq],
-                            "ys": [table.el_str(b) for b in ys_seq],
-                            "broken": "termwise order without sum order",
-                        }
-                    elif sum_le and not termwise:
-                        bad = {
-                            "xs": [table.el_str(a) for a in xs_seq],
-                            "ys": [table.el_str(b) for b in ys_seq],
-                            "broken": "sum order without termwise order",
-                        }
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        report["topological_order"] = _ax("fail" if bad else "pass", cases, bad)
+
+        def order_case(xs, sx, ys):
+            termwise = all(le(a, b) for a, b in zip(xs, ys))
+            if termwise == le(sx, table.sum(ys)):
+                return None
+            return {
+                "xs": [name(a) for a in xs],
+                "ys": [name(b) for b in ys],
+                "broken": "termwise order without sum order" if termwise
+                else "sum order without termwise order",
+            }
+
+        report["topological_order"] = _scan(
+            order_case(xs, sx, ys)
+            for length in range(1, max_len + 1)
+            for seqs in (_increasing_tuples(table, down, length),)
+            for xs in seqs
+            for sx in (table.sum(xs),)
+            for ys in seqs
+        )
     else:
         report["topological_order"] = _ax("skipped", 0)
-
     return report
 
 

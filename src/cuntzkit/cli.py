@@ -91,18 +91,10 @@ def _model_of(args, space):
     return models.load_model(selector, space=space)
 
 
-def _parse_element(model, space, obj, path: str):
-    if model.kind == "lsc":
-        return lsc.element_from_json(space, obj, path)
-    if not isinstance(obj, str):
-        raise InputError(path, "expected an element string")
-    return model.parse(obj, path)
-
-
-def _parse_elements(model, space, items, path: str):
+def _parse_elements(model, items, path: str):
     if not isinstance(items, list):
         raise InputError(path, "expected a list")
-    return [_parse_element(model, space, it, f"{path}[{i}]") for i, it in enumerate(items)]
+    return [model.parse(it, f"{path}[{i}]") for i, it in enumerate(items)]
 
 
 def _verdict_exit(verdict: checks.PropertyVerdict) -> int:
@@ -156,11 +148,11 @@ def cmd_lsc_eval(args) -> int:
     else:
         pts = gen.grid_points(sp, lsc.supp(f), lsc.level(f, max(1, lsc.num_levels(f))))
     values = []
-    for ci, p in pts:
+    for i, (ci, p) in enumerate(pts):
         try:
             v = lsc.eval_at(f, ci, p)
-        except ValueError as exc:
-            raise InputError("$.points", str(exc))
+        except ValueError as exc:  # the component index is checked above
+            raise InputError(f"$.points[{i}][1]", str(exc))
         values.append({
             "component": ci,
             "point": None if p is None else geo.frac_to_str(p),
@@ -338,8 +330,8 @@ def cmd_check_refinable_sums(args) -> int:
     space = geo.space_from_json(_load_json_file(args.space, "space")) if args.space else None
     model = _model_of(args, space)
     inst = _instance_of(args)
-    xs = _parse_elements(model, space, _field(inst, "xs"), "$.xs")
-    xps = _parse_elements(model, space, _field(inst, "xps"), "$.xps")
+    xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
+    xps = _parse_elements(model, _field(inst, "xps"), "$.xps")
     verdict = checks.check_refinable_sums(model, xs, xps, bounds=_bounds_of(args))
     return _emit_verdict(verdict)
 
@@ -348,7 +340,7 @@ def cmd_check_almost_ordered(args) -> int:
     space = geo.space_from_json(_load_json_file(args.space, "space")) if args.space else None
     model = _model_of(args, space)
     inst = _instance_of(args)
-    xs = _parse_elements(model, space, _field(inst, "xs"), "$.xs")
+    xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
     verdict = checks.check_almost_ordered_sums(model, xs, bounds=_bounds_of(args))
     return _emit_verdict(verdict)
 

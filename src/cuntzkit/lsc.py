@@ -122,17 +122,13 @@ def meet(f: LscElement, g: LscElement) -> LscElement:
 def add(f: LscElement, g: LscElement) -> LscElement:
     """Pointwise sum via the level-set convolution {f+g >= n} = U_j ({f >= j} & {g >= n-j})."""
     _same_space(f, g)
-    sp = f.space
-    full = geo.full_set(sp)
     levels = []
     for n in range(1, len(f.levels) + len(g.levels) + 1):
-        acc = geo.empty_set(sp)
-        for j in range(n + 1):
-            lf = full if j == 0 else level(f, j)
-            lg = full if n - j == 0 else level(g, n - j)
-            acc = geo.union(acc, geo.intersect(lf, lg))
+        acc = geo.union(level(f, n), level(g, n))  # the terms j = n and j = 0
+        for j in range(1, n):
+            acc = geo.union(acc, geo.intersect(level(f, j), level(g, n - j)))
         levels.append(acc)
-    return _trusted(sp, levels, geo.union(f.infinity, g.infinity))
+    return _trusted(f.space, levels, geo.union(f.infinity, g.infinity))
 
 
 def sum(sp: SpaceDescriptor, terms) -> LscElement:
@@ -267,15 +263,14 @@ def _complement_bounded(y: LscElement, z: LscElement) -> LscElement:
     later level is V, and V is the answer's infinity part. Each level
     holds V for the same reason, and the levels shrink as k grows.
     """
-    sp = y.space
     below = [geo.complement(level(y, j + 1)) for j in range(len(y.levels) + 1)]
     out = []
     for k in range(1, len(z.levels) + 1):
-        d = geo.empty_set(sp)
-        for j, b in enumerate(below):
-            d = geo.union(d, geo.intersect(b, level(z, j + k)))
+        d = geo.intersect(below[0], level(z, k))
+        for j in range(1, len(below)):
+            d = geo.union(d, geo.intersect(below[j], level(z, j + k)))
         out.append(geo.interior(d))
-    return _trusted(sp, out, z.infinity)
+    return _trusted(y.space, out, z.infinity)
 
 
 def almost_complement(y: LscElement, z: LscElement) -> LscElement:

@@ -400,7 +400,9 @@ class TableModel(_Ops):
         return self.names[a]
 
     def parse(self, s, path: str = "$") -> int:
-        if not isinstance(s, str) or s not in self.names:
+        if not isinstance(s, str):
+            raise InputError(path, "expected an element string")
+        if s not in self.names:
             raise InputError(path, f"unknown table element {s!r}")
         return self.names.index(s)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from fractions import Fraction
 
 from cuntzkit import gen
@@ -450,3 +451,135 @@ def almost_complement_capped(y, z):
     if c2 != lsc.add(c1, vz):
         raise AssertionError("cap sequence failed to stabilize")
     return lsc.add(c1, lsc.infinity_of(vz))
+
+
+# ---------------------------------------------------------------------------
+# The axiom battery for finite tables as nested loops, each stopping at its
+# first counterexample. `checks.check_axioms` scans generators instead and
+# must give the same report, case counts included.
+
+
+def _ax(status, cases, counterexample=None):
+    return {"status": status, "cases": cases, "counterexample": counterexample}
+
+
+def _increasing_tuples(table, pool, length):
+    """Tuples over pool, in lexicographic pool order, in which each entry
+    lies below the next in the table order."""
+    return [
+        t for t in product(pool, repeat=length)
+        if all(table.le(a, b) for a, b in zip(t, t[1:]))
+    ]
+
+
+def check_axioms(table) -> dict:
+    els = list(table.elements())
+    report = {}
+
+    cases = 0
+    bad = None
+    for x in els:
+        for y in els:
+            if not table.le(x, y):
+                continue
+            for z in els:
+                cases += 1
+                if not table.le(table.add(x, z), table.add(y, z)):
+                    bad = {"x": table.el_str(x), "y": table.el_str(y), "z": table.el_str(z)}
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    report["o3"] = _ax("fail" if bad else "pass", cases, bad)
+
+    cases = 0
+    bad = None
+    for xp in els:
+        for x in els:
+            if not table.le(xp, x):
+                continue
+            for z in els:
+                if not table.le(x, z):
+                    continue
+                cases += 1
+                if not any(
+                    table.le(table.add(xp, c), z) and table.le(z, table.add(x, c))
+                    for c in els
+                ):
+                    bad = {"xp": table.el_str(xp), "x": table.el_str(x), "z": table.el_str(z)}
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    report["o5"] = _ax("fail" if bad else "pass", cases, bad)
+
+    cases = 0
+    bad = None
+    for x in els:
+        for y in els:
+            for z in els:
+                cases += 1
+                if table.le(table.add(x, z), table.add(y, z)) and not table.le(x, y):
+                    bad = {"x": table.el_str(x), "y": table.el_str(y), "z": table.el_str(z)}
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    report["weak_cancellation"] = _ax("fail" if bad else "pass", cases, bad)
+
+    if table.has_lattice_tables:
+        cases = 0
+        bad = None
+        for x in els:
+            for y in els:
+                cases += 1
+                lhs = table.add(x, y)
+                rhs = table.add(table.join(x, y), table.meet(x, y))
+                if lhs != rhs:
+                    bad = {"x": table.el_str(x), "y": table.el_str(y)}
+                    break
+            if bad:
+                break
+        report["lattice_law"] = _ax("fail" if bad else "pass", cases, bad)
+    else:
+        report["lattice_law"] = _ax("skipped", 0)
+
+    if table.unit is not None:
+        down = [h for h in els if table.le(h, table.unit)]
+        max_len = 3 if len(down) <= 8 else 2
+        cases = 0
+        bad = None
+        for length in range(1, max_len + 1):
+            seqs = _increasing_tuples(table, down, length)
+            for xs_seq in seqs:
+                sx = table.sum(xs_seq)
+                for ys_seq in seqs:
+                    cases += 1
+                    termwise = all(table.le(a, b) for a, b in zip(xs_seq, ys_seq))
+                    sum_le = table.le(sx, table.sum(ys_seq))
+                    if termwise and not sum_le:
+                        bad = {
+                            "xs": [table.el_str(a) for a in xs_seq],
+                            "ys": [table.el_str(b) for b in ys_seq],
+                            "broken": "termwise order without sum order",
+                        }
+                    elif sum_le and not termwise:
+                        bad = {
+                            "xs": [table.el_str(a) for a in xs_seq],
+                            "ys": [table.el_str(b) for b in ys_seq],
+                            "broken": "sum order without termwise order",
+                        }
+                    if bad:
+                        break
+                if bad:
+                    break
+            if bad:
+                break
+        report["topological_order"] = _ax("fail" if bad else "pass", cases, bad)
+    else:
+        report["topological_order"] = _ax("skipped", 0)
+
+    return report

@@ -486,6 +486,60 @@ def test_axioms_topological_order_with_unit():
     assert c["broken"] == "sum order without termwise order"
 
 
+def rand_table(rng):
+    """A table of 1 to 7 elements with neutral element 0: a chain or a
+    random partial order, a saturating, idempotent or random commutative
+    addition, lattice tables half the time and an optional unit."""
+    n = rng.randint(1, 7)
+    if rng.random() < 0.5:
+        le = [[i <= j for j in range(n)] for i in range(n)]
+    else:
+        le = [[i == j or (i < j and rng.random() < 0.5) for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+    kind = rng.random()
+    add = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == 0:
+                v = j
+            elif kind < 0.4:
+                v = min(i + j, n - 1)
+            elif kind < 0.6:
+                v = max(i, j)
+            else:
+                v = rng.randrange(n)
+            add[i][j] = add[j][i] = v
+    join = meet = None
+    if rng.random() < 0.5:
+        if rng.random() < 0.5:
+            join = [[max(i, j) for j in range(n)] for i in range(n)]
+            meet = [[min(i, j) for j in range(n)] for i in range(n)]
+        else:
+            join = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            meet = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    unit = rng.randrange(n) if rng.random() < 0.5 else None
+    names = [f"e{k}" for k in range(n)]
+    return models.TableModel(names, le, add, join_m=join, meet_m=meet, unit=unit)
+
+
+def test_axioms_match_the_nested_loop_route():
+    rng = random.Random(20261018)
+    seen = {}
+    for _ in range(2000):
+        t = rand_table(rng)
+        rep = checks.check_axioms(t)
+        assert rep == oracles.check_axioms(t)
+        for axiom, entry in rep.items():
+            seen.setdefault(axiom, set()).add(entry["status"])
+    for axiom in ("o3", "o5", "weak_cancellation"):
+        assert seen[axiom] == {"pass", "fail"}
+    for axiom in ("lattice_law", "topological_order"):
+        assert seen[axiom] == {"pass", "fail", "skipped"}
+
+
 # --- bounds and serialization ---------------------------------------------
 
 

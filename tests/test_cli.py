@@ -171,6 +171,20 @@ def test_missing_coordinate_on_an_arc_or_circle_is_exit_2(capsys, arc_file, circ
         assert err.startswith("error: $.points[0][1]: ")
 
 
+def test_bad_coordinate_names_its_entry(capsys, tmp_path):
+    sp = geo.space(geo.point(), geo.arc(1))
+    space_file = write_json(tmp_path, "pa.json", geo.space_to_json(sp))
+    f = lsc.indicator(geo.full_set(sp))
+    for points, where, why in (
+        ([[1, "1/4"], [0, "1/2"]], "$.points[1][1]", "point components have no coordinate"),
+        ([[1, "3"]], "$.points[0][1]", "point outside the space"),
+    ):
+        ev = write_json(tmp_path, "ev.json", {"element": lsc.element_to_json(f), "points": points})
+        code, out, err = run(capsys, ["lsc", "eval", "-s", space_file, "--instance", ev])
+        assert code == 2 and out == ""
+        assert err == f"error: {where}: {why}\n"
+
+
 def test_boolean_decompose_count_is_exit_2(capsys, arc_file, tmp_path):
     f = chi((0, F(1, 2), True, False))
     bad = write_json(tmp_path, "bad.json", {"element": lsc.element_to_json(f), "n": True})
@@ -437,6 +451,16 @@ def test_check_axioms_table(capsys, tmp_path):
     assert report["weak_cancellation"]["status"] == "fail"
     assert report["o3"]["status"] == "pass"
     assert report["o5"]["status"] == "pass"
+
+
+def test_table_elements_must_be_strings(capsys, tmp_path):
+    table = {"elements": ["0", "1"], "le": [[1, 1], [0, 1]], "add": [["0", "1"], ["1", "1"]]}
+    path = write_json(tmp_path, "t.json", table)
+    inst = write_json(tmp_path, "xs.json", {"xs": [1]})
+    code, out, err = run(capsys, ["check", "almost-ordered", "--model", f"table:{path}",
+                                  "--instance", inst])
+    assert code == 2 and out == ""
+    assert err == "error: $.xs[0]: expected an element string\n"
 
 
 def test_check_axioms_rejects_non_table(capsys):

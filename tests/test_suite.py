@@ -1,9 +1,12 @@
-"""Tests for the seeded law suite: determinism, sharding, and the
-deliberate-fault canary."""
+"""Tests for the seeded law suite: determinism, sharding, the law driver
+and the deliberate-fault canary."""
+
+import hashlib
+import random
 
 import pytest
 
-from cuntzkit import suite
+from cuntzkit import cli, suite
 from cuntzkit.geometry import InputError
 
 
@@ -74,3 +77,31 @@ def test_merge_rejects_mismatched_seed():
     b = suite.run_suite(seed=2, cases=2, names=["unit-cancellation"])
     with pytest.raises(InputError):
         suite.merge_reports([a, b])
+
+
+def test_law_driver_records_failures_in_case_order(monkeypatch):
+    monkeypatch.setattr(suite, "_LAWS", {})
+    drawn = []
+
+    @suite._law("probe", cap=5)
+    def probe(rng, mutate):
+        drawn.append(rng.random())
+        i = len(drawn) - 1
+        return f"case {i} fails" if i in (1, 3) else None
+
+    assert suite._LAWS == {"probe": (probe, 5)}
+    want = [{"case": 1, "detail": "case 1 fails"}, {"case": 3, "detail": "case 3 fails"}]
+    assert probe(random.Random(0), 4, ()) == want
+    drawn.clear()
+    assert probe(random.Random(0), 0, ()) == [] and drawn == []
+    report = suite.run_check("probe", seed=1, cases=9)
+    assert report == {"name": "probe", "cases": 5, "failures": want, "status": "fail"}
+    assert len(drawn) == 5
+
+
+def test_seed_42_report_bytes_are_pinned(capsys):
+    assert cli.main(["verify", "lemmas", "--seed", "42", "--cases", "10"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "f11bea476d2bc281d4c0141d520a9213946d81dd803a2f5fea87dac3fee57ab0"
+    )
