@@ -50,18 +50,6 @@ def default_bounds() -> SearchBounds:
     return SearchBounds(depth=depth)
 
 
-def _ser(model, e):
-    if getattr(model, "kind", None) == "lsc":
-        return lsc.element_to_json(e)
-    return model.el_str(e)
-
-
-def _decomps(model, c, parts_cap: int = 4):
-    if model.kind == "table":
-        return model.decompositions(c, parts_cap)
-    return model.decompositions(c)
-
-
 # ---------------------------------------------------------------------------
 # Refinable sums.
 #
@@ -73,21 +61,23 @@ def _decomps(model, c, parts_cap: int = 4):
 #   (iii) x_i way below the row i sum, which is way below x_{i+1}.
 
 
+def _padded(model, rows) -> list:
+    """The rows as tuples, each filled with zeros up to the longest (and at
+    least one term)."""
+    width = max([1, *map(len, rows)])
+    return [tuple(r) + (model.zero,) * (width - len(r)) for r in rows]
+
+
 def _validate_refinable(model, xs, xps, rows):
     n = len(xs)
     if len(rows) != n - 1:
         return False, "wrong number of rows"
-    width = max((len(r) for r in rows), default=0)
-
-    def term(r, j):
-        row = rows[r]
-        return row[j] if j < len(row) else model.zero
-
+    padded = _padded(model, rows)
     for r in range(n - 1):
         for j in range(len(rows[r]) - 1):
             if not model.le(rows[r][j + 1], rows[r][j]):
                 return False, f"row {r} is not decreasing at position {j}"
-        if not model.le(term(r, 0), xps[r + 1]):
+        if not model.le(padded[r][0], xps[r + 1]):
             return False, f"row {r} leading term is not below the next partner"
         s = model.sum(rows[r])
         if not model.wb(xs[r], s):
@@ -95,8 +85,8 @@ def _validate_refinable(model, xs, xps, rows):
         if not model.wb(s, xs[r + 1]):
             return False, f"the row {r} sum is not way below x[{r + 1}]"
     for r in range(n - 2):
-        for j in range(width):
-            if not model.wb(term(r, j), term(r + 1, j)):
+        for j, (a, b) in enumerate(zip(padded[r], padded[r + 1])):
+            if not model.wb(a, b):
                 return False, f"term {j} of row {r} is not way below its successor"
     return True, None
 
@@ -139,12 +129,11 @@ def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
         row = lsc.decompose_below_ne(t, max(1, lsc.num_levels(t)))
         rows.append(tuple(row) if row else (model.zero,))
         log.append(f"row {i}: level indicators of an interpolant between x[{i}] and x[{i + 1}]")
-    width = max(len(r) for r in rows)
-    rows = [r + (model.zero,) * (width - len(r)) for r in rows]
+    rows = _padded(model, rows)
     ok, why = _validate_refinable(model, xs, xps, rows)
     if not ok:
         raise AssertionError(why)
-    data = {"rows": [[_ser(model, e) for e in row] for row in rows]}
+    data = {"rows": [[model.to_json(e) for e in row] for row in rows]}
     return PropertyVerdict("witness", data, tuple(log))
 
 
@@ -152,7 +141,6 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
     n = len(xs)
     log = []
     windows = []
-    enumerable = True
     for r in range(n - 1):
         w = model.sums_between(xs[r], xs[r + 1], bounds.compact_cap)
         windows.append(w)
@@ -167,47 +155,52 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
             line += "; soft probes [" + ", ".join(model.el_str(p) for p in w.probes) + "]"
         log.append(line)
 
+    # A row is exhausted when its window is complete, has no probes and
+    # every decomposition list is complete: its candidates then hold every
+    # row that sums into the window.
     cand_rows = []
-    for r in range(n - 1):
+    exhausted = []
+    for w in windows:
         cands = []
-        for c in windows[r].compacts:
+        full_row = w.complete and not w.probes
+        for c in w.compacts:
             try:
-                decs, full = _decomps(model, c, parts_cap=4)
+                decs, full = model.decompositions(c, 4)
             except ValueError:
                 decs, full = [(c,)], False
-            enumerable = enumerable and full
+            full_row = full_row and full
             for d in decs:
                 cands.append(d if d else (model.zero,))
-        for p in windows[r].probes:
+        for p in w.probes:
             cands.append((p,))
-            h = _half(model, p)
+            h = model.half(p)
             if h is not None:
                 cands.append((h, h))
         cand_rows.append(cands)
+        exhausted.append(full_row)
 
-    exhaustive = enumerable and all(w.complete and not w.probes for w in windows)
     found, searched_all = _assign_rows(model, xs, xps, cand_rows)
     if found is not None:
         ok, why = _validate_refinable(model, xs, xps, found)
         if not ok:
             raise AssertionError(why)
         log.append("assembled rows from decompositions of the pinched sums")
-        data = {"rows": [[_ser(model, e) for e in row] for row in found]}
+        data = {"rows": [[model.to_json(e) for e in row] for row in found]}
         return PropertyVerdict("witness", data, tuple(log))
-    if exhaustive and searched_all:
+    if all(exhausted) and searched_all:
         log.append("every decomposition assignment violates a clause")
         return PropertyVerdict(
             "counterexample",
             {
                 "reason": "no admissible rows exist",
-                "xs": [_ser(model, x) for x in xs],
-                "xps": [_ser(model, x) for x in xps],
+                "xs": [model.to_json(x) for x in xs],
+                "xps": [model.to_json(x) for x in xps],
             },
             tuple(log),
         )
 
-    if windows[0].complete and not windows[0].probes:
-        verdict = _forced_refutation(model, xs, xps, windows[0], log)
+    if exhausted[0]:
+        verdict = _forced_refutation(model, xs, xps, cand_rows[0], log)
         if verdict is not None:
             return verdict
 
@@ -215,37 +208,29 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
     return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
 
 
-def _forced_refutation(model, xs, xps, window0, log):
+def _forced_refutation(model, xs, xps, rows0, log):
     """Refute at the head of row 1 when row 0 is fully enumerable.
 
-    Any witness row 0 sums to a member of the pinched window, so its
-    leading term comes from a decomposition of one of them. The head of
-    row 1 must be way above that leading term, below the next partner,
+    Any witness row 0 sums to a member of the pinched window, so it is one
+    of the candidate rows0, the window's exact decompositions. The head of
+    row 1 must be way above its leading term, below the next partner,
     and way below x[2]; the two upper constraints are downward closed and
     a compact leading term is the least element way above itself, so
     feasibility reduces to testing the leading term alone.
     """
     n = len(xs)
     firsts = []
-    try:
-        for c in window0.compacts:
-            decs, full = _decomps(model, c, parts_cap=4)
-            if not full:
-                return None
-            for d in decs:
-                head = d[0] if d else model.zero
-                if model.le(head, xps[1]) and head not in firsts:
-                    firsts.append(head)
-    except ValueError:
-        return None
+    for row in rows0:
+        if model.le(row[0], xps[1]) and row[0] not in firsts:
+            firsts.append(row[0])
     if not firsts:
         log.append("no decomposition of the row 0 sums has an admissible leading term")
         return PropertyVerdict(
             "counterexample",
             {
                 "reason": "no admissible leading term for row 0",
-                "xs": [_ser(model, x) for x in xs],
-                "xps": [_ser(model, x) for x in xps],
+                "xs": [model.to_json(x) for x in xs],
+                "xps": [model.to_json(x) for x in xps],
             },
             tuple(log),
         )
@@ -269,18 +254,12 @@ def _forced_refutation(model, xs, xps, window0, log):
         "counterexample",
         {
             "reason": "every admissible leading term of row 0 blocks the head of row 1",
-            "forced": [_ser(model, c) for c in firsts],
-            "xs": [_ser(model, x) for x in xs],
-            "xps": [_ser(model, x) for x in xps],
+            "forced": [model.to_json(c) for c in firsts],
+            "xs": [model.to_json(x) for x in xs],
+            "xps": [model.to_json(x) for x in xps],
         },
         tuple(log),
     )
-
-
-def _half(model, p):
-    if getattr(model, "kind", "") == "atoms" and p.kind == "s" and p.value is not None:
-        return models.soft(p.value / 2)
-    return None
 
 
 def _assign_rows(model, xs, xps, cand_rows):
@@ -289,9 +268,6 @@ def _assign_rows(model, xs, xps, cand_rows):
     n_rows = len(cand_rows)
     budget = [5000]
 
-    def term(row, j):
-        return row[j] if j < len(row) else model.zero
-
     def go(r, acc):
         if r == n_rows:
             return list(acc)
@@ -299,12 +275,11 @@ def _assign_rows(model, xs, xps, cand_rows):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
-            if not model.le(term(row, 0), xps[r + 1]):
+            if not model.le(row[0], xps[r + 1]):
                 continue
             if acc:
-                prev = acc[-1]
-                k = max(len(prev), len(row))
-                if not all(model.wb(term(prev, j), term(row, j)) for j in range(k)):
+                prev, cur = _padded(model, (acc[-1], row))
+                if not all(model.wb(a, b) for a, b in zip(prev, cur)):
                     continue
             res = go(r + 1, acc + [row])
             if res is not None:
@@ -314,8 +289,7 @@ def _assign_rows(model, xs, xps, cand_rows):
     rows = go(0, [])
     if rows is None:
         return None, budget[0] > 0
-    width = max(len(r) for r in rows)
-    return [tuple(r) + (model.zero,) * (width - len(r)) for r in rows], True
+    return _padded(model, rows), True
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +303,11 @@ def _assign_rows(model, xs, xps, cand_rows):
 # of J is below the meet, and the join is the least bound over J.
 
 
-def _meet_many(model, vals):
+def _fold(op, vals):
+    """Fold a partial lattice operation over vals; None once it is undefined."""
     acc = vals[0]
     for v in vals[1:]:
-        acc = model.meet(acc, v)
-        if acc is None:
-            return None
-    return acc
-
-
-def _join_many(model, vals):
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = model.join(acc, v)
+        acc = op(acc, v)
         if acc is None:
             return None
     return acc
@@ -353,7 +319,7 @@ def _ordered_profile(model, xs):
     for k in range(1, n + 1):
         acc = None
         for J in itertools.combinations(range(n), k):
-            m = _meet_many(model, [xs[j] for j in J])
+            m = _fold(model.meet, [xs[j] for j in J])
             if m is None:
                 return None
             acc = m if acc is None else model.join(acc, m)
@@ -379,8 +345,8 @@ def _validate_almost_ordered(model, xs, ys):
         return False, "the profile sum differs from the instance sum"
     for r in range(1, n + 1):
         for J in itertools.combinations(range(n), r):
-            m = _meet_many(model, [xs[j] for j in J])
-            jn = _join_many(model, [xs[j] for j in J])
+            m = _fold(model.meet, [xs[j] for j in J])
+            jn = _fold(model.join, [xs[j] for j in J])
             if m is None or jn is None:
                 return False, "lattice operations needed by the certificate are unavailable"
             if not model.le(m, ys[r - 1]):
@@ -404,16 +370,16 @@ def _find_violation(model, xs, D, pool):
                         return {
                             "r": r,
                             "subset": list(J),
-                            "xp": _ser(model, xp),
-                            "z": _ser(model, z),
+                            "xp": model.to_json(xp),
+                            "z": model.to_json(z),
                             "broken": "lower",
                         }
                     if not model.le(D[n - r], z):
                         return {
                             "r": r,
                             "subset": list(J),
-                            "xp": _ser(model, xp),
-                            "z": _ser(model, z),
+                            "xp": model.to_json(xp),
+                            "z": model.to_json(z),
                             "broken": "upper",
                         }
     return None
@@ -428,7 +394,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     if n == 1:
         return PropertyVerdict(
             "witness",
-            {"ys": [_ser(model, xs[0])], "stationary": True},
+            {"ys": [model.to_json(xs[0])], "stationary": True},
             ("a single term is its own ordered profile",),
         )
     ys = _ordered_profile(model, xs)
@@ -440,7 +406,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
                 "the subset certificate covers every hypothesis pair: anything way below "
                 "all of J is below its meet, and the join is the least bound over J"
             )
-            data = {"ys": [_ser(model, y) for y in ys], "stationary": True}
+            data = {"ys": [model.to_json(y) for y in ys], "stationary": True}
             return PropertyVerdict("witness", data, tuple(log))
         log.append(f"closed form profile fails: {why}")
 
@@ -449,7 +415,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
         log.append("the sum is not compact, so exact decompositions do not exhaust the witnesses")
         return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
     try:
-        decs, complete = _decomps(model, total, parts_cap=n)
+        decs, complete = model.decompositions(total, n)
     except ValueError:
         log.append("the sum is too large to enumerate decompositions")
         return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
@@ -468,14 +434,14 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
             ok, _why = _validate_almost_ordered(model, xs, list(D))
             if ok:
                 log.append("an exact decomposition satisfies the subset certificate")
-                data = {"ys": [_ser(model, y) for y in D], "stationary": True}
+                data = {"ys": [model.to_json(y) for y in D], "stationary": True}
                 return PropertyVerdict("witness", data, tuple(log))
             log.append(
                 "a decomposition resists both refutation and certification: "
                 + ", ".join(model.el_str(t) for t in D)
             )
             return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
-        records.append({"terms": [_ser(model, t) for t in D], "violation": viol})
+        records.append({"terms": [model.to_json(t) for t in D], "violation": viol})
         side = "lower" if viol["broken"] == "lower" else "upper"
         log.append(
             f"decomposition ({', '.join(model.el_str(t) for t in D)}) violates the {side} "
@@ -487,7 +453,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
         return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
     return PropertyVerdict(
         "counterexample",
-        {"sum": _ser(model, total), "decompositions": records},
+        {"sum": model.to_json(total), "decompositions": records},
         tuple(log),
     )
 
@@ -552,19 +518,53 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
         log.append("a single cover element admits the one piece chain")
         data = {"xp": lsc.element_to_json(xp), "zs": [lsc.element_to_json(z) for z in zs], "m": 1}
         return PropertyVerdict("witness", data, tuple(log))
-    c0 = geo.complement(geo.closure(supp))
-    pieces = [c0] + [lsc.supp(t) for t in ys]
-    pieces = [p for p in pieces if not geo.is_empty(p)]
-    cover = chains.make_cover(pieces)
-    res = chains.refine_to_almost_chain(cover, supp)
-    if isinstance(res, chains.Impossible):
-        return _weak_chain_circles(space, x, y, ys, xp, supp, cover, bounds, log)
-    zs = [lsc.indicator(geo.intersect(w, supp)) for w in res.pieces]
-    zs = [z for z in zs if not geo.is_empty(lsc.supp(z))]
+    # Whole circle components of the support are chained by the circle
+    # block search; the rest of the support, which has none, by one
+    # refinement of the cover supports.
+    slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
+    full = [
+        ci for ci, comp in enumerate(space.components)
+        if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)
+    ]
+    rest = chains.union_of(space, [s for ci, s in enumerate(slices) if ci not in full])
+    zs = []
+    for ci in full:
+        traces = []
+        for t in ys:
+            tr = geo.restrict(lsc.supp(t), ci)
+            if not geo.is_empty(tr):
+                traces.append(tr)
+        block = _circle_block_search(space, ci, traces, bounds, log)
+        if block is None:
+            log.append(
+                f"the support contains circle component {ci} entirely, and the cover "
+                f"elements admit no almost chain around it"
+            )
+            return PropertyVerdict(
+                "counterexample",
+                {
+                    "component": ci,
+                    "reason": "a whole circle component of the support cannot be chained",
+                },
+                tuple(log),
+            )
+        zs.extend(lsc.indicator(b) for b in block)
+        log.append(f"circle component {ci}: chained with {len(block)} pieces")
+    if not geo.is_empty(rest):
+        pieces = [geo.complement(geo.closure(supp))] + [lsc.supp(t) for t in ys]
+        cover = chains.make_cover([p for p in pieces if not geo.is_empty(p)])
+        res = chains.refine_to_almost_chain(cover, rest)
+        if isinstance(res, chains.Impossible):
+            raise AssertionError("the support off its whole circles has a whole circle component")
+        for w in res.pieces:
+            z = lsc.indicator(geo.intersect(w, rest))
+            if not geo.is_empty(lsc.supp(z)):
+                zs.append(z)
+        if not full:
+            log.append(f"refined the cover supports to an almost chain of {len(zs)} pieces over the support")
     ok, why = _validate_weak_chain(x, y, ys, xp, zs)
     if not ok:
         raise AssertionError(why)
-    log.append(f"refined the cover supports to an almost chain of {len(zs)} pieces over the support")
     data = {
         "xp": lsc.element_to_json(xp),
         "zs": [lsc.element_to_json(z) for z in zs],
@@ -624,56 +624,6 @@ def _circle_block_search(space, ci, traces, bounds, log):
         f"(up to {cap} pieces) goes around"
     )
     return None
-
-
-def _weak_chain_circles(space, x, y, ys, xp, supp, cover, bounds, log):
-    slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
-    full = [
-        ci for ci, comp in enumerate(space.components)
-        if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)
-    ]
-    rest = chains.union_of(space, [s for ci, s in enumerate(slices) if ci not in full])
-    blocks = []
-    for ci in full:
-        traces = []
-        for t in ys:
-            tr = geo.restrict(lsc.supp(t), ci)
-            if not geo.is_empty(tr):
-                traces.append(tr)
-        block = _circle_block_search(space, ci, traces, bounds, log)
-        if block is None:
-            log.append(
-                f"the support contains circle component {ci} entirely, and the cover "
-                f"elements admit no almost chain around it"
-            )
-            return PropertyVerdict(
-                "counterexample",
-                {
-                    "component": ci,
-                    "reason": "a whole circle component of the support cannot be chained",
-                },
-                tuple(log),
-            )
-        blocks.extend(block)
-        log.append(f"circle component {ci}: chained with {len(block)} pieces")
-    zs = [lsc.indicator(b) for b in blocks]
-    if not geo.is_empty(rest):
-        res = chains.refine_to_almost_chain(cover, rest)
-        if isinstance(res, chains.Impossible):
-            raise AssertionError("the support off its whole circles has a whole circle component")
-        for w in res.pieces:
-            z = lsc.indicator(geo.intersect(w, rest))
-            if not geo.is_empty(lsc.supp(z)):
-                zs.append(z)
-    ok, why = _validate_weak_chain(x, y, ys, xp, zs)
-    if not ok:
-        raise AssertionError(why)
-    data = {
-        "xp": lsc.element_to_json(xp),
-        "zs": [lsc.element_to_json(z) for z in zs],
-        "m": len(zs),
-    }
-    return PropertyVerdict("witness", data, tuple(log))
 
 
 def compose_weak_chain(space_a, xp_a, zs_a, space_b, xp_b, zs_b):

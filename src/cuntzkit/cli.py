@@ -208,17 +208,17 @@ def cmd_lsc_complement(args) -> int:
 
 
 def cmd_lsc_ordered_sum(args) -> int:
-    sp = _space_of(args)
+    model = models.LscModel(_space_of(args))
     inst = _instance_of(args)
     if "ys" in inst:
-        xs = [lsc.element_from_json(sp, o, f"$.xs[{i}]") for i, o in enumerate(_field(inst, "xs"))]
-        ys = [lsc.element_from_json(sp, o, f"$.ys[{i}]") for i, o in enumerate(inst["ys"])]
+        xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
+        ys = _parse_elements(model, inst["ys"], "$.ys")
         try:
             out = lsc.ordered_sum_pairwise(xs, ys)
         except ValueError as exc:
             raise InputError("$.xs", str(exc))
     else:
-        terms = [lsc.element_from_json(sp, o, f"$.terms[{i}]") for i, o in enumerate(_field(inst, "terms"))]
+        terms = _parse_elements(model, _field(inst, "terms"), "$.terms")
         try:
             out = lsc.ofs_normalize(terms)
         except ValueError as exc:
@@ -350,7 +350,7 @@ def cmd_check_weak_chain(args) -> int:
     inst = _instance_of(args)
     x = lsc.element_from_json(sp, _field(inst, "x"), "$.x")
     y = lsc.element_from_json(sp, _field(inst, "y"), "$.y")
-    ys = [lsc.element_from_json(sp, o, f"$.ys[{i}]") for i, o in enumerate(_field(inst, "ys"))]
+    ys = _parse_elements(models.LscModel(sp), _field(inst, "ys"), "$.ys")
     verdict = checks.check_weak_chainability(sp, x, y, ys, bounds=_bounds_of(args))
     return _emit_verdict(verdict)
 

@@ -7,9 +7,11 @@ same model extended by one extra compact atom sitting beside 1. A finite
 table model and a componentwise pair model round out the family, and
 function models on a space are wrapped so every model answers the same
 small protocol: order, addition, way-below, partial lattice operations,
-parsing and display, plus the enumeration hooks the property checkers
-need (sums pinched strictly between two elements, decreasing
-decompositions of a compact element, and a closed candidate pool).
+parsing and display, plus the hooks the property checkers need: the JSON
+form of an element (`to_json`), a half of a soft probe (`half`), sums
+pinched strictly between two elements (`sums_between`), decreasing
+decompositions of a compact element (`decompositions(c, parts_cap)`),
+and a closed candidate pool (`closure`).
 
 Soft versus compact comparisons follow the rules: soft x <= compact n
 iff x <= n, compact n <= soft x iff n < x, and any sum with a soft
@@ -94,13 +96,8 @@ class Window:
 
 
 class _Ops:
-    """Shared derived operations over the primitive protocol."""
-
-    def mul(self, n: int, a):
-        acc = self.zero
-        for _ in range(n):
-            acc = self.add(acc, a)
-        return acc
+    """Shared derived operations over the primitive protocol, and the
+    defaults of the checker hooks."""
 
     def sum(self, seq):
         acc = self.zero
@@ -134,6 +131,14 @@ class _Ops:
             return b
         return None
 
+    def to_json(self, a):
+        """The JSON form of an element in verdict data."""
+        return self.el_str(a)
+
+    def half(self, p):
+        """An element whose double is the soft probe p, or None."""
+        return None
+
 
 class RationalModel(_Ops):
     """Engine behind the selectors "z", "zprime" and "nbar".
@@ -149,7 +154,6 @@ class RationalModel(_Ops):
         self.finite_softs = finite_softs
         self.twin = twin
         self.zero = ZERO
-        self.is_lattice = not twin
 
     def validate(self, x: El, path: str = "$"):
         if x.kind == "t" and not self.twin:
@@ -212,6 +216,11 @@ class RationalModel(_Ops):
             return "inf"
         return geo.frac_to_str(a.value) + "'"
 
+    def half(self, p: El):
+        if p.kind == "s" and p.value is not None:
+            return soft(p.value / 2)
+        return None
+
     def parse(self, s, path: str = "$") -> El:
         if not isinstance(s, str):
             raise InputError(path, "expected an element string")
@@ -271,10 +280,11 @@ class RationalModel(_Ops):
                             probes.append(p)
         return Window(tuple(sorted(compacts, key=_sort_key)), complete, tuple(probes))
 
-    def decompositions(self, c: El):
+    def decompositions(self, c: El, parts_cap: int = 4):
         """All decreasing tuples of nonzero parts summing exactly to a
-        compact element. Complete: a sum of compacts is only reached by
-        compact parts, since any soft part makes the sum soft."""
+        compact element, of any length: parts_cap is ignored. Complete: a
+        sum of compacts is only reached by compact parts, since any soft
+        part makes the sum soft."""
         if c == ZERO:
             return [()], True
         if c.kind == "t":
@@ -354,18 +364,11 @@ class TableModel(_Ops):
         self._meet = meet_m
         self.unit = unit
         n = len(self.names)
-        zeros = [i for i in range(n) if all(self._eq_add_neutral(i, j) for j in range(n))]
+        zeros = [i for i in range(n) if all(self._add[i][j] == j for j in range(n))]
         if not zeros:
             raise InputError("$.add", "no neutral element in the addition table")
         self.zero = zeros[0]
-        self.is_lattice = all(
-            self.join(a, b) is not None and self.meet(a, b) is not None
-            for a in range(n) for b in range(n)
-        )
         self.has_lattice_tables = join_m is not None and meet_m is not None
-
-    def _eq_add_neutral(self, i, j):
-        return self._add[i][j] == j
 
     def elements(self):
         return range(len(self.names))
@@ -414,23 +417,20 @@ class TableModel(_Ops):
         out = []
         complete = True
 
-        def go(rest_first, acc):
+        def go(acc, total):
             nonlocal complete
-            if acc and self.sum(acc) == c:
+            if acc and total == c:
                 out.append(tuple(acc))
             if len(acc) >= parts_cap:
-                if acc and self.sum(acc) != c:
+                if acc and total != c:
                     complete = False
                 return
-            start = acc[-1] if acc else None
             for p in self.elements():
-                if p == self.zero:
+                if p == self.zero or (acc and not self.le(p, acc[-1])):
                     continue
-                if start is not None and not self.le(p, start):
-                    continue
-                go(None, acc + [p])
+                go(acc + [p], self.add(total, p))
 
-        go(None, [])
+        go([], self.zero)
         if c == self.zero:
             out.insert(0, ())
         return out, complete
@@ -448,7 +448,6 @@ class PairModel(_Ops):
         self.first = first
         self.second = second
         self.zero = (first.zero, second.zero)
-        self.is_lattice = first.is_lattice and second.is_lattice
 
     def le(self, a, b) -> bool:
         return self.first.le(a[0], b[0]) and self.second.le(a[1], b[1])
@@ -497,9 +496,9 @@ class PairModel(_Ops):
                 probes.append((c1, p2))
         return Window(compacts, w1.complete and w2.complete, tuple(probes[:8]))
 
-    def decompositions(self, c):
-        d1, f1 = self.first.decompositions(c[0])
-        d2, f2 = self.second.decompositions(c[1])
+    def decompositions(self, c, parts_cap: int = 4):
+        d1, f1 = self.first.decompositions(c[0], parts_cap)
+        d2, f2 = self.second.decompositions(c[1], parts_cap)
         seen = set()
         out = []
         for t1 in d1:
@@ -520,7 +519,7 @@ class PairModel(_Ops):
         return out[:cap]
 
 
-class LscModel:
+class LscModel(_Ops):
     """Function-model wrapper so the checkers can treat a space uniformly."""
 
     kind = "lsc"
@@ -528,7 +527,6 @@ class LscModel:
     def __init__(self, space: geo.SpaceDescriptor):
         self.space = space
         self.zero = lsc.zero(space)
-        self.is_lattice = True
 
     def le(self, a, b) -> bool:
         return lsc.leq(a, b)
@@ -548,9 +546,6 @@ class LscModel:
     def meet(self, a, b):
         return lsc.meet(a, b)
 
-    def mul(self, n, a):
-        return lsc.scalar_mul(n, a)
-
     def sum(self, seq):
         return lsc.sum(self.space, seq)
 
@@ -562,6 +557,9 @@ class LscModel:
 
     def el_str(self, a) -> str:
         return json.dumps(lsc.element_to_json(a), separators=(",", ":"))
+
+    def to_json(self, a):
+        return lsc.element_to_json(a)
 
     def parse(self, s, path: str = "$"):
         return lsc.element_from_json(self.space, s, path)
@@ -609,7 +607,11 @@ def table_from_json(obj, path: str = "$") -> TableModel:
     if not isinstance(obj, dict):
         raise InputError(path, "expected a table object")
     names = obj.get("elements")
-    if not isinstance(names, list) or not names or len(set(names)) != len(names):
+    if not isinstance(names, list) or not names:
+        raise InputError(f"{path}.elements", "expected a list of distinct element names")
+    if not all(isinstance(s, str) for s in names):
+        raise InputError(f"{path}.elements", "element names must be strings")
+    if len(set(names)) != len(names):
         raise InputError(f"{path}.elements", "expected a list of distinct element names")
     if len(names) > 24:
         raise InputError(f"{path}.elements", "tables are capped at 24 elements")
@@ -655,11 +657,10 @@ def table_from_json(obj, path: str = "$") -> TableModel:
             raise InputError(f"{path}.unit", f"unknown element {obj['unit']!r}")
         unit = names.index(obj["unit"])
     model = TableModel(names, le_m, add_m, join_m, meet_m, unit)
-    for label, mat, pick in (("join", join_m, model.join), ("meet", meet_m, model.meet)):
+    probe = TableModel(names, le_m, add_m)
+    for label, mat, ref in (("join", join_m, probe.join), ("meet", meet_m, probe.meet)):
         if mat is None:
             continue
-        probe = TableModel(names, le_m, add_m)
-        ref = probe.join if label == "join" else probe.meet
         for i in range(n):
             for j in range(n):
                 if ref(i, j) != mat[i][j]:

@@ -583,3 +583,36 @@ def check_axioms(table) -> dict:
         report["topological_order"] = _ax("skipped", 0)
 
     return report
+
+
+# ---------------------------------------------------------------------------
+# Weak chainability by one refinement of the cover supports over the whole
+# support. `checks.check_weak_chainability` chains whole circles by a block
+# search and refines only the rest; on a support with no whole circle it must
+# emit the same verdict as this route.
+
+
+def weak_chain_one_refine(space, x, y, ys):
+    """Verdict JSON of the single refinement over the support of x, for an
+    instance with at least two cover elements and x nonzero, or None where
+    the support has a whole circle component."""
+    from cuntzkit import chains, lsc
+
+    xp = lsc.meet(x, lsc.unit(space))
+    supp = lsc.supp(xp)
+    pieces = [geo.complement(geo.closure(supp))] + [lsc.supp(t) for t in ys]
+    cover = chains.make_cover([p for p in pieces if not geo.is_empty(p)])
+    res = chains.refine_to_almost_chain(cover, supp)
+    if isinstance(res, chains.Impossible):
+        return None
+    zs = [lsc.indicator(geo.intersect(w, supp)) for w in res.pieces]
+    zs = [z for z in zs if not geo.is_empty(lsc.supp(z))]
+    return {
+        "kind": "witness",
+        "data": {
+            "xp": lsc.element_to_json(xp),
+            "zs": [lsc.element_to_json(z) for z in zs],
+            "m": len(zs),
+        },
+        "log": [f"refined the cover supports to an almost chain of {len(zs)} pieces over the support"],
+    }

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cuntzkit
 import oracles
-from cuntzkit import checks, lsc, models
+from cuntzkit import chains, checks, gen, lsc, models
 from cuntzkit import geometry as geo
 from cuntzkit.geometry import InputError
 from cuntzkit.models import TWIN, compact, soft
@@ -348,6 +348,65 @@ def test_weak_chain_random_arc_instances_always_chain():
         zs = [lsc.element_from_json(ARC, z) for z in v.data["zs"]]
         ok, why = checks._validate_weak_chain(x, e, [piece, big], xp, zs)
         assert ok, why
+
+
+def _weak_chain_instance(rng):
+    """x way below y way below the sum of the cover elements ys, all
+    indicators, on a seeded space of arcs, circles and points."""
+    sp = gen.rand_space(rng, kinds=("arc", "circle", "point"))
+    ys = [lsc.indicator(gen.rand_nonempty_open_set(rng, sp, max_intervals=3, full_bias=0.1))
+          for _ in range(rng.randint(2, 4))]
+    covered = chains.union_of(sp, [lsc.supp(t) for t in ys])
+    y = lsc.indicator(oracles.shrink_open_set(covered, rng.choice([8, 16, 32])))
+    x = lsc.indicator(oracles.shrink_open_set(lsc.supp(y), rng.choice([8, 16, 32])))
+    return sp, x, y, ys
+
+
+def test_weak_chain_matches_the_one_refine_route():
+    rng = random.Random(11)
+    compared = on_circles = 0
+    for _ in range(150):
+        sp, x, y, ys = _weak_chain_instance(rng)
+        if geo.is_empty(lsc.supp(x)):
+            continue
+        want = oracles.weak_chain_one_refine(sp, x, y, ys)
+        if want is None:
+            continue
+        assert checks.verdict_to_json(checks.check_weak_chainability(sp, x, y, ys)) == want
+        compared += 1
+        on_circles += any(c.kind == "circle" for c in sp.components)
+    assert compared >= 60 and on_circles >= 10
+
+
+def test_each_certificate_runs_its_search_once(monkeypatch):
+    refines = []
+    real_refine = chains.refine_to_almost_chain
+    monkeypatch.setattr(chains, "refine_to_almost_chain",
+                        lambda *a: refines.append(1) or real_refine(*a))
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(40):
+        sp, x, y, ys = _weak_chain_instance(rng)
+        refines.clear()
+        v = checks.check_weak_chainability(sp, x, y, ys)
+        assert len(refines) <= 1
+        circles = any("circle component" in line for line in v.log)
+        # the refinement is logged only where it chains the whole support
+        assert any(line.startswith("refined") for line in v.log) == (len(refines) == 1 and not circles)
+        kinds.add((v.kind, len(refines), circles))
+    assert {("witness", 1, False), ("witness", 1, True)} <= kinds
+
+    # Z: a witness, a counterexample by exhaustion and one forced at row 1.
+    for xs, xps in ((["1", "21/20'"], ["1", "1"]), (["1", "2"], ["1", "1"]),
+                    (["1", "1", "11/10'"], ["1", "1", "1/2'"])):
+        model = models.load_model("z")
+        xs, xps = [model.parse(t) for t in xs], [model.parse(t) for t in xps]
+        calls = []
+        real_decompositions = model.decompositions
+        model.decompositions = lambda c, *cap: calls.append(c) or real_decompositions(c, *cap)
+        checks.check_refinable_sums(model, xs, xps)
+        windows = [model.sums_between(a, b, 64).compacts for a, b in zip(xs, xs[1:])]
+        assert calls == [c for w in windows for c in w]
 
 
 def test_compose_weak_chain_concatenates():

@@ -1,18 +1,23 @@
 """End to end tests of the command line front end: exit codes, JSON output,
 and the error channel."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cuntzkit
-from cuntzkit import cli
+import oracles
+from cuntzkit import chains, cli, gen
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
 
@@ -282,6 +287,26 @@ def test_lsc_ordered_sum_shapes(capsys, arc_file, tmp_path):
     assert run(capsys, ["lsc", "ordered-sum", "-s", arc_file, "--instance", refold])[0] == 0
 
 
+@pytest.mark.parametrize("verb, field, other", [
+    ("ordered-sum", "xs", "ys"),
+    ("ordered-sum", "ys", "xs"),
+    ("ordered-sum", "terms", None),
+    ("weak-chain", "ys", None),
+])
+def test_element_lists_are_read_as_lists(capsys, arc_file, tmp_path, verb, field, other):
+    one = lsc.element_to_json(chi((F(0), F(1, 2))))
+    group = "check" if verb == "weak-chain" else "lsc"
+    base = {"x": one, "y": lsc.element_to_json(lsc.unit(ARC))} if verb == "weak-chain" else {}
+    if other:
+        base[other] = [one]
+    for bad, path in ((3, f"$.{field}"), (None, f"$.{field}"), (True, f"$.{field}"),
+                      ([one, 3], f"$.{field}[1]")):
+        inst = write_json(tmp_path, "i.json", {**base, field: bad})
+        code, out, err = run(capsys, [group, verb, "-s", arc_file, "--instance", inst])
+        assert (code, out) == (2, ""), (bad, err)
+        assert err.startswith(f"error: {path}: "), (bad, err)
+
+
 def test_lsc_decompose_validates_n(capsys, arc_file, tmp_path):
     f = chi((0, F(1, 2), True, False))
     bad = write_json(tmp_path, "bad.json", {"element": lsc.element_to_json(f), "n": 0})
@@ -463,6 +488,19 @@ def test_table_elements_must_be_strings(capsys, tmp_path):
     assert err == "error: $.xs[0]: expected an element string\n"
 
 
+@pytest.mark.parametrize("names", [[[1], [2]], [1, 2], ["0", None]])
+def test_table_element_names_must_be_strings(capsys, tmp_path, names):
+    table = {"elements": names, "le": [[1, 1], [0, 1]], "add": [names, [names[1]] * 2]}
+    path = write_json(tmp_path, "t.json", table)
+    want = "error: $.elements: element names must be strings\n"
+    proc = run_process(["check", "axioms", "--model", f"table:{path}"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+    inst = write_json(tmp_path, "i.json", {"xs": ["0", "1"], "xps": ["0", "1"]})
+    code, out, err = run(capsys, ["check", "refinable-sums", "--model", f"table:{path}",
+                                  "--instance", inst])
+    assert (code, out, err) == (2, "", want)
+
+
 def test_check_axioms_rejects_non_table(capsys):
     code, _, err = run(capsys, ["check", "axioms", "--model", "z"])
     assert code == 2 and "table" in err
@@ -512,3 +550,165 @@ def test_output_is_deterministic(capsys, tmp_path):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+# --- whole-CLI fuzz ----------------------------------------------------------
+# Every verb on seeded well-formed instances, some with a field, a list item,
+# the whole instance, the space file or the table file swapped for arbitrary
+# JSON. Whatever the input, the exit code is one of 0-3, stdout holds JSON
+# unless the input was rejected (exit 2), and stderr holds no traceback.
+
+FUZZ_SPACES = (ARC, geo.space(geo.circle(1), geo.arc(F(1, 2)), geo.point()))
+SAT4 = {
+    "elements": ["0", "1", "2", "3"],
+    "le": [[int(i <= j) for j in range(4)] for i in range(4)],
+    "add": [[str(min(i + j, 3)) for j in range(4)] for i in range(4)],
+    "unit": "1",
+}
+ATOMS = ["0", "1", "2", "3", "1/2'", "3/2'", "11/10'", "21/20'", "inf", "1''"]
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(allow_nan=False)
+    | st.sampled_from(["0", "1/2", "1", "inf", "1''", "3/2'", "full", "x"]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["levels", "infinity", "sets", "full_flags", "pieces",
+                                       "kind", "components", "length"]), inner, max_size=3),
+    max_leaves=8,
+)
+VERBS = ("space validate", "lsc eval", "lsc add", "lsc join", "lsc meet", "lsc leq", "lsc wb",
+         "lsc complement", "lsc ordered-sum", "lsc decompose", "chains epsilon-chain",
+         "chains refine", "chains decide", "chains lebesgue", "chains verify",
+         "check refinable-sums", "check almost-ordered", "check weak-chain", "check axioms",
+         "verify lemmas")
+
+
+def _fuzz_instance(verb, model, rng, sp):
+    """A seeded instance for a verb, mostly well formed."""
+    def el(f=None):
+        return lsc.element_to_json(f if f is not None else gen.rand_lsc(rng, sp))
+
+    def atoms(k):
+        names = SAT4["elements"] if model == "table" else ATOMS
+        return [el() for _ in range(k)] if model == "lsc" else rng.choices(names, k=k)
+
+    target = gen.rand_connected_target(rng, sp)
+    if verb == "lsc eval":
+        return {"element": el(), "points": [[ci, p if p is None else geo.frac_to_str(p)]
+                                            for ci, p in rng.sample(gen.grid_points(sp), 2)]}
+    if verb in ("lsc add", "lsc join", "lsc meet", "lsc leq", "lsc wb"):
+        return {"a": el(), "b": el()}
+    if verb == "lsc complement":
+        y = gen.rand_bounded_lsc(rng, sp)
+        return {"y": el(y), "z": el(lsc.add(y, gen.rand_lsc(rng, sp)))}
+    if verb == "lsc ordered-sum":
+        lists = [[el(t) for t in gen.rand_decreasing_indicators(rng, sp, rng.randint(1, 3))]
+                 for _ in range(2)]
+        return {"xs": lists[0], "ys": lists[1]} if rng.random() < 0.5 else {"terms": lists[0]}
+    if verb == "lsc decompose":
+        return {"element": el(gen.rand_bounded_lsc(rng, sp)), "n": rng.randint(1, 4)}
+    if verb == "check refinable-sums":
+        k = rng.randint(1, 3)
+        if model in ("z", "zprime") and rng.random() < 0.5:
+            return rng.choice([{"xs": ["1", "1", "11/10'"], "xps": ["1", "1", "1/2'"]},
+                               {"xs": ["1", "21/20'"], "xps": ["1", "1"]},
+                               {"xs": ["1", "2"], "xps": ["1", "1/2'"]}])
+        return {"xs": atoms(k), "xps": atoms(k)}
+    if verb == "check almost-ordered":
+        return {"xs": atoms(rng.randint(1, 3))}
+    if verb == "check weak-chain":
+        ys = [gen.rand_indicator(rng, sp) for _ in range(rng.randint(1, 3))]
+        covered = chains.union_of(sp, [lsc.supp(t) for t in ys])
+        y = lsc.indicator(oracles.shrink_open_set(covered, 16))
+        x = lsc.indicator(oracles.shrink_open_set(lsc.supp(y), 16))
+        return {"x": el(x), "y": el(y), "ys": [el(t) for t in ys]}
+    if verb == "chains verify":
+        w = chains.epsilon_chain(target, F(1, 4))
+        return {"witness": chains.witness_to_json(w), "target": geo.set_to_json(target),
+                "cover": chains.cover_to_json(chains.make_cover(w.pieces))}
+    cover = chains.make_cover(gen.rand_cover_pieces(rng, sp, target))
+    return {"target": geo.set_to_json(target), "cover": chains.cover_to_json(cover),
+            "eps": rng.choice(["1/2", "1/4", "1/8"])}
+
+
+def _fuzz_argv(verb, model, rng, files):
+    group, cmd = verb.split()
+    argv = [group, cmd]
+    if verb == "verify lemmas":
+        return argv + ["--seed", str(rng.randrange(10)), "--cases", "1",
+                       "--check", rng.choice(["unit-cancellation", "refinable-sums-counterexample",
+                                              "almost-ordered-counterexample", "nonsense"])]
+    if verb == "check axioms":
+        return argv + ["--model", f"table:{files['table']}"]
+    if group != "check" or model == "lsc" or cmd == "weak-chain":
+        argv += ["-s", files["space"]]
+    if cmd in ("refinable-sums", "almost-ordered"):
+        argv += ["--model", f"table:{files['table']}" if model == "table" else model]
+    if group == "check" and rng.random() < 0.3:
+        argv += ["--depth", str(rng.randint(-1, 4))]
+    return argv if verb == "space validate" else argv + ["--instance", files["instance"]]
+
+
+def _swap(obj, how, junk, pick):
+    """obj with one part swapped for junk: a field, a list item, or all of it."""
+    if how == "whole" or not isinstance(obj, dict) or not obj:
+        return junk
+    key = sorted(obj)[pick % len(obj)]
+    if how == "item" and isinstance(obj[key], list) and obj[key]:
+        obj[key][pick % len(obj[key])] = junk
+    elif how == "drop":
+        del obj[key]
+    else:
+        obj[key] = junk
+    return obj
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@given(
+    model=st.sampled_from(["z", "zprime", "nbar", "table", "lsc"]),
+    seed=st.integers(0, 2**16),
+    space=st.sampled_from(FUZZ_SPACES),
+    swap=st.none() | st.tuples(st.sampled_from(["field", "item", "drop", "whole", "space", "table"]),
+                               JSON_JUNK, st.integers(0, 7)),
+)
+@settings(max_examples=8, deadline=None)
+def test_every_verb_exits_with_a_contract_code(fuzz_dir, verb, model, seed, space, swap):
+    rng = random.Random(seed)
+    objs = {
+        "space": geo.space_to_json(space),
+        "table": json.loads(json.dumps(SAT4)),
+        "instance": None if verb in ("space validate", "check axioms", "verify lemmas")
+        else _fuzz_instance(verb, model, rng, space),
+    }
+    if swap is not None:
+        how, junk, pick = swap
+        if how in ("space", "table"):
+            objs[how] = _swap(objs[how], "field", junk, pick)
+        else:
+            name = "space" if verb == "space validate" else "table" if verb == "check axioms" else "instance"
+            objs[name] = _swap(objs[name], how, junk, pick)
+    files = {name: write_json(fuzz_dir, f"{name}.json", obj) for name, obj in objs.items()}
+    argv = _fuzz_argv(verb, model, rng, files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, objs, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv, inst", [
+    (["check", "weak-chain"], {"x": lsc.element_to_json(lsc.zero(ARC)),
+                               "y": lsc.element_to_json(lsc.zero(ARC)), "ys": 7}),
+    (["lsc", "ordered-sum"], {"terms": None}),
+    (["chains", "refine"], {"cover": {"pieces": [[]]}, "target": {"sets": [[[0, 2, 1, 1]]]}}),
+])
+def test_malformed_instances_exit_2_in_their_own_process(arc_file, tmp_path, argv, inst):
+    path = write_json(tmp_path, "i.json", inst)
+    proc = run_process([*argv, "-s", arc_file, "--instance", path])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: $") and "Traceback" not in proc.stderr

@@ -2,8 +2,12 @@
 
 `geometry` alone reads the stored piece tuples of a set (`.parts`) and
 its private helpers; every other module goes through the public set
-operations and per-component views. Every annotation in the package
-must also resolve, so tools that read them see real names.
+operations and per-component views. `checks` sees a model only through
+the protocol its methods answer: of `models` it uses `embed_element`
+alone, it never probes a model with `getattr`, and only
+`check_refinable_sums` reads `model.kind`, to pick the constructive
+route. Every annotation in the package must also resolve, so tools that
+read them see real names.
 """
 
 import ast
@@ -60,6 +64,69 @@ def test_only_geometry_reads_the_representation():
     assert modules
     found = {p.name: reaches_into_geometry(p.read_text()) for p in modules}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def bypasses_the_model_protocol(source: str) -> list:
+    """Lines of a checker module that use a `models` name other than
+    `embed_element`, call `getattr` on a model, or read `model.kind`
+    outside `check_refinable_sums`."""
+    tree = ast.parse(source)
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("models", "cuntzkit.models"):
+                found += [f"{node.lineno}: imports {a.name}" for a in node.names if a.name != "embed_element"]
+            elif node.module in (None, "cuntzkit"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "models"}
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = func or node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases and node.attr != "embed_element":
+                found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+            elif node.value.id == "model" and node.attr == "kind" and func != "check_refinable_sums":
+                found.append(f"{node.lineno}: model.kind in {func}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "model"
+        ):
+            found.append(f"{node.lineno}: getattr(model, ...)")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sorted(found, key=lambda f: int(f.split(":")[0]))
+
+
+def test_the_protocol_rule_catches_each_kind_of_bypass():
+    src = (
+        "from . import models\n"
+        "from .models import soft, embed_element\n"
+        "def _ser(model, e):\n"
+        "    if getattr(model, 'kind', None) == 'lsc':\n"
+        "        return models.embed_element(e)\n"
+        "    return models.soft(e)\n"
+        "def _decomps(model, c):\n"
+        "    return model.kind == 'table'\n"
+        "def check_refinable_sums(model):\n"
+        "    return model.kind == 'lsc'\n"
+    )
+    assert bypasses_the_model_protocol(src) == [
+        "2: imports soft",
+        "4: getattr(model, ...)",
+        "6: models.soft",
+        "8: model.kind in _decomps",
+    ]
+
+
+def test_checks_uses_models_only_through_the_protocol():
+    assert bypasses_the_model_protocol((PKG / "checks.py").read_text()) == []
 
 
 def _functions(mod):

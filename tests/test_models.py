@@ -104,7 +104,7 @@ def test_twin_addition_collapses():
     assert ZP.add(TWIN, TWIN) == compact(2)
     assert ZP.add(TWIN, compact(1)) == compact(2)
     assert ZP.add(TWIN, compact(0)) == TWIN
-    assert ZP.mul(3, TWIN) == compact(3)
+    assert ZP.sum([TWIN] * 3) == compact(3)
     assert ZP.add(TWIN, soft(None)) == soft(None)
 
 
@@ -128,8 +128,6 @@ def test_join_meet_by_comparability():
     assert Z.meet(compact(1), soft(F(3, 2))) == compact(1)
     assert ZP.join(compact(1), TWIN) is None
     assert ZP.meet(compact(1), TWIN) is None
-    assert Z.is_lattice
-    assert not ZP.is_lattice
 
 
 def test_propto_scales():
@@ -277,10 +275,42 @@ def test_lsc_model_delegates():
     assert m.add(a, b) == lsc.add(a, b)
     assert m.join(a, b) == b
     assert m.meet(a, b) == a
-    assert m.is_lattice
     assert m.propto(lsc.scalar_mul(3, a), a)
     back = m.parse(json.loads(m.el_str(a)))
     assert back == a
+
+
+def test_every_model_answers_the_checker_protocol():
+    names = ["0", "1", "2", "3up"]
+    t = table(names, [[a <= b for b in range(4)] for a in range(4)],
+              [[min(a + b, 3) for b in range(4)] for a in range(4)])
+    lm = models.LscModel(ARC)
+    rational = [compact(0), compact(2), soft(F(3, 2)), soft(None)]
+    cases = [
+        (Z, rational),
+        (ZP, rational + [TWIN]),
+        (NBAR, [compact(0), compact(2), soft(None)]),
+        (t, list(t.elements())),
+        (models.PairModel(Z, t), [(soft(F(3, 2)), 1), (compact(1), 3)]),
+        (lm, [lm.zero, chi((F(0), F(1, 2))), lsc.scalar_mul(2, lsc.unit(ARC))]),
+    ]
+    for model, els in cases:
+        for e in els:
+            want = lsc.element_to_json(e) if model is lm else model.el_str(e)
+            assert model.to_json(e) == want
+            h = model.half(e)
+            if isinstance(e, models.El) and e.kind == "s" and e.value is not None:
+                assert model.add(h, h) == e
+            else:
+                assert h is None
+    pair = models.PairModel(t, t)
+    for cap in (1, 2, 3):
+        decs, complete = pair.decompositions((3, 2), cap)
+        d1, f1 = t.decompositions(3, cap)
+        d2, f2 = t.decompositions(2, cap)
+        assert complete == (f1 and f2)
+        assert max(map(len, decs)) == max(map(len, d1 + d2)) <= cap
+        assert len(decs) == len(d1) * len(d2)
 
 
 def test_embed_element_offsets():
