@@ -91,7 +91,15 @@ def _validate_refinable(model, xs, xps, rows):
     return True, None
 
 
+def _require_least_zero(model):
+    """Both sum properties pad with zero, and speak of a model whose zero
+    is its least element."""
+    if not model.zero_is_least:
+        raise InputError("$.model", "the neutral element must be the least element")
+
+
 def check_refinable_sums(model, xs, xps, bounds: SearchBounds | None = None) -> PropertyVerdict:
+    _require_least_zero(model)
     bounds = bounds or default_bounds()
     n = len(xs)
     if n == 0 or len(xps) != n:
@@ -386,6 +394,7 @@ def _find_violation(model, xs, D, pool):
 
 
 def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> PropertyVerdict:
+    _require_least_zero(model)
     bounds = bounds or default_bounds()
     n = len(xs)
     if n == 0:

@@ -10,8 +10,6 @@ a finite grid built from the piece endpoints; they are never enumerated.
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import gen
 from . import geometry as geo
 from . import lsc
@@ -19,29 +17,7 @@ from . import lsc
 
 def point_complement(sp: geo.SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
     """The open set of everything except one point of component ci."""
-    raw = []
-    for i, c in enumerate(sp.components):
-        if c.kind == "point":
-            raw.append(i != ci)
-            continue
-        L = c.length
-        if i != ci:
-            raw.append("full" if c.kind == "circle" else (L.denominator, [(0, L.numerator, True, True)]))
-            continue
-        q = geo.frac(p) % L if c.kind == "circle" else geo.frac(p)
-        # L and q as the integers Ln and Q at their least common scale d.
-        d = lcm(L.denominator, q.denominator)
-        Ln, Q = L.numerator * (d // L.denominator), q.numerator * (d // q.denominator)
-        if c.kind == "circle":
-            raw.append((d, [(Q, Q + Ln)]))
-            continue
-        ivs = []
-        if Q > 0:
-            ivs.append((0, Q, True, False))
-        if Q < Ln:
-            ivs.append((Q, Ln, False, True))
-        raw.append((d, ivs))
-    return geo.grid_set(sp, raw)
+    return geo.point_complement(sp, ci, p)
 
 
 def _unit_indicator(y: lsc.LscElement):
@@ -131,30 +107,17 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
         closed_join, geo.complement(lsc.supp(met))
     )
 
-    pts = []
-    seen = set()
-    for ci, p in gen.grid_points(sp, *[lsc.supp(y) for y in ys]):
-        comp = sp.components[ci]
-        if comp.kind == "circle":
-            p = p % comp.length
-        if (ci, p) not in seen:
-            seen.add((ci, p))
-            pts.append((ci, p))
-    agree = True
-    for i, (ci, p) in enumerate(pts):
-        pc_i = lsc.indicator(point_complement(sp, ci, p))
-        if pc_i == e:
-            agree = False
-            break
-        for cj, q in pts[i:]:
-            pc_j = lsc.indicator(point_complement(sp, cj, q))
-            same = (ci, p) == (cj, q)
-            if (lsc.join(pc_i, pc_j) == e) == same:
-                agree = False
-                break
-        if not agree:
-            break
-    out["grid_points_are_separated"] = agree
+    pts = list(dict.fromkeys(
+        (ci, p % sp.components[ci].length if sp.components[ci].kind == "circle" else p)
+        for ci, p in gen.grid_points(sp, *[lsc.supp(y) for y in ys])
+    ))
+    # One probe per distinct point, so the probes i and j are of the same
+    # point exactly when i == j.
+    pcs = [lsc.indicator(point_complement(sp, ci, p)) for ci, p in pts]
+    out["grid_points_are_separated"] = all(
+        pcs[i] != e and all((lsc.join(pcs[i], pcs[j]) == e) != (i == j) for j in range(i, len(pcs)))
+        for i in range(len(pcs))
+    )
     return out
 
 

@@ -115,7 +115,8 @@ def point() -> Component:
 # scales (`_common`). Where an endpoint can vanish (coalescing in a union,
 # closure or `_merge`; any intersection) `_least` restores the least scale;
 # a complement keeps its endpoints and its scale. Raw intervals become a
-# part through `_part` alone. `grid_set` takes integers at a scale, and
+# part through `_part` alone; `point_complement` writes its canonical parts
+# directly. `grid_set` takes integers at a scale, and
 # otherwise Fractions only cross the boundary: `normalize`,
 # `closed_set_from_json`, `component_set`, `neighborhood` and
 # `contains_point` take them; `spans`, `breakpoints`, `diameter`,
@@ -462,10 +463,33 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
                 if b - a > Li:
                     raise InputError(ivpath, "wrap interval longer than the circle")
             pieces.append((a, ain, b, bin_))
-        part = _part(comp, *_least(d, pieces, L))
-        if not _open_part_ok(comp, part):
-            raise InputError(here, "the described set is not open in the component")
-        parts.append(part)
+        # No openness check is needed: arc flags sit only at the ends,
+        # circle pieces carry none, `_wrap` holds the seam on both sides it
+        # cuts, and `_merge` and `_seam_sync` keep open pieces open.
+        parts.append(_part(comp, *_least(d, pieces, L)))
+    return OpenSet(sp, tuple(parts))
+
+
+def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
+    """Everything but one point: point component ci, or the point p of
+    arc or circle ci, built canonical at once. A point off an arc raises
+    the `InputError` that `grid_set` gives its intervals."""
+    parts = []
+    for i, c in enumerate(sp.components):
+        if i != ci or c.kind == "point":
+            parts.append(i != ci if c.kind == "point" else _full(c.length))
+            continue
+        L = c.length
+        q = frac(p) % L if c.kind == "circle" else frac(p)
+        d = lcm(L.denominator, q.denominator)  # the least scale of 0, q and L
+        Q, Li = _at(q, d), _at(L, d)
+        if not 0 <= Q <= Li:
+            raise InputError(f"$[{ci}][0]", "interval ends beyond the arc" if Q > 0
+                             else "interval starts before the component")
+        # A point at an end leaves one piece, closed only at the other end
+        # of an arc; the seam of a circle leaves the open (0, L).
+        end = (0, Q == Li, Li, Q == 0 and c.kind == "arc")
+        parts.append((d, ((0, True, Q, False), (Q, False, Li, True)) if 0 < Q < Li else (end,)))
     return OpenSet(sp, tuple(parts))
 
 

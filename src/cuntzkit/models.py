@@ -11,7 +11,8 @@ parsing and display, plus the hooks the property checkers need: the JSON
 form of an element (`to_json`), a half of a soft probe (`half`), sums
 pinched strictly between two elements (`sums_between`), decreasing
 decompositions of a compact element (`decompositions(c, parts_cap)`),
-and a closed candidate pool (`closure`).
+a closed candidate pool (`closure`) and whether the neutral element is
+the least one (`zero_is_least`).
 
 Soft versus compact comparisons follow the rules: soft x <= compact n
 iff x <= n, compact n <= soft x iff n < x, and any sum with a soft
@@ -98,6 +99,9 @@ class Window:
 class _Ops:
     """Shared derived operations over the primitive protocol, and the
     defaults of the checker hooks."""
+
+    # The sum checkers pad rows with zero, so they need it least.
+    zero_is_least = True
 
     def sum(self, seq):
         acc = self.zero
@@ -368,6 +372,7 @@ class TableModel(_Ops):
         if not zeros:
             raise InputError("$.add", "no neutral element in the addition table")
         self.zero = zeros[0]
+        self.zero_is_least = all(self._le[self.zero])
         self.has_lattice_tables = join_m is not None and meet_m is not None
 
     def elements(self):
@@ -448,6 +453,7 @@ class PairModel(_Ops):
         self.first = first
         self.second = second
         self.zero = (first.zero, second.zero)
+        self.zero_is_least = first.zero_is_least and second.zero_is_least
 
     def le(self, a, b) -> bool:
         return self.first.le(a[0], b[0]) and self.second.le(a[1], b[1])

@@ -616,3 +616,35 @@ def weak_chain_one_refine(space, x, y, ys):
         },
         "log": [f"refined the cover supports to an almost chain of {len(zs)} pieces over the support"],
     }
+
+
+# The complement of one point through the checked constructor: every entry
+# goes through `geo.grid_set`'s validation, wrap, merge and least scale.
+# `geo.point_complement` writes the same canonical parts directly, and must
+# raise the same `InputError` for a point off an arc.
+
+
+def point_complement_grid(sp, ci, p=None):
+    raw = []
+    for i, c in enumerate(sp.components):
+        if c.kind == "point":
+            raw.append(i != ci)
+            continue
+        L = c.length
+        if i != ci:
+            raw.append("full" if c.kind == "circle" else (L.denominator, [(0, L.numerator, True, True)]))
+            continue
+        q = geo.frac(p) % L if c.kind == "circle" else geo.frac(p)
+        # L and q as the integers Ln and Q at their least common scale d.
+        d = math.lcm(L.denominator, q.denominator)
+        Ln, Q = L.numerator * (d // L.denominator), q.numerator * (d // q.denominator)
+        if c.kind == "circle":
+            raw.append((d, [(Q, Q + Ln)]))
+            continue
+        ivs = []
+        if Q > 0:
+            ivs.append((0, Q, True, False))
+        if Q < Ln:
+            ivs.append((Q, Ln, False, True))
+        raw.append((d, ivs))
+    return geo.grid_set(sp, raw)

@@ -501,6 +501,22 @@ def test_table_element_names_must_be_strings(capsys, tmp_path, names):
     assert (code, out, err) == (2, "", want)
 
 
+def test_sum_checks_reject_a_table_whose_zero_is_not_least(tmp_path):
+    # e1 < e2 < ... < e5 and e0 below e2..e5 only; e0 is neutral, so the
+    # zero padding of a row is not below its last term.
+    names = [f"e{i}" for i in range(6)]
+    le = [[i == j or (0 < i <= j) or (i == 0 and j >= 2) for j in range(6)] for i in range(6)]
+    add = [[names[min(i + j, 5)] for j in range(6)] for i in range(6)]
+    path = write_json(tmp_path, "t.json", {"elements": names, "le": le, "add": add})
+    inst = write_json(tmp_path, "i.json", {"xs": ["e1", "e4", "e5"], "xps": ["e5", "e4", "e3"]})
+    want = "error: $.model: the neutral element must be the least element\n"
+    for verb in ("refinable-sums", "almost-ordered"):
+        proc = run_process(["check", verb, "--model", f"table:{path}", "--instance", inst])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want), verb
+    proc = run_process(["check", "axioms", "--model", f"table:{path}"])
+    assert proc.returncode == 1 and "report" in json.loads(proc.stdout)
+
+
 def test_check_axioms_rejects_non_table(capsys):
     code, _, err = run(capsys, ["check", "axioms", "--model", "z"])
     assert code == 2 and "table" in err

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cuntzkit import duality, gen, lsc
 from cuntzkit import geometry as geo
 
+import oracles
+
 ARC = geo.space(geo.arc(1))
 CIRCLE = geo.space(geo.circle(1))
 MIXED = geo.space(geo.arc(1), geo.circle(2), geo.point())
@@ -29,6 +31,71 @@ def test_point_complement_shapes():
     mixed = duality.point_complement(MIXED, 2)
     assert not geo.contains_point(mixed, 2)
     assert geo.contains_point(mixed, 0, F(1, 3))
+
+
+def test_point_complement_matches_the_grid_set_route():
+    # Seeded grid points, shifted by -L, 0, L and 2L so that circle points
+    # wrap and arc points leave the arc: the direct construction and the
+    # checked constructor give equal sets, or the same InputError.
+    rng = random.Random(2_446)
+    built, reasons = 0, set()
+    for _ in range(150):
+        sp = gen.rand_space(rng, max_components=3)
+        for ci, p in gen.grid_points(sp, gen.rand_open_set(rng, sp)):
+            L = sp.components[ci].length
+            for q in [p] if L is None else [p + k * L for k in (-1, 0, 1, 2)]:
+                try:
+                    want = oracles.point_complement_grid(sp, ci, q)
+                except geo.InputError as exc:
+                    with pytest.raises(geo.InputError) as err:
+                        duality.point_complement(sp, ci, q)
+                    assert (err.value.path, err.value.reason) == (exc.path, exc.reason)
+                    reasons.add(exc.reason)
+                    continue
+                got = duality.point_complement(sp, ci, q)
+                assert got == want and hash(got) == hash(want), (sp, ci, q)
+                built += 1
+    assert built > 1_000
+    assert reasons == {"interval starts before the component", "interval ends beyond the arc"}
+
+
+def _distinct_points(sp, ys):
+    return {
+        (ci, p % sp.components[ci].length if sp.components[ci].kind == "circle" else p)
+        for ci, p in gen.grid_points(sp, *[lsc.supp(y) for y in ys])
+    }
+
+
+def test_topology_laws_build_each_probe_once(monkeypatch):
+    built, joins = [], []
+    real_complement, real_join = geo.point_complement, lsc.join
+    monkeypatch.setattr(geo, "point_complement", lambda *a: built.append(a[1:]) or real_complement(*a))
+    monkeypatch.setattr(lsc, "join", lambda f, g: joins.append(1) or real_join(f, g))
+    rng = random.Random(31)
+    for _ in range(25):
+        sp = gen.rand_space(rng, max_components=3)
+        ys = [lsc.indicator(gen.rand_open_set(rng, sp)) for _ in range(rng.randrange(0, 4))]
+        built.clear()
+        joins.clear()
+        assert all(duality.verify_topology_laws(sp, ys).values())
+        n = len(_distinct_points(sp, ys))
+        assert len(built) == n and set(built) == _distinct_points(sp, ys)
+        # one join per y folds the family; the rest pair every i <= j
+        assert len(joins) == len(ys) + n * (n + 1) // 2
+
+
+def test_topology_laws_see_a_join_that_separates_nothing(monkeypatch):
+    monkeypatch.setattr(duality.lsc, "join", lambda f, g: f)
+    rng = random.Random(32)
+    checked = 0
+    for _ in range(25):
+        sp = gen.rand_space(rng, max_components=3)
+        if len(_distinct_points(sp, [])) < 2:
+            continue
+        rep = duality.verify_topology_laws(sp, [])
+        assert rep["grid_points_are_separated"] is False
+        checked += 1
+    assert checked >= 15
 
 
 def test_basictop_worked_pair():

@@ -643,11 +643,10 @@ def test_grid_set_rejects_malformed_entries(sp, raw, path, reason):
 
 
 def test_grid_set_never_builds_a_set_that_is_not_open():
-    # The interval checks leave only open sets, so the last check of
-    # grid_set ("the described set is not open in the component") is a
-    # guard no input reaches: on a small grid, every interval and every
-    # pair of accepted intervals either fails an interval check or gives
-    # a canonical open set.
+    # The interval checks leave only open sets, so grid_set makes no
+    # openness check ("the described set is not open in the component"):
+    # on a small grid, every interval and every pair of accepted intervals
+    # either fails an interval check or gives a canonical open set.
     def build(sp, d, ivs):
         try:
             s = geo.grid_set(sp, [(d, ivs)])
