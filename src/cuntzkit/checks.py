@@ -103,14 +103,14 @@ def check_refinable_sums(model, xs, xps, bounds: SearchBounds | None = None) -> 
     bounds = bounds or default_bounds()
     n = len(xs)
     if n == 0 or len(xps) != n:
-        raise InputError("$.instance", "need equally many xs and xps, at least one each")
+        raise InputError("$.xps", "need equally many xs and xps, at least one each")
     for i in range(n - 1):
         if not model.wb(xs[i], xs[i + 1]):
-            raise InputError(f"$.instance.xs[{i}]", "each term must be way below the next")
+            raise InputError(f"$.xs[{i}]", "each term must be way below the next")
     for i in range(n):
         if not model.propto(xs[i], xps[i], bounds.propto_cap):
             raise InputError(
-                f"$.instance.xps[{i}]",
+                f"$.xps[{i}]",
                 "each term must be dominated by a multiple of its partner",
             )
     if n == 1:
@@ -398,7 +398,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     bounds = bounds or default_bounds()
     n = len(xs)
     if n == 0:
-        raise InputError("$.instance.xs", "need at least one term")
+        raise InputError("$.xs", "need at least one term")
     log = []
     if n == 1:
         return PropertyVerdict(
@@ -504,11 +504,11 @@ def _validate_weak_chain(x, y, ys, xp, zs):
 def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None) -> PropertyVerdict:
     bounds = bounds or default_bounds()
     if not ys:
-        raise InputError("$.instance.ys", "need at least one cover element")
+        raise InputError("$.ys", "need at least one cover element")
     if not lsc.way_below(x, y):
-        raise InputError("$.instance.x", "x must be way below y")
+        raise InputError("$.x", "x must be way below y")
     if not lsc.way_below(y, lsc.sum(space, ys)):
-        raise InputError("$.instance.y", "y must be way below the sum of the cover elements")
+        raise InputError("$.y", "y must be way below the sum of the cover elements")
     e = lsc.unit(space)
     xp = lsc.meet(x, e)
     supp = lsc.supp(xp)

@@ -87,7 +87,7 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
         _unit_indicator(y)
     out = {}
 
-    closed_meet = geo.full_closed(sp)
+    closed_meet = geo.complement(geo.empty_set(sp))
     for y in ys:
         closed_meet = geo.intersect(closed_meet, geo.complement(lsc.supp(y)))
     joined = lsc.zero(sp)
@@ -97,7 +97,7 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
         closed_meet, geo.complement(lsc.supp(joined))
     )
 
-    closed_join = geo.empty_closed(sp)
+    closed_join = geo.complement(geo.full_set(sp))
     for y in ys:
         closed_join = geo.union(closed_join, geo.complement(lsc.supp(y)))
     met = e

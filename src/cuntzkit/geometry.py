@@ -32,22 +32,20 @@ class SpaceMismatchError(ValueError):
     pass
 
 
-Rat = Fraction
-
 # A cut piece is (a, a_in, b, b_in): an interval inside [0, L] with explicit
 # endpoint membership. Degenerate pieces (a == b) must have both flags set.
-Piece = tuple[Rat, bool, Rat, bool]
+Piece = tuple[Fraction, bool, Fraction, bool]
 
 
-def frac(value) -> Rat:
+def frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def frac_to_str(x: Rat) -> str:
+def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_str(s, path: str = "$") -> Rat:
+def frac_from_str(s, path: str = "$") -> Fraction:
     if isinstance(s, str):
         try:
             return Fraction(s)
@@ -61,7 +59,7 @@ def frac_from_str(s, path: str = "$") -> Rat:
 @dataclass(frozen=True)
 class Component:
     kind: str
-    length: Rat | None = None
+    length: Fraction | None = None
 
     def __post_init__(self):
         if self.kind not in ("arc", "circle", "point"):
@@ -114,13 +112,13 @@ def point() -> Component:
 # circle rule "0 in S iff L in S". Two parts meet at the lcm of their
 # scales (`_common`). Where an endpoint can vanish (coalescing in a union,
 # closure or `_merge`; any intersection) `_least` restores the least scale;
-# a complement keeps its endpoints and its scale. Raw intervals become a
-# part through `_part` alone; `point_complement` writes its canonical parts
-# directly. `grid_set` takes integers at a scale, and
-# otherwise Fractions only cross the boundary: `normalize`,
-# `closed_set_from_json`, `component_set`, `neighborhood` and
-# `contains_point` take them; `spans`, `breakpoints`, `diameter`,
-# `set_distance` and `set_to_json` give them back.
+# union, closure and `_part` share that tail in `_settle`, and a complement
+# keeps its endpoints and its scale. Raw intervals become a part through
+# `_part` alone; `point_complement` writes its canonical parts directly.
+# `grid_set` takes integers at a scale, and otherwise Fractions only cross
+# the boundary: `normalize`, `open_set_from_json`, `component_set`,
+# `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
+# `diameter`, `set_distance` and `set_to_json` give them back.
 
 
 def _piece_ok(p: Piece) -> bool:
@@ -260,7 +258,7 @@ def _wrap(a, ain: bool, b, bin_: bool, L) -> list[Piece]:
     return [(a, ain, L, True), (0, True, b - L, bin_)]
 
 
-def _at(x: Rat, d: int) -> int:
+def _at(x: Fraction, d: int) -> int:
     """x as an integer at scale d, a multiple of x's denominator."""
     return x.numerator * (d // x.denominator)
 
@@ -269,7 +267,7 @@ def _rescale(pieces: tuple[Piece, ...], m: int) -> tuple[Piece, ...]:
     return tuple([(a * m, ain, b * m, bin_) for a, ain, b, bin_ in pieces])
 
 
-def _least(d: int, pieces: tuple[Piece, ...], L: Rat) -> Part:
+def _least(d: int, pieces: tuple[Piece, ...], L: Fraction) -> Part:
     """The part (d, pieces) at its least scale: only d // L.denominator can
     be divided out, and only as far as every endpoint allows."""
     k = d // L.denominator
@@ -289,7 +287,7 @@ def _common(pa: Part, pb: Part) -> tuple[int, tuple[Piece, ...], tuple[Piece, ..
     return d, xs if d == da else _rescale(xs, d // da), ys if d == db else _rescale(ys, d // db)
 
 
-def _full(L: Rat) -> Part:
+def _full(L: Fraction) -> Part:
     return L.denominator, ((0, True, L.numerator, True),)
 
 
@@ -301,15 +299,20 @@ def _part(comp: Component, d: int, pieces: Sequence[Piece]) -> Part:
     """The canonical part of raw pieces on an arc or circle, at the least
     scale d of L and their ends; circle pieces are lifted (a < b <= a + L)
     and wrap through the seam."""
-    Li = _at(comp.length, d)
     if comp.kind == "circle":
+        Li = _at(comp.length, d)
         pieces = [p for a, ain, b, bin_ in pieces for p in _wrap(a, ain, b, bin_, Li)]
-    merged = _merge(pieces)
-    # Only coalescing or dropping a piece can take an endpoint away.
-    shrunk = len(merged) < len(pieces)
+    return _settle(comp, d, _merge(pieces), len(pieces))
+
+
+def _settle(comp: Component, d: int, pieces: tuple[Piece, ...], n: int) -> Part:
+    """The part (d, pieces) of canonical pieces coalesced from n others:
+    a circle's seam synced, and the least scale sought only if coalescing
+    dropped pieces, the one way an endpoint can go."""
+    shrunk = len(pieces) < n
     if comp.kind == "circle":
-        merged = _seam_sync(merged, Li)
-    return _least(d, merged, comp.length) if shrunk else (d, merged)
+        pieces = _seam_sync(pieces, _at(comp.length, d))
+    return _least(d, pieces, comp.length) if shrunk else (d, pieces)
 
 
 def _rat(part: Part) -> tuple[Piece, ...]:
@@ -343,11 +346,6 @@ class ClosedSet:
 SetLike = Union[OpenSet, ClosedSet]
 
 
-def _rat_parts(s: SetLike) -> tuple:
-    """The parts of s with Fraction coordinates, for tests to read."""
-    return tuple(p if isinstance(p, bool) else _rat(p) for p in s.parts)
-
-
 def _check_same_space(a: SetLike, b: SetLike):
     if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError("operands live on different spaces")
@@ -367,14 +365,6 @@ def empty_set(sp: SpaceDescriptor) -> OpenSet:
 
 def full_set(sp: SpaceDescriptor) -> OpenSet:
     return OpenSet(sp, tuple(True if c.kind == "point" else _full(c.length) for c in sp.components))
-
-
-def full_closed(sp: SpaceDescriptor) -> ClosedSet:
-    return ClosedSet(sp, full_set(sp).parts)
-
-
-def empty_closed(sp: SpaceDescriptor) -> ClosedSet:
-    return ClosedSet(sp, empty_set(sp).parts)
 
 
 def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
@@ -397,7 +387,7 @@ def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
     return grid_set(sp, raw, path)
 
 
-def _on_grid(L: Rat, ivs) -> tuple[int, list[tuple]]:
+def _on_grid(L: Fraction, ivs) -> tuple[int, list[tuple]]:
     """Rational intervals (a, b, ...) as integers at the least scale of L
     and their ends; what follows b rides along. An interval of the wrong
     length is kept as it is, for `grid_set` to report in its place."""
@@ -474,6 +464,8 @@ def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
     """Everything but one point: point component ci, or the point p of
     arc or circle ci, built canonical at once. A point off an arc raises
     the `InputError` that `grid_set` gives its intervals."""
+    if not 0 <= ci < len(sp.components):
+        raise ValueError("component index outside the space")
     parts = []
     for i, c in enumerate(sp.components):
         if i != ci or c.kind == "point":
@@ -504,12 +496,7 @@ def union(a: SetLike, b: SetLike):
             parts.append(pb if not pa[1] else pa)
             continue
         d, xs, ys = _common(pa, pb)
-        u = _union(xs, ys)
-        # Only coalescing pieces can take an endpoint away.
-        shrunk = len(u) < len(xs) + len(ys)
-        if comp.kind == "circle":
-            u = _seam_sync(u, _at(comp.length, d))
-        parts.append(_least(d, u, comp.length) if shrunk else (d, u))
+        parts.append(_settle(comp, d, _union(xs, ys), len(xs) + len(ys)))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -534,11 +521,7 @@ def closure(a: SetLike) -> ClosedSet:
             parts.append(pa)
             continue
         d, pieces = pa
-        cl = _seg_closure(pieces)
-        shrunk = len(cl) < len(pieces)
-        if comp.kind == "circle":
-            cl = _seam_sync(cl, _at(comp.length, d))
-        parts.append(_least(d, cl, comp.length) if shrunk else (d, cl))
+        parts.append(_settle(comp, d, _seg_closure(pieces), len(pieces)))
     return ClosedSet(a.space, tuple(parts))
 
 
@@ -582,7 +565,7 @@ def sets_equal(a: SetLike, b: SetLike) -> bool:
     return a.parts == b.parts
 
 
-def contains_point(a: SetLike, ci: int, p: Rat | None = None) -> bool:
+def contains_point(a: SetLike, ci: int, p: Fraction | None = None) -> bool:
     comp = a.space.components[ci]
     part = a.parts[ci]
     if comp.kind == "point":
@@ -594,7 +577,6 @@ def contains_point(a: SetLike, ci: int, p: Rat | None = None) -> bool:
 
 
 def compactly_contained(a: OpenSet, b: OpenSet) -> bool:
-    _check_same_space(a, b)
     return subset(closure(a), b)
 
 
@@ -691,7 +673,7 @@ def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
     return list(_intersect(copies, (window,)))
 
 
-def breakpoints(s: SetLike, ci: int) -> list[Rat]:
+def breakpoints(s: SetLike, ci: int) -> list[Fraction]:
     """The endpoints of the pieces stored for component ci, each in [0, L].
     A set through a circle's seam contributes both 0 and L; a point
     component has none."""
@@ -718,7 +700,7 @@ def _geodesic(x, y, L):
     return min(d, L - d)
 
 
-def component_diameter(comp: Component, part: Part) -> Rat:
+def component_diameter(comp: Component, part: Part) -> Fraction:
     if comp.kind == "point" or not part[1]:
         return _ZERO
     d, pieces = part
@@ -738,7 +720,7 @@ def component_diameter(comp: Component, part: Part) -> Rat:
     return Fraction(max(_geodesic(x, y, Li) for x in ends for y in ends), d)
 
 
-def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
+def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
     """Open metric neighborhood {x : dist(x, s) < delta}, per component.
 
     delta must stay below 2, the distance between components, so the
@@ -773,7 +755,7 @@ def neighborhood(s: SetLike, delta: Rat) -> OpenSet:
     return OpenSet(s.space, tuple(parts))
 
 
-def set_distance(a: SetLike, b: SetLike) -> Rat | None:
+def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
     """Infimum of point distances between two nonempty sets; None if either is empty."""
     _check_same_space(a, b)
     if is_empty(a) or is_empty(b):
@@ -798,7 +780,7 @@ def set_distance(a: SetLike, b: SetLike) -> Rat | None:
     return min(cands)
 
 
-def diameter(a: SetLike) -> Rat:
+def diameter(a: SetLike) -> Fraction:
     """Sup of pairwise distances; 0 for the empty set."""
     per = [
         _ZERO if part is True else component_diameter(comp, part)
@@ -889,41 +871,6 @@ def set_to_json(a: SetLike) -> dict:
 
 
 def open_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> OpenSet:
-    raw = _raw_from_json(sp, obj, path, open_mode=True)
-    return normalize(sp, raw, f"{path}.sets")
-
-
-def closed_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ClosedSet:
-    raw = _raw_from_json(sp, obj, path, open_mode=False)
-    parts: list[Part] = []
-    for ci, (comp, entry) in enumerate(zip(sp.components, raw)):
-        here = f"{path}.sets[{ci}]"
-        if comp.kind == "point":
-            parts.append(entry)
-            continue
-        L = comp.length
-        if entry == "full":
-            parts.append(_full(L))
-            continue
-        ivs = []
-        for ii, iv in enumerate(entry):
-            a, b, ain, bin_ = frac(iv[0]), frac(iv[1]), bool(iv[2]), bool(iv[3])
-            if not (ain and bin_):
-                raise InputError(f"{here}[{ii}]", "closed pieces are endpoint-inclusive")
-            if a > b:
-                raise InputError(f"{here}[{ii}]", "interval needs a <= b")
-            if comp.kind == "arc":
-                if a < 0 or b > L:
-                    raise InputError(f"{here}[{ii}]", "interval leaves the arc")
-            elif b - a > L or a < 0:
-                raise InputError(f"{here}[{ii}]", "wrap interval longer than the circle")
-            ivs.append((a, b))
-        d, ivs = _on_grid(L, ivs)
-        parts.append(_part(comp, d, [(a, True, b, True) for a, b in ivs]))
-    return ClosedSet(sp, tuple(parts))
-
-
-def _raw_from_json(sp: SpaceDescriptor, obj, path: str, open_mode: bool):
     if not isinstance(obj, dict) or "sets" not in obj:
         raise InputError(path, "expected an object with 'sets' and 'full_flags'")
     sets = obj["sets"]
@@ -958,4 +905,4 @@ def _raw_from_json(sp: SpaceDescriptor, obj, path: str, open_mode: bool):
             b = frac_from_str(iv[1], f"{ivpath}[1]")
             ivs.append((a, b, bool(iv[2]), bool(iv[3])))
         raw.append(ivs)
-    return raw
+    return normalize(sp, raw, f"{path}.sets")

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's set algebra and order relations:
 membership is decided by direct endpoint arithmetic on the stored pieces,
-read as Fractions through `geo._rat_parts`, function values are recounted
+read as Fractions through `rat_parts`, function values are recounted
 per point, and comparisons run over probe grids. Slow and simple on
 purpose.
 """
@@ -20,7 +20,7 @@ from cuntzkit import geometry as geo
 
 def member(s, ci: int, p) -> bool:
     comp = s.space.components[ci]
-    part = geo._rat_parts(s)[ci]
+    part = rat_parts(s)[ci]
     if comp.kind == "point":
         return bool(part)
     candidates = [Fraction(p)]
@@ -62,7 +62,7 @@ def shrink_open_set(s, k: int):
     full circles. The family increases back to s as k grows."""
     raw = []
     step = Fraction(1, k)
-    for comp, part in zip(s.space.components, geo._rat_parts(s)):
+    for comp, part in zip(s.space.components, rat_parts(s)):
         if comp.kind == "point":
             raw.append(bool(part))
             continue
@@ -274,7 +274,7 @@ def circle_block_search(space, ci, traces, bounds, log):
 # The cut algebra by sort and re-merge: every operation pairs up or
 # concatenates raw pieces and sorts them back into canonical form, without
 # assuming its inputs are canonical. It runs on Fraction pieces read through
-# `geo._rat_parts`, apart from the library's integer scales. The library's
+# `rat_parts`, apart from the library's integer scales. The library's
 # linear sweeps over canonical piece tuples must agree with these exactly,
 # part for part.
 
@@ -356,7 +356,17 @@ class Result:
 
 
 def rat_parts(s):
-    return s.parts if isinstance(s, Result) else geo._rat_parts(s)
+    """The parts of a set with Fraction coordinates: bools for points,
+    pieces read off the integer grid of each scaled part."""
+    if isinstance(s, Result):
+        return s.parts
+    out = []
+    for p in s.parts:
+        if not isinstance(p, bool):
+            d, pieces = p
+            p = tuple((Fraction(a, d), ain, Fraction(b, d), bin_) for a, ain, b, bin_ in pieces)
+        out.append(p)
+    return tuple(out)
 
 
 def _cls(s):

@@ -132,6 +132,41 @@ def test_lsc_leq_exit_codes(capsys, arc_file, tmp_path):
     assert code == 1 and json.loads(out)["holds"] is False
 
 
+@pytest.mark.parametrize("verb, keys", [
+    ("eval", ("element",)),
+    ("add", ("a", "b")),
+    ("join", ("a", "b")),
+    ("meet", ("a", "b")),
+    ("leq", ("a", "b")),
+    ("wb", ("a", "b")),
+    ("complement", ("y", "z")),
+])
+def test_positional_element_files_match_the_instance_file(capsys, arc_file, tmp_path, verb, keys):
+    # The README form `cuntzkit lsc add -s space.json f.json g.json`: one
+    # element file per instance field, in the order the fields are named.
+    half, e = chi((0, F(1, 2), True, False)), lsc.unit(ARC)
+    pairs = [(half, e), (e, half)] if keys == ("a", "b") else [(half, lsc.add(e, half))]
+    for elems in pairs:
+        objs = {k: lsc.element_to_json(f) for k, f in zip(keys, elems)}
+        files = [write_json(tmp_path, f"{k}.json", obj) for k, obj in objs.items()]
+        inst = write_json(tmp_path, "inst.json", objs)
+        want = run(capsys, ["lsc", verb, "-s", arc_file, "--instance", inst])
+        assert want[0] in (0, 1) and want[1], want
+        assert run(capsys, ["lsc", verb, "-s", arc_file, *files]) == want
+
+
+def test_positional_files_need_the_right_count_and_no_instance(capsys, arc_file, tmp_path):
+    e = lsc.element_to_json(lsc.unit(ARC))
+    f = write_json(tmp_path, "f.json", e)
+    inst = write_json(tmp_path, "inst.json", {"a": e, "b": e})
+    for argv, reason in (
+        ([f], "this command takes 2 positional files: A B"),
+        ([f, f, f], "this command takes 2 positional files: A B"),
+        (["--instance", inst, f, f], "give either --instance or positional files, not both"),
+    ):
+        assert run(capsys, ["lsc", "add", "-s", arc_file, *argv]) == (2, "", f"error: $: {reason}\n")
+
+
 def run_process(argv):
     """Run the CLI as its own process, so a crash shows as a crash."""
     src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
@@ -515,6 +550,31 @@ def test_sum_checks_reject_a_table_whose_zero_is_not_least(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want), verb
     proc = run_process(["check", "axioms", "--model", f"table:{path}"])
     assert proc.returncode == 1 and "report" in json.loads(proc.stdout)
+
+
+# x and y the same open interval, whose closure pokes out: x is not way below y.
+OPEN_XY = {"x": lsc.element_to_json(chi((F(1, 4), F(1, 2)))), "y": lsc.element_to_json(chi((F(1, 4), F(1, 2))))}
+
+
+@pytest.mark.parametrize("argv, inst, path, reason", [
+    (["refinable-sums", "--model", "z"], {"xs": ["1"], "xps": []}, "$.xps",
+     "need equally many xs and xps, at least one each"),
+    (["refinable-sums", "--model", "z"], {"xs": ["2", "1"], "xps": ["1", "1"]}, "$.xs[0]",
+     "each term must be way below the next"),
+    (["refinable-sums", "--model", "z"], {"xs": ["1"], "xps": ["0"]}, "$.xps[0]",
+     "each term must be dominated by a multiple of its partner"),
+    (["almost-ordered", "--model", "z"], {"xs": []}, "$.xs", "need at least one term"),
+    (["weak-chain"], {**OPEN_XY, "ys": []}, "$.ys", "need at least one cover element"),
+    (["weak-chain"], {**OPEN_XY, "ys": [lsc.element_to_json(lsc.unit(ARC))]}, "$.x",
+     "x must be way below y"),
+    (["weak-chain"], {"x": lsc.element_to_json(lsc.zero(ARC)), "y": lsc.element_to_json(lsc.unit(ARC)),
+                      "ys": [OPEN_XY["x"]]}, "$.y", "y must be way below the sum of the cover elements"),
+], ids=["xps-count", "xs-chain", "xps-partner", "xs-empty", "ys-empty", "x-below-y", "y-below-sum"])
+def test_instance_errors_name_the_field_in_the_instance_file(capsys, arc_file, tmp_path, argv, inst, path, reason):
+    # The same paths as an element that fails to parse, e.g. `$.xs[0]`.
+    f = write_json(tmp_path, "i.json", inst)
+    space = ["-s", arc_file] if argv == ["weak-chain"] else []
+    assert run(capsys, ["check", *argv, *space, "--instance", f]) == (2, "", f"error: {path}: {reason}\n")
 
 
 def test_check_axioms_rejects_non_table(capsys):

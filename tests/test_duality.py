@@ -33,6 +33,14 @@ def test_point_complement_shapes():
     assert geo.contains_point(mixed, 0, F(1, 3))
 
 
+@pytest.mark.parametrize("route", [geo.point_complement, duality.point_complement])
+def test_point_complement_rejects_a_component_index_outside_the_space(route):
+    sp = geo.space(geo.arc(1), geo.point())
+    for ci in (-1, len(sp.components), 5):
+        with pytest.raises(ValueError, match="^component index outside the space$"):
+            route(sp, ci, F(1, 2))
+
+
 def test_point_complement_matches_the_grid_set_route():
     # Seeded grid points, shifted by -L, 0, L and 2L so that circle points
     # wrap and arc points leave the arc: the direct construction and the

@@ -23,7 +23,7 @@ def opens(sp, raw):
 
 def test_normalize_merges_overlaps():
     s = opens(ARC, [[(F(0), F("1/2")), (F("1/4"), F("3/4"))]])
-    assert geo._rat_parts(s) == (((F(0), False, F("3/4"), False),),)
+    assert oracles.rat_parts(s) == (((F(0), False, F("3/4"), False),),)
 
 
 def test_normalize_circle_wrap_covers_everything():
@@ -74,12 +74,13 @@ def test_circle_wrap_intersection():
 
 def test_closure_adds_endpoints():
     c = geo.closure(opens(ARC, [[(F(0), F("1/2"))]]))
-    assert geo._rat_parts(c) == (((F(0), True, F("1/2"), True),),)
+    assert oracles.rat_parts(c) == (((F(0), True, F("1/2"), True),),)
 
 
 def test_interior_of_closed_union_point():
-    c = geo.closed_set_from_json(
-        ARC, {"sets": [[["0", "1/2", True, True], ["3/4", "3/4", True, True]]], "full_flags": [False]}
+    c = geo.union(
+        geo.closure(geo.component_set(ARC, 0, (F(0), False, F(1, 2), False))),
+        geo.complement(geo.point_complement(ARC, 0, F(3, 4))),
     )
     inner = geo.interior(c)
     assert inner == opens(ARC, [[(F(0), F("1/2"), True, False)]])
@@ -125,7 +126,7 @@ def test_point_component_sets():
     s = geo.normalize(sp, [[(F(0), F("1/2"))], True])
     assert oracles.member(s, 1, None)
     assert geo.diameter(s) == 2
-    assert geo._rat_parts(geo.complement(s))[1] is False
+    assert oracles.rat_parts(geo.complement(s))[1] is False
 
 
 def seeded(seed):
@@ -271,7 +272,7 @@ def test_restrict_over_all_components_unions_back(seed):
     sp = gen.rand_space(rng, kinds=SEAM_KINDS)
     s = gen.rand_open_set(rng, sp)
     for x in (s, geo.closure(s)):
-        back = geo.empty_set(sp) if isinstance(x, geo.OpenSet) else geo.empty_closed(sp)
+        back = geo.empty_set(sp) if isinstance(x, geo.OpenSet) else geo.complement(geo.full_set(sp))
         for ci in range(len(sp.components)):
             r = geo.restrict(x, ci)
             assert type(r) is type(x) and geo.subset(r, x)
@@ -432,7 +433,7 @@ def test_one_set_has_one_least_scale():
     sets.append(geo.intersect(sets[-1], geo.full_set(sp)))
     for s in sets:
         assert s == sets[0] and hash(s) == hash(sets[0])
-        for comp, (d, _), rat in zip(sp.components, s.parts, geo._rat_parts(s)):
+        for comp, (d, _), rat in zip(sp.components, s.parts, oracles.rat_parts(s)):
             assert d == least_scale(comp, rat)
     assert [d for d, _ in sets[0].parts] == [4, 6, 2]
     assert geo.is_empty(geo.restrict(sets[0], 2)) and sets[0].parts[2] == (2, ())
@@ -475,26 +476,29 @@ def coarse_open_set(rng, sp):
 
 
 def coarse_closed_set(rng, sp):
-    sets, fulls = [], []
-    for comp in sp.components:
+    """A union of closed intervals [i/4, j/4] (a point when i == j), built
+    from closures of open spans and complements of point complements."""
+    s = geo.complement(geo.full_set(sp))
+    for ci, comp in enumerate(sp.components):
         if comp.kind == "point":
-            sets.append([])
-            fulls.append(rng.random() < 0.5)
+            if rng.random() < 0.5:
+                s = geo.union(s, geo.complement(geo.point_complement(sp, ci)))
             continue
         n = int(comp.length * 4)
-        ivs = []
         for _ in range(rng.randint(0, 3)):
             i = rng.randint(0, n)
             # Often a single point, including 0 or L alone on a circle.
             j = i if rng.random() < 0.4 else rng.randint(i, n if comp.kind == "arc" else i + n)
-            ivs.append([f"{i}/4", f"{j}/4", True, True])
-        sets.append(ivs)
-        fulls.append(False)
-    return geo.closed_set_from_json(sp, {"sets": sets, "full_flags": fulls})
+            if i == j:
+                piece = geo.complement(geo.point_complement(sp, ci, F(i, 4)))
+            else:
+                piece = geo.closure(geo.component_set(sp, ci, (F(i, 4), False, F(j, 4), False)))
+            s = geo.union(s, piece)
+    return s
 
 
 def is_canonical(s) -> bool:
-    for comp, stored, part in zip(s.space.components, s.parts, geo._rat_parts(s)):
+    for comp, stored, part in zip(s.space.components, s.parts, oracles.rat_parts(s)):
         if comp.kind == "point":
             continue
         if stored[0] != least_scale(comp, part):
@@ -512,7 +516,7 @@ def is_canonical(s) -> bool:
 
 
 def same(got, want) -> bool:
-    return type(got) is want.cls and geo._rat_parts(got) == want.parts
+    return type(got) is want.cls and oracles.rat_parts(got) == want.parts
 
 
 def test_cut_algebra_sweeps_match_the_merge_oracle():
@@ -605,7 +609,6 @@ def test_json_readers_return_or_raise_input_error(obj):
     readers = (
         (geo.SpaceDescriptor, lambda: geo.space_from_json(obj)),
         (geo.OpenSet, lambda: geo.open_set_from_json(READER_SPACE, obj)),
-        (geo.ClosedSet, lambda: geo.closed_set_from_json(READER_SPACE, obj)),
         (lsc.LscElement, lambda: lsc.element_from_json(READER_SPACE, obj)),
     )
     for want, read in readers:
@@ -739,6 +742,6 @@ def test_normalize_and_grid_set_match_the_fraction_route():
             continue
         g = geo.grid_set(sp, grid, "$.sets")
         assert g == s and is_canonical(s)
-        assert geo._rat_parts(s) == fraction_route(sp, raw), (sp, raw)
+        assert oracles.rat_parts(s) == fraction_route(sp, raw), (sp, raw)
         built += 1
     assert built > 2_000 and rejected > 100
