@@ -11,29 +11,28 @@ is provided as independent evidence for negative answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
-from .geometry import InputError, OpenSet, SpaceDescriptor, frac
+from .geometry import InputError, OpenSet, Record, SpaceDescriptor, frac
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
+    __slots__ = ("space", "pieces")
     space: SpaceDescriptor
     pieces: tuple[OpenSet, ...]
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(Record):
+    __slots__ = ("kind", "pieces", "mesh", "refines")
     kind: str
     pieces: tuple[OpenSet, ...]
     mesh: Fraction
     refines: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Impossible:
+class Impossible(Record):
+    __slots__ = ("reason",)
     reason: str
 
 
@@ -158,23 +157,6 @@ def decide_chainable(target: OpenSet) -> bool:
 
 def decide_almost_chainable(sp: SpaceDescriptor) -> bool:
     return all(c.kind != "circle" for c in sp.components)
-
-
-def components_as_space(target: OpenSet) -> SpaceDescriptor | None:
-    """The connected components of an open set, viewed as an abstract space."""
-    comps = []
-    for piece in geo.connected_components(target):
-        desc = _component_span(piece)
-        if desc is None:
-            comps.append(geo.circle(target.space.components[_home(piece)].length))
-        elif desc[1] is None:
-            comps.append(geo.point())
-        else:
-            a, _, b, _ = desc[1]
-            comps.append(geo.arc(b - a))
-    if not comps:
-        return None
-    return geo.space(*comps)
 
 
 def _home(piece: OpenSet) -> int:

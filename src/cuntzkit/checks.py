@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from . import chains
 from . import geometry as geo
 from . import lsc
 from . import models
-from .geometry import InputError
+from .geometry import InputError, Record
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Record):
+    __slots__ = ("kind", "data", "log")
     kind: str
     data: dict
     log: tuple
@@ -32,11 +31,11 @@ def verdict_to_json(v: PropertyVerdict) -> dict:
     return {"kind": v.kind, "data": v.data, "log": list(v.log)}
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    depth: int = 3
-    propto_cap: int = 64
-    compact_cap: int = 64
+class SearchBounds(Record):
+    __slots__ = ("depth", "propto_cap", "compact_cap")
+
+    def __init__(self, depth: int = 3, propto_cap: int = 64, compact_cap: int = 64):
+        super().__init__(depth, propto_cap, compact_cap)
 
 
 def default_bounds() -> SearchBounds:

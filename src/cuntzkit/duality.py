@@ -119,8 +119,3 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
         for i in range(len(pcs))
     )
     return out
-
-
-def round_trip(u: geo.OpenSet) -> bool:
-    """Open set to indicator and back."""
-    return geo.sets_equal(lsc.supp(lsc.indicator(u)), u)

@@ -153,16 +153,3 @@ def rand_connected_target(rng: random.Random, sp: geo.SpaceDescriptor, allow_ful
     bin_ = b == L and rng.random() < 0.5
     raw[ci] = [(a, b, ain, bin_)]
     return geo.normalize(sp, raw)
-
-
-def rand_cover_pieces(rng: random.Random, sp: geo.SpaceDescriptor, target: geo.OpenSet, max_pieces: int = 5) -> list:
-    """Nonempty open pieces whose union contains the target."""
-    pieces = []
-    covered = geo.empty_set(sp)
-    for _ in range(rng.randint(1, max_pieces)):
-        p = rand_nonempty_open_set(rng, sp, max_intervals=3, full_bias=0.1)
-        pieces.append(p)
-        covered = geo.union(covered, p)
-    if not geo.subset(target, covered):
-        pieces.append(geo.full_set(sp) if rng.random() < 0.5 or geo.is_empty(target) else target)
-    return pieces

@@ -13,9 +13,9 @@ circles) and a constant 2 between points of different components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 
@@ -56,29 +56,76 @@ def frac_from_str(s, path: str = "$") -> Fraction:
     raise InputError(path, f"expected a rational 'p/q' string, got {type(s).__name__}")
 
 
-@dataclass(frozen=True)
-class Component:
-    kind: str
-    length: Fraction | None = None
+# Stores a field of a record, past the __setattr__ that refuses it.
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.kind not in ("arc", "circle", "point"):
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.kind == "point":
-            if self.length is not None:
+
+class Record:
+    """An immutable value whose fields are the names in `__slots__`.
+
+    Two records are equal when they have the same class and equal fields;
+    a record hashes by its fields and prints as `Name(field=value, ...)`.
+    The shared `__init__` takes every field by position; a subclass with
+    defaults, checks or many instances writes its own and stores each
+    field with `_set`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # The tuple of the fields, built at C speed to compare and hash by.
+        # Given one name, attrgetter returns the bare value, so wrap it.
+        cls._key = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Component(Record):
+    __slots__ = ("kind", "length")
+
+    def __init__(self, kind: str, length: Fraction | None = None):
+        if kind not in ("arc", "circle", "point"):
+            raise ValueError(f"unknown component kind {kind!r}")
+        if kind == "point":
+            if length is not None:
                 raise ValueError("point components have no length")
-        else:
-            if self.length is None or self.length <= 0:
-                raise ValueError("arc/circle components need a positive length")
+        elif length is None or length <= 0:
+            raise ValueError("arc/circle components need a positive length")
+        _set(self, "kind", kind)
+        _set(self, "length", length)
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    components: tuple[Component, ...]
+class SpaceDescriptor(Record):
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[Component, ...]):
+        if not components:
             raise ValueError("a space needs at least one component")
+        _set(self, "components", components)
 
 
 def space(*comps: Component) -> SpaceDescriptor:
@@ -331,16 +378,17 @@ def _rat(part: Part) -> tuple[Piece, ...]:
 Part = Union[tuple[int, tuple[Piece, ...]], bool]
 
 
-@dataclass(frozen=True)
-class OpenSet:
-    space: SpaceDescriptor
-    parts: tuple[Part, ...]
+class OpenSet(Record):
+    __slots__ = ("space", "parts")
+
+    def __init__(self, space: SpaceDescriptor, parts: tuple[Part, ...]):
+        _set(self, "space", space)
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class ClosedSet:
-    space: SpaceDescriptor
-    parts: tuple[Part, ...]
+class ClosedSet(Record):
+    __slots__ = ("space", "parts")
+    __init__ = OpenSet.__init__
 
 
 SetLike = Union[OpenSet, ClosedSet]

@@ -8,7 +8,7 @@ function is infinite. The represented function is
            #{k : x in P_k}  otherwise.
 
 Canonical form: every level contains V, and trailing levels equal to V are
-dropped, so equality of dataclasses is equality of functions. Addition is
+dropped, so equality of records is equality of functions. Addition is
 the level-set convolution; order, lattice operations, and the way-below
 relation are all computed structurally on levels.
 """
@@ -16,17 +16,20 @@ relation are all computed structurally on levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import geometry as geo
-from .geometry import InputError, OpenSet, SpaceDescriptor, frac
+from .geometry import InputError, OpenSet, Record, SpaceDescriptor, frac
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class LscElement:
-    space: SpaceDescriptor
-    levels: tuple[OpenSet, ...]
-    infinity: OpenSet
+class LscElement(Record):
+    __slots__ = ("space", "levels", "infinity")
+
+    def __init__(self, space: SpaceDescriptor, levels: tuple[OpenSet, ...], infinity: OpenSet):
+        _set(self, "space", space)
+        _set(self, "levels", levels)
+        _set(self, "infinity", infinity)
 
 
 def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) -> LscElement:
@@ -163,10 +166,6 @@ def scalar_mul(n: int, f: LscElement) -> LscElement:
         return zero(f.space)
     levels = [f.levels[(k + n - 1) // n - 1] for k in range(1, n * len(f.levels) + 1)]
     return _trusted(f.space, levels, f.infinity)
-
-
-def infinity_of(f: LscElement) -> LscElement:
-    return LscElement(f.space, (), supp(f))
 
 
 def scaled_below(f: LscElement, g: LscElement) -> bool:

@@ -4,15 +4,15 @@ Three rational models share one engine: the extended naturals (compact
 naturals plus a non-compact top), the half-line model that keeps a soft
 copy of every positive rational next to the compact naturals, and the
 same model extended by one extra compact atom sitting beside 1. A finite
-table model and a componentwise pair model round out the family, and
-function models on a space are wrapped so every model answers the same
-small protocol: order, addition, way-below, partial lattice operations,
-parsing and display, plus the hooks the property checkers need: the JSON
-form of an element (`to_json`), a half of a soft probe (`half`), sums
-pinched strictly between two elements (`sums_between`), decreasing
-decompositions of a compact element (`decompositions(c, parts_cap)`),
-a closed candidate pool (`closure`) and whether the neutral element is
-the least one (`zero_is_least`).
+table model rounds out the family, and function models on a space are
+wrapped so every model answers the same small protocol: order, addition,
+way-below, partial lattice operations, parsing and display, plus the
+hooks the property checkers need: the JSON form of an element
+(`to_json`), a half of a soft probe (`half`), sums pinched strictly
+between two elements (`sums_between`), decreasing decompositions of a
+compact element (`decompositions(c, parts_cap)`), a closed candidate
+pool (`closure`) and whether the neutral element is the least one
+(`zero_is_least`).
 
 Soft versus compact comparisons follow the rules: soft x <= compact n
 iff x <= n, compact n <= soft x iff n < x, and any sum with a soft
@@ -28,16 +28,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
 from . import lsc
-from .geometry import InputError, frac
+from .geometry import InputError, Record, frac
 
 
-@dataclass(frozen=True)
-class El:
+class El(Record):
     """One element of a rational model.
 
     kind "c" is a compact natural (value int), "s" a soft value (a
@@ -45,6 +43,7 @@ class El:
     atom beside 1 (value None).
     """
 
+    __slots__ = ("kind", "value")
     kind: str
     value: object
 
@@ -83,14 +82,14 @@ def _sort_key(x: El):
     return (1 if n is math.inf else 0, n if n is not math.inf else Fraction(0), "cts".index(x.kind))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Everything strictly pinched between two elements.
 
     compacts lists every compact in the window when complete is true;
     probes are sample soft members (never exhaustive).
     """
 
+    __slots__ = ("compacts", "complete", "probes")
     compacts: tuple
     complete: bool
     probes: tuple
@@ -444,87 +443,6 @@ class TableModel(_Ops):
         return list(self.elements())[:cap]
 
 
-class PairModel(_Ops):
-    """Componentwise direct sum of two models."""
-
-    kind = "pair"
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-        self.zero = (first.zero, second.zero)
-        self.zero_is_least = first.zero_is_least and second.zero_is_least
-
-    def le(self, a, b) -> bool:
-        return self.first.le(a[0], b[0]) and self.second.le(a[1], b[1])
-
-    def add(self, a, b):
-        return (self.first.add(a[0], b[0]), self.second.add(a[1], b[1]))
-
-    def wb(self, a, b) -> bool:
-        return self.first.wb(a[0], b[0]) and self.second.wb(a[1], b[1])
-
-    def is_compact(self, a) -> bool:
-        return self.first.is_compact(a[0]) and self.second.is_compact(a[1])
-
-    def join(self, a, b):
-        j1 = self.first.join(a[0], b[0])
-        j2 = self.second.join(a[1], b[1])
-        if j1 is None or j2 is None:
-            return None
-        return (j1, j2)
-
-    def meet(self, a, b):
-        m1 = self.first.meet(a[0], b[0])
-        m2 = self.second.meet(a[1], b[1])
-        if m1 is None or m2 is None:
-            return None
-        return (m1, m2)
-
-    def el_str(self, a) -> str:
-        return f"({self.first.el_str(a[0])}, {self.second.el_str(a[1])})"
-
-    def parse(self, s, path: str = "$"):
-        if not isinstance(s, list) or len(s) != 2:
-            raise InputError(path, "pair elements are two-entry lists")
-        return (self.first.parse(s[0], f"{path}[0]"), self.second.parse(s[1], f"{path}[1]"))
-
-    def sums_between(self, a, b, compact_cap: int = 64) -> Window:
-        w1 = self.first.sums_between(a[0], b[0], compact_cap)
-        w2 = self.second.sums_between(a[1], b[1], compact_cap)
-        compacts = tuple((c1, c2) for c1 in w1.compacts for c2 in w2.compacts)
-        probes = []
-        for p1 in w1.probes:
-            for c2 in w2.compacts + w2.probes:
-                probes.append((p1, c2))
-        for c1 in w1.compacts:
-            for p2 in w2.probes:
-                probes.append((c1, p2))
-        return Window(compacts, w1.complete and w2.complete, tuple(probes[:8]))
-
-    def decompositions(self, c, parts_cap: int = 4):
-        d1, f1 = self.first.decompositions(c[0], parts_cap)
-        d2, f2 = self.second.decompositions(c[1], parts_cap)
-        seen = set()
-        out = []
-        for t1 in d1:
-            for t2 in d2:
-                l = max(len(t1), len(t2))
-                p1 = t1 + (self.first.zero,) * (l - len(t1))
-                p2 = t2 + (self.second.zero,) * (l - len(t2))
-                tup = tuple(zip(p1, p2))
-                if tup not in seen:
-                    seen.add(tup)
-                    out.append(tup)
-        return out, f1 and f2
-
-    def closure(self, values, depth: int = 3, cap: int = 160):
-        c1 = self.first.closure([v[0] for v in values], depth, cap)
-        c2 = self.second.closure([v[1] for v in values], depth, cap)
-        out = [(a, b) for a in c1 for b in c2]
-        return out[:cap]
-
-
 class LscModel(_Ops):
     """Function-model wrapper so the checkers can treat a space uniformly."""
 
@@ -576,13 +494,6 @@ def embed_element(f: lsc.LscElement, target: geo.SpaceDescriptor, offset: int) -
     the element's components verbatim starting at the given offset."""
     levels = tuple(geo.embed(lv, target, offset) for lv in f.levels)
     return lsc.LscElement(target, levels, geo.embed(f.infinity, target, offset))
-
-
-def direct_sum(m1, m2):
-    """Componentwise direct sum; two function models merge their spaces."""
-    if getattr(m1, "kind", None) == "lsc" and getattr(m2, "kind", None) == "lsc":
-        return LscModel(geo.SpaceDescriptor(m1.space.components + m2.space.components))
-    return PairModel(m1, m2)
 
 
 def _bool_matrix(obj, n, path):

@@ -460,7 +460,7 @@ def almost_complement_capped(y, z):
     vz = lsc.indicator(z.infinity)
     if c2 != lsc.add(c1, vz):
         raise AssertionError("cap sequence failed to stabilize")
-    return lsc.add(c1, lsc.infinity_of(vz))
+    return lsc.add(c1, infinity_of(vz))
 
 
 # ---------------------------------------------------------------------------
@@ -658,3 +658,53 @@ def point_complement_grid(sp, ci, p=None):
             ivs.append((Q, Ln, False, True))
         raw.append((d, ivs))
     return geo.grid_set(sp, raw)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use.
+
+
+def rand_cover_pieces(rng, sp, target, max_pieces: int = 5) -> list:
+    """Nonempty open pieces whose union contains the target."""
+    pieces = []
+    covered = geo.empty_set(sp)
+    for _ in range(rng.randint(1, max_pieces)):
+        p = gen.rand_nonempty_open_set(rng, sp, max_intervals=3, full_bias=0.1)
+        pieces.append(p)
+        covered = geo.union(covered, p)
+    if not geo.subset(target, covered):
+        pieces.append(geo.full_set(sp) if rng.random() < 0.5 or geo.is_empty(target) else target)
+    return pieces
+
+
+def components_as_space(target):
+    """The connected components of an open set, viewed as an abstract space."""
+    from cuntzkit import chains
+
+    comps = []
+    for piece in geo.connected_components(target):
+        desc = chains._component_span(piece)
+        if desc is None:
+            comps.append(geo.circle(target.space.components[chains._home(piece)].length))
+        elif desc[1] is None:
+            comps.append(geo.point())
+        else:
+            a, _, b, _ = desc[1]
+            comps.append(geo.arc(b - a))
+    if not comps:
+        return None
+    return geo.space(*comps)
+
+
+def infinity_of(f):
+    """The element that is infinite exactly on the support of f."""
+    from cuntzkit import lsc
+
+    return lsc.LscElement(f.space, (), lsc.supp(f))
+
+
+def round_trip(u) -> bool:
+    """Open set to indicator and back."""
+    from cuntzkit import lsc
+
+    return geo.sets_equal(lsc.supp(lsc.indicator(u)), u)

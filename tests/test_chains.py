@@ -188,9 +188,9 @@ def test_deciders():
 def test_components_as_space():
     sp = geo.space(geo.arc(1), geo.circle(1), geo.point())
     t = geo.normalize(sp, [[(F(0), F("1/4")), (F("1/2"), F("3/4"))], "full", True])
-    got = chains.components_as_space(t)
+    got = oracles.components_as_space(t)
     assert got == geo.space(geo.arc(F("1/4")), geo.arc(F("1/4")), geo.circle(1), geo.point())
-    assert chains.components_as_space(geo.empty_set(sp)) is None
+    assert oracles.components_as_space(geo.empty_set(sp)) is None
 
 
 def test_witness_json_round_trip():
@@ -338,9 +338,9 @@ def test_refine_matches_decider(seed):
     rng = random.Random(seed)
     sp = gen.rand_space(rng)
     target = gen.rand_open_set(rng, sp, max_intervals=3, full_bias=0.2)
-    cover = chains.make_cover(gen.rand_cover_pieces(rng, sp, target))
+    cover = chains.make_cover(oracles.rand_cover_pieces(rng, sp, target))
     got = chains.refine_to_almost_chain(cover, target)
-    tspace = chains.components_as_space(target)
+    tspace = oracles.components_as_space(target)
     expect_ok = tspace is None or chains.decide_almost_chainable(tspace)
     if expect_ok:
         assert isinstance(got, chains.ChainWitness)
@@ -357,7 +357,7 @@ def test_chainable_implies_almost_chainable(seed):
     sp = gen.rand_space(rng)
     target = gen.rand_connected_target(rng, sp, allow_full_circle=True)
     if chains.decide_chainable(target):
-        tspace = chains.components_as_space(target)
+        tspace = oracles.components_as_space(target)
         assert tspace is None or chains.decide_almost_chainable(tspace)
 
 
@@ -368,7 +368,7 @@ def test_lebesgue_number_is_valid(seed):
     rng = random.Random(seed)
     sp = gen.rand_space(rng, max_components=2)
     full = geo.full_set(sp)
-    cover = chains.make_cover(gen.rand_cover_pieces(rng, sp, full))
+    cover = chains.make_cover(oracles.rand_cover_pieces(rng, sp, full))
     delta = chains.lebesgue_number(cover)
     assert delta > 0
     for ci, comp in enumerate(sp.components):

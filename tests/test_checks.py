@@ -91,13 +91,6 @@ def test_refinable_lsc_witness_revalidates():
     assert len(rows) == 2
 
 
-def test_refinable_pair_model():
-    p = models.PairModel(Z, Z)
-    xs = [(compact(1), compact(1)), (compact(2), compact(2)), (compact(4), compact(5))]
-    v = checks.check_refinable_sums(p, xs, xs)
-    assert v.kind == "witness"
-
-
 @given(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_refinable_z_compact_instances_always_refine(a, d1, d2):

@@ -700,7 +700,7 @@ def _fuzz_instance(verb, model, rng, sp):
         w = chains.epsilon_chain(target, F(1, 4))
         return {"witness": chains.witness_to_json(w), "target": geo.set_to_json(target),
                 "cover": chains.cover_to_json(chains.make_cover(w.pieces))}
-    cover = chains.make_cover(gen.rand_cover_pieces(rng, sp, target))
+    cover = chains.make_cover(oracles.rand_cover_pieces(rng, sp, target))
     return {"target": geo.set_to_json(target), "cover": chains.cover_to_json(cover),
             "eps": rng.choice(["1/2", "1/4", "1/8"])}
 

@@ -152,9 +152,9 @@ def test_topology_laws_family_and_empty():
 
 def test_round_trip_identity():
     u = geo.normalize(MIXED, [[(F(0), F(1, 3))], [(F(1, 2), F(5, 2))], True])
-    assert duality.round_trip(u)
-    assert duality.round_trip(geo.empty_set(MIXED))
-    assert duality.round_trip(geo.full_set(MIXED))
+    assert oracles.round_trip(u)
+    assert oracles.round_trip(geo.empty_set(MIXED))
+    assert oracles.round_trip(geo.full_set(MIXED))
 
 
 @given(st.integers(0, 10 ** 6))

@@ -8,14 +8,19 @@ alone, it never probes a model with `getattr`, and only
 `check_refinable_sums` reads `model.kind`, to pick the constructive
 route. Every annotation in the package must also resolve, so tools that
 read them see real names, and `geometry.py` stays below the size at
-which compiling it takes a step more memory.
+which compiling it takes a step more memory. A CLI process imports no
+more of the standard library than it needs: no module uses
+`dataclasses`, and importing the CLI loads neither it, `inspect` nor
+`hashlib`.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 import tokenize
 import typing
@@ -163,3 +168,45 @@ def test_geometry_stays_below_the_compile_memory_step():
     with open(PKG / "geometry.py", encoding="utf-8") as fh:
         n = sum(1 for t in tokenize.generate_tokens(fh.readline) if t.type not in (tokenize.COMMENT, tokenize.NL))
     assert n < 8192, f"geometry.py has {n} tokens, at or past the compile-memory step at 8,192"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the figures are those of Python 3.11")
+@pytest.mark.parametrize("name, limit_kib", [("geometry", 3000), ("checks", 2400)])
+def test_compile_peak_stays_below_its_spikes(name, limit_kib):
+    # Below the step, single sizes spike: appending `x = 1` lines to
+    # geometry.py compiled at about 2,730-2,890 KiB except at one length,
+    # 3,170 KiB; checks.py at about 2,170-2,200 KiB except at one, 2,605.
+    # The figure is a fresh interpreter's tracemalloc peak around compile().
+    code = (
+        "import sys, tracemalloc\n"
+        "source = open(sys.argv[1], encoding='utf-8').read()\n"
+        "tracemalloc.start()\n"
+        "compile(source, sys.argv[1], 'exec')\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(PKG / f"{name}.py")],
+                         capture_output=True, text=True, check=True).stdout
+    peak_kib = int(out) / 1024
+    assert peak_kib < limit_kib, f"compiling {name}.py peaks at {peak_kib:.0f} KiB"
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n and n.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    # -S keeps site-packages hooks, which may import anything, out of the count.
+    code = "import sys, cuntzkit.cli; print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

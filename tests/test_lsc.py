@@ -137,11 +137,11 @@ def test_almost_complement_examples():
 
 def test_infinity_examples():
     f = chi((F(0), F("1/2")))
-    assert lsc.infinity_of(f).infinity == geo.normalize(ARC, [[(F(0), F("1/2"))]])
+    assert oracles.infinity_of(f).infinity == geo.normalize(ARC, [[(F(0), F("1/2"))]])
     x = lsc.add(lsc.scalar_mul(2, chi((F(0), F("1/2")))), chi((F("1/4"), F("3/4"))))
     e = lsc.unit(ARC)
-    assert lsc.infinity_of(x) == lsc.infinity_of(lsc.meet(x, e))
-    assert lsc.infinity_of(x).infinity == geo.normalize(ARC, [[(F(0), F("3/4"))]])
+    assert oracles.infinity_of(x) == oracles.infinity_of(lsc.meet(x, e))
+    assert oracles.infinity_of(x).infinity == geo.normalize(ARC, [[(F(0), F("3/4"))]])
 
 
 def test_json_round_trip_fixed():

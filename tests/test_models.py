@@ -238,28 +238,6 @@ def test_table_decompositions_cap():
     assert (2,) in decs and (1, 1) in decs
 
 
-def test_pair_model_componentwise():
-    p = models.PairModel(Z, ZP)
-    a = (compact(1), TWIN)
-    b = (compact(2), compact(2))
-    assert p.le(a, b)
-    assert p.add(a, a) == (compact(2), compact(2))
-    assert p.wb((soft(F(1, 2)), compact(0)), (compact(1), compact(1)))
-    assert p.el_str(a) == "(1, 1'')"
-    assert p.parse(["1", "1''"]) == a
-    with pytest.raises(InputError):
-        p.parse(["1", "2", "3"])
-
-
-def test_pair_decompositions_pad_to_common_length():
-    p = models.PairModel(Z, Z)
-    decs, complete = p.decompositions((compact(2), compact(1)))
-    assert complete
-    for d in decs:
-        s = p.sum(d)
-        assert s == (compact(2), compact(1))
-
-
 ARC = geo.space(geo.arc(1))
 
 
@@ -291,7 +269,6 @@ def test_every_model_answers_the_checker_protocol():
         (ZP, rational + [TWIN]),
         (NBAR, [compact(0), compact(2), soft(None)]),
         (t, list(t.elements())),
-        (models.PairModel(Z, t), [(soft(F(3, 2)), 1), (compact(1), 3)]),
         (lm, [lm.zero, chi((F(0), F(1, 2))), lsc.scalar_mul(2, lsc.unit(ARC))]),
     ]
     for model, els in cases:
@@ -303,14 +280,6 @@ def test_every_model_answers_the_checker_protocol():
                 assert model.add(h, h) == e
             else:
                 assert h is None
-    pair = models.PairModel(t, t)
-    for cap in (1, 2, 3):
-        decs, complete = pair.decompositions((3, 2), cap)
-        d1, f1 = t.decompositions(3, cap)
-        d2, f2 = t.decompositions(2, cap)
-        assert complete == (f1 and f2)
-        assert max(map(len, decs)) == max(map(len, d1 + d2)) <= cap
-        assert len(decs) == len(d1) * len(d2)
 
 
 def test_embed_element_offsets():
@@ -323,16 +292,6 @@ def test_embed_element_offsets():
     assert lsc.eval_at(lifted2, 1, F(1, 4)) == 1
     with pytest.raises(geo.SpaceMismatchError):
         models.embed_element(a, two, 2)
-
-
-def test_direct_sum_kinds():
-    m1 = models.LscModel(ARC)
-    m2 = models.LscModel(geo.space(geo.circle(1)))
-    s = models.direct_sum(m1, m2)
-    assert s.kind == "lsc"
-    assert len(s.space.components) == 2
-    p = models.direct_sum(Z, ZP)
-    assert p.kind == "pair"
 
 
 def test_load_model_selectors(tmp_path):
