@@ -12,6 +12,7 @@ is provided as independent evidence for negative answers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import geometry as geo
 from .geometry import InputError, OpenSet, Record, SpaceDescriptor, frac
@@ -38,6 +39,13 @@ class Impossible(Record):
 
 # The most pieces epsilon_chain builds; it builds 2 * (len // eps + 1) - 1.
 MAX_CHAIN_PIECES = 100_000
+# The most terms checks.check_almost_ordered_sums takes: it walks every
+# subset of them, about 1.8 times the time per extra term.
+MAX_ALMOST_ORDERED_TERMS = 16
+# The most cover traces on one whole circle that
+# checks.check_weak_chainability takes: its three-piece stage tries every
+# triple of them.
+MAX_CIRCLE_TRACES = 40
 
 
 class ChainTooLargeError(ValueError):
@@ -204,15 +212,21 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
         raise ChainTooLargeError(
             f"eps {eps} needs {2 * n - 1} pieces, more than the cap of {MAX_CHAIN_PIECES}"
         )
-    w = length / n
+    # Window i runs from a + i*h to a + (i + 2)*h, h = length / 2n. At the
+    # scale d every such end is the integer A + k*H, so the windows are
+    # built on `grid_set`'s integer grid with no Fraction arithmetic.
+    h = length / (2 * n)
+    d = lcm(sp.components[ci].length.denominator, a.denominator, h.denominator)
+    A, H = a.numerator * (d // a.denominator), h.numerator * (d // h.denominator)
+    raw = [False if c.kind == "point" else (c.length.denominator, ()) for c in sp.components]
+    last = 2 * n - 2
     pieces = []
-    for i in range(2 * n - 1):
-        lo = a + i * w / 2
-        hi = lo + w
-        lo_in = a_in if i == 0 else False
-        hi_in = b_in if i == 2 * n - 2 else False
-        pieces.append(geo.component_set(sp, ci, (lo, lo_in, hi, hi_in)))
-    return ChainWitness("chain", tuple(pieces), mesh_of(pieces), (0,) * len(pieces))
+    for i in range(last + 1):
+        lo = A + i * H
+        raw[ci] = (d, ((lo, lo + 2 * H, a_in and i == 0, b_in and i == last),))
+        pieces.append(geo.grid_set(sp, raw))
+    # The windows are congruent, so one diameter is the mesh.
+    return ChainWitness("chain", tuple(pieces), geo.diameter(pieces[0]), (0,) * len(pieces))
 
 
 def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
@@ -436,11 +450,16 @@ def grid_arc_mask(start: int, cells: int, points: int, cyclic: bool) -> int:
 
 def _chain_dfs(masks, roots, full):
     """The first chain, as indices into masks, that starts at a root and
-    whose masks cover full; None when there is none."""
+    whose masks cover full; None when there is none.
+
+    Each node walks the precomputed list of the masks that meet its last
+    piece, in the order of masks, so the first chain found is the one a
+    walk over every mask would find."""
     # The future of a partial chain depends only on the union of the earlier
     # pieces (which new pieces must avoid) and on the last piece (which the
     # next one must meet), so that pair is the memo key.
     seen = set()
+    meets = [[c for c, cand in enumerate(masks) if cand & m] for m in masks]
 
     def dfs(chain, earlier):
         last = masks[chain[-1]]
@@ -451,8 +470,12 @@ def _chain_dfs(masks, roots, full):
         if k in seen:
             return None
         seen.add(k)
-        for c, cand in enumerate(masks):
-            if not cand & last or cand & earlier:
+        for c in meets[chain[-1]]:
+            cand = masks[c]
+            # A candidate inside cur avoids earlier, so it lies inside last,
+            # and is a dead end: cur still misses part of full, and a next
+            # piece would have to meet it while avoiding cur, which holds it.
+            if cand & earlier or not cand & ~cur:
                 continue
             got = dfs(chain + [c], cur)
             if got is not None:

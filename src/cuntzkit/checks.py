@@ -374,21 +374,13 @@ def _find_violation(model, xs, D, pool):
                     if not all(model.le(xs[j], z) for j in J):
                         continue
                     if not model.le(xp, D[r - 1]):
-                        return {
-                            "r": r,
-                            "subset": list(J),
-                            "xp": model.to_json(xp),
-                            "z": model.to_json(z),
-                            "broken": "lower",
-                        }
-                    if not model.le(D[n - r], z):
-                        return {
-                            "r": r,
-                            "subset": list(J),
-                            "xp": model.to_json(xp),
-                            "z": model.to_json(z),
-                            "broken": "upper",
-                        }
+                        broken = "lower"
+                    elif not model.le(D[n - r], z):
+                        broken = "upper"
+                    else:
+                        continue
+                    return {"r": r, "subset": list(J), "xp": model.to_json(xp),
+                            "z": model.to_json(z), "broken": broken}
     return None
 
 
@@ -398,6 +390,8 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     n = len(xs)
     if n == 0:
         raise InputError("$.xs", "need at least one term")
+    if n > chains.MAX_ALMOST_ORDERED_TERMS:
+        raise InputError("$.xs", f"{n} terms, more than the cap of {chains.MAX_ALMOST_ORDERED_TERMS}")
     log = []
     if n == 1:
         return PropertyVerdict(
@@ -542,6 +536,11 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
             tr = geo.restrict(lsc.supp(t), ci)
             if not geo.is_empty(tr):
                 traces.append(tr)
+        if len(traces) > chains.MAX_CIRCLE_TRACES:
+            raise InputError(
+                "$.ys", f"{len(traces)} cover elements meet circle component {ci}, "
+                f"more than the cap of {chains.MAX_CIRCLE_TRACES}"
+            )
         block = _circle_block_search(space, ci, traces, bounds, log)
         if block is None:
             log.append(
@@ -670,6 +669,32 @@ def _scan(found) -> dict:
     return _ax("pass", cases)
 
 
+def _o5_cases(els, le, add, name):
+    """The cases of o5 in order, decided on bitsets over positions in els:
+    up[s] holds the z with s <= z and down[t] the z with z <= t, so the z
+    that some c puts between xp + c and x + c are the bits of the OR over c
+    of up[xp + c] & down[x + c]."""
+    up, down = {}, {}
+    for s in els:
+        up[s] = down[s] = 0
+    for i, z in enumerate(els):
+        for s in els:
+            if le(s, z):
+                up[s] |= 1 << i
+            if le(z, s):
+                down[s] |= 1 << i
+    for xp in els:
+        for x in els:
+            if not le(xp, x):
+                continue
+            good = 0
+            for c in els:
+                good |= up[add(xp, c)] & down[add(x, c)]
+            for i, z in enumerate(els):
+                if le(x, z):
+                    yield None if good >> i & 1 else {"xp": name(xp), "x": name(x), "z": name(z)}
+
+
 def check_axioms(table) -> dict:
     els = list(table.elements())
     le, add, name = table.le, table.add, table.el_str
@@ -678,11 +703,7 @@ def check_axioms(table) -> dict:
         None if le(add(x, z), add(y, z)) else {"x": name(x), "y": name(y), "z": name(z)}
         for x in els for y in els if le(x, y) for z in els
     )
-    report["o5"] = _scan(
-        None if any(le(add(xp, c), z) and le(z, add(x, c)) for c in els)
-        else {"xp": name(xp), "x": name(x), "z": name(z)}
-        for xp in els for x in els if le(xp, x) for z in els if le(x, z)
-    )
+    report["o5"] = _scan(_o5_cases(els, le, add, name))
     report["weak_cancellation"] = _scan(
         {"x": name(x), "y": name(y), "z": name(z)}
         if le(add(x, z), add(y, z)) and not le(x, y) else None

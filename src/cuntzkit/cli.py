@@ -262,7 +262,7 @@ def cmd_chains_epsilon_chain(args) -> int:
     except ValueError as exc:
         raise InputError("$.target", str(exc))
     _emit({"chainable": True, "witness": chains.witness_to_json(w),
-           "mesh": geo.frac_to_str(chains.mesh_of(w.pieces))})
+           "mesh": geo.frac_to_str(w.mesh)})
     return EXIT_OK
 
 

@@ -198,6 +198,45 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
     return None
 
 
+def epsilon_chain(target, eps):
+    """`chains.epsilon_chain` with Fraction window ends, one
+    `component_set` per window and the mesh measured over every window."""
+    from cuntzkit import chains
+
+    eps = geo.frac(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    comps = geo.connected_components(target)
+    if not comps:
+        return chains.ChainWitness("chain", (), Fraction(0), ())
+    if len(comps) > 1:
+        raise ValueError("disconnected target; refine to an almost chain instead")
+    desc = chains._component_span(comps[0])
+    if desc is None:
+        raise chains.NotChainableError("a whole circle admits no chain cover of small mesh")
+    ci, span = desc
+    sp = target.space
+    if span is None:
+        piece = geo.component_set(sp, ci)
+        return chains.ChainWitness("chain", (piece,), Fraction(0), (0,))
+    a, a_in, b, b_in = span
+    length = b - a
+    n = length // eps + 1
+    if 2 * n - 1 > chains.MAX_CHAIN_PIECES:
+        raise chains.ChainTooLargeError(
+            f"eps {eps} needs {2 * n - 1} pieces, more than the cap of {chains.MAX_CHAIN_PIECES}"
+        )
+    w = length / n
+    pieces = []
+    for i in range(2 * n - 1):
+        lo = a + i * w / 2
+        hi = lo + w
+        lo_in = a_in if i == 0 else False
+        hi_in = b_in if i == 2 * n - 2 else False
+        pieces.append(geo.component_set(sp, ci, (lo, lo_in, hi, hi_in)))
+    return chains.ChainWitness("chain", tuple(pieces), chains.mesh_of(pieces), (0,) * len(pieces))
+
+
 def circle_block_search(space, ci, traces, bounds, log):
     import itertools
 

@@ -63,6 +63,74 @@ def test_epsilon_chain_disconnected_rejected():
         chains.epsilon_chain(target, F("1/3"))
 
 
+ODD_LENGTHS = (F(1), F(3, 7), F(5, 3), F(9, 5), F(11, 9))
+
+
+def _epsilon_targets(rng):
+    """Seeded (kind, target) pairs: random connected targets (points and
+    whole circles among them), arcs with closed ends, circle arcs through
+    the seam and circles minus a point, on lengths with odd denominators;
+    then disconnected and empty targets."""
+    for _ in range(2000):
+        L = rng.choice(ODD_LENGTHS)
+        q = rng.choice((2, 3, 5, 7, 9))
+        kind = rng.choice(("random", "arc", "seam", "minus_point"))
+        if kind == "random":
+            sp = gen.rand_space(rng, max_components=3)
+            yield kind, gen.rand_connected_target(rng, sp, allow_full_circle=True)
+        elif kind == "arc":
+            sp = geo.space(geo.point(), geo.arc(L))
+            i = rng.randrange(q)
+            j = rng.randrange(i, q)
+            a, b = L * F(i, q), L * F(j + 1, q)
+            ends = (a == 0 and rng.random() < 0.7, b == L and rng.random() < 0.7)
+            yield kind, geo.normalize(sp, [False, [(a, b) + ends]])
+        else:
+            sp = geo.space(geo.circle(L), geo.arc(1))
+            if kind == "minus_point":
+                a = L * F(rng.randrange(q), q)
+                b = a + L
+            else:
+                # Starts inside the circle and ends past L, short of a.
+                a = L * F(rng.randint(1, 2 * q - 1), 2 * q)
+                b = L + a * F(rng.randint(1, q), q + 1)
+            yield kind, geo.normalize(sp, [[(a, b)], []])
+    for _ in range(30):
+        yield "disconnected", arcset((F(0), F(1, 4)), (F(1, 2), F(rng.randint(5, 8), 8)))
+    yield "empty", geo.empty_set(CIRCLE)
+
+
+def _epsilon_outcome(build, target, eps):
+    try:
+        return build(target, eps)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_epsilon_chain_matches_the_fraction_oracle():
+    rng = random.Random(1212)
+    kinds, errors, most = set(), set(), 0
+    for kind, target in _epsilon_targets(rng):
+        r = rng.random()
+        if r < 0.86:
+            eps = F(rng.randint(1, 24), rng.choice((3, 7, 12, 25)))
+        elif r < 0.95:
+            # Up to a few hundred windows.
+            eps = F(1, rng.randint(40, 150))
+        else:
+            eps = rng.choice((F(1, 10**7), F(0), F(-1, 3)))
+        got = _epsilon_outcome(chains.epsilon_chain, target, eps)
+        assert got == _epsilon_outcome(oracles.epsilon_chain, target, eps), (kind, target, eps)
+        kinds.add(kind)
+        if isinstance(got, tuple):
+            errors.add(got[0])
+        else:
+            most = max(most, len(got.pieces))
+    assert kinds == {"random", "arc", "seam", "minus_point", "disconnected", "empty"}
+    assert errors == {ValueError, chains.NotChainableError, chains.ChainTooLargeError}
+    assert most >= 300
+
+
 def test_verify_witness_rejects_swapped_pieces():
     target = geo.full_set(ARC)
     cover = chains.make_cover([target])
@@ -254,6 +322,12 @@ def test_grid_search_matches_the_openset_oracle():
             assert got == oracles.exhaustive_chain_search(target, eps, depth), (target, eps, depth)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+    # The benchmark's two instances, at its depths.
+    for target, eps, depth, found in ((geo.full_set(CIRCLE), F(1, 2), 4, False),
+                                      (arcset((F(0), F(1), True, True)), F(1, 8), 5, True)):
+        got = chains.exhaustive_chain_search(target, eps, depth)
+        assert got == oracles.exhaustive_chain_search(target, eps, depth)
+        assert (got is not None) == found
 
 
 def _sweep_cases(rng):

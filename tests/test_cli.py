@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 from fractions import Fraction as F
 
@@ -575,6 +576,30 @@ def test_instance_errors_name_the_field_in_the_instance_file(capsys, arc_file, t
     f = write_json(tmp_path, "i.json", inst)
     space = ["-s", arc_file] if argv == ["weak-chain"] else []
     assert run(capsys, ["check", *argv, *space, "--instance", f]) == (2, "", f"error: {path}: {reason}\n")
+
+
+def _evenly_spaced_arcs(k):
+    """k arcs of length 3/10 around the unit circle: no three cover it."""
+    return [lsc.element_to_json(chi((F(i, k), F(i, k) + F(3, 10)), sp=CIRCLE)) for i in range(k)]
+
+
+@pytest.mark.parametrize("argv, inst, path, reason", [
+    (["almost-ordered", "--model", "z"],
+     {"xs": [str(i) for i in range(1, chains.MAX_ALMOST_ORDERED_TERMS + 2)]}, "$.xs",
+     f"{chains.MAX_ALMOST_ORDERED_TERMS + 1} terms, more than the cap of {chains.MAX_ALMOST_ORDERED_TERMS}"),
+    (["weak-chain"],
+     {"x": lsc.element_to_json(lsc.unit(CIRCLE)), "y": lsc.element_to_json(lsc.unit(CIRCLE)),
+      "ys": _evenly_spaced_arcs(chains.MAX_CIRCLE_TRACES + 1)}, "$.ys",
+     f"{chains.MAX_CIRCLE_TRACES + 1} cover elements meet circle component 0, "
+     f"more than the cap of {chains.MAX_CIRCLE_TRACES}"),
+], ids=["almost-ordered", "weak-chain"])
+def test_over_the_cap_instances_exit_2_at_once(capsys, circle_file, tmp_path, argv, inst, path, reason):
+    f = write_json(tmp_path, "i.json", inst)
+    space = ["-s", circle_file] if argv == ["weak-chain"] else []
+    t0 = time.perf_counter()
+    got = run(capsys, ["check", *argv, *space, "--instance", f])
+    assert time.perf_counter() - t0 < 1
+    assert got == (2, "", f"error: {path}: {reason}\n")
 
 
 def test_check_axioms_rejects_non_table(capsys):

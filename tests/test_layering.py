@@ -190,6 +190,28 @@ def test_compile_peak_stays_below_its_spikes(name, limit_kib):
     assert peak_kib < limit_kib, f"compiling {name}.py peaks at {peak_kib:.0f} KiB"
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the figures are those of Python 3.11")
+def test_grid_search_memory_stays_small():
+    # The whole-circle search of the benchmark, at its depth, peaks at about
+    # 300 KiB. The DFS keeps one list of mask indices per mask: (index,
+    # mask) pairs there peaked at about 650 KiB, the same lists without the
+    # dead-end rule at 480, and a walk over every mask at 425.
+    code = (
+        "import tracemalloc\n"
+        "from fractions import Fraction\n"
+        "from cuntzkit import chains, geometry as geo\n"
+        "full = geo.full_set(geo.space(geo.circle(1)))\n"
+        "chains.exhaustive_chain_search(full, Fraction(1, 2), depth=4)\n"
+        "tracemalloc.start()\n"
+        "chains.exhaustive_chain_search(full, Fraction(1, 2), depth=4)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    peak_kib = int(out) / 1024
+    assert peak_kib < 420, f"the depth-4 circle search peaks at {peak_kib:.0f} KiB"
+
+
 def test_no_module_imports_dataclasses():
     found = []
     for path in sorted(PKG.glob("*.py")):
