@@ -263,12 +263,6 @@ def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
                 raise ValueError("cover leaves part of the target uncovered")
             if None not in es:
                 vals.append(max(es) - b)
-        elif b == lo:
-            es = [esc(d, din) for (c, _, d, din) in intervals if c == lo and d > lo]
-            if not es:
-                raise ValueError("cover leaves part of the target uncovered")
-            if None not in es:
-                vals.append(max(es) - b)
         prev = b
     if not vals:
         return None
@@ -455,35 +449,38 @@ def _chain_dfs(masks, roots, full):
     Each node walks the precomputed list of the masks that meet its last
     piece, in the order of masks, so the first chain found is the one a
     walk over every mask would find."""
+    seen = set()
+    meets = [[c for c, cand in enumerate(masks) if cand & m] for m in masks]
+    for root in roots:
+        got = _extend_chain([root], 0, masks, meets, full, seen)
+        if got is not None:
+            return got
+    return None
+
+
+def _extend_chain(chain, earlier, masks, meets, full, seen):
+    """The first completion of a partial chain whose earlier pieces have the
+    union mask earlier, or None. A plain function, not a closure, so the
+    memo dies with the search instead of waiting for the cyclic collector."""
     # The future of a partial chain depends only on the union of the earlier
     # pieces (which new pieces must avoid) and on the last piece (which the
     # next one must meet), so that pair is the memo key.
-    seen = set()
-    meets = [[c for c, cand in enumerate(masks) if cand & m] for m in masks]
-
-    def dfs(chain, earlier):
-        last = masks[chain[-1]]
-        cur = earlier | last
-        if not full & ~cur:
-            return chain
-        k = (earlier, last)
-        if k in seen:
-            return None
-        seen.add(k)
-        for c in meets[chain[-1]]:
-            cand = masks[c]
-            # A candidate inside cur avoids earlier, so it lies inside last,
-            # and is a dead end: cur still misses part of full, and a next
-            # piece would have to meet it while avoiding cur, which holds it.
-            if cand & earlier or not cand & ~cur:
-                continue
-            got = dfs(chain + [c], cur)
-            if got is not None:
-                return got
+    last = masks[chain[-1]]
+    cur = earlier | last
+    if not full & ~cur:
+        return chain
+    k = (earlier, last)
+    if k in seen:
         return None
-
-    for root in roots:
-        got = dfs([root], 0)
+    seen.add(k)
+    for c in meets[chain[-1]]:
+        cand = masks[c]
+        # A candidate inside cur avoids earlier, so it lies inside last,
+        # and is a dead end: cur still misses part of full, and a next
+        # piece would have to meet it while avoiding cur, which holds it.
+        if cand & earlier or not cand & ~cur:
+            continue
+        got = _extend_chain(chain + [c], cur, masks, meets, full, seen)
         if got is not None:
             return got
     return None

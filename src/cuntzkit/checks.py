@@ -11,7 +11,6 @@ are echoed so a caller can retry with larger ones.
 from __future__ import annotations
 
 import itertools
-import os
 
 from . import chains
 from . import geometry as geo
@@ -38,15 +37,15 @@ class SearchBounds(Record):
         super().__init__(depth, propto_cap, compact_cap)
 
 
-def default_bounds() -> SearchBounds:
-    depth = 3
-    env = os.environ.get("CUNTZKIT_MAX_DEPTH")
-    if env is not None:
-        try:
-            depth = max(1, int(env))
-        except ValueError:
-            raise InputError("$.env.CUNTZKIT_MAX_DEPTH", f"not an integer: {env!r}")
-    return SearchBounds(depth=depth)
+def _inconclusive(bounds: SearchBounds, log) -> PropertyVerdict:
+    data = {"depth": bounds.depth, "propto_cap": bounds.propto_cap, "compact_cap": bounds.compact_cap}
+    return PropertyVerdict("inconclusive", {"bounds": data}, tuple(log))
+
+
+def _require(ok_why) -> None:
+    """Raise on a failed (ok, why) from a witness validator."""
+    if not ok_why[0]:
+        raise AssertionError(ok_why[1])
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def _require_least_zero(model):
 
 def check_refinable_sums(model, xs, xps, bounds: SearchBounds | None = None) -> PropertyVerdict:
     _require_least_zero(model)
-    bounds = bounds or default_bounds()
+    bounds = bounds or SearchBounds()
     n = len(xs)
     if n == 0 or len(xps) != n:
         raise InputError("$.xps", "need equally many xs and xps, at least one each")
@@ -137,20 +136,20 @@ def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
         rows.append(tuple(row) if row else (model.zero,))
         log.append(f"row {i}: level indicators of an interpolant between x[{i}] and x[{i + 1}]")
     rows = _padded(model, rows)
-    ok, why = _validate_refinable(model, xs, xps, rows)
-    if not ok:
-        raise AssertionError(why)
+    _require(_validate_refinable(model, xs, xps, rows))
     data = {"rows": [[model.to_json(e) for e in row] for row in rows]}
     return PropertyVerdict("witness", data, tuple(log))
 
 
 def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
-    n = len(xs)
+    # A row is exhausted when its window is complete, has no probes and
+    # every decomposition list is complete: its candidates then hold every
+    # row that sums into the window.
     log = []
-    windows = []
-    for r in range(n - 1):
+    cand_rows = []
+    exhausted = []
+    for r in range(len(xs) - 1):
         w = model.sums_between(xs[r], xs[r + 1], bounds.compact_cap)
-        windows.append(w)
         line = (
             f"row {r} sums are pinched between {model.el_str(xs[r])} and "
             f"{model.el_str(xs[r + 1])}: compact members "
@@ -161,13 +160,6 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
         if w.probes:
             line += "; soft probes [" + ", ".join(model.el_str(p) for p in w.probes) + "]"
         log.append(line)
-
-    # A row is exhausted when its window is complete, has no probes and
-    # every decomposition list is complete: its candidates then hold every
-    # row that sums into the window.
-    cand_rows = []
-    exhausted = []
-    for w in windows:
         cands = []
         full_row = w.complete and not w.probes
         for c in w.compacts:
@@ -188,23 +180,13 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
 
     found, searched_all = _assign_rows(model, xs, xps, cand_rows)
     if found is not None:
-        ok, why = _validate_refinable(model, xs, xps, found)
-        if not ok:
-            raise AssertionError(why)
+        _require(_validate_refinable(model, xs, xps, found))
         log.append("assembled rows from decompositions of the pinched sums")
         data = {"rows": [[model.to_json(e) for e in row] for row in found]}
         return PropertyVerdict("witness", data, tuple(log))
     if all(exhausted) and searched_all:
         log.append("every decomposition assignment violates a clause")
-        return PropertyVerdict(
-            "counterexample",
-            {
-                "reason": "no admissible rows exist",
-                "xs": [model.to_json(x) for x in xs],
-                "xps": [model.to_json(x) for x in xps],
-            },
-            tuple(log),
-        )
+        return _refuted(model, xs, xps, log, "no admissible rows exist")
 
     if exhausted[0]:
         verdict = _forced_refutation(model, xs, xps, cand_rows[0], log)
@@ -212,7 +194,17 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
             return verdict
 
     log.append("bounded search exhausted without a decision")
-    return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
+    return _inconclusive(bounds, log)
+
+
+def _refuted(model, xs, xps, log, reason, forced=None) -> PropertyVerdict:
+    """A refinable-sums counterexample: the reason, the forced leading
+    terms if any, and the instance."""
+    data = {"reason": reason, "xs": [model.to_json(x) for x in xs],
+            "xps": [model.to_json(x) for x in xps]}
+    if forced is not None:
+        data["forced"] = [model.to_json(c) for c in forced]
+    return PropertyVerdict("counterexample", data, tuple(log))
 
 
 def _forced_refutation(model, xs, xps, rows0, log):
@@ -232,15 +224,7 @@ def _forced_refutation(model, xs, xps, rows0, log):
             firsts.append(row[0])
     if not firsts:
         log.append("no decomposition of the row 0 sums has an admissible leading term")
-        return PropertyVerdict(
-            "counterexample",
-            {
-                "reason": "no admissible leading term for row 0",
-                "xs": [model.to_json(x) for x in xs],
-                "xps": [model.to_json(x) for x in xps],
-            },
-            tuple(log),
-        )
+        return _refuted(model, xs, xps, log, "no admissible leading term for row 0")
     if n < 3:
         return None
     if not all(model.is_compact(c) for c in firsts):
@@ -257,16 +241,8 @@ def _forced_refutation(model, xs, xps, rows0, log):
         feasible_any = feasible_any or feasible
     if feasible_any:
         return None
-    return PropertyVerdict(
-        "counterexample",
-        {
-            "reason": "every admissible leading term of row 0 blocks the head of row 1",
-            "forced": [model.to_json(c) for c in firsts],
-            "xs": [model.to_json(x) for x in xs],
-            "xps": [model.to_json(x) for x in xps],
-        },
-        tuple(log),
-    )
+    return _refuted(model, xs, xps, log,
+                    "every admissible leading term of row 0 blocks the head of row 1", firsts)
 
 
 def _assign_rows(model, xs, xps, cand_rows):
@@ -386,7 +362,7 @@ def _find_violation(model, xs, D, pool):
 
 def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> PropertyVerdict:
     _require_least_zero(model)
-    bounds = bounds or default_bounds()
+    bounds = bounds or SearchBounds()
     n = len(xs)
     if n == 0:
         raise InputError("$.xs", "need at least one term")
@@ -415,12 +391,12 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     total = model.sum(xs)
     if not model.is_compact(total):
         log.append("the sum is not compact, so exact decompositions do not exhaust the witnesses")
-        return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
+        return _inconclusive(bounds, log)
     try:
         decs, complete = model.decompositions(total, n)
     except ValueError:
         log.append("the sum is too large to enumerate decompositions")
-        return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
+        return _inconclusive(bounds, log)
     cands = []
     for d in decs:
         if len(d) <= n:
@@ -442,7 +418,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
                 "a decomposition resists both refutation and certification: "
                 + ", ".join(model.el_str(t) for t in D)
             )
-            return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
+            return _inconclusive(bounds, log)
         records.append({"terms": [model.to_json(t) for t in D], "violation": viol})
         side = "lower" if viol["broken"] == "lower" else "upper"
         log.append(
@@ -452,20 +428,12 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
         )
     if not complete:
         log.append("decomposition enumeration was truncated")
-        return PropertyVerdict("inconclusive", {"bounds": _bounds_json(bounds)}, tuple(log))
+        return _inconclusive(bounds, log)
     return PropertyVerdict(
         "counterexample",
         {"sum": model.to_json(total), "decompositions": records},
         tuple(log),
     )
-
-
-def _bounds_json(bounds: SearchBounds) -> dict:
-    return {
-        "depth": bounds.depth,
-        "propto_cap": bounds.propto_cap,
-        "compact_cap": bounds.compact_cap,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +463,7 @@ def _validate_weak_chain(x, y, ys, xp, zs):
 
 
 def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None) -> PropertyVerdict:
-    bounds = bounds or default_bounds()
+    bounds = bounds or SearchBounds()
     if not ys:
         raise InputError("$.ys", "need at least one cover element")
     if not lsc.way_below(x, y):
@@ -507,19 +475,12 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
     supp = lsc.supp(xp)
     log = []
     if geo.is_empty(supp):
-        return PropertyVerdict(
-            "witness",
-            {"xp": lsc.element_to_json(xp), "zs": [], "m": 0},
-            ("x vanishes, so the empty chain works",),
-        )
+        log.append("x vanishes, so the empty chain works")
+        return _chained(xp, [], log)
     if len(ys) == 1:
-        zs = [xp]
-        ok, why = _validate_weak_chain(x, y, ys, xp, zs)
-        if not ok:
-            raise AssertionError(why)
+        _require(_validate_weak_chain(x, y, ys, xp, [xp]))
         log.append("a single cover element admits the one piece chain")
-        data = {"xp": lsc.element_to_json(xp), "zs": [lsc.element_to_json(z) for z in zs], "m": 1}
-        return PropertyVerdict("witness", data, tuple(log))
+        return _chained(xp, [xp], log)
     # Whole circle components of the support are chained by the circle
     # block search; the rest of the support, which has none, by one
     # refinement of the cover supports.
@@ -569,14 +530,13 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
                 zs.append(z)
         if not full:
             log.append(f"refined the cover supports to an almost chain of {len(zs)} pieces over the support")
-    ok, why = _validate_weak_chain(x, y, ys, xp, zs)
-    if not ok:
-        raise AssertionError(why)
-    data = {
-        "xp": lsc.element_to_json(xp),
-        "zs": [lsc.element_to_json(z) for z in zs],
-        "m": len(zs),
-    }
+    _require(_validate_weak_chain(x, y, ys, xp, zs))
+    return _chained(xp, zs, log)
+
+
+def _chained(xp, zs, log) -> PropertyVerdict:
+    """A weak-chain witness: the support indicator and the pieces."""
+    data = {"xp": lsc.element_to_json(xp), "zs": [lsc.element_to_json(z) for z in zs], "m": len(zs)}
     return PropertyVerdict("witness", data, tuple(log))
 
 

@@ -77,18 +77,16 @@ def _field(obj, key):
 
 
 def _bounds_of(args) -> checks.SearchBounds:
-    base = checks.default_bounds()
-    depth = getattr(args, "depth", None)
-    if depth is None:
-        return base
-    if depth < 0:
+    if args.depth is None:
+        return checks.SearchBounds()
+    if args.depth < 0:
         raise InputError("$.depth", "depth must be nonnegative")
-    return checks.SearchBounds(depth=depth, propto_cap=base.propto_cap, compact_cap=base.compact_cap)
+    return checks.SearchBounds(depth=args.depth)
 
 
-def _model_of(args, space):
-    selector = getattr(args, "model", None) or "lsc"
-    return models.load_model(selector, space=space)
+def _model_of(args):
+    space = geo.space_from_json(_load_json_file(args.space, "space")) if args.space else None
+    return models.load_model(args.model or "lsc", space=space)
 
 
 def _parse_elements(model, items, path: str):
@@ -122,7 +120,7 @@ def _lsc_pair(args):
     inst = _instance_of(args, ("a", "b"))
     a = lsc.element_from_json(sp, _field(inst, "a"), "$.a")
     b = lsc.element_from_json(sp, _field(inst, "b"), "$.b")
-    return sp, a, b
+    return a, b
 
 
 def cmd_lsc_eval(args) -> int:
@@ -163,7 +161,7 @@ def cmd_lsc_eval(args) -> int:
 
 
 def _binary_op(args, op):
-    sp, a, b = _lsc_pair(args)
+    a, b = _lsc_pair(args)
     _emit({"result": lsc.element_to_json(op(a, b))})
     return EXIT_OK
 
@@ -180,18 +178,19 @@ def cmd_lsc_meet(args) -> int:
     return _binary_op(args, lsc.meet)
 
 
-def cmd_lsc_leq(args) -> int:
-    sp, a, b = _lsc_pair(args)
-    holds = lsc.leq(a, b)
+def _relation(args, rel):
+    a, b = _lsc_pair(args)
+    holds = rel(a, b)
     _emit({"holds": holds})
     return EXIT_OK if holds else EXIT_NEGATIVE
+
+
+def cmd_lsc_leq(args) -> int:
+    return _relation(args, lsc.leq)
 
 
 def cmd_lsc_wb(args) -> int:
-    sp, a, b = _lsc_pair(args)
-    holds = lsc.way_below(a, b)
-    _emit({"holds": holds})
-    return EXIT_OK if holds else EXIT_NEGATIVE
+    return _relation(args, lsc.way_below)
 
 
 def cmd_lsc_complement(args) -> int:
@@ -327,8 +326,7 @@ def _emit_verdict(verdict: checks.PropertyVerdict) -> int:
 
 
 def cmd_check_refinable_sums(args) -> int:
-    space = geo.space_from_json(_load_json_file(args.space, "space")) if args.space else None
-    model = _model_of(args, space)
+    model = _model_of(args)
     inst = _instance_of(args)
     xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
     xps = _parse_elements(model, _field(inst, "xps"), "$.xps")
@@ -337,8 +335,7 @@ def cmd_check_refinable_sums(args) -> int:
 
 
 def cmd_check_almost_ordered(args) -> int:
-    space = geo.space_from_json(_load_json_file(args.space, "space")) if args.space else None
-    model = _model_of(args, space)
+    model = _model_of(args)
     inst = _instance_of(args)
     xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
     verdict = checks.check_almost_ordered_sums(model, xs, bounds=_bounds_of(args))
@@ -406,11 +403,6 @@ def _add_instance_opt(p):
                    help="instance JSON file")
 
 
-def _add_json_flag(p):
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON output (the default; accepted for symmetry)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuntzkit",
@@ -422,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = sp.add_subparsers(dest="cmd", required=True, metavar="CMD")
     q = sub.add_parser("validate", help="parse, normalize and echo a space file")
     _add_space_opt(q, required=True)
-    _add_json_flag(q)
     q.set_defaults(fn=cmd_space_validate)
 
     el = groups.add_parser("lsc", help="pointwise and order operations on elements")
@@ -445,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         if arity:
             q.add_argument("files", nargs="*", metavar="FILE",
                            help=f"{arity} element JSON file(s) instead of --instance")
-        _add_json_flag(q)
         q.set_defaults(fn=fn)
 
     ch = groups.add_parser("chains", help="chain covers of open sets")
@@ -460,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=blurb)
         _add_space_opt(q, required=True)
         _add_instance_opt(q)
-        _add_json_flag(q)
         q.set_defaults(fn=fn)
 
     ck = groups.add_parser("check", help="decision procedures with certificates")
@@ -479,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "axioms":
             _add_instance_opt(q)
             q.add_argument("--depth", type=int, metavar="N",
-                           help="search depth (overrides CUNTZKIT_MAX_DEPTH)")
-        _add_json_flag(q)
+                           help="search depth (default 3)")
         q.set_defaults(fn=fn)
 
     vf = groups.add_parser("verify", help="randomized law suite")
@@ -496,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable a deliberate fault to confirm the suite catches it")
     q.add_argument("--merge", nargs="+", metavar="FILE",
                    help="merge shard reports instead of running")
-    _add_json_flag(q)
     q.set_defaults(fn=cmd_verify_lemmas)
 
     return parser

@@ -237,6 +237,54 @@ def epsilon_chain(target, eps):
     return chains.ChainWitness("chain", tuple(pieces), chains.mesh_of(pieces), (0,) * len(pieces))
 
 
+def sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
+    """`chains._sweep_delta` with its own case for an open lower end lo:
+    there it takes the intervals that start at lo and records their escape
+    margin from lo."""
+
+    def esc(d, din):
+        if absorb_hi and d == hi and (din or not hi_in):
+            return None
+        return d
+
+    pts = sorted({lo, hi} | {iv[0] for iv in intervals} | {iv[2] for iv in intervals})
+    vals = []
+    prev = None
+    for b in pts:
+        if b < lo or b > hi:
+            continue
+        if prev is not None and prev < b:
+            es = [esc(d, din) for (c, _, d, din) in intervals if c < b and d >= b]
+            if not es:
+                raise ValueError("cover leaves part of the target uncovered")
+            if None not in es:
+                vals.append(max(es) - b)
+        in_k = (lo < b < hi) or (b == lo and lo_in) or (b == hi and hi_in)
+        if in_k:
+            es = [
+                esc(d, din)
+                for (c, cin, d, din) in intervals
+                if (c < b or (c == b and cin)) and (b < d or (b == d and din))
+            ]
+            if not es:
+                raise ValueError("cover leaves part of the target uncovered")
+            if None not in es:
+                vals.append(max(es) - b)
+        elif b == lo:
+            es = [esc(d, din) for (c, _, d, din) in intervals if c == lo and d > lo]
+            if not es:
+                raise ValueError("cover leaves part of the target uncovered")
+            if None not in es:
+                vals.append(max(es) - b)
+        prev = b
+    if not vals:
+        return None
+    delta = min(vals)
+    if delta <= 0:
+        raise AssertionError("escape sweep produced a nonpositive margin")
+    return delta
+
+
 def circle_block_search(space, ci, traces, bounds, log):
     import itertools
 

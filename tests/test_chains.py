@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -328,6 +329,61 @@ def test_grid_search_matches_the_openset_oracle():
         got = chains.exhaustive_chain_search(target, eps, depth)
         assert got == oracles.exhaustive_chain_search(target, eps, depth)
         assert (got is not None) == found
+
+
+def test_grid_search_leaves_no_garbage_cycles():
+    # The recursion is a plain function: a nested one holds itself through
+    # its closure cell, which left the memo to the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        assert chains.exhaustive_chain_search(geo.full_set(CIRCLE), F(1, 2), 4) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _outcome(sweep, args):
+    try:
+        return sweep(*args[0], **args[1])
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _thin_cover(rng, sp, target):
+    """Random open pieces plus a thin neighbourhood of whatever part of
+    the target's closure they miss, so few pieces hold a whole component."""
+    pieces = [gen.rand_nonempty_open_set(rng, sp, max_intervals=3) for _ in range(rng.randint(1, 4))]
+    rest = geo.intersect(geo.closure(target), geo.complement(chains.union_of(sp, pieces)))
+    if not geo.is_empty(rest):
+        pieces.append(geo.neighborhood(rest, F(1, rng.choice((8, 16, 32)))))
+    return chains.make_cover(pieces)
+
+
+def test_sweep_matches_the_oracle_on_the_covers_it_runs_on(monkeypatch):
+    # Every sweep that lebesgue_number and refine_to_almost_chain make on
+    # 2,000 seeded covers, run again by the oracle, which keeps a case of
+    # its own for an open lower end.
+    real = chains._sweep_delta
+    sweeps = []
+
+    def recording(*args, **kw):
+        sweeps.append((args, kw))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(chains, "_sweep_delta", recording)
+    rng = random.Random(31)
+    for _ in range(1000):
+        sp = gen.rand_space(rng, max_components=3)
+        chains.lebesgue_number(_thin_cover(rng, sp, geo.full_set(sp)))
+        sp = gen.rand_space(rng, max_components=3)
+        target = gen.rand_open_set(rng, sp, full_bias=0.3)
+        chains.refine_to_almost_chain(_thin_cover(rng, sp, target), target)
+    # 2,263 sweeps, 816 of them on a window with an open lower end.
+    assert len(sweeps) >= 2000
+    assert sum(not args[2] for args, _ in sweeps) >= 800
+    for call in sweeps:
+        assert _outcome(real, call) == _outcome(oracles.sweep_delta, call), call
 
 
 def _sweep_cases(rng):

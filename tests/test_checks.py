@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -595,14 +596,32 @@ def test_axioms_match_the_nested_loop_route():
 # --- bounds and serialization ---------------------------------------------
 
 
-def test_default_bounds_env(monkeypatch):
-    monkeypatch.delenv("CUNTZKIT_MAX_DEPTH", raising=False)
-    assert checks.default_bounds().depth == 3
-    monkeypatch.setenv("CUNTZKIT_MAX_DEPTH", "5")
-    assert checks.default_bounds().depth == 5
-    monkeypatch.setenv("CUNTZKIT_MAX_DEPTH", "x")
-    with pytest.raises(InputError):
-        checks.default_bounds()
+def test_the_depth_environment_variable_has_no_effect(tmp_path):
+    # The search depth comes from --depth or the SearchBounds default only.
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps({"xs": ["1", "1''"]}))
+    src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
+
+    def run(value, *argv):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("CUNTZKIT_MAX_DEPTH", None)
+        if value is not None:
+            env["CUNTZKIT_MAX_DEPTH"] = value
+        proc = subprocess.run([sys.executable, "-m", "cuntzkit.cli", *argv],
+                              capture_output=True, timeout=120, env=env)
+        return proc.returncode, proc.stdout
+
+    check = ["check", "almost-ordered", "--model", "zprime", "--instance", str(inst)]
+    plain, shallow = run(None, *check), run(None, *check, "--depth", "0")
+    assert (plain[0], shallow[0]) == (1, 3)
+    for value in ("x", "0", ""):
+        code, out = run(value, "verify", "lemmas", "--seed", "42", "--cases", "10")
+        assert code == 0, value
+        assert hashlib.sha256(out).hexdigest() == (
+            "f11bea476d2bc281d4c0141d520a9213946d81dd803a2f5fea87dac3fee57ab0"
+        ), value
+        assert run(value, *check) == plain, value
+        assert run(value, *check, "--depth", "0") == shallow, value
 
 
 def test_verdict_round_trips_to_json():

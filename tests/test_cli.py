@@ -75,10 +75,13 @@ def test_unparsable_instance_file(capsys, arc_file, tmp_path):
     assert "not valid JSON" in err
 
 
-def test_usage_error_is_exit_2(capsys):
+def test_usage_error_is_exit_2(capsys, arc_file):
     assert cli.main(["no-such-group"]) == 2
     capsys.readouterr()
     assert cli.main(["lsc"]) == 2
+    capsys.readouterr()
+    # Output is always JSON, and no verb takes a flag that says so.
+    assert cli.main(["space", "validate", "-s", arc_file, "--json"]) == 2
     capsys.readouterr()
 
 
