@@ -381,10 +381,8 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
     sp = target.space
     desc = _component_span(comps[0])
     if desc is not None and desc[1] is None:
-        piece = geo.component_set(sp, desc[0])
-        if geo.diameter(piece) < eps:
-            return ChainWitness("chain", (piece,), frac(0), (0,))
-        return None
+        # A point has diameter 0, below every positive eps.
+        return ChainWitness("chain", (geo.component_set(sp, desc[0]),), frac(0), (0,))
     n = 2 ** depth
     spans = []
     masks = []

@@ -126,12 +126,6 @@ def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
     rows = []
     for i in range(n - 1):
         t = lsc.interpolate_between(xs[i], xs[i + 1])
-        if not geo.is_empty(t.infinity):
-            return PropertyVerdict(
-                "inconclusive",
-                {"reason": "an interpolant is unbounded"},
-                ("the constructive route needs bounded interpolants",),
-            )
         row = lsc.decompose_below_ne(t, max(1, lsc.num_levels(t)))
         rows.append(tuple(row) if row else (model.zero,))
         log.append(f"row {i}: level indicators of an interpolant between x[{i}] and x[{i + 1}]")

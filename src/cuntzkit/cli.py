@@ -48,21 +48,20 @@ def _load_json_file(path: str, label: str):
 
 
 def _space_of(args) -> geo.SpaceDescriptor:
-    if not getattr(args, "space", None):
-        raise InputError("$", "this command needs --space FILE")
     return geo.space_from_json(_load_json_file(args.space, "space"))
 
 
-def _instance_of(args, positional_keys=()):
-    files = list(getattr(args, "files", None) or ())
-    if files and getattr(args, "instance", None):
+def _instance_of(args):
+    """The instance object: the --instance file, or one positional element
+    file per key of the verb."""
+    if args.files and args.instance:
         raise InputError("$", "give either --instance or positional files, not both")
-    if files:
-        if len(files) != len(positional_keys):
-            wants = " ".join(positional_keys).upper()
-            raise InputError("$", f"this command takes {len(positional_keys)} positional files: {wants}")
-        return {k: _load_json_file(f, k) for k, f in zip(positional_keys, files)}
-    if not getattr(args, "instance", None):
+    if args.files:
+        if len(args.files) != len(args.keys):
+            wants = " ".join(args.keys).upper()
+            raise InputError("$", f"this command takes {len(args.keys)} positional files: {wants}")
+        return {k: _load_json_file(f, k) for k, f in zip(args.keys, args.files)}
+    if not args.instance:
         raise InputError("$", "this command needs --instance FILE")
     obj = _load_json_file(args.instance, "instance")
     if not isinstance(obj, dict):
@@ -84,23 +83,10 @@ def _bounds_of(args) -> checks.SearchBounds:
     return checks.SearchBounds(depth=args.depth)
 
 
-def _model_of(args):
-    space = geo.space_from_json(_load_json_file(args.space, "space")) if args.space else None
-    return models.load_model(args.model or "lsc", space=space)
-
-
 def _parse_elements(model, items, path: str):
     if not isinstance(items, list):
         raise InputError(path, "expected a list")
     return [model.parse(it, f"{path}[{i}]") for i, it in enumerate(items)]
-
-
-def _verdict_exit(verdict: checks.PropertyVerdict) -> int:
-    if verdict.kind == "witness":
-        return EXIT_OK
-    if verdict.kind == "counterexample":
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------- space
@@ -115,18 +101,15 @@ def cmd_space_validate(args) -> int:
 # ------------------------------------------------------------------ lsc
 
 
-def _lsc_pair(args):
+def _operands(args):
+    """The space, the instance, and the elements at the verb's keys."""
     sp = _space_of(args)
-    inst = _instance_of(args, ("a", "b"))
-    a = lsc.element_from_json(sp, _field(inst, "a"), "$.a")
-    b = lsc.element_from_json(sp, _field(inst, "b"), "$.b")
-    return a, b
+    inst = _instance_of(args)
+    return sp, inst, [lsc.element_from_json(sp, _field(inst, k), f"$.{k}") for k in args.keys]
 
 
 def cmd_lsc_eval(args) -> int:
-    sp = _space_of(args)
-    inst = _instance_of(args, ("element",))
-    f = lsc.element_from_json(sp, _field(inst, "element"), "$.element")
+    sp, inst, (f,) = _operands(args)
     if "points" in inst:
         pts = []
         raw = inst["points"]
@@ -160,50 +143,23 @@ def cmd_lsc_eval(args) -> int:
     return EXIT_OK
 
 
-def _binary_op(args, op):
-    a, b = _lsc_pair(args)
-    _emit({"result": lsc.element_to_json(op(a, b))})
+def cmd_lsc_op(args) -> int:
+    """add, join, meet and complement; a failed precondition names the
+    first operand."""
+    _, _, operands = _operands(args)
+    try:
+        result = args.op(*operands)
+    except ValueError as exc:
+        raise InputError(f"$.{args.keys[0]}", str(exc))
+    _emit({"result": lsc.element_to_json(result)})
     return EXIT_OK
 
 
-def cmd_lsc_add(args) -> int:
-    return _binary_op(args, lsc.add)
-
-
-def cmd_lsc_join(args) -> int:
-    return _binary_op(args, lsc.join)
-
-
-def cmd_lsc_meet(args) -> int:
-    return _binary_op(args, lsc.meet)
-
-
-def _relation(args, rel):
-    a, b = _lsc_pair(args)
-    holds = rel(a, b)
+def cmd_lsc_relation(args) -> int:
+    _, _, operands = _operands(args)
+    holds = args.op(*operands)
     _emit({"holds": holds})
     return EXIT_OK if holds else EXIT_NEGATIVE
-
-
-def cmd_lsc_leq(args) -> int:
-    return _relation(args, lsc.leq)
-
-
-def cmd_lsc_wb(args) -> int:
-    return _relation(args, lsc.way_below)
-
-
-def cmd_lsc_complement(args) -> int:
-    sp = _space_of(args)
-    inst = _instance_of(args, ("y", "z"))
-    y = lsc.element_from_json(sp, _field(inst, "y"), "$.y")
-    z = lsc.element_from_json(sp, _field(inst, "z"), "$.z")
-    try:
-        c = lsc.almost_complement(y, z)
-    except ValueError as exc:
-        raise InputError("$.y", str(exc))
-    _emit({"result": lsc.element_to_json(c)})
-    return EXIT_OK
 
 
 def cmd_lsc_ordered_sum(args) -> int:
@@ -286,11 +242,8 @@ def cmd_chains_decide(args) -> int:
     inst = _instance_of(args)
     target = geo.open_set_from_json(sp, _field(inst, "target"), "$.target")
     chainable = chains.decide_chainable(target)
-    _emit({
-        "chainable": chainable,
-        "almost_chainable": chains.decide_almost_chainable(sp),
-        "piecewise_chainable": chains.decide_almost_chainable(sp),
-    })
+    almost = chains.decide_almost_chainable(sp)
+    _emit({"chainable": chainable, "almost_chainable": almost, "piecewise_chainable": almost})
     return EXIT_OK if chainable else EXIT_NEGATIVE
 
 
@@ -320,49 +273,43 @@ def cmd_chains_verify(args) -> int:
 # ---------------------------------------------------------------- check
 
 
-def _emit_verdict(verdict: checks.PropertyVerdict) -> int:
+def _emit_verdict(verdict) -> int:
     _emit(checks.verdict_to_json(verdict))
-    return _verdict_exit(verdict)
+    return {"witness": EXIT_OK, "counterexample": EXIT_NEGATIVE}.get(verdict.kind, EXIT_INCONCLUSIVE)
+
+
+def _sum_terms(args):
+    """The model, the instance and its xs, for the two sum checks."""
+    model = models.load_model(args.model, space=_space_of(args) if args.space else None)
+    inst = _instance_of(args)
+    return model, inst, _parse_elements(model, _field(inst, "xs"), "$.xs")
 
 
 def cmd_check_refinable_sums(args) -> int:
-    model = _model_of(args)
-    inst = _instance_of(args)
-    xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
+    model, inst, xs = _sum_terms(args)
     xps = _parse_elements(model, _field(inst, "xps"), "$.xps")
-    verdict = checks.check_refinable_sums(model, xs, xps, bounds=_bounds_of(args))
-    return _emit_verdict(verdict)
+    return _emit_verdict(checks.check_refinable_sums(model, xs, xps, bounds=_bounds_of(args)))
 
 
 def cmd_check_almost_ordered(args) -> int:
-    model = _model_of(args)
-    inst = _instance_of(args)
-    xs = _parse_elements(model, _field(inst, "xs"), "$.xs")
-    verdict = checks.check_almost_ordered_sums(model, xs, bounds=_bounds_of(args))
-    return _emit_verdict(verdict)
+    model, _, xs = _sum_terms(args)
+    return _emit_verdict(checks.check_almost_ordered_sums(model, xs, bounds=_bounds_of(args)))
 
 
 def cmd_check_weak_chain(args) -> int:
-    sp = _space_of(args)
-    inst = _instance_of(args)
-    x = lsc.element_from_json(sp, _field(inst, "x"), "$.x")
-    y = lsc.element_from_json(sp, _field(inst, "y"), "$.y")
+    sp, inst, (x, y) = _operands(args)
     ys = _parse_elements(models.LscModel(sp), _field(inst, "ys"), "$.ys")
     verdict = checks.check_weak_chainability(sp, x, y, ys, bounds=_bounds_of(args))
     return _emit_verdict(verdict)
 
 
 def cmd_check_axioms(args) -> int:
-    selector = getattr(args, "model", None)
-    if not selector:
-        raise InputError("$.model", "axioms need --model table:FILE")
-    model = models.load_model(selector)
+    model = models.load_model(args.model)
     if model.kind != "table":
         raise InputError("$.model", "axioms run on finite table models only")
     report = checks.check_axioms(model)
     _emit({"report": report})
-    bad = [k for k, v in report.items() if v["status"] == "fail"]
-    return EXIT_NEGATIVE if bad else EXIT_OK
+    return EXIT_NEGATIVE if any(v["status"] == "fail" for v in report.values()) else EXIT_OK
 
 
 # --------------------------------------------------------------- verify
@@ -370,37 +317,22 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     if args.merge:
-        reports = [_load_json_file(p, "report") for p in args.merge]
-        merged = suite.merge_reports(reports)
-        _emit(merged)
-        return EXIT_OK if not merged["failures"] else EXIT_NEGATIVE
-    if args.shard:
-        try:
-            idx, total = args.shard.split("/", 1)
-            names = suite.shard_names(int(idx), int(total))
-        except ValueError as exc:
-            raise InputError("$.shard", f"expected I/N with integers: {exc}")
-    elif args.check:
-        names = list(args.check)
+        report = suite.merge_reports([_load_json_file(p, "report") for p in args.merge])
     else:
-        names = None
-    mutate = tuple(args.mutate or ())
-    report = suite.run_suite(seed=args.seed, cases=args.cases, names=names, mutate=mutate)
+        names = args.check
+        if args.shard:
+            try:
+                idx, total = args.shard.split("/", 1)
+                names = suite.shard_names(int(idx), int(total))
+            except ValueError as exc:
+                raise InputError("$.shard", f"expected I/N with integers: {exc}")
+        report = suite.run_suite(seed=args.seed, cases=args.cases, names=names,
+                                 mutate=tuple(args.mutate or ()))
     _emit(report)
     return EXIT_OK if not report["failures"] else EXIT_NEGATIVE
 
 
 # --------------------------------------------------------------- parser
-
-
-def _add_space_opt(p, required=False):
-    p.add_argument("-s", "--space", metavar="FILE", required=required,
-                   help="space description JSON file")
-
-
-def _add_instance_opt(p):
-    p.add_argument("--instance", metavar="FILE", required=True,
-                   help="instance JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,82 +342,80 @@ def build_parser() -> argparse.ArgumentParser:
                     "on one-dimensional spaces, chain covers, and ordered monoid checks")
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
-    sp = groups.add_parser("space", help="space descriptor utilities")
-    sub = sp.add_subparsers(dest="cmd", required=True, metavar="CMD")
-    q = sub.add_parser("validate", help="parse, normalize and echo a space file")
-    _add_space_opt(q, required=True)
-    q.set_defaults(fn=cmd_space_validate)
+    def opt(*flags, **kw):
+        return flags, kw
 
-    el = groups.add_parser("lsc", help="pointwise and order operations on elements")
-    sub = el.add_subparsers(dest="cmd", required=True, metavar="CMD")
-    for name, fn, arity, blurb in (
-        ("eval", cmd_lsc_eval, 1, "evaluate an element at grid or given points"),
-        ("add", cmd_lsc_add, 2, "pointwise sum of two elements"),
-        ("join", cmd_lsc_join, 2, "pointwise maximum"),
-        ("meet", cmd_lsc_meet, 2, "pointwise minimum"),
-        ("leq", cmd_lsc_leq, 2, "pointwise order test"),
-        ("wb", cmd_lsc_wb, 2, "way-below test"),
-        ("complement", cmd_lsc_complement, 2, "largest x with y + x <= z, for bounded y <= z"),
-        ("ordered-sum", cmd_lsc_ordered_sum, 0, "merge two decreasing indicator sums, or refold one list"),
-        ("decompose", cmd_lsc_decompose, 0, "split a bounded element into n pieces summing below it"),
-    ):
-        q = sub.add_parser(name, help=blurb)
-        _add_space_opt(q, required=True)
-        q.add_argument("--instance", metavar="FILE",
-                       help="instance JSON file (alternative to positional element files)")
-        if arity:
-            q.add_argument("files", nargs="*", metavar="FILE",
-                           help=f"{arity} element JSON file(s) instead of --instance")
-        q.set_defaults(fn=fn)
+    space = opt("-s", "--space", metavar="FILE", required=True, help="space description JSON file")
+    lsc_space = opt("-s", "--space", metavar="FILE", help="space description JSON file")
+    instance = opt("--instance", metavar="FILE", required=True, help="instance JSON file")
+    models_help = "element model: lsc, z, zprime, nbar, or table:FILE"
+    model = opt("--model", metavar="NAME", default="lsc", help=models_help)
+    depth = opt("--depth", type=int, metavar="N", help="search depth (default 3)")
 
-    ch = groups.add_parser("chains", help="chain covers of open sets")
-    sub = ch.add_subparsers(dest="cmd", required=True, metavar="CMD")
-    for name, fn, blurb in (
-        ("epsilon-chain", cmd_chains_epsilon_chain, "build a chain cover of mesh below eps"),
-        ("refine", cmd_chains_refine, "refine a cover to an almost chain of the target"),
-        ("decide", cmd_chains_decide, "decide chainability of a target open set"),
-        ("lebesgue", cmd_chains_lebesgue, "Lebesgue number of a cover of its union"),
-        ("verify", cmd_chains_verify, "check a chain witness against target and cover"),
-    ):
-        q = sub.add_parser(name, help=blurb)
-        _add_space_opt(q, required=True)
-        _add_instance_opt(q)
-        q.set_defaults(fn=fn)
+    def element_files(n):
+        return (space, opt("--instance", metavar="FILE",
+                           help="instance JSON file (alternative to positional element files)"),
+                opt("files", nargs="*", metavar="FILE", help=f"{n} element JSON file(s) instead of --instance"))
 
-    ck = groups.add_parser("check", help="decision procedures with certificates")
-    sub = ck.add_subparsers(dest="cmd", required=True, metavar="CMD")
-    for name, fn, needs_model in (
-        ("refinable-sums", cmd_check_refinable_sums, True),
-        ("almost-ordered", cmd_check_almost_ordered, True),
-        ("weak-chain", cmd_check_weak_chain, False),
-        ("axioms", cmd_check_axioms, True),
-    ):
-        q = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} check")
-        _add_space_opt(q)
-        if needs_model:
-            q.add_argument("--model", metavar="NAME",
-                           help="element model: lsc, z, zprime, nbar, or table:FILE")
-        if name != "axioms":
-            _add_instance_opt(q)
-            q.add_argument("--depth", type=int, metavar="N",
-                           help="search depth (default 3)")
-        q.set_defaults(fn=fn)
-
-    vf = groups.add_parser("verify", help="randomized law suite")
-    sub = vf.add_subparsers(dest="cmd", required=True, metavar="CMD")
-    q = sub.add_parser("lemmas", help="run the seeded law checks")
-    q.add_argument("--seed", type=int, default=42)
-    q.add_argument("--cases", type=int, default=100)
-    q.add_argument("--check", action="append", metavar="NAME",
-                   help="run only this check (repeatable)")
-    q.add_argument("--shard", metavar="I/N",
-                   help="run shard I of N by round robin over check names")
-    q.add_argument("--mutate", action="append", metavar="NAME",
-                   help="enable a deliberate fault to confirm the suite catches it")
-    q.add_argument("--merge", nargs="+", metavar="FILE",
-                   help="merge shard reports instead of running")
-    q.set_defaults(fn=cmd_verify_lemmas)
-
+    ab, pair = ("a", "b"), element_files(2)
+    plain = ({}, space, instance)
+    # Each verb: its path, help, handler, fixed arguments, then its options.
+    # A list of options is a group of which at most one may be given.
+    verbs = (
+        ("space validate", "parse, normalize and echo a space file", cmd_space_validate, {}, space),
+        ("lsc eval", "evaluate an element at grid or given points", cmd_lsc_eval,
+         {"keys": ("element",)}, *element_files(1)),
+        ("lsc add", "pointwise sum of two elements", cmd_lsc_op, {"op": lsc.add, "keys": ab}, *pair),
+        ("lsc join", "pointwise maximum", cmd_lsc_op, {"op": lsc.join, "keys": ab}, *pair),
+        ("lsc meet", "pointwise minimum", cmd_lsc_op, {"op": lsc.meet, "keys": ab}, *pair),
+        ("lsc leq", "pointwise order test", cmd_lsc_relation, {"op": lsc.leq, "keys": ab}, *pair),
+        ("lsc wb", "way-below test", cmd_lsc_relation, {"op": lsc.way_below, "keys": ab}, *pair),
+        ("lsc complement", "largest x with y + x <= z, for bounded y <= z", cmd_lsc_op,
+         {"op": lsc.almost_complement, "keys": ("y", "z")}, *pair),
+        ("lsc ordered-sum", "merge two decreasing indicator sums, or refold one list",
+         cmd_lsc_ordered_sum, *plain),
+        ("lsc decompose", "split a bounded element into n pieces summing below it", cmd_lsc_decompose, *plain),
+        ("chains epsilon-chain", "build a chain cover of mesh below eps", cmd_chains_epsilon_chain, *plain),
+        ("chains refine", "refine a cover to an almost chain of the target", cmd_chains_refine, *plain),
+        ("chains decide", "decide chainability of a target open set", cmd_chains_decide, *plain),
+        ("chains lebesgue", "Lebesgue number of a cover of its union", cmd_chains_lebesgue, *plain),
+        ("chains verify", "check a chain witness against target and cover", cmd_chains_verify, *plain),
+        ("check refinable-sums", "run the refinable sums check",
+         cmd_check_refinable_sums, {}, lsc_space, model, instance, depth),
+        ("check almost-ordered", "run the almost ordered check",
+         cmd_check_almost_ordered, {}, lsc_space, model, instance, depth),
+        ("check weak-chain", "run the weak chain check", cmd_check_weak_chain,
+         {"keys": ("x", "y")}, space, instance, depth),
+        ("check axioms", "run the axioms check", cmd_check_axioms, {},
+         opt("--model", metavar="NAME", required=True, help=models_help)),
+        ("verify lemmas", "run the seeded law checks", cmd_verify_lemmas, {},
+         opt("--seed", type=int, default=42), opt("--cases", type=int, default=100),
+         opt("--mutate", action="append", metavar="NAME",
+             help="enable a deliberate fault to confirm the suite catches it"),
+         [opt("--check", action="append", metavar="NAME", help="run only this check (repeatable)"),
+          opt("--shard", metavar="I/N", help="run shard I of N by round robin over check names"),
+          opt("--merge", nargs="+", metavar="FILE",
+              help="merge shard reports instead of running; --seed, --cases and --mutate are ignored")]),
+    )
+    subs = {}
+    for name, blurb in (("space", "space descriptor utilities"),
+                        ("lsc", "pointwise and order operations on elements"),
+                        ("chains", "chain covers of open sets"),
+                        ("check", "decision procedures with certificates"),
+                        ("verify", "randomized law suite")):
+        g = groups.add_parser(name, help=blurb)
+        subs[name] = g.add_subparsers(dest="cmd", required=True, metavar="CMD")
+    for path, blurb, fn, fixed, *opts in verbs:
+        group, name = path.split()
+        q = subs[group].add_parser(name, help=blurb)
+        for o in opts:
+            if isinstance(o, list):
+                modes = q.add_mutually_exclusive_group()
+                for flags, kw in o:
+                    modes.add_argument(*flags, **kw)
+            else:
+                q.add_argument(*o[0], **o[1])
+        q.set_defaults(**{"fn": fn, "files": (), "keys": (), **fixed})
     return parser
 
 

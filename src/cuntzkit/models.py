@@ -210,6 +210,13 @@ class RationalModel(_Ops):
     def is_compact(self, a: El) -> bool:
         return a.kind != "s"
 
+    def propto(self, a: El, b: El, cap: int = 64) -> bool:
+        """True iff a <= n*b for some n, however large: the multiples of a
+        nonzero b pass every value but the soft top, which only the soft
+        top reaches. cap is ignored."""
+        top = El("s", None)
+        return a == ZERO or (b != ZERO and (a != top or b == top))
+
     def el_str(self, a: El) -> str:
         if a.kind == "c":
             return str(a.value)
@@ -254,6 +261,9 @@ class RationalModel(_Ops):
             complete = False
         else:
             hi_k = min(int(math.floor(nb)) + 1, compact_cap)
+            # No compact above nb is way below b, so the cap cuts off
+            # members only when nb reaches past it.
+            complete = math.floor(nb) <= compact_cap
         for k in range(hi_k + 1):
             c = compact(k)
             if self.wb(a, c) and self.wb(c, b):

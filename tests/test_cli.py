@@ -2,6 +2,7 @@
 and the error channel."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import cuntzkit
 import oracles
-from cuntzkit import chains, cli, gen
+from cuntzkit import chains, checks, cli, gen
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
 
@@ -610,6 +611,78 @@ def test_check_axioms_rejects_non_table(capsys):
     assert code == 2 and "table" in err
 
 
+# One instance per verdict branch of the rational-model sum checks: the
+# exit code, the kind, and the counterexample reason or a log line.
+@pytest.mark.parametrize("verb, model, inst, code, reason, line", [
+    ("refinable-sums", "zprime", {"xs": ["1", "1", "1"], "xps": ["1''", "1/2'", "3"]}, 1,
+     "no admissible rows exist", "every decomposition assignment violates a clause"),
+    ("refinable-sums", "z", {"xs": ["1", "1", "3"], "xps": ["1'", "1/2'", "3/2'"]}, 1,
+     "no admissible leading term for row 0", "no decomposition of the row 0 sums has an admissible leading term"),
+    ("refinable-sums", "zprime", {"xs": ["30", "inf"], "xps": ["1''", "inf"]}, 0, None, "63, 64] (truncated)"),
+    # Compacts above 24 do not decompose: each stands as a row of its own.
+    ("refinable-sums", "nbar", {"xs": ["1", "30"], "xps": ["2", "1"]}, 0, None, "24, 25, 26, 27, 28, 29, 30]"),
+    ("refinable-sums", "nbar", {"xs": ["2", "3", "30", "30"], "xps": ["2", "2", "2", "2"]}, 3, None,
+     "row 0 leading term is forced to 2; row 1 then needs y with 2 way below y, y <= 2, y way below 30: feasible"),
+    ("almost-ordered", "zprime", {"xs": ["1''", "1'", "3"]}, 3, None,
+     "the sum is not compact, so exact decompositions do not exhaust the witnesses"),
+    ("almost-ordered", "zprime", {"xs": ["1''", "30", "1"]}, 3, None, "the sum is too large to enumerate decompositions"),
+], ids=["no-rows", "no-leading-term", "truncated-window", "undecomposed-compacts", "feasible-heads",
+        "soft-sum", "large-sum"])
+def test_sum_check_verdict_branches(capsys, tmp_path, verb, model, inst, code, reason, line):
+    f = write_json(tmp_path, "i.json", inst)
+    got, out, _ = run(capsys, ["check", verb, "--model", model, "--instance", f])
+    payload = json.loads(out)
+    kind = {0: "witness", 1: "counterexample", 3: "inconclusive"}[code]
+    assert (got, payload["kind"], payload["data"].get("reason")) == (code, kind, reason)
+    assert any(line in entry for entry in payload["log"]), payload["log"]
+
+
+def test_refinable_search_can_spend_its_assignment_budget(capsys, tmp_path, monkeypatch):
+    assigned = []
+    real = checks._assign_rows
+    monkeypatch.setattr(checks, "_assign_rows", lambda *a: assigned.append(real(*a)) or assigned[-1])
+    f = write_json(tmp_path, "i.json", {"xs": ["1''", "30"], "xps": ["30", "1/2'"]})
+    code, out, _ = run(capsys, ["check", "refinable-sums", "--model", "zprime", "--instance", f])
+    assert (code, json.loads(out)["kind"]) == (3, "inconclusive")
+    assert assigned == [(None, False)]
+
+
+def test_a_partner_ratio_above_the_old_cap_gets_a_verdict(capsys, tmp_path):
+    # 100 <= 100 * 1: a valid instance, once read as malformed (exit 2).
+    f = write_json(tmp_path, "i.json", {"xs": ["100", "200"], "xps": ["1", "1"]})
+    for model in ("z", "zprime", "nbar"):
+        code, out, err = run(capsys, ["check", "refinable-sums", "--model", model, "--instance", f])
+        assert (code, json.loads(out)["kind"], err) == (3, "inconclusive", ""), model
+
+
+def test_a_window_cut_by_the_compact_cap_refutes_nothing(capsys, tmp_path):
+    # Rows of 2s sum to 100, so no counterexample exists; the compacts of
+    # the window between 100 and 200 all lie above compact_cap (64).
+    f = write_json(tmp_path, "i.json", {"xs": ["100", "200"], "xps": ["2", "4"]})
+    code, out, _ = run(capsys, ["check", "refinable-sums", "--model", "nbar", "--instance", f])
+    payload = json.loads(out)
+    assert (code, payload["kind"]) == (3, "inconclusive")
+    assert payload["log"][0].endswith("compact members [] (truncated)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "axioms", "--model", "table:TABLE", "-s", "SPACE"],
+    ["check", "axioms"],
+    ["check", "weak-chain", "--instance", "REPORT"],
+    ["lsc", "decompose", "-s", "SPACE"],
+    ["verify", "lemmas", "--shard", "0/2", "--check", "unit-cancellation"],
+    ["verify", "lemmas", "--merge", "REPORT", "--check", "unit-cancellation"],
+    ["verify", "lemmas", "--merge", "REPORT", "--shard", "0/2"],
+], ids=["axioms-space", "axioms-no-model", "weak-chain-no-space", "decompose-no-instance",
+        "shard-and-check", "merge-and-check", "merge-and-shard"])
+def test_the_parser_rejects_options_a_verb_would_ignore(capsys, tmp_path, arc_file, argv):
+    files = {"SPACE": arc_file, "TABLE": write_json(tmp_path, "sat.json", SAT4),
+             "REPORT": write_json(tmp_path, "report.json", {"seed": 1, "cases": 1, "mutate": [], "checks": []})}
+    code, out, err = run(capsys, [files.get(a, a).replace("TABLE", files["TABLE"]) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cuntzkit")
+
+
 def test_verify_lemmas_small_run(capsys):
     code, out, _ = run(capsys, ["verify", "lemmas", "--seed", "5", "--cases", "3"])
     assert code == 0
@@ -646,6 +719,21 @@ def test_verify_lemmas_bad_names(capsys):
     assert code == 2 and "unknown check" in err
     code, _, err = run(capsys, ["verify", "lemmas", "--shard", "5"])
     assert code == 2 and "$.shard" in err
+
+
+def test_benchmark_cli_calls_keep_their_pinned_bytes(capsys, tmp_path, monkeypatch):
+    # The benchmark's seed-42 verb mix, run in process: each call's exit
+    # code, and the sha256 of its stdout as bench/digests.json records it.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    pins = workloads.load_pins(42)
+    calls = workloads.cli_calls(42, tmp_path)
+    assert len(calls) == 12
+    for call in calls:
+        code, out, _ = run(capsys, list(call.argv))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (call.exit, pins[f"cli.{call.name}"]), call.name
 
 
 def test_output_is_deterministic(capsys, tmp_path):

@@ -285,6 +285,8 @@ def test_interpolation(seed):
     f = lsc.from_levels(sp, [oracles.shrink_open_set(lv, 6) for lv in h.levels])
     mid = lsc.interpolate_between(f, h)
     assert lsc.way_below(f, mid) and lsc.way_below(mid, h)
+    # Always bounded: checks._refinable_lsc decomposes it with no fallback.
+    assert geo.is_empty(mid.infinity)
 
 
 @given(st.integers(0, 10_000))

@@ -137,6 +137,29 @@ def test_propto_scales():
     assert Z.propto(compact(0), compact(0))
 
 
+@pytest.mark.parametrize("model", [Z, ZP, NBAR], ids=["z", "zprime", "nbar"])
+def test_propto_is_the_loop_without_a_cap(model):
+    # The largest ratio in the pool is 100 against 1/2', reached at 201
+    # multiples, so the loop of _Ops.propto decides every pair at cap 250.
+    pool = [compact(n) for n in (0, 1, 2, 3, 7, 100)] + [soft(None)]
+    if model.finite_softs:
+        pool += [soft(F(1, 2)), soft(F(3, 2)), soft(F(11, 10)), soft(99)]
+    if model.twin:
+        pool.append(TWIN)
+    for a in pool:
+        for b in pool:
+            assert model.propto(a, b) == models._Ops.propto(model, a, b, 250), (a, b)
+    assert model.propto(compact(100), compact(1)) and not models._Ops.propto(model, compact(100), compact(1))
+
+
+def test_sums_between_is_incomplete_only_when_the_cap_cuts_it():
+    # No compact above b is way below it.
+    assert NBAR.sums_between(compact(1), compact(64), 64).complete
+    assert not NBAR.sums_between(compact(1), compact(65), 64).complete
+    assert Z.sums_between(compact(1), soft(F(129, 2)), 64).complete
+    assert not Z.sums_between(compact(1), soft(F(131, 2)), 64).complete
+
+
 def test_sums_between_window_frozen():
     w = Z.sums_between(compact(1), compact(1))
     assert w.compacts == (compact(1),)
