@@ -162,6 +162,9 @@ def point() -> Component:
 # union, closure and `_part` share that tail in `_settle`, and a complement
 # keeps its endpoints and its scale. Raw intervals become a part through
 # `_part` alone; `point_complement` writes its canonical parts directly.
+# Records are immutable and every stored part is canonical, so `union` and
+# `intersect` of two sets of one class return an operand when the other
+# side is empty or the same object.
 # `grid_set` takes integers at a scale, and otherwise Fractions only cross
 # the boundary: `normalize`, `open_set_from_json`, `component_set`,
 # `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
@@ -460,46 +463,44 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
         raise InputError(path, f"expected {len(sp.components)} component entries, got {len(raw)}")
     parts: list[Part] = []
     for ci, (comp, entry) in enumerate(zip(sp.components, raw)):
-        here = f"{path}[{ci}]"
         if comp.kind == "point":
             if not isinstance(entry, bool):
-                raise InputError(here, "point components take a boolean")
+                raise InputError(f"{path}[{ci}]", "point components take a boolean")
             parts.append(entry)
             continue
         L = comp.length
         if entry == "full":
             if comp.kind != "circle":
-                raise InputError(here, "the full flag is only for circles")
+                raise InputError(f"{path}[{ci}]", "the full flag is only for circles")
             parts.append(_full(L))
             continue
         d, ivs = entry
         if d <= 0 or d % L.denominator:
-            raise InputError(here, "the scale must be a positive multiple of the length's denominator")
+            raise InputError(f"{path}[{ci}]", "the scale must be a positive multiple of the length's denominator")
         Li = _at(L, d)
         pieces = []
         for ii, iv in enumerate(ivs):
-            ivpath = f"{here}[{ii}]"
             iv = tuple(iv)
             if len(iv) not in (2, 4):
-                raise InputError(ivpath, "expected (a, b) or (a, b, incl_left, incl_right)")
+                raise InputError(f"{path}[{ci}][{ii}]", "expected (a, b) or (a, b, incl_left, incl_right)")
             a, b = iv[0], iv[1]
             ain, bin_ = (bool(iv[2]), bool(iv[3])) if len(iv) == 4 else (False, False)
             if a >= b:
-                raise InputError(ivpath, "interval needs a < b")
+                raise InputError(f"{path}[{ci}][{ii}]", "interval needs a < b")
             if a < 0:
-                raise InputError(ivpath, "interval starts before the component")
+                raise InputError(f"{path}[{ci}][{ii}]", "interval starts before the component")
             if comp.kind == "arc":
                 if b > Li:
-                    raise InputError(ivpath, "interval ends beyond the arc")
+                    raise InputError(f"{path}[{ci}][{ii}]", "interval ends beyond the arc")
                 if ain and a != 0:
-                    raise InputError(ivpath, "left inclusion is legal only at 0")
+                    raise InputError(f"{path}[{ci}][{ii}]", "left inclusion is legal only at 0")
                 if bin_ and b != Li:
-                    raise InputError(ivpath, "right inclusion is legal only at L")
+                    raise InputError(f"{path}[{ci}][{ii}]", "right inclusion is legal only at L")
             else:
                 if ain or bin_:
-                    raise InputError(ivpath, "circle intervals carry no inclusion flags")
+                    raise InputError(f"{path}[{ci}][{ii}]", "circle intervals carry no inclusion flags")
                 if b - a > Li:
-                    raise InputError(ivpath, "wrap interval longer than the circle")
+                    raise InputError(f"{path}[{ci}][{ii}]", "wrap interval longer than the circle")
             pieces.append((a, ain, b, bin_))
         # No openness check is needed: arc flags sit only at the ends,
         # circle pieces carry none, `_wrap` holds the seam on both sides it
@@ -535,6 +536,11 @@ def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
 
 def union(a: SetLike, b: SetLike):
     _check_same_space(a, b)
+    if a.__class__ is b.__class__:
+        if a is b or is_empty(b):
+            return a
+        if is_empty(a):
+            return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
         if comp.kind == "point":
@@ -551,6 +557,11 @@ def union(a: SetLike, b: SetLike):
 
 def intersect(a: SetLike, b: SetLike):
     _check_same_space(a, b)
+    if a.__class__ is b.__class__:
+        if a is b or is_empty(a):
+            return a
+        if is_empty(b):
+            return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
         if comp.kind == "point":

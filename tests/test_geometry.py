@@ -526,6 +526,9 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
         closeds = [coarse_closed_set(rng, KERNEL) for _ in range(2)]
         pool = opens_ + closeds
         pool += [geo.closure(s) for s in opens_] + [geo.complement(s) for s in pool]
+        # Empty sides, the same object twice and mixed classes with an
+        # empty side reach the operand shortcuts of union and intersect.
+        pool += [geo.empty_set(KERNEL), geo.complement(geo.full_set(KERNEL)), geo.full_set(KERNEL)]
         for x in pool:
             for op, got, want in (
                 ("complement", geo.complement(x), oracles.complement(x)),
@@ -542,6 +545,27 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
                     assert same(got, want), (seed, op, x, y)
                     assert is_canonical(got), (seed, op, x, y)
                 assert geo.subset(x, y) == oracles.subset(x, y), (seed, x, y)
+
+
+def test_union_and_intersect_return_an_operand_when_the_other_side_is_empty_or_the_same():
+    rng = seeded(0)
+    for a in (coarse_open_set(rng, KERNEL), coarse_closed_set(rng, KERNEL)):
+        empty = geo.empty_set(KERNEL) if isinstance(a, geo.OpenSet) else geo.complement(geo.full_set(KERNEL))
+        assert geo.union(a, empty) is a and geo.union(empty, a) is a and geo.union(a, a) is a
+        assert geo.intersect(a, empty) is empty and geo.intersect(empty, a) is empty
+        assert geo.intersect(a, a) is a
+    # Mixed classes give a closed set, though it may equal an operand.
+    a = coarse_open_set(rng, KERNEL)
+    for x, y in ((a, geo.complement(geo.full_set(KERNEL))), (geo.closure(a), geo.empty_set(KERNEL))):
+        for op, oracle in ((geo.union, oracles.union), (geo.intersect, oracles.intersect)):
+            for got, want in ((op(x, y), oracle(x, y)), (op(y, x), oracle(y, x))):
+                assert isinstance(got, geo.ClosedSet) and same(got, want)
+    # The space check comes first, also when one side is empty.
+    other = geo.empty_set(geo.space(geo.arc(1)))
+    for op in (geo.union, geo.intersect):
+        for x, y in ((a, other), (other, a)):
+            with pytest.raises(geo.SpaceMismatchError):
+                op(x, y)
 
 
 def test_segment_sweeps_match_the_merge_oracle():
@@ -638,10 +662,13 @@ POINT_ARC = geo.space(geo.point(), geo.arc(1))
     (ARC, [(4, [(1, 2, False, True)])], "$[0][0]", "right inclusion is legal only at L"),
     (CIRC, [(4, [(0, 2, True, False)])], "$[0][0]", "circle intervals carry no inclusion flags"),
     (CIRC, [(4, [(3, 8)])], "$[0][0]", "wrap interval longer than the circle"),
+    (POINT_ARC, [True, (4, [(0, 1), (3, 2)])], "$[1][1]", "interval needs a < b"),
+    (POINT_ARC, [False, (4, [(0, 1), (2, 3), (3, 5)])], "$.sets[1][2]", "interval ends beyond the arc"),
 ])
 def test_grid_set_rejects_malformed_entries(sp, raw, path, reason):
+    # The caller's path is the expected path up to its first index.
     with pytest.raises(geo.InputError) as err:
-        geo.grid_set(sp, raw, "$")
+        geo.grid_set(sp, raw, path.partition("[")[0])
     assert (err.value.path, err.value.reason) == (path, reason)
 
 
