@@ -3,6 +3,8 @@ compact one-dimensional spaces, with chain-cover decision procedures and
 randomized law checking.
 
 Submodules:
+    base      input errors, rationals, the Record base, space descriptors
+    segment   linear sweeps over the cut pieces of one segment [0, L]
     geometry  exact set calculus on arcs, circles and point components
     lsc       elements as nested open level sets, order and sum operations
     chains    chain covers, refinement, chainability deciders

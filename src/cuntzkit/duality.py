@@ -5,12 +5,12 @@ For an indicator y below the unit e, write U_y for its support and C_y
 for the closed complement of the support. Every law here is computed
 once with point set geometry and once with order operations alone, and
 the verifier reports whether the two routes agree. Points are probed on
-a finite grid built from the piece endpoints; they are never enumerated.
+a finite grid built from the piece endpoints (`geometry.probe_points`);
+they are never enumerated.
 """
 
 from __future__ import annotations
 
-from . import gen
 from . import geometry as geo
 from . import lsc
 
@@ -45,8 +45,7 @@ def verify_basictop(y: lsc.LscElement, z: lsc.LscElement) -> dict:
     out["closed_reverses_order"] = geo.subset(cy, cz) == lsc.leq(z, y)
 
     agree = True
-    for ci, p in gen.grid_points(sp, uy, uz):
-        member = geo.contains_point(uy, ci, p)
+    for ci, p, member in geo.probe_points(sp, (uy, uz), uy):
         pc = lsc.indicator(point_complement(sp, ci, p))
         joined = lsc.join(y, pc) == e
         if member != joined:
@@ -107,12 +106,13 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
         closed_join, geo.complement(lsc.supp(met))
     )
 
-    pts = list(dict.fromkeys(
-        (ci, p % sp.components[ci].length if sp.components[ci].kind == "circle" else p)
-        for ci, p in gen.grid_points(sp, *[lsc.supp(y) for y in ys])
-    ))
     # One probe per distinct point, so the probes i and j are of the same
-    # point exactly when i == j.
+    # point exactly when i == j: a circle's probe at L is its probe at 0.
+    comps = sp.components
+    pts = [
+        (ci, p) for ci, p, _ in geo.probe_points(sp, [lsc.supp(y) for y in ys])
+        if comps[ci].kind != "circle" or p != comps[ci].length
+    ]
     pcs = [lsc.indicator(point_complement(sp, ci, p)) for ci, p in pts]
     out["grid_points_are_separated"] = all(
         pcs[i] != e and all((lsc.join(pcs[i], pcs[j]) == e) != (i == j) for j in range(i, len(pcs)))

@@ -69,22 +69,9 @@ def rand_nonempty_open_set(rng: random.Random, sp: geo.SpaceDescriptor, **kw) ->
 
 def grid_points(sp: geo.SpaceDescriptor, *sets) -> list:
     """Probe points per component: all piece endpoints, space ends, and
-    midpoints of consecutive distinct values. Point components probe None."""
-    out = []
-    for ci, comp in enumerate(sp.components):
-        if comp.kind == "point":
-            out.append((ci, None))
-            continue
-        vals = {Fraction(0), comp.length, comp.length / 2}
-        for s in sets:
-            vals.update(geo.breakpoints(s, ci))
-        ordered = sorted(vals)
-        probes = set(ordered)
-        for x, y in zip(ordered, ordered[1:]):
-            probes.add((x + y) / 2)
-        for p in sorted(probes):
-            out.append((ci, p))
-    return out
+    midpoints of consecutive distinct values. Point components probe None.
+    A view over `geometry.probe_points`."""
+    return [(ci, p) for ci, p, _ in geo.probe_points(sp, sets)]
 
 
 def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, inf_bias: float = 0.2):

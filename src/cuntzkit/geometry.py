@@ -15,326 +15,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm
-from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-
-class InputError(ValueError):
-    """Malformed user-facing input. Carries the offending JSON-ish path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.reason = message
-
-
-class SpaceMismatchError(ValueError):
-    pass
-
-
-# A cut piece is (a, a_in, b, b_in): an interval inside [0, L] with explicit
-# endpoint membership. Degenerate pieces (a == b) must have both flags set.
-Piece = tuple[Fraction, bool, Fraction, bool]
-
-
-def frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def frac_to_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def frac_from_str(s, path: str = "$") -> Fraction:
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(path, f"expected a rational 'p/q', got {s!r}")
-    if type(s) is int:  # not bool, which JSON spells true/false
-        return Fraction(s)
-    raise InputError(path, f"expected a rational 'p/q' string, got {type(s).__name__}")
-
-
-# Stores a field of a record, past the __setattr__ that refuses it.
-_set = object.__setattr__
-
-
-class Record:
-    """An immutable value whose fields are the names in `__slots__`.
-
-    Two records are equal when they have the same class and equal fields;
-    a record hashes by its fields and prints as `Name(field=value, ...)`.
-    The shared `__init__` takes every field by position; a subclass with
-    defaults, checks or many instances writes its own and stores each
-    field with `_set`."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        get = attrgetter(*cls.__slots__)
-        # The tuple of the fields, built at C speed to compare and hash by.
-        # Given one name, attrgetter returns the bare value, so wrap it.
-        cls._key = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class Component(Record):
-    __slots__ = ("kind", "length")
-
-    def __init__(self, kind: str, length: Fraction | None = None):
-        if kind not in ("arc", "circle", "point"):
-            raise ValueError(f"unknown component kind {kind!r}")
-        if kind == "point":
-            if length is not None:
-                raise ValueError("point components have no length")
-        elif length is None or length <= 0:
-            raise ValueError("arc/circle components need a positive length")
-        _set(self, "kind", kind)
-        _set(self, "length", length)
-
-
-class SpaceDescriptor(Record):
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple[Component, ...]):
-        if not components:
-            raise ValueError("a space needs at least one component")
-        _set(self, "components", components)
-
-
-def space(*comps: Component) -> SpaceDescriptor:
-    return SpaceDescriptor(tuple(comps))
-
-
-def arc(length=1) -> Component:
-    return Component("arc", frac(length))
-
-
-def circle(length=1) -> Component:
-    return Component("circle", frac(length))
-
-
-def point() -> Component:
-    return Component("point")
+# The value layer; every name is re-exported.
+from .base import (
+    Component, InputError, Record, SpaceDescriptor, SpaceMismatchError, _set,
+    arc, circle, frac, frac_from_str, frac_to_str, point, space,
+)
+# The sweeps over piece tuples; every name is re-exported.
+from .segment import (
+    Piece, Scaled, _at, _by_start, _coalesce, _common, _complement, _contains, _intersect, _least, _merge,
+    _piece_ok, _rescale, _seam_sync, _seg_closure, _subset, _union, _wrap,
+)
 
 
 # ---------------------------------------------------------------------------
-# Cut algebra on a single segment [0, L].
+# Stored parts.
 #
 # A stored arc or circle part is (d, pieces): each coordinate x is kept as
 # the integer x*d, where d is the least common denominator of L and every
-# endpoint (an empty part has d == L.denominator). The pieces are sorted by
-# left end, each valid (`_piece_ok`), no two touching. This canonical form
-# is unique for the point set, so equal sets compare and hash the same.
+# endpoint (an empty part has d == L.denominator). The pieces form a
+# canonical tuple (`segment`), unique for the point set, so equal sets
+# compare and hash the same.
 #
-# The segment helpers run on any ordered numbers, each as one linear sweep
-# over canonical tuples; raw pieces (input, wraps around a circle, grown
-# neighborhoods) go through `_merge` first, and `_seam_sync` keeps the
-# circle rule "0 in S iff L in S". Two parts meet at the lcm of their
-# scales (`_common`). Where an endpoint can vanish (coalescing in a union,
-# closure or `_merge`; any intersection) `_least` restores the least scale;
-# union, closure and `_part` share that tail in `_settle`, and a complement
-# keeps its endpoints and its scale. Raw intervals become a part through
-# `_part` alone; `point_complement` writes its canonical parts directly.
+# The sweeps of `segment` run on the integers of one scale. Two
+# parts meet at the lcm of their scales (`_common`). Where an endpoint can
+# vanish (coalescing in a union, closure or `_merge`; any intersection)
+# `_least` restores the least scale; union, closure and `_part` share that
+# tail in `_settle`, and a complement keeps its endpoints and its scale.
+# Raw intervals become a part through `_part` alone; `point_complement`
+# writes its canonical parts directly.
 # Records are immutable and every stored part is canonical, so `union` and
 # `intersect` of two sets of one class return an operand when the other
 # side is empty or the same object.
 # `grid_set` takes integers at a scale, and otherwise Fractions only cross
 # the boundary: `normalize`, `open_set_from_json`, `component_set`,
 # `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
-# `diameter`, `set_distance` and `set_to_json` give them back.
-
-
-def _piece_ok(p: Piece) -> bool:
-    a, ain, b, bin_ = p
-    return a < b or (a == b and ain and bin_)
-
-
-def _coalesce(items: Iterable[Piece]) -> tuple[Piece, ...]:
-    """Join touching neighbours of valid pieces sorted by (a, not a_in)."""
-    out: list[Piece] = []
-    for p in items:
-        if out:
-            a, ain, b, bin_ = p
-            pa, pain, pb, pbin = out[-1]
-            if a < pb or (a == pb and (pbin or ain)):
-                if b > pb or (b == pb and bin_ and not pbin):
-                    out[-1] = (pa, pain, b, bin_)
-                continue
-        out.append(p)
-    return tuple(out)
-
-
-def _merge(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
-    """The canonical tuple of raw pieces in any order; invalid ones are dropped."""
-    return _coalesce(sorted(
-        (p for p in pieces if _piece_ok(p)),
-        key=lambda p: (p[0], not p[1], p[2], not p[3]),
-    ))
-
-
-def _complement(pieces: Sequence[Piece], L) -> tuple[Piece, ...]:
-    out: list[Piece] = []
-    cur = 0
-    cur_in = True
-    for a, ain, b, bin_ in pieces:
-        if cur < a or (cur == a and cur_in and not ain):
-            out.append((cur, cur_in, a, not ain))
-        cur, cur_in = b, not bin_
-    if cur < L or (cur == L and cur_in):
-        out.append((cur, cur_in, L, True))
-    return tuple(out)
-
-
-def _intersect(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
-    out = []
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        a1, i1, b1, j1 = xs[i]
-        a2, i2, b2, j2 = ys[j]
-        if a1 > a2 or (a1 == a2 and not i1):
-            a, ain = a1, i1
-        else:
-            a, ain = a2, i2
-        # The piece that ends first meets nothing further on the other side.
-        if b1 < b2 or (b1 == b2 and not j1):
-            b, bin_ = b1, j1
-            i += 1
-        else:
-            b, bin_ = b2, j2
-            j += 1
-        if a < b or (a == b and ain and bin_):
-            out.append((a, ain, b, bin_))
-    return tuple(out)
-
-
-def _by_start(xs: Sequence[Piece], ys: Sequence[Piece]) -> Iterable[Piece]:
-    """The pieces of two sorted tuples, merged in (a, not a_in) order."""
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        x, y = xs[i], ys[j]
-        if x[0] < y[0] or (x[0] == y[0] and x[1]):
-            yield x
-            i += 1
-        else:
-            yield y
-            j += 1
-    yield from xs[i:] or ys[j:]
-
-
-def _union(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
-    return _coalesce(_by_start(xs, ys))
-
-
-def _subset(xs: Sequence[Piece], ys: Sequence[Piece]) -> bool:
-    """Whether xs lies in ys. Only the first piece of ys that reaches the
-    right end of a piece of xs can hold that piece."""
-    j, ny = 0, len(ys)
-    for a, ain, b, bin_ in xs:
-        while j < ny and (ys[j][2] < b or (ys[j][2] == b and bin_ and not ys[j][3])):
-            j += 1
-        if j == ny:
-            return False
-        c, cin = ys[j][0], ys[j][1]
-        if c > a or (c == a and ain and not cin):
-            return False
-    return True
-
-
-def _seg_closure(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
-    return _coalesce([(a, True, b, True) for a, _, b, _ in pieces])
-
-
-def _contains(pieces: Sequence[Piece], p) -> bool:
-    for a, ain, b, bin_ in pieces:
-        if (a < p or (a == p and ain)) and (p < b or (p == b and bin_)):
-            return True
-    return False
-
-
-def _seam_sync(pieces: tuple[Piece, ...], L) -> tuple[Piece, ...]:
-    """Circle seam rule: the points 0 and L are the same point. Only the
-    first piece of a canonical tuple can hold 0 and only the last can hold
-    L, so at most those two change."""
-    if not pieces:
-        return pieces
-    a, ain, b, bin_ = pieces[0]
-    la, lain, lb, lbin = pieces[-1]
-    has0 = a == 0 and ain
-    if has0 == (lb == L and lbin):
-        return pieces
-    if has0:
-        if lb == L:
-            return pieces[:-1] + ((la, lain, L, True),)
-        return pieces + ((L, True, L, True),)
-    if a == 0:
-        return ((0, True, b, bin_),) + pieces[1:]
-    return ((0, True, 0, True),) + pieces
-
-
-def _wrap(a, ain: bool, b, bin_: bool, L) -> list[Piece]:
-    """Cut a lifted circle interval (a < b <= a + L) at the seam into pieces of [0, L]."""
-    a, b = a % L, a % L + (b - a)
-    if b <= L:
-        return [(a, ain, b, bin_)]
-    return [(a, ain, L, True), (0, True, b - L, bin_)]
-
-
-def _at(x: Fraction, d: int) -> int:
-    """x as an integer at scale d, a multiple of x's denominator."""
-    return x.numerator * (d // x.denominator)
-
-
-def _rescale(pieces: tuple[Piece, ...], m: int) -> tuple[Piece, ...]:
-    return tuple([(a * m, ain, b * m, bin_) for a, ain, b, bin_ in pieces])
-
-
-def _least(d: int, pieces: tuple[Piece, ...], L: Fraction) -> Part:
-    """The part (d, pieces) at its least scale: only d // L.denominator can
-    be divided out, and only as far as every endpoint allows."""
-    k = d // L.denominator
-    for a, _, b, _ in pieces:
-        k = gcd(k, a, b)
-    if k == 1:
-        return d, pieces
-    return d // k, tuple([(a // k, ain, b // k, bin_) for a, ain, b, bin_ in pieces])
-
-
-def _common(pa: Part, pb: Part) -> tuple[int, tuple[Piece, ...], tuple[Piece, ...]]:
-    """The pieces of two parts of one component at the lcm of their scales."""
-    (da, xs), (db, ys) = pa, pb
-    if da == db:
-        return da, xs, ys
-    d = lcm(da, db)
-    return d, xs if d == da else _rescale(xs, d // da), ys if d == db else _rescale(ys, d // db)
+# `probe_points`, `diameter`, `set_distance` and `set_to_json` give them
+# back. `probe_points` builds and sweeps its probes on integers and hands
+# out only the probe itself as a Fraction.
 
 
 def _full(L: Fraction) -> Part:
@@ -376,9 +95,10 @@ def _rat(part: Part) -> tuple[Piece, ...]:
 # representation; the distinction is the openness/closedness invariant of
 # the stored pieces. This module is the only one that reads `parts`: other
 # modules see a set through the set operations and the per-component views
-# `component_set`, `restrict`, `spans`, `breakpoints` and `embed`.
+# `component_set`, `restrict`, `spans`, `breakpoints`, `probe_points` and
+# `embed`.
 
-Part = Union[tuple[int, tuple[Piece, ...]], bool]
+Part = Union[Scaled, bool]
 
 
 class OpenSet(Record):
@@ -388,10 +108,20 @@ class OpenSet(Record):
         _set(self, "space", space)
         _set(self, "parts", parts)
 
+    def __eq__(self, other):
+        # Record's rule field by field, parts first: no key tuples are built.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts and (self.space is other.space or self.space == other.space)
+
+    __hash__ = Record.__hash__
+
 
 class ClosedSet(Record):
     __slots__ = ("space", "parts")
-    __init__ = OpenSet.__init__
+    __init__, __eq__, __hash__ = OpenSet.__init__, OpenSet.__eq__, Record.__hash__
 
 
 SetLike = Union[OpenSet, ClosedSet]
@@ -509,12 +239,18 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
     return OpenSet(sp, tuple(parts))
 
 
+def _comp(sp: SpaceDescriptor, ci: int) -> Component:
+    """Component ci of sp, for a view that takes a component index."""
+    if not 0 <= ci < len(sp.components):
+        raise ValueError("component index outside the space")
+    return sp.components[ci]
+
+
 def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
     """Everything but one point: point component ci, or the point p of
     arc or circle ci, built canonical at once. A point off an arc raises
     the `InputError` that `grid_set` gives its intervals."""
-    if not 0 <= ci < len(sp.components):
-        raise ValueError("component index outside the space")
+    _comp(sp, ci)
     parts = []
     for i, c in enumerate(sp.components):
         if i != ci or c.kind == "point":
@@ -625,7 +361,7 @@ def sets_equal(a: SetLike, b: SetLike) -> bool:
 
 
 def contains_point(a: SetLike, ci: int, p: Fraction | None = None) -> bool:
-    comp = a.space.components[ci]
+    comp = _comp(a.space, ci)
     part = a.parts[ci]
     if comp.kind == "point":
         return bool(part)
@@ -669,7 +405,7 @@ def _only(sp: SpaceDescriptor, ci: int, part: Part) -> tuple[Part, ...]:
 # Per-component views. Coordinates are lifted: on a circle of length L a
 # span through the seam is one interval (a, a_in, b, b_in) with
 # 0 <= a < L < b, and a point component is the degenerate span
-# (0, True, 0, True).
+# (0, True, 0, True). A view given a component index checks it (`_comp`).
 
 _ZERO = Fraction(0)
 
@@ -678,7 +414,7 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
     """The whole component ci, or its open interval span in lifted
     coordinates (a < b <= a + L on a circle, wrapping through the seam).
     A point component is always the whole point."""
-    comp = sp.components[ci]
+    comp = _comp(sp, ci)
     if comp.kind == "point":
         part: Part = True
     elif span is None:
@@ -701,6 +437,7 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
 
 def restrict(s: SetLike, ci: int):
     """s on component ci only, empty on every other component."""
+    _comp(s.space, ci)
     return type(s)(s.space, _only(s.space, ci, s.parts[ci]))
 
 
@@ -710,7 +447,7 @@ def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
 
     With a lifted window, the spans on a circle are repeated every L along
     the line and each copy is clipped to the window."""
-    comp = s.space.components[ci]
+    comp = _comp(s.space, ci)
     part = s.parts[ci]
     if comp.kind == "point":
         return [(_ZERO, True, _ZERO, True)] if part else []
@@ -736,11 +473,43 @@ def breakpoints(s: SetLike, ci: int) -> list[Fraction]:
     """The endpoints of the pieces stored for component ci, each in [0, L].
     A set through a circle's seam contributes both 0 and L; a point
     component has none."""
+    _comp(s.space, ci)
     part = s.parts[ci]
     if isinstance(part, bool):
         return []
     d, pieces = part
     return [Fraction(x, d) for x in sorted({x for a, _, b, _ in pieces for x in (a, b)})]
+
+
+def probe_points(sp: SpaceDescriptor, sets: Sequence[SetLike], within: SetLike | None = None) -> list:
+    """The probes of sets as (ci, p, inside), component by component: a
+    point component probes once, with p None; an arc or circle probes 0,
+    L/2, L and every stored endpoint, with the midpoint of each two
+    neighbours, ascending. inside says whether p lies in `within` (False
+    without one). The probes meet at 4 times the lcm of the scales, where
+    L/2 and every midpoint are integers, are sorted once and swept once
+    against `within`; only p is handed out as a Fraction."""
+    out = []
+    for ci, comp in enumerate(sp.components):
+        w = False if within is None else within.parts[ci]
+        if comp.kind == "point":
+            out.append((ci, None, bool(w)))
+            continue
+        parts = [part for part in (s.parts[ci] for s in sets) if not isinstance(part, bool)]
+        D = 4 * lcm(comp.length.denominator, *[d for d, _ in parts], *(w[:1] if w else ()))
+        Li = _at(comp.length, D)
+        vals = {0, Li // 2, Li}
+        for d, pieces in parts:
+            m = D // d
+            vals.update(x * m for a, _, b, _ in pieces for x in (a, b))
+        xs = sorted(vals)
+        ws = _rescale(w[1], D // w[0]) if w else ()
+        j = 0
+        for x in xs[:1] + [x for a, b in zip(xs, xs[1:]) for x in ((a + b) // 2, b)]:
+            while j < len(ws) and (ws[j][2] < x or (ws[j][2] == x and not ws[j][3])):
+                j += 1
+            out.append((ci, Fraction(x, D), j < len(ws) and (ws[j][0] < x or (ws[j][0] == x and ws[j][1]))))
+    return out
 
 
 def embed(s: SetLike, target: SpaceDescriptor, offset: int):

@@ -31,6 +31,17 @@ class LscElement(Record):
         _set(self, "levels", levels)
         _set(self, "infinity", infinity)
 
+    def __eq__(self, other):
+        # Record's rule field by field, levels first: no key tuples are built.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.levels == other.levels and self.infinity == other.infinity
+                and (self.space is other.space or self.space == other.space))
+
+    __hash__ = Record.__hash__
+
 
 def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) -> LscElement:
     """Canonicalize: fold the infinity part into each level, drop trailing levels equal to it."""
@@ -66,7 +77,7 @@ def unit(sp: SpaceDescriptor) -> LscElement:
 
 
 def _same_space(f: LscElement, g: LscElement):
-    if f.space != g.space:
+    if f.space is not g.space and f.space != g.space:
         raise geo.SpaceMismatchError("elements live on different spaces")
 
 

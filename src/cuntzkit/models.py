@@ -47,6 +47,16 @@ class El(Record):
     kind: str
     value: object
 
+    def __eq__(self, other):
+        # Record's rule field by field: no key tuples are built.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and (self.value is other.value or self.value == other.value)
+
+    __hash__ = Record.__hash__
+
 
 def compact(n) -> El:
     n = int(n)

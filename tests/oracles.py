@@ -44,13 +44,42 @@ def value_at(f, ci: int, p):
     return sum(1 for lv in f.levels if member(lv, ci, q))
 
 
+def grid_points(sp, *sets) -> list:
+    """Probe points per component, built and sorted as Fractions: all
+    piece endpoints, space ends, and midpoints of consecutive distinct
+    values. Point components probe None. The slow route of
+    `gen.grid_points`."""
+    out = []
+    for ci, comp in enumerate(sp.components):
+        if comp.kind == "point":
+            out.append((ci, None))
+            continue
+        vals = {Fraction(0), comp.length, comp.length / 2}
+        for s in sets:
+            vals.update(geo.breakpoints(s, ci))
+        ordered = sorted(vals)
+        probes = set(ordered)
+        for x, y in zip(ordered, ordered[1:]):
+            probes.add((x + y) / 2)
+        for p in sorted(probes):
+            out.append((ci, p))
+    return out
+
+
+def probe_points(sp, sets, within=None) -> list:
+    """`grid_points` with each probe's membership in `within` by
+    `geometry.contains_point`, one point at a time: the slow route of
+    `geometry.probe_points`."""
+    return [(ci, p, within is not None and geo.contains_point(within, ci, p)) for ci, p in grid_points(sp, *sets)]
+
+
 def element_grid(*elements):
     sp = elements[0].space
     sets = []
     for f in elements:
         sets.extend(f.levels)
         sets.append(f.infinity)
-    return gen.grid_points(sp, *sets)
+    return grid_points(sp, *sets)
 
 
 def leq_oracle(f, g) -> bool:

@@ -519,16 +519,22 @@ def same(got, want) -> bool:
     return type(got) is want.cls and oracles.rat_parts(got) == want.parts
 
 
+def oracle_sweep_pool(rng):
+    """Open and closed sets on KERNEL, their closures and complements, and
+    the empty and full sets."""
+    opens_ = [coarse_open_set(rng, KERNEL) for _ in range(3)]
+    closeds = [coarse_closed_set(rng, KERNEL) for _ in range(2)]
+    pool = opens_ + closeds
+    pool += [geo.closure(s) for s in opens_] + [geo.complement(s) for s in pool]
+    # Empty sides, the same object twice and mixed classes with an
+    # empty side reach the operand shortcuts of union and intersect.
+    return pool + [geo.empty_set(KERNEL), geo.complement(geo.full_set(KERNEL)), geo.full_set(KERNEL)]
+
+
 def test_cut_algebra_sweeps_match_the_merge_oracle():
     for seed in range(60):
         rng = seeded(seed)
-        opens_ = [coarse_open_set(rng, KERNEL) for _ in range(3)]
-        closeds = [coarse_closed_set(rng, KERNEL) for _ in range(2)]
-        pool = opens_ + closeds
-        pool += [geo.closure(s) for s in opens_] + [geo.complement(s) for s in pool]
-        # Empty sides, the same object twice and mixed classes with an
-        # empty side reach the operand shortcuts of union and intersect.
-        pool += [geo.empty_set(KERNEL), geo.complement(geo.full_set(KERNEL)), geo.full_set(KERNEL)]
+        pool = oracle_sweep_pool(rng)
         for x in pool:
             for op, got, want in (
                 ("complement", geo.complement(x), oracles.complement(x)),
@@ -566,6 +572,55 @@ def test_union_and_intersect_return_an_operand_when_the_other_side_is_empty_or_t
         for x, y in ((a, other), (other, a)):
             with pytest.raises(geo.SpaceMismatchError):
                 op(x, y)
+
+
+def assert_probes_match_the_oracle(sp, sets, within):
+    want = oracles.probe_points(sp, sets, within)
+    got = geo.probe_points(sp, sets, within)
+    assert got == want, (sets, within)
+    assert all(p is None if sp.components[ci].kind == "point" else type(p) is F for ci, p, _ in got)
+    assert geo.probe_points(sp, sets) == [(ci, p, False) for ci, p, _ in want]
+    assert gen.grid_points(sp, *sets) == oracles.grid_points(sp, *sets)
+
+
+def test_probe_sweep_matches_the_per_point_oracle():
+    # The sets of the cut-algebra sweep: open and closed, through a
+    # circle's seam, with point components. The probes come in the
+    # oracle's order, and a set tested but not probed still meets them
+    # at its own scale.
+    for seed in range(60):
+        rng = seeded(seed)
+        pool = oracle_sweep_pool(rng)
+        for x in pool:
+            y = rng.choice(pool)
+            for sets in ((), (x,), (x, y), (y, x), (y,)):
+                assert_probes_match_the_oracle(KERNEL, sets, x)
+
+
+def test_probe_sweep_matches_the_per_point_oracle_on_random_spaces():
+    for seed in range(1000):
+        rng = seeded(seed)
+        sp = gen.rand_space(rng)
+        sets = [gen.rand_open_set(rng, sp) for _ in range(rng.randint(0, 3))]
+        sets += [geo.closure(s) for s in sets if rng.random() < 0.5]
+        within = rng.choice(sets) if sets else gen.rand_open_set(rng, sp)
+        assert_probes_match_the_oracle(sp, sets, within)
+
+
+@pytest.mark.parametrize("view", [
+    lambda s, ci: geo.contains_point(s, ci, F(1, 2)),
+    lambda s, ci: geo.component_set(s.space, ci),
+    geo.restrict,
+    geo.spans,
+    geo.breakpoints,
+], ids=["contains_point", "component_set", "restrict", "spans", "breakpoints"])
+def test_component_views_reject_an_index_outside_the_space(view):
+    s = geo.full_set(geo.space(geo.arc(1), geo.circle(1), geo.point()))
+    for ci in range(3):
+        view(s, ci)
+    for ci in (-1, -3, 3, 5):
+        with pytest.raises(ValueError, match="^component index outside the space$"):
+            view(s, ci)
 
 
 def test_segment_sweeps_match_the_merge_oracle():

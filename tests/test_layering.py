@@ -1,9 +1,10 @@
 """Layering rules of the package, checked on its own source.
 
 `geometry` alone reads the stored piece tuples of a set (`.parts`) and
-its private helpers; every other module goes through the public set
-operations and per-component views. `checks` sees a model only through
-the protocol its methods answer: of `models` it uses `embed_element`
+its private helpers, and alone imports `segment`, the sweeps over those
+tuples; every other module goes through the public set operations and
+per-component views. `checks` sees a model only through the protocol
+its methods answer: of `models` it uses `embed_element`
 alone, it never probes a model with `getattr`, and only
 `check_refinable_sums` reads `model.kind`, to pick the constructive
 route. Every annotation in the package must also resolve, so tools that
@@ -74,6 +75,23 @@ def test_only_geometry_reads_the_representation():
     assert modules
     found = {p.name: reaches_into_geometry(p.read_text()) for p in modules}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_only_geometry_imports_the_segment_sweeps():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n and n.split(".")[-1] == "segment" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def bypasses_the_model_protocol(source: str) -> list:

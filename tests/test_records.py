@@ -1,12 +1,14 @@
-"""The package's value classes, all built on `geometry.Record`: immutable,
+"""The package's value classes, all built on `base.Record`: immutable,
 equal exactly when class and fields are, hashed by their fields, and
 printed as `Name(field=value, ...)`."""
 
 from fractions import Fraction as F
 
+import random
+
 import pytest
 
-from cuntzkit import chains, checks, lsc, models
+from cuntzkit import base, chains, checks, gen, lsc, models
 from cuntzkit import geometry as geo
 
 ARC = geo.space(geo.arc(1))
@@ -31,8 +33,43 @@ IDS = [cls.__name__ for cls, _ in RECORDS]
 
 
 def test_the_table_holds_every_record_class():
+    assert geo.Record is base.Record
     assert {cls for cls, _ in RECORDS} == set(geo.Record.__subclasses__())
     assert len(RECORDS) == 12
+
+
+# The records compared most often write Record's rule out field by field.
+HOT = {
+    geo.OpenSet: lambda rng, sp: gen.rand_open_set(rng, sp),
+    geo.ClosedSet: lambda rng, sp: geo.closure(gen.rand_open_set(rng, sp)),
+    lsc.LscElement: lambda rng, sp: gen.rand_lsc(rng, sp),
+    models.El: lambda rng, sp: rng.choice([
+        models.compact(rng.randrange(3)), models.soft(F(rng.randint(1, 3), 2)), models.soft(None), models.TWIN,
+    ]),
+}
+
+
+@pytest.mark.parametrize("cls", HOT, ids=[cls.__name__ for cls in HOT])
+def test_field_by_field_equality_matches_the_key_tuples(cls):
+    draw = HOT[cls]
+    assert cls.__eq__ is not geo.Record.__eq__ and cls.__hash__ is geo.Record.__hash__
+    seen = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        # Equal pairs come from one seed, drawn apart; a pair on one space
+        # object and a pair on equal spaces built apart both occur.
+        sp = gen.rand_space(rng, max_components=2)
+        twin = gen.rand_space(random.Random(seed), max_components=2)
+        k = rng.randrange(4)
+        a = draw(random.Random(k), sp)
+        for b in (draw(random.Random(k), sp), draw(random.Random(k), twin), draw(rng, sp)):
+            want = cls._key(a) == cls._key(b)
+            assert cls.__eq__(a, b) is want and (a == b) is want and (a != b) is not want
+            if want:
+                assert hash(a) == hash(b)
+            seen.add(want)
+    assert seen == {True, False}
+    assert cls.__eq__(a, object()) is NotImplemented and a != object()
 
 
 @pytest.mark.parametrize("cls, make", RECORDS, ids=IDS)
@@ -66,6 +103,7 @@ def test_open_and_closed_sets_with_equal_fields_are_unequal():
     o, c = geo.OpenSet(*fields), geo.ClosedSet(*fields)
     assert o != c and c != o
     assert not o == c
+    assert geo.OpenSet.__eq__(o, c) is NotImplemented and geo.ClosedSet.__eq__(c, o) is NotImplemented
     assert geo.full_set(ARC) != geo.complement(geo.empty_set(ARC))
 
 
