@@ -5,7 +5,11 @@ Every checker produces a PropertyVerdict whose kind is "witness",
 against the defining clauses before it is returned, and counterexamples
 carry the concrete violating instances in their data. Inconclusive means
 the bounded search space was exhausted without a decision; the bounds
-are echoed so a caller can retry with larger ones.
+are echoed, though not each bounds every search. The depth is the
+closure depth of a rational model's candidate pool for almost ordered
+sums (a table model ignores it) and the grid size named in the log line
+of a whole-circle weak-chain counterexample; refinable sums only echo
+it, as compact_cap bounds their search.
 """
 
 from __future__ import annotations

@@ -322,10 +322,10 @@ def cmd_verify_lemmas(args) -> int:
         names = args.check
         if args.shard:
             try:
-                idx, total = args.shard.split("/", 1)
-                names = suite.shard_names(int(idx), int(total))
+                idx, total = (int(x) for x in args.shard.split("/", 1))
             except ValueError as exc:
                 raise InputError("$.shard", f"expected I/N with integers: {exc}")
+            names = suite.shard_names(idx, total)
         report = suite.run_suite(seed=args.seed, cases=args.cases, names=names,
                                  mutate=tuple(args.mutate or ()))
     _emit(report)

@@ -194,69 +194,41 @@ def _check_indicator_chain(terms, what: str):
             raise ValueError(f"{what} must be decreasing")
 
 
+def _layers(f: LscElement, n: int) -> list:
+    """The indicators of the first n superlevel sets of f, a decreasing list."""
+    return [indicator(level(f, k)) for k in range(1, n + 1)]
+
+
 def ordered_sum_pairwise(xs, ys, off_by_one: bool = False) -> list:
     """Merge two decreasing indicator lists into one decreasing list with the same sum.
 
-    The i-th output is the join over j of (xs[j] meet ys[i-j]), where an
-    index at or below zero leaves the other factor alone and an index past
-    the end gives zero. off_by_one misaligns the second factor and is only
-    for the mutation canary.
+    A sum of indicators is the sum of exactly one decreasing list of
+    indicators, its level indicators, so the merge is the first 2m level
+    indicators of the sum, m the longer length. off_by_one drops the first
+    level and is only for the mutation canary.
     """
     xs, ys = list(xs), list(ys)
     _check_indicator_chain(xs, "first summands")
     _check_indicator_chain(ys, "second summands")
-    if not xs and not ys:
-        return []
-    sp = (xs + ys)[0].space
-    m = max(len(xs), len(ys))
-    z = zero(sp)
-    xs += [z] * (m - len(xs))
-    ys += [z] * (m - len(ys))
-    shift = 1 if off_by_one else 0
-    out = []
-    for i in range(1, 2 * m + 1):
-        acc = z
-        for j in range(m + 1):
-            k = i - j + shift
-            if j == 0:
-                term = ys[k - 1] if 1 <= k <= m else None
-            elif k <= 0:
-                term = xs[j - 1]
-            elif k > m:
-                term = None
-            else:
-                term = meet(xs[j - 1], ys[k - 1])
-            if term is not None:
-                acc = join(acc, term)
-        out.append(acc)
-    return out
+    terms = xs + ys
+    out = _layers(sum(terms[0].space, terms), 2 * max(len(xs), len(ys))) if terms else []
+    return out[1:] if off_by_one else out
 
 
 def ofs_normalize(terms) -> list:
-    """Reorder a list of indicator elements into a decreasing list with the same sum.
-
-    Folds the terms in one at a time; inserting x into the decreasing list
-    (z_1, ..., z_l) yields ((z_0 meet x) join z_1, ..., z_l meet x) with the
-    convention z_0 meet x = x.
-    """
+    """Reorder a list of indicator elements into a decreasing list with the
+    same sum: the level indicators of the sum, one per term."""
     for t in terms:
         if len(t.levels) > 1 or not geo.is_empty(t.infinity):
             raise ValueError("terms must be indicator elements")
-    out: list = []
-    for x in terms:
-        nxt = []
-        for i in range(len(out) + 1):
-            lo = meet(out[i - 1], x) if i >= 1 else x
-            nxt.append(join(lo, out[i]) if i < len(out) else lo)
-        out = nxt
-    return out
+    return _layers(sum(terms[0].space, terms), len(terms)) if terms else []
 
 
 def decompose_below_ne(y: LscElement, n: int) -> list:
     """Write y <= n*e as the decreasing sum of its level indicators."""
     if not geo.is_empty(y.infinity) or len(y.levels) > n:
         raise ValueError(f"element does not lie below {n} copies of the unit")
-    return [indicator(lv) for lv in y.levels]
+    return _layers(y, len(y.levels))
 
 
 def _complement_bounded(y: LscElement, z: LscElement) -> LscElement:
@@ -342,4 +314,4 @@ def element_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> LscElement:
     v = geo.empty_set(sp)
     if "infinity" in obj and obj["infinity"] is not None:
         v = geo.open_set_from_json(sp, obj["infinity"], f"{path}.infinity")
-    return from_levels(sp, levels, v)
+    return _trusted(sp, [geo.union(lv, v) for lv in levels], v)

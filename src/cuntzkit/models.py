@@ -493,9 +493,6 @@ class LscModel(_Ops):
     def sum(self, seq):
         return lsc.sum(self.space, seq)
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def propto(self, a, b, cap: int = 64) -> bool:
         return lsc.scaled_below(a, b)
 

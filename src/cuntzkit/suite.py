@@ -387,6 +387,8 @@ CHECK_NAMES = tuple(_LAWS)
 def run_check(name: str, seed: int, cases: int, mutate=()) -> dict:
     if name not in _LAWS:
         raise InputError("$.check", f"unknown check {name!r}")
+    if cases < 0:
+        raise InputError("$.cases", "the case count must not be negative")
     for m in mutate:
         if m not in MUTATIONS:
             raise InputError("$.mutate", f"unknown mutation {m!r}")
@@ -407,6 +409,8 @@ def run_suite(seed: int = 42, cases: int = 100, names=None, mutate=()) -> dict:
     for n in names:
         if n not in CHECK_NAMES:
             raise InputError("$.check", f"unknown check {n!r}")
+    if cases < 0:  # here too: an empty shard reaches no law
+        raise InputError("$.cases", "the case count must not be negative")
     picked = [n for n in CHECK_NAMES if n in set(names)]
     reports = [run_check(n, seed, cases, mutate) for n in picked]
     return {

@@ -154,6 +154,23 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
     return True
 
 
+def component_span(piece):
+    """The component ci of a nonempty connected open piece and its span
+    (a, a_in, b, b_in), read off `rat_parts`: a circle's first and last
+    pieces meet through the seam, as one span from a to L + b. The span is
+    None for a point component and for a whole circle."""
+    for ci, (comp, part) in enumerate(zip(piece.space.components, rat_parts(piece))):
+        if not part:
+            continue
+        if comp.kind == "point" or (comp.kind == "circle" and part == ((0, True, comp.length, True),)):
+            return ci, None
+        if comp.kind == "circle" and len(part) == 2:
+            (_, _, b, b_in), (a, a_in, _, _) = part
+            return ci, (a, a_in, comp.length + b, b_in)
+        return ci, part[0]
+    raise ValueError("an empty piece lies on no component")
+
+
 def exhaustive_chain_search(target, eps, depth: int = 4):
     from cuntzkit import chains
 
@@ -164,15 +181,14 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
     if len(comps) != 1:
         raise ValueError("the grid search handles one connected target")
     sp = target.space
-    desc = chains._component_span(comps[0])
-    if desc is not None and desc[1] is None:
-        piece = geo.component_set(sp, desc[0])
+    ci, span = component_span(comps[0])
+    if sp.components[ci].kind == "point":
+        piece = geo.component_set(sp, ci)
         if geo.diameter(piece) < eps:
             return chains.ChainWitness("chain", (piece,), Fraction(0), (0,))
         return None
     n = 2 ** depth
-    if desc is None:
-        ci = chains._home(target)
+    if span is None:
         L = sp.components[ci].length
         g = L / n
         arcs = []
@@ -186,7 +202,6 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
                 if i == 0:
                     roots.append(w)
     else:
-        ci, span = desc
         a0, a_in, b0, b_in = span
         g = (b0 - a0) / n
         arcs = []
@@ -240,11 +255,10 @@ def epsilon_chain(target, eps):
         return chains.ChainWitness("chain", (), Fraction(0), ())
     if len(comps) > 1:
         raise ValueError("disconnected target; refine to an almost chain instead")
-    desc = chains._component_span(comps[0])
-    if desc is None:
-        raise chains.NotChainableError("a whole circle admits no chain cover of small mesh")
-    ci, span = desc
     sp = target.space
+    ci, span = component_span(comps[0])
+    if span is None and sp.components[ci].kind == "circle":
+        raise chains.NotChainableError("a whole circle admits no chain cover of small mesh")
     if span is None:
         piece = geo.component_set(sp, ci)
         return chains.ChainWitness("chain", (piece,), Fraction(0), (0,))
@@ -580,6 +594,62 @@ def almost_complement_capped(y, z):
 
 
 # ---------------------------------------------------------------------------
+# Ordered sums by meet and join: the merge of two decreasing indicator
+# lists as a convolution, and the reordering of any indicator list as an
+# insertion fold. Neither reads a level of a sum; the library takes the
+# level indicators of the one sum and must agree exactly.
+
+
+def ordered_sum_pairwise(xs, ys) -> list:
+    """The i-th output is the join over j of (xs[j] meet ys[i-j]), where an
+    index at or below zero leaves the other factor alone and an index past
+    the end gives zero."""
+    from cuntzkit import lsc
+
+    xs, ys = list(xs), list(ys)
+    if not xs and not ys:
+        return []
+    sp = (xs + ys)[0].space
+    m = max(len(xs), len(ys))
+    z = lsc.zero(sp)
+    xs += [z] * (m - len(xs))
+    ys += [z] * (m - len(ys))
+    out = []
+    for i in range(1, 2 * m + 1):
+        acc = z
+        for j in range(m + 1):
+            k = i - j
+            if j == 0:
+                term = ys[k - 1] if 1 <= k <= m else None
+            elif k <= 0:
+                term = xs[j - 1]
+            elif k > m:
+                term = None
+            else:
+                term = lsc.meet(xs[j - 1], ys[k - 1])
+            if term is not None:
+                acc = lsc.join(acc, term)
+        out.append(acc)
+    return out
+
+
+def ofs_normalize(terms) -> list:
+    """Fold the terms in one at a time: inserting x into the decreasing list
+    (z_1, ..., z_l) yields ((z_0 meet x) join z_1, ..., z_l meet x) with
+    the convention z_0 meet x = x."""
+    from cuntzkit import lsc
+
+    out: list = []
+    for x in terms:
+        nxt = []
+        for i in range(len(out) + 1):
+            lo = lsc.meet(out[i - 1], x) if i >= 1 else x
+            nxt.append(lsc.join(lo, out[i]) if i < len(out) else lo)
+        out = nxt
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The axiom battery for finite tables as nested loops, each stopping at its
 # first counterexample. `checks.check_axioms` scans generators instead and
 # must give the same report, case counts included.
@@ -795,17 +865,14 @@ def rand_cover_pieces(rng, sp, target, max_pieces: int = 5) -> list:
 
 def components_as_space(target):
     """The connected components of an open set, viewed as an abstract space."""
-    from cuntzkit import chains
-
     comps = []
     for piece in geo.connected_components(target):
-        desc = chains._component_span(piece)
-        if desc is None:
-            comps.append(geo.circle(target.space.components[chains._home(piece)].length))
-        elif desc[1] is None:
-            comps.append(geo.point())
+        ci, span = component_span(piece)
+        comp = target.space.components[ci]
+        if span is None:
+            comps.append(geo.point() if comp.kind == "point" else geo.circle(comp.length))
         else:
-            a, _, b, _ = desc[1]
+            a, _, b, _ = span
             comps.append(geo.arc(b - a))
     if not comps:
         return None

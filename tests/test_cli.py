@@ -721,6 +721,23 @@ def test_verify_lemmas_bad_names(capsys):
     assert code == 2 and "$.shard" in err
 
 
+@pytest.mark.parametrize("shard, message", [
+    ("0/0", "shard must be i/n with 0 <= i < n"),
+    ("3/3", "shard must be i/n with 0 <= i < n"),
+    ("x/3", "expected I/N with integers: invalid literal for int() with base 10: 'x'"),
+    ("1", "expected I/N with integers: not enough values to unpack (expected 2, got 1)"),
+])
+def test_verify_lemmas_shard_errors_name_their_path_once(capsys, shard, message):
+    code, out, err = run(capsys, ["verify", "lemmas", "--shard", shard])
+    assert (code, out, err) == (2, "", f"error: $.shard: {message}\n")
+
+
+def test_verify_lemmas_rejects_a_negative_case_count(capsys):
+    for extra in (["--check", "bounded-decomposition"], ["--shard", "30/40"]):
+        code, out, err = run(capsys, ["verify", "lemmas", "--seed", "1", "--cases", "-3", *extra])
+        assert (code, out, err) == (2, "", "error: $.cases: the case count must not be negative\n")
+
+
 def test_benchmark_cli_calls_keep_their_pinned_bytes(capsys, tmp_path, monkeypatch):
     # The benchmark's seed-42 verb mix, run in process: each call's exit
     # code, and the sha256 of its stdout as bench/digests.json records it.

@@ -81,13 +81,6 @@ def test_ordered_sum_pairwise_examples():
     assert total_in == total_out
 
 
-def test_ordered_sum_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lsc.ordered_sum_pairwise([chi((F(0), F("1/4"))), chi((F(0), F("1/2")))], [])
-    with pytest.raises(ValueError):
-        lsc.ordered_sum_pairwise([lsc.scalar_mul(2, lsc.unit(ARC))], [])
-
-
 def test_ofs_normalize_examples():
     terms = [chi((F("1/2"), F(1))), chi((F(0), F("3/4"))), chi((F("1/4"), F("5/8")))]
     out = lsc.ofs_normalize(terms)
@@ -107,6 +100,69 @@ def test_ofs_normalize_examples():
     assert lsc.ofs_normalize([z, z, e]) == [e, z, z]
     dec = [chi((F(0), F("3/4"))), chi((F(0), F("1/2"))), chi((F("1/4"), F("1/2")))]
     assert lsc.ofs_normalize(dec) == dec
+
+
+def _draws(seed: int, count: int):
+    """Seeded ordered-sum inputs from the law suite's generators: a pair of
+    decreasing indicator lists of 0-3 terms and an indicator list of 0-4."""
+    rng = seeded(seed)
+    for _ in range(count):
+        sp = gen.rand_space(rng, max_components=2)
+        xs = gen.rand_decreasing_indicators(rng, sp, rng.randrange(0, 4))
+        ys = gen.rand_decreasing_indicators(rng, sp, rng.randrange(0, 4))
+        yield sp, xs, ys, [gen.rand_indicator(rng, sp) for _ in range(rng.randrange(0, 5))]
+
+
+def _through_seam(sp, f) -> bool:
+    whole = geo.full_set(sp)
+    return any(c.kind == "circle" and geo.contains_point(lsc.supp(f), ci, F(0))
+               and geo.restrict(lsc.supp(f), ci) != geo.restrict(whole, ci)
+               for ci, c in enumerate(sp.components))
+
+
+def test_ordered_sums_match_the_meet_join_routes():
+    # The level indicators of the sum against the convolution and the
+    # insertion fold they replaced: equal records and equal element JSON.
+    assert lsc.ordered_sum_pairwise([], []) == oracles.ordered_sum_pairwise([], []) == []
+    assert lsc.ofs_normalize([]) == oracles.ofs_normalize([]) == []
+    seen = set()
+    for sp, xs, ys, terms in _draws(1_717, 4_000):
+        pairs = ((lsc.ordered_sum_pairwise(xs, ys), oracles.ordered_sum_pairwise(xs, ys)),
+                 (lsc.ofs_normalize(terms), oracles.ofs_normalize(terms)))
+        for got, want in pairs:
+            assert got == want, (xs, ys, terms)
+            assert [lsc.element_to_json(t) for t in got] == [lsc.element_to_json(t) for t in want]
+        seen.add("one side empty" if bool(xs) != bool(ys) else "both sides" if xs else "no sides")
+        elements = xs + ys + terms
+        if lsc.zero(sp) in elements:
+            seen.add("zero term")
+        if any(_through_seam(sp, f) for f in elements):
+            seen.add("seam")
+        if any(c.kind == "point" and geo.contains_point(lsc.supp(f), ci)
+               for f in elements for ci, c in enumerate(sp.components)):
+            seen.add("point")
+    assert seen == {"one side empty", "both sides", "no sides", "zero term", "seam", "point"}
+
+
+def test_ordered_sum_rejects_bad_input():
+    # The checks run in this order, with these messages, before any sum.
+    two = lsc.scalar_mul(2, lsc.unit(ARC))
+    small, big = chi((F(0), F("1/4"))), chi((F(0), F("1/2")))
+    other = lsc.unit(geo.space(geo.circle(1)))
+    pair, refold, mismatch = lsc.ordered_sum_pairwise, lsc.ofs_normalize, geo.SpaceMismatchError
+    cases = [
+        (pair, ([two], [small, big]), ValueError, "first summands must be indicator elements"),
+        (pair, ([small, big], [two]), ValueError, "first summands must be decreasing"),
+        (pair, ([big], [small, big]), ValueError, "second summands must be decreasing"),
+        (pair, ([big], [other]), mismatch, "elements live on different spaces"),
+        (pair, ([big, other], []), mismatch, "elements live on different spaces"),
+        (refold, ([big, two],), ValueError, "terms must be indicator elements"),
+        (refold, ([big, other],), mismatch, "elements live on different spaces"),
+    ]
+    for fn, args, exc, message in cases:
+        with pytest.raises(exc) as info:
+            fn(*args)
+        assert str(info.value) == message
 
 
 def test_decompose_examples():
@@ -142,6 +198,18 @@ def test_infinity_examples():
     e = lsc.unit(ARC)
     assert oracles.infinity_of(x) == oracles.infinity_of(lsc.meet(x, e))
     assert oracles.infinity_of(x).infinity == geo.normalize(ARC, [[(F(0), F("3/4"))]])
+
+
+def test_reading_an_element_checks_its_nesting_once(monkeypatch):
+    # One subset test per adjacent pair of levels, with its path; the
+    # element is then built without the checks of from_levels.
+    f = elem([[(F(0), F("3/4"))], [(F(0), F("1/2"))], [(F(0), F("1/4"))]])
+    obj = lsc.element_to_json(f)
+    calls = []
+    real = geo.subset
+    monkeypatch.setattr(geo, "subset", lambda a, b: calls.append(1) or real(a, b))
+    assert lsc.element_from_json(ARC, obj) == f
+    assert len(calls) == 2
 
 
 def test_json_round_trip_fixed():
@@ -368,6 +436,8 @@ def test_every_operation_returns_canonical_elements():
             lsc.add(f, g),
             lsc.scalar_mul(rng.randint(0, 3), f),
             lsc.almost_complement(y, z),
+            lsc.element_from_json(sp, lsc.element_to_json(f)),
+            *lsc.ofs_normalize([lsc.indicator(lv) for lv in f.levels + g.levels]),
         ]
         for out in outs:
             assert_canonical(out)

@@ -105,3 +105,21 @@ def test_seed_42_report_bytes_are_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "f11bea476d2bc281d4c0141d520a9213946d81dd803a2f5fea87dac3fee57ab0"
     )
+
+
+def test_a_negative_case_count_is_rejected():
+    # range(-3) runs no case, so a negative count would pass every law.
+    for call in (lambda: suite.run_check("bounded-decomposition", seed=1, cases=-3),
+                 lambda: suite.run_suite(seed=1, cases=-3, names=["bounded-decomposition"]),
+                 lambda: suite.run_suite(seed=1, cases=-1, names=suite.shard_names(30, 40))):
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.value.path == "$.cases"
+
+
+def test_zero_cases_is_a_pinned_empty_run(capsys):
+    assert cli.main(["verify", "lemmas", "--seed", "3", "--cases", "0"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "6a2572c5360524f7a18dc3fcf97027660e47d02db216106e2b058e382477a939"
+    )
