@@ -87,34 +87,37 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
         for i, p in enumerate(pieces):
             if geo.is_empty(p):
                 return False
-            if i and geo.is_empty(geo.intersect(pieces[i - 1], p)):
+            if i and not geo.meets(pieces[i - 1], p):
                 return False
     tested = set()
     for pair in _closure_overlaps(pieces):
         i, j = pair
         if j - i >= 2 and pair not in tested:
             tested.add(pair)
-            if not geo.is_empty(geo.intersect(pieces[i], pieces[j])):
+            if geo.meets(pieces[i], pieces[j]):
                 return False
     return True
 
 
 def _closure_overlaps(pieces):
     """Yield each pair (i, j), i < j, of pieces whose closed spans overlap on
-    some component, possibly more than once. A span through a circle's
-    seam is split at L, so both halves keep the seam point."""
+    some component, possibly more than once. The spans are swept as
+    integers at one scale; a span through a circle's seam is split at L,
+    so both halves keep the seam point."""
     if not pieces:
         return
     sp = pieces[0].space
     if any(p.space != sp for p in pieces):
         raise geo.SpaceMismatchError("chain pieces live on different spaces")
     for ci, comp in enumerate(sp.components):
+        D, per = geo.scaled_spans(sp, pieces, ci)
+        L = int(comp.length * D) if comp.kind == "circle" else None
         ivs = []
-        for i, p in enumerate(pieces):
-            for a, _, b, _ in geo.spans(p, ci):
-                if comp.kind == "circle" and b > comp.length:
-                    ivs.append((a, comp.length, i))
-                    ivs.append((frac(0), b - comp.length, i))
+        for i, spans in enumerate(per):
+            for a, _, b, _ in spans:
+                if L is not None and b > L:
+                    ivs.append((a, L, i))
+                    ivs.append((0, b - L, i))
                 else:
                     ivs.append((a, b, i))
         ivs.sort()
@@ -169,7 +172,8 @@ def decide_almost_chainable(sp: SpaceDescriptor) -> bool:
 
 def _home(piece: OpenSet) -> int:
     """The index of the component a nonempty connected piece lies on."""
-    return next(ci for ci in range(len(piece.space.components)) if geo.spans(piece, ci))
+    sp = piece.space
+    return next(ci for ci in range(len(sp.components)) if geo.scaled_spans(sp, (piece,), ci)[1][0])
 
 
 def _component_span(piece: OpenSet):
@@ -200,8 +204,12 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
     desc = _component_span(comps[0])
     if desc is None:
         raise NotChainableError("a whole circle admits no chain cover of small mesh")
-    ci, span = desc
-    sp = target.space
+    return _span_chain(target.space, *desc, eps)
+
+
+def _span_chain(sp: SpaceDescriptor, ci: int, span, eps: Fraction | None) -> ChainWitness:
+    """`epsilon_chain` of the connected piece that `_component_span` reads
+    as (ci, span)."""
     if span is None:
         piece = geo.component_set(sp, ci)
         return ChainWitness("chain", (piece,), frac(0), (0,))
@@ -213,20 +221,14 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
             f"eps {eps} needs {2 * n - 1} pieces, more than the cap of {MAX_CHAIN_PIECES}"
         )
     # Window i runs from a + i*h to a + (i + 2)*h, h = length / 2n. At the
-    # scale d every such end is the integer A + k*H, so the windows are
-    # built on `grid_set`'s integer grid with no Fraction arithmetic.
+    # scale d every such end is the integer A + i*H, so the windows are
+    # written on that integer grid with no Fraction arithmetic.
     h = length / (2 * n)
     d = lcm(sp.components[ci].length.denominator, a.denominator, h.denominator)
     A, H = a.numerator * (d // a.denominator), h.numerator * (d // h.denominator)
-    raw = [False if c.kind == "point" else (c.length.denominator, ()) for c in sp.components]
-    last = 2 * n - 2
-    pieces = []
-    for i in range(last + 1):
-        lo = A + i * H
-        raw[ci] = (d, ((lo, lo + 2 * H, a_in and i == 0, b_in and i == last),))
-        pieces.append(geo.grid_set(sp, raw))
+    pieces = geo.grid_windows(sp, ci, d, A, H, 2 * H, 2 * n - 1, a_in, b_in)
     # The windows are congruent, so one diameter is the mesh.
-    return ChainWitness("chain", tuple(pieces), geo.diameter(pieces[0]), (0,) * len(pieces))
+    return ChainWitness("chain", pieces, geo.diameter(pieces[0]), (0,) * len(pieces))
 
 
 def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
@@ -276,15 +278,17 @@ def _cover_delta(cover: Cover, ci: int, k, window=None, absorb_hi: bool = True):
     """The escape margin of _sweep_delta over the lifted interval k of
     component ci, against the spans of every cover piece clipped to the
     window (k itself by default). Pieces stay separate: the sweep must only
-    see intervals lying inside a single piece. None when one piece holds
-    the whole component."""
+    see intervals lying inside a single piece. The sweep runs on the
+    integers of `scaled_spans`, whose scale takes in the window's ends and
+    so k's, which are those or multiples of L; only the margin becomes a
+    Fraction. None when one piece holds the whole component."""
     whole = geo.component_set(cover.space, ci)
-    ivs = []
-    for p in cover.pieces:
-        if geo.restrict(p, ci) == whole:
-            return None
-        ivs.extend(geo.spans(p, ci, window or k))
-    return _sweep_delta(ivs, *k, absorb_hi=absorb_hi)
+    if any(geo.subset(whole, p) for p in cover.pieces):
+        return None
+    D, per = geo.scaled_spans(cover.space, cover.pieces, ci, window or k)
+    lo, lo_in, hi, hi_in = k
+    m = _sweep_delta([iv for ivs in per for iv in ivs], int(lo * D), lo_in, int(hi * D), hi_in, absorb_hi=absorb_hi)
+    return None if m is None else Fraction(m, D)
 
 
 def lebesgue_number(cover: Cover) -> Fraction:
@@ -314,20 +318,16 @@ def lebesgue_number(cover: Cover) -> Fraction:
     return best
 
 
-def _component_chain(cover: Cover, piece: OpenSet) -> tuple[list, list]:
-    """A chain covering one connected target piece, with each window inside
-    some cover piece; returns (windows, refine indices)."""
-    ci, span = _component_span(piece)
-    if span is None:
-        window = geo.component_set(cover.space, ci)
-        idx = _containing_piece(cover, window)
-        return [window], [idx]
-    delta = _cover_delta(cover, ci, span)
-    if delta is None:
-        delta = span[2] - span[0] + 1
-    witness = epsilon_chain(piece, delta)
-    refines = [_containing_piece(cover, w) for w in witness.pieces]
-    return list(witness.pieces), refines
+def _component_chain(cover: Cover, ci: int, span) -> ChainWitness:
+    """A chain covering the connected target piece (ci, span) of
+    `_component_span`, with each window inside the cover piece its
+    `refines` entry names."""
+    delta = None  # a point needs no bound on the mesh
+    if span is not None:
+        # With no margin anywhere, one window longer than the span will do.
+        delta = _cover_delta(cover, ci, span) or span[2] - span[0] + 1
+    w = _span_chain(cover.space, ci, span, delta)
+    return ChainWitness(w.kind, w.pieces, w.mesh, tuple(_containing_piece(cover, p) for p in w.pieces))
 
 
 def _containing_piece(cover: Cover, window: OpenSet) -> int:
@@ -345,18 +345,18 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
         raise geo.SpaceMismatchError("target lives on a different space")
     if not geo.subset(target, union_of(cover.space, cover.pieces)):
         raise ValueError("cover does not cover target")
-    comps = geo.connected_components(target)
-    for piece in comps:
-        if _component_span(piece) is None:
-            return Impossible("a connected component of the target is a whole circle")
-    pieces: list = []
-    refines: list = []
-    for piece in comps:
-        ws, rs = _component_chain(cover, piece)
-        pieces.extend(ws)
-        refines.extend(rs)
+    descs = [_component_span(piece) for piece in geo.connected_components(target)]
+    if None in descs:
+        return Impossible("a connected component of the target is a whole circle")
+    pieces, refines, mesh = (), (), frac(0)
+    for desc in descs:
+        w = _component_chain(cover, *desc)
+        pieces += w.pieces
+        refines += w.refines
+        # Each chain's mesh is that of its pieces, so the largest is the mesh.
+        mesh = max(mesh, w.mesh)
     kind = "chain" if chain_pattern_ok(pieces, almost=False) else "almost_chain"
-    return ChainWitness(kind, tuple(pieces), mesh_of(pieces), tuple(refines))
+    return ChainWitness(kind, pieces, mesh, refines)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ def cmd_lsc_ordered_sum(args) -> int:
         try:
             out = lsc.ordered_sum_pairwise(xs, ys)
         except ValueError as exc:
-            raise InputError("$.xs", str(exc))
+            # The message names the list at fault, first or second summands.
+            raise InputError("$.ys" if str(exc).startswith("second") else "$.xs", str(exc))
     else:
         terms = _parse_elements(model, _field(inst, "terms"), "$.terms")
         try:

@@ -53,7 +53,7 @@ def verify_basictop(y: lsc.LscElement, z: lsc.LscElement) -> dict:
             break
     out["membership_is_unit_join"] = agree
 
-    disjoint = geo.is_empty(geo.intersect(uy, uz))
+    disjoint = not geo.meets(uy, uz)
     out["disjointness_is_zero_meet"] = disjoint == (lsc.meet(y, z) == lsc.zero(sp))
 
     ac = lsc.almost_complement(y, e)

@@ -24,8 +24,9 @@ from .base import (
 )
 # The sweeps over piece tuples; every name is re-exported.
 from .segment import (
-    Piece, Scaled, _at, _by_start, _coalesce, _common, _complement, _contains, _intersect, _least, _merge,
-    _piece_ok, _rescale, _seam_sync, _seg_closure, _subset, _union, _wrap,
+    Piece, Scaled, _at, _by_start, _circle_diameter, _circle_spans, _coalesce, _common, _complement, _contains,
+    _gap, _geodesic, _grown, _intersect, _least, _meets, _merge, _piece_ok, _probe_sweep, _rescale,
+    _seam_sync, _seg_closure, _subset, _union, _wrap,
 )
 
 
@@ -44,12 +45,13 @@ from .segment import (
 # `_least` restores the least scale; union, closure and `_part` share that
 # tail in `_settle`, and a complement keeps its endpoints and its scale.
 # Raw intervals become a part through `_part` alone; `point_complement`
-# writes its canonical parts directly.
+# and `grid_windows` write their canonical parts directly.
 # Records are immutable and every stored part is canonical, so `union` and
 # `intersect` of two sets of one class return an operand when the other
 # side is empty or the same object.
-# `grid_set` takes integers at a scale, and otherwise Fractions only cross
-# the boundary: `normalize`, `open_set_from_json`, `component_set`,
+# `grid_set` and `grid_windows` take integers at a scale and
+# `scaled_spans` gives them back; otherwise Fractions only cross the
+# boundary: `normalize`, `open_set_from_json`, `component_set`,
 # `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
 # `probe_points`, `diameter`, `set_distance` and `set_to_json` give them
 # back. `probe_points` builds and sweeps its probes on integers and hands
@@ -84,19 +86,14 @@ def _settle(comp: Component, d: int, pieces: tuple[Piece, ...], n: int) -> Part:
     return _least(d, pieces, comp.length) if shrunk else (d, pieces)
 
 
-def _rat(part: Part) -> tuple[Piece, ...]:
-    d, pieces = part
-    return tuple((Fraction(a, d), ain, Fraction(b, d), bin_) for a, ain, b, bin_ in pieces)
-
-
 # ---------------------------------------------------------------------------
 # Public set types. `parts` holds, per component, either a scaled part
 # (d, pieces) (arc/circle) or a bool (point). Both types share the
 # representation; the distinction is the openness/closedness invariant of
 # the stored pieces. This module is the only one that reads `parts`: other
 # modules see a set through the set operations and the per-component views
-# `component_set`, `restrict`, `spans`, `breakpoints`, `probe_points` and
-# `embed`.
+# `component_set`, `restrict`, `spans`, `scaled_spans`, `breakpoints`,
+# `probe_points` and `embed`.
 
 Part = Union[Scaled, bool]
 
@@ -270,6 +267,40 @@ def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
     return OpenSet(sp, tuple(parts))
 
 
+def grid_windows(sp: SpaceDescriptor, ci: int, d: int, lo: int, step: int, width: int, count: int,
+                 lo_in: bool = False, hi_in: bool = False) -> tuple[OpenSet, ...]:
+    """The open windows (x, x + width), x = lo + i*step for i < count, of
+    arc or circle ci, integers at the scale d as in `grid_set`; the first
+    is closed at lo if lo_in, the last at its upper end if hi_in. The outer
+    windows are checked against the component, and every window is written
+    canonical at once, the part `grid_set` would build for it."""
+    comp = _comp(sp, ci)
+    L = comp.length
+    if comp.kind == "point" or d <= 0 or d % L.denominator:
+        raise ValueError("windows need an arc or circle and a scale that is a multiple of its length's denominator")
+    Li = _at(L, d)
+    top = lo + (count - 1) * step + width
+    circle = comp.kind == "circle"
+    if circle:
+        bad = width > Li or lo_in or hi_in
+    else:
+        bad = top > Li or (lo_in and lo != 0) or (hi_in and top != Li)
+    if bad or count < 1 or step < 0 or width <= 0 or lo < 0:
+        raise ValueError("the windows leave the component or are not open in it")
+    before = tuple(_empty(c) for c in sp.components[:ci])
+    after = tuple(_empty(c) for c in sp.components[ci + 1:])
+    k = d // L.denominator
+    out = []
+    for i in range(count):
+        x = lo + i * step
+        # Each window at its least scale; a circle window through the seam is cut in two.
+        g = gcd(k, x, x + width)
+        piece = (x // g, lo_in and i == 0, (x + width) // g, hi_in and i == count - 1)
+        part = d // g, (piece,) if not circle else tuple(sorted(_wrap(*piece, Li // g)))
+        out.append(OpenSet(sp, before + (part,) + after))
+    return tuple(out)
+
+
 def union(a: SetLike, b: SetLike):
     _check_same_space(a, b)
     if a.__class__ is b.__class__:
@@ -307,6 +338,19 @@ def intersect(a: SetLike, b: SetLike):
             parts.append(_least(d, _intersect(xs, ys), comp.length))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
+
+
+def meets(a: SetLike, b: SetLike) -> bool:
+    """Whether a and b share a point: `not is_empty(intersect(a, b))`,
+    from the sweep alone, with no set built and no least scale sought."""
+    _check_same_space(a, b)
+    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+        if comp.kind == "point":
+            if pa and pb:
+                return True
+        elif pa[1] and pb[1] and _meets(*_common(pa, pb)[1:]):
+            return True
+    return False
 
 
 def closure(a: SetLike) -> ClosedSet:
@@ -441,32 +485,49 @@ def restrict(s: SetLike, ci: int):
     return type(s)(s.space, _only(s.space, ci, s.parts[ci]))
 
 
+def scaled_spans(sp: SpaceDescriptor, sets: Sequence[SetLike], ci: int, window: Piece | None = None):
+    """(D, spans of each set): the spans of `spans`, for every set on
+    component ci, as integers at one scale D, the lcm of the scales of L,
+    of each set and of the window's ends, each a sorted sequence that may
+    be the stored tuple itself. A point component has D == 1."""
+    comp = _comp(sp, ci)
+    if comp.kind == "point":
+        return 1, [[(0, True, 0, True)] if s.parts[ci] else [] for s in sets]
+    parts = [s.parts[ci] for s in sets]
+    D = lcm(comp.length.denominator, *[d for d, _ in parts])
+    if window is not None:
+        lo, lo_in, hi, hi_in = window
+        lo, hi = frac(lo), frac(hi)
+        D = lcm(D, lo.denominator, hi.denominator)
+        window = (_at(lo, D), lo_in, _at(hi, D), hi_in)
+    Li = _at(comp.length, D)
+    out = []
+    for d, pieces in parts:
+        xs = pieces if d == D else _rescale(pieces, D // d)
+        if comp.kind == "circle":
+            xs = _circle_spans(xs, Li)
+            if window is not None:
+                # Lifted spans lie in [0, 2L), so copy m lies in [mL, (m + 2)L);
+                # copies of a whole circle touch end to end, so they are merged.
+                xs = _merge(
+                    (a + m * Li, ain, b + m * Li, bin_)
+                    for m in range(window[0] // Li - 1, window[2] // Li + 1)
+                    for a, ain, b, bin_ in xs
+                )
+        out.append(xs if window is None else _intersect(xs, (window,)))
+    return D, out
+
+
 def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
     """The connected spans of s on component ci, sorted, in lifted
-    coordinates; a whole circle is the one span (0, True, L, True).
+    coordinates; a whole circle is the one span (0, True, L, True), and a
+    point component the span (0, True, 0, True).
 
     With a lifted window, the spans on a circle are repeated every L along
-    the line and each copy is clipped to the window."""
-    comp = _comp(s.space, ci)
-    part = s.parts[ci]
-    if comp.kind == "point":
-        return [(_ZERO, True, _ZERO, True)] if part else []
-    pieces = _rat(part)
-    if comp.kind == "arc":
-        return list(pieces if window is None else _intersect(pieces, (window,)))
-    out = _circle_spans(pieces, comp.length)
-    if window is None:
-        return out
-    # Lifted spans lie in [0, 2L), so copy m lies in [mL, (m + 2)L). Copies
-    # of a whole circle touch end to end, so the copies are merged first.
-    L = comp.length
-    lo, hi = window[0], window[2]
-    copies = _merge(
-        (a + m * L, ain, b + m * L, bin_)
-        for m in range(lo // L - 1, hi // L + 1)
-        for a, ain, b, bin_ in out
-    )
-    return list(_intersect(copies, (window,)))
+    the line and each copy is clipped to the window. A Fraction view over
+    `scaled_spans`."""
+    D, (out,) = scaled_spans(s.space, (s,), ci, window)
+    return [(Fraction(a, D), ain, Fraction(b, D), bin_) for a, ain, b, bin_ in out]
 
 
 def breakpoints(s: SetLike, ci: int) -> list[Fraction]:
@@ -502,13 +563,8 @@ def probe_points(sp: SpaceDescriptor, sets: Sequence[SetLike], within: SetLike |
         for d, pieces in parts:
             m = D // d
             vals.update(x * m for a, _, b, _ in pieces for x in (a, b))
-        xs = sorted(vals)
         ws = _rescale(w[1], D // w[0]) if w else ()
-        j = 0
-        for x in xs[:1] + [x for a, b in zip(xs, xs[1:]) for x in ((a + b) // 2, b)]:
-            while j < len(ws) and (ws[j][2] < x or (ws[j][2] == x and not ws[j][3])):
-                j += 1
-            out.append((ci, Fraction(x, D), j < len(ws) and (ws[j][0] < x or (ws[j][0] == x and ws[j][1]))))
+        out += [(ci, Fraction(x, D), inside) for x, inside in _probe_sweep(sorted(vals), ws)]
     return out
 
 
@@ -523,29 +579,13 @@ def embed(s: SetLike, target: SpaceDescriptor, offset: int):
     return type(s)(target, tuple(parts))
 
 
-def _geodesic(x, y, L):
-    d = abs(x - y)
-    return min(d, L - d)
-
-
 def component_diameter(comp: Component, part: Part) -> Fraction:
     if comp.kind == "point" or not part[1]:
         return _ZERO
     d, pieces = part
-    L = comp.length
     if comp.kind == "arc":
         return Fraction(pieces[-1][2] - pieces[0][0], d)
-    Li = _at(L, d)
-    cl = _seam_sync(_seg_closure(pieces), Li)
-    if cl == ((0, True, Li, True),):
-        return L / 2
-    # Turned by half the circle, which is Li at scale 2d.
-    cl2 = _rescale(cl, 2)
-    turned = _merge(p for a, ain, b, bin_ in cl2 for p in _wrap(a + Li, ain, b + Li, bin_, 2 * Li))
-    if _intersect(cl2, _seam_sync(turned, 2 * Li)):
-        return L / 2
-    ends = [a for a, _, _, _ in cl] + [b for _, _, b, _ in cl]
-    return Fraction(max(_geodesic(x, y, Li) for x in ends for y in ends), d)
+    return Fraction(_circle_diameter(pieces, _at(comp.length, d)), 2 * d)
 
 
 def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
@@ -567,19 +607,8 @@ def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
         L = comp.length
         d0, pieces = part
         d = lcm(d0, delta.denominator)
-        pieces = _rescale(pieces, d // d0)
-        Li, r = _at(L, d), _at(delta, d)
-        if comp.kind == "arc":
-            # Growing past an end of the arc takes that end in.
-            grown = _merge((a - r, False, b + r, False) for a, _, b, _ in pieces)
-            parts.append(_least(d, _intersect(grown, ((0, True, Li, True),)), L))
-            continue
-        lifted = _circle_spans(pieces, Li)
-        if any((b - a) + 2 * r >= Li for a, _, b, _ in lifted):
-            parts.append(_full(L))
-        else:
-            grown = _merge(p for a, _, b, _ in lifted for p in _wrap(a - r, False, b + r, False, Li))
-            parts.append(_least(d, _seam_sync(grown, Li), L))
+        grown = _grown(_rescale(pieces, d // d0), _at(delta, d), _at(L, d), comp.kind == "circle")
+        parts.append(_full(L) if grown is None else _least(d, grown, L))
     return OpenSet(s.space, tuple(parts))
 
 
@@ -589,7 +618,7 @@ def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
     if is_empty(a) or is_empty(b):
         return None
     ca, cb = closure(a), closure(b)
-    if not is_empty(intersect(ca, cb)):
+    if meets(ca, cb):
         return _ZERO
     cands = []
     occ_a = [ci for ci, p in enumerate(ca.parts) if p is True or (p is not False and p[1])]
@@ -598,11 +627,7 @@ def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
         if comp.kind == "point" or not (pa[1] and pb[1]):
             continue
         d, xs, ys = _common(pa, pb)
-        ends_a = [e for p in xs for e in (p[0], p[2])]
-        ends_b = [e for p in ys for e in (p[0], p[2])]
-        # On an arc the geodesic formula reads L as infinite.
-        Li = _at(comp.length, d) if comp.kind == "circle" else inf
-        cands.append(Fraction(min(_geodesic(x, y, Li) for x in ends_a for y in ends_b), d))
+        cands.append(Fraction(_gap(xs, ys, _at(comp.length, d) if comp.kind == "circle" else inf), d))
     if any(i != j for i in occ_a for j in occ_b):
         cands.append(frac(2))
     return min(cands)
@@ -664,16 +689,6 @@ def space_from_json(obj, path: str = "$") -> SpaceDescriptor:
         else:
             raise InputError(f"{here}.kind", f"unknown kind {kind!r}")
     return SpaceDescriptor(tuple(comps))
-
-
-def _circle_spans(pieces: tuple[Piece, ...], L) -> list[Piece]:
-    """Glue the seam back into wrap intervals for serialization."""
-    if len(pieces) >= 2 and _contains(pieces, 0):
-        (_, _, fb, fbin), *mid, (la, lain, _, _) = pieces
-        # A last piece that is the point L glues on as the first piece.
-        glued = (la - L, lain, fb, fbin) if la >= L else (la, lain, fb + L, fbin)
-        return sorted([glued, *mid])
-    return list(pieces)
 
 
 def _ratio_str(x: int, d: int) -> str:

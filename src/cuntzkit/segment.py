@@ -90,6 +90,27 @@ def _intersect(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
     return tuple(out)
 
 
+def _meets(xs, ys) -> bool:
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        a1, i1, b1, j1 = xs[i]
+        a2, i2, b2, j2 = ys[j]
+        if a1 > a2 or (a1 == a2 and not i1):
+            a, ain = a1, i1
+        else:
+            a, ain = a2, i2
+        if b1 < b2 or (b1 == b2 and not j1):
+            b, bin_ = b1, j1
+            i += 1
+        else:
+            b, bin_ = b2, j2
+            j += 1
+        if a < b or (a == b and ain and bin_):
+            return True
+    return False
+
+
 def _by_start(xs: Sequence[Piece], ys: Sequence[Piece]) -> Iterable[Piece]:
     """The pieces of two sorted tuples, merged in (a, not a_in) order."""
     i = j = 0
@@ -135,6 +156,17 @@ def _contains(pieces: Sequence[Piece], p) -> bool:
     return False
 
 
+def _probe_sweep(xs: Sequence, ws: Sequence[Piece]) -> list[tuple]:
+    """(x, x in ws) for the sorted points xs and their midpoints, in one sweep."""
+    out = []
+    j = 0
+    for x in xs[:1] + [x for a, b in zip(xs, xs[1:]) for x in ((a + b) // 2, b)]:
+        while j < len(ws) and (ws[j][2] < x or (ws[j][2] == x and not ws[j][3])):
+            j += 1
+        out.append((x, j < len(ws) and (ws[j][0] < x or (ws[j][0] == x and ws[j][1]))))
+    return out
+
+
 def _seam_sync(pieces: tuple[Piece, ...], L) -> tuple[Piece, ...]:
     """Circle seam rule: the points 0 and L are the same point. Only the
     first piece of a canonical tuple can hold 0 and only the last can hold
@@ -161,6 +193,51 @@ def _wrap(a, ain: bool, b, bin_: bool, L) -> list[Piece]:
     if b <= L:
         return [(a, ain, b, bin_)]
     return [(a, ain, L, True), (0, True, b - L, bin_)]
+
+
+def _circle_spans(pieces: tuple[Piece, ...], L) -> list[Piece]:
+    """Lifted spans of a circle tuple: the seam glued into one (a, a_in, b, b_in), a < L < b."""
+    if len(pieces) >= 2 and _contains(pieces, 0):
+        (_, _, fb, fbin), *mid, (la, lain, _, _) = pieces
+        # A last piece that is the point L glues on as the first piece.
+        glued = (la - L, lain, fb, fbin) if la >= L else (la, lain, fb + L, fbin)
+        return sorted([glued, *mid])
+    return list(pieces)
+
+
+def _geodesic(x, y, L):
+    d = abs(x - y)
+    return min(d, L - d)
+
+
+def _gap(xs: Sequence[Piece], ys: Sequence[Piece], L) -> int:
+    """The least distance between ends of xs and ys, geodesic on a circle of length L (inf: an arc)."""
+    ends_y = [e for p in ys for e in (p[0], p[2])]
+    return min(_geodesic(x, y, L) for p in xs for x in (p[0], p[2]) for y in ends_y)
+
+
+def _circle_diameter(pieces: Sequence[Piece], L):
+    """Twice the diameter of a nonempty tuple on the circle of length L."""
+    cl = _seam_sync(_seg_closure(pieces), L)
+    if cl == ((0, True, L, True),):
+        return L
+    # Turned by half the circle, which is L at scale 2.
+    cl2 = _rescale(cl, 2)
+    turned = _merge(p for a, ain, b, bin_ in cl2 for p in _wrap(a + L, ain, b + L, bin_, 2 * L))
+    if _intersect(cl2, _seam_sync(turned, 2 * L)):
+        return L
+    ends = [a for a, _, _, _ in cl] + [b for _, _, b, _ in cl]
+    return 2 * max(_geodesic(x, y, L) for x in ends for y in ends)
+
+
+def _grown(pieces: Sequence[Piece], r, L, circle: bool) -> tuple[Piece, ...] | None:
+    """Open r-neighbourhood of a tuple, clipped on an arc; None if a whole circle."""
+    if not circle:
+        return _intersect(_merge((a - r, False, b + r, False) for a, _, b, _ in pieces), ((0, True, L, True),))
+    lifted = _circle_spans(pieces, L)
+    if any((b - a) + 2 * r >= L for a, _, b, _ in lifted):
+        return None
+    return _seam_sync(_merge(p for a, _, b, _ in lifted for p in _wrap(a - r, False, b + r, False, L)), L)
 
 
 def _at(x: Fraction, d: int) -> int:

@@ -384,14 +384,22 @@ def _chk_almost_ordered_counterexample(rng, mutate):
 CHECK_NAMES = tuple(_LAWS)
 
 
-def run_check(name: str, seed: int, cases: int, mutate=()) -> dict:
-    if name not in _LAWS:
-        raise InputError("$.check", f"unknown check {name!r}")
+def _check_request(names, cases: int, mutate):
+    """Reject unknown check names, a negative case count and unknown
+    mutations, before any law runs: a run that reaches no law, such as an
+    empty shard, is checked all the same."""
+    for n in names:
+        if n not in _LAWS:
+            raise InputError("$.check", f"unknown check {n!r}")
     if cases < 0:
         raise InputError("$.cases", "the case count must not be negative")
     for m in mutate:
         if m not in MUTATIONS:
             raise InputError("$.mutate", f"unknown mutation {m!r}")
+
+
+def run_check(name: str, seed: int, cases: int, mutate=()) -> dict:
+    _check_request((name,), cases, mutate)
     check, cap = _LAWS[name]
     eff = cases if cap is None else min(cases, cap)
     failures = check(_rng_for(seed, name), eff, frozenset(mutate))
@@ -406,11 +414,7 @@ def run_check(name: str, seed: int, cases: int, mutate=()) -> dict:
 def run_suite(seed: int = 42, cases: int = 100, names=None, mutate=()) -> dict:
     if names is None:
         names = CHECK_NAMES
-    for n in names:
-        if n not in CHECK_NAMES:
-            raise InputError("$.check", f"unknown check {n!r}")
-    if cases < 0:  # here too: an empty shard reaches no law
-        raise InputError("$.cases", "the case count must not be negative")
+    _check_request(names, cases, mutate)
     picked = [n for n in CHECK_NAMES if n in set(names)]
     reports = [run_check(n, seed, cases, mutate) for n in picked]
     return {

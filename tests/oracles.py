@@ -400,6 +400,35 @@ def circle_block_search(space, ci, traces, bounds, log):
     return None
 
 
+def spans(s, ci: int, window=None) -> list:
+    """`geometry.spans` computed on Fractions: the stored pieces read
+    through `rat_parts`, a circle's first and last pieces glued back
+    through the seam, and with a window the circle spans repeated every L
+    along the line, merged, and clipped to it."""
+    comp = s.space.components[ci]
+    part = rat_parts(s)[ci]
+    if comp.kind == "point":
+        return [(Fraction(0), True, Fraction(0), True)] if part else []
+    if comp.kind == "arc":
+        return list(part if window is None else seg_intersect(part, (window,)))
+    L = comp.length
+    out = list(part)
+    if len(part) >= 2 and part[0][0] == 0 and part[0][1]:
+        (_, _, fb, fbin), *mid, (la, lain, _, _) = part
+        # A last piece that is the point L glues on as the first piece.
+        glued = (la - L, lain, fb, fbin) if la >= L else (la, lain, fb + L, fbin)
+        out = sorted([glued, *mid])
+    if window is None:
+        return out
+    lo, hi = window[0], window[2]
+    copies = merge(
+        (a + m * L, ain, b + m * L, bin_)
+        for m in range(math.floor(lo / L) - 1, math.floor(hi / L) + 1)
+        for a, ain, b, bin_ in out
+    )
+    return list(seg_intersect(copies, (window,)))
+
+
 # ---------------------------------------------------------------------------
 # The cut algebra by sort and re-merge: every operation pairs up or
 # concatenates raw pieces and sorts them back into canonical form, without

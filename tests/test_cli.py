@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import cuntzkit
 import oracles
-from cuntzkit import chains, checks, cli, gen
+from cuntzkit import chains, checks, cli, gen, suite
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
 
@@ -325,6 +325,19 @@ def test_lsc_ordered_sum_shapes(capsys, arc_file, tmp_path):
     assert lsc.leq(got, want) and lsc.leq(want, got)
     refold = write_json(tmp_path, "t.json", {"terms": [lsc.element_to_json(t) for t in xs]})
     assert run(capsys, ["lsc", "ordered-sum", "-s", arc_file, "--instance", refold])[0] == 0
+
+
+@pytest.mark.parametrize("field", ["xs", "ys"])
+def test_lsc_ordered_sum_reports_the_list_at_fault(capsys, arc_file, tmp_path, field):
+    small, large = chi((0, F(1, 4), True, False)), chi((0, F(1, 2), True, False))
+    good = [lsc.element_to_json(t) for t in (large, small)]
+    for bad, why in (([small, large], "must be decreasing"),
+                     ([lsc.add(large, small)], "must be indicator elements")):
+        inst = {"xs": good, "ys": good, field: [lsc.element_to_json(t) for t in bad]}
+        code, out, err = run(capsys, ["lsc", "ordered-sum", "-s", arc_file,
+                                      "--instance", write_json(tmp_path, "i.json", inst)])
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"error: $.{field}: ") and why in err, err
 
 
 @pytest.mark.parametrize("verb, field, other", [
@@ -712,6 +725,14 @@ def test_verify_lemmas_shard_merge(capsys, tmp_path):
     assert code == 0
     code, full, _ = run(capsys, ["verify", "lemmas", "--seed", "5", "--cases", "2"])
     assert merged == full
+
+
+def test_verify_lemmas_rejects_an_unknown_mutation_on_an_empty_shard(capsys):
+    # Shard 30 of 40 holds no check, so no law would ever see the mutation.
+    assert suite.shard_names(30, 40) == ()
+    code, out, err = run(capsys, ["verify", "lemmas", "--shard", "30/40", "--mutate", "nonsense"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: $.mutate: unknown mutation 'nonsense'"), err
 
 
 def test_verify_lemmas_bad_names(capsys):

@@ -327,6 +327,48 @@ def test_spans_agree_with_connected_components(seed):
     assert sum(len(geo.spans(s, ci)) for ci in range(len(sp.components))) == len(built)
 
 
+def _span_window(rng, comp):
+    """A lifted window on an arc or circle, ends open or closed; a circle
+    window may start below 0 and run past several turns."""
+    L = comp.length
+    if comp.kind == "arc":
+        lo = L * F(rng.randint(0, 3), 4)
+        hi = min(L, lo + L * F(rng.randint(1, 4), 4))
+    else:
+        lo = L * F(rng.randint(-4, 8), 4) + rng.choice((0, F(1, 7)))
+        hi = lo + L * F(rng.randint(1, 8), 4)
+    return (lo, rng.random() < 0.5, hi, rng.random() < 0.5)
+
+
+def test_spans_match_the_fraction_oracle():
+    # The integer view against the Fraction route it replaced, with and
+    # without a window: every scaled span of a list of sets, read back at
+    # the common scale, is the oracle's span of that set.
+    seen = set()
+    for seed in range(300):
+        rng = seeded(seed)
+        if seed % 2:
+            sp = KERNEL
+            sets = oracle_sweep_pool(rng)[:8]
+        else:
+            sp = gen.rand_space(rng, kinds=SEAM_KINDS)
+            sets = [gen.rand_open_set(rng, sp, full_bias=0.2) for _ in range(3)]
+            sets += [geo.closure(x) for x in sets]
+        for ci, comp in enumerate(sp.components):
+            for window in (None,) if comp.kind == "point" else (None, _span_window(rng, comp)):
+                want = [oracles.spans(x, ci, window) for x in sets]
+                assert [geo.spans(x, ci, window) for x in sets] == want, (seed, ci, window)
+                D, got = geo.scaled_spans(sp, sets, ci, window)
+                assert all(type(v) is int for ivs in got for iv in ivs for v in (iv[0], iv[2]))
+                assert [[(F(a, D), ain, F(b, D), bin_) for a, ain, b, bin_ in ivs] for ivs in got] == want
+                for ivs in want:
+                    for a, _, b, _ in ivs:
+                        if comp.kind == "circle" and a < comp.length < b:
+                            seen.add("seam")
+                        seen.add((comp.kind, window is None))
+    assert seen == {"seam", ("arc", True), ("arc", False), ("circle", True), ("circle", False), ("point", True)}
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=100, deadline=None)
 def test_windowed_spans_match_pointwise_membership(seed):
@@ -551,6 +593,82 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
                     assert same(got, want), (seed, op, x, y)
                     assert is_canonical(got), (seed, op, x, y)
                 assert geo.subset(x, y) == oracles.subset(x, y), (seed, x, y)
+
+
+def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
+    # Two routes: the early-exit sweep against the library's intersection
+    # and the oracle's. The pool has open and closed operands, sets
+    # through a circle's seam and point components; each kind of meeting
+    # must turn up.
+    seen = set()
+    for seed in range(60):
+        pool = oracle_sweep_pool(seeded(seed))
+        for x in pool:
+            for y in pool:
+                got = geo.meets(x, y)
+                inter = oracles.intersect(x, y)
+                assert got == (not geo.is_empty(geo.intersect(x, y))) == any(inter.parts), (seed, x, y)
+                if not got:
+                    continue
+                seen.add("mixed" if type(x) is not type(y) else type(x).__name__)
+                where = [ci for ci, part in enumerate(inter.parts) if part]
+                if all(KERNEL.components[ci].kind == "point" for ci in where):
+                    seen.add("point only")
+                if any(oracles.member(inter, ci, 0) for ci in where if KERNEL.components[ci].kind == "circle"):
+                    seen.add("seam")
+    assert seen == {"OpenSet", "ClosedSet", "mixed", "point only", "seam"}
+    with pytest.raises(geo.SpaceMismatchError):
+        geo.meets(geo.full_set(KERNEL), geo.full_set(ARC))
+
+
+def test_grid_windows_match_grid_set_window_by_window():
+    # Each window written at once against the same interval checked and
+    # built by `grid_set`, on arcs with closed ends and on circles, where
+    # windows start past L and wrap through the seam.
+    sp = geo.space(geo.point(), geo.arc(F(5, 3)), geo.circle(F(3, 2)))
+    rng = seeded(5)
+    wrapped = 0
+    for _ in range(300):
+        ci = rng.choice((1, 2))
+        L = sp.components[ci].length
+        d = L.denominator * rng.choice((1, 2, 4, 6, 12))
+        Li = L.numerator * (d // L.denominator)
+        width = rng.randint(1, Li)
+        count = rng.randint(1, 6)
+        step = rng.randint(0, 3)
+        top = (count - 1) * step + width
+        if ci == 1 and top > Li:
+            continue
+        lo = rng.randint(0, 2 * Li if ci == 2 else Li - top)
+        lo_in = ci == 1 and lo == 0 and rng.random() < 0.5
+        hi_in = ci == 1 and lo + top == Li and rng.random() < 0.5
+        got = geo.grid_windows(sp, ci, d, lo, step, width, count, lo_in, hi_in)
+        assert len(got) == count
+        for i, w in enumerate(got):
+            x = lo + i * step
+            raw = [False, (3, []), (2, [])]
+            raw[ci] = (d, [(x, x + width, lo_in and i == 0, hi_in and i == count - 1)])
+            assert w == geo.grid_set(sp, raw), (ci, d, lo, step, width, count, i)
+            wrapped += ci == 2 and x % Li + width > Li
+    assert wrapped >= 20
+
+
+@pytest.mark.parametrize("ci, args", [
+    (0, (1, 0, 1, 1, 1)),               # a point component
+    (1, (2, 0, 1, 1, 1)),               # a scale that is not a multiple of 3
+    (1, (3, 0, 1, 5, 1)),               # past the end of the arc
+    (1, (6, 1, 1, 1, 1, True)),         # closed at a lower end that is not 0
+    (1, (6, 0, 1, 1, 1, False, True)),  # closed at an upper end that is not L
+    (2, (2, 0, 1, 4, 1)),               # longer than the circle
+    (2, (2, 0, 1, 1, 1, True)),         # a flag on a circle
+    (1, (3, 0, 1, 0, 1)),               # empty windows
+    (1, (6, 0, -1, 1, 2)),              # a step back
+    (1, (3, 0, 1, 1, 0)),               # no windows
+], ids=["point", "scale", "past-arc", "lo-flag", "hi-flag", "long", "circle-flag", "empty", "back", "none"])
+def test_grid_windows_reject_windows_off_the_component(ci, args):
+    sp = geo.space(geo.point(), geo.arc(F(1, 3)), geo.circle(F(1, 2)))
+    with pytest.raises(ValueError):
+        geo.grid_windows(sp, ci, *args)
 
 
 def test_union_and_intersect_return_an_operand_when_the_other_side_is_empty_or_the_same():

@@ -56,6 +56,10 @@ def test_unknown_check_and_mutation():
         suite.run_check("no-such-check", seed=1, cases=1)
     with pytest.raises(InputError):
         suite.run_suite(seed=1, cases=1, mutate=("no-such-fault",))
+    # Checked before any law runs, so a run that reaches none rejects it too.
+    with pytest.raises(InputError) as exc:
+        suite.run_suite(seed=1, cases=1, names=[], mutate=("no-such-fault",))
+    assert exc.value.path == "$.mutate"
 
 
 def test_shards_partition_the_registry():
