@@ -13,11 +13,18 @@ Submodules:
     duality   open/closed set translations of order statements
     gen       seeded random generators for spaces, sets and elements
     suite     the seeded law suite behind `cuntzkit verify lemmas`
+    cli       the `cuntzkit` command
+
+Importing the package runs only `geometry` and what is below it. A
+`cuntzkit` call runs the layers its verb reads, no more: a `space` verb
+none above `geometry`, an `lsc` verb `lsc`, a `chains` verb `chains`, a
+`check` verb `checks` and what its check needs, `verify lemmas` `suite`
+and what its laws need.
 """
 
+from importlib import import_module
+
 from .geometry import InputError, SpaceMismatchError, arc, circle, point, space
-from .lsc import indicator, unit, zero
-from .checks import PropertyVerdict, SearchBounds
 
 __all__ = [
     "InputError",
@@ -32,3 +39,12 @@ __all__ = [
     "PropertyVerdict",
     "SearchBounds",
 ]
+
+# Public names defined above `geometry`, by the module that defines them.
+_HOMES = {"indicator": "lsc", "unit": "lsc", "zero": "lsc", "PropertyVerdict": "checks", "SearchBounds": "checks"}
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,10 +35,14 @@ def frac_to_str(x: Fraction) -> str:
 
 def frac_from_str(s, path: str = "$") -> Fraction:
     if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(path, f"expected a rational 'p/q', got {s!r}")
+        # No exponent form: Fraction("1e-20000000") spends minutes building
+        # a denominator of 66 million bits out of 11 bytes.
+        if "e" not in s and "E" not in s:
+            try:
+                return Fraction(s)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise InputError(path, f"expected a rational 'p/q', got {s!r}")
     if type(s) is int:  # not bool, which JSON spells true/false
         return Fraction(s)
     raise InputError(path, f"expected a rational 'p/q' string, got {type(s).__name__}")

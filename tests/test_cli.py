@@ -774,6 +774,36 @@ def test_benchmark_cli_calls_keep_their_pinned_bytes(capsys, tmp_path, monkeypat
         assert (code, digest) == (call.exit, pins[f"cli.{call.name}"]), call.name
 
 
+def _parse_with(parser, argv):
+    """The parsed arguments or exit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_of_one_group_reads_and_prints_as_the_full_table(tmp_path, monkeypatch):
+    # main builds only the verbs of the group its first word names.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    full = cli.build_parser()
+    (groups,) = [a.choices for a in full._actions if isinstance(a.choices, dict)]
+    argvs = [[], ["--help"], ["nope"], ["nope", "add"]]
+    for g, gp in groups.items():
+        argvs += [[g], [g, "--help"], [g, "nope"]]
+        (verbs,) = [a.choices for a in gp._actions if isinstance(a.choices, dict)]
+        argvs += [[g, v, "--help"] for v in verbs]
+    argvs += [list(call.argv) for call in workloads.cli_calls(42, tmp_path)]
+    assert len(argvs) == 4 + 3 * 5 + 20 + 12
+    for argv in argvs:
+        one = _parse_with(cli.build_parser(argv[0] if argv else None), argv)
+        assert one == _parse_with(full, argv), argv
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     inst = write_json(tmp_path, "i.json", {"xs": ["1", "1", "11/10'"], "xps": ["1", "1", "1/2'"]})
     argv = ["check", "refinable-sums", "--model", "z", "--instance", inst]
@@ -929,6 +959,24 @@ def test_every_verb_exits_with_a_contract_code(fuzz_dir, verb, model, seed, spac
     assert "Traceback" not in err.getvalue()
     if code != 2:
         json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv, inst, path", [
+    (["chains", "epsilon-chain"], {"target": full_arc_target(), "eps": "1e-20000000"}, "$.eps"),
+    (["chains", "epsilon-chain"], {"target": full_arc_target(), "eps": "1e-2000000"}, "$.eps"),
+    (["check", "refinable-sums", "--model", "z"], {"xs": ["1e99999999"], "xps": ["1"]}, "$.xs[0]"),
+    (["space", "validate"], None, "$.components[0].length"),
+])
+def test_exponent_rationals_exit_2_at_their_field(tmp_path, argv, inst, path):
+    # Fraction would build each of these numbers, digit by digit: the first
+    # for longer than 30 s, the second until printing it failed, the third
+    # as a 41 MB integer.
+    length = "1e-3000000" if inst is None else "1"
+    sp = write_json(tmp_path, "s.json", {"components": [{"kind": "arc", "length": length}]})
+    files = ["-s", sp] + ([] if inst is None else ["--instance", write_json(tmp_path, "i.json", inst)])
+    proc = run_process([*argv, *files])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {path}: expected a rational 'p/q', got '1e")
 
 
 @pytest.mark.parametrize("argv, inst", [

@@ -53,6 +53,45 @@ def test_normalize_accepts_circle_minus_point():
     assert geo.set_to_json(s)["sets"][0] == [["1/4", "5/4", False, False]]
 
 
+def _rational_like(rng):
+    """A short string near the forms Fraction reads: a sign, digits, a
+    denominator or decimals, an exponent, spaces, then maybe a mutation."""
+    s = rng.choice(["", "-", "+", " "]) + "".join(rng.choices("0123456789_", k=rng.randint(0, 3)))
+    s += rng.choice(["", "/" + "".join(rng.choices("0123456789", k=rng.randint(0, 2))),
+                     "." + "".join(rng.choices("0123456789", k=rng.randint(0, 2)))])
+    if rng.random() < 0.25:
+        s += rng.choice(["e", "E", "e-", "E+"]) + rng.choice(["", "1", "12"])
+    s += rng.choice(["", " "])
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(s) + 1)
+        s = s[:i] + rng.choice("0123456789/.-+ _eE٣x") + s[i:]
+    return s
+
+
+def test_rationals_read_as_fraction_reads_them_except_exponents():
+    rng = random.Random(20)
+    kept = refused = 0
+    for _ in range(5000):
+        s = _rational_like(rng)
+        if "e" in s or "E" in s:
+            want = None  # Fraction would read some of these, at any cost
+        else:
+            try:
+                want = F(s)
+            except (ValueError, ZeroDivisionError):
+                want = None
+        if want is None:
+            with pytest.raises(geo.InputError) as err:
+                geo.frac_from_str(s, "$.x")
+            assert (err.value.path, err.value.reason) == ("$.x", f"expected a rational 'p/q', got {s!r}")
+            refused += 1
+        else:
+            got = geo.frac_from_str(s, "$.x")
+            assert type(got) is F and got == want, s
+            kept += 1
+    assert kept > 1000 and refused > 1000
+
+
 def test_touching_opens_are_disjoint():
     a = opens(ARC, [[(F(0), F("1/2"))]])
     b = opens(ARC, [[(F("1/2"), F(1))]])

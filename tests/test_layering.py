@@ -12,19 +12,25 @@ read them see real names, and `geometry.py` stays below the size at
 which compiling it takes a step more memory. A CLI process imports no
 more of the standard library than it needs: no module uses
 `dataclasses`, and importing the CLI loads neither it, `inspect` nor
-`hashlib`.
+`hashlib`. A CLI call runs only the layers its verb touches, each layer
+is one module object whichever is imported first, and `import
+cuntzkit.cli` still puts every layer the benchmark traces in
+`sys.modules`.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
 import tokenize
+import types
 import typing
+from fractions import Fraction as F
 
 import pytest
 
@@ -250,3 +256,101 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
     env = dict(os.environ, PYTHONPATH=str(PKG.parent), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# The layers bench/tracer.py wraps. bench/cli_launcher.py installs the
+# tracer right after `import cuntzkit.cli`, and the tracer finds each of
+# these in `sys.modules` there; reading them through `vars()` runs them.
+TRACED_LAYERS = ("geometry", "lsc", "gen", "duality", "models", "chains", "checks")
+BELOW = {"base", "segment", "geometry", "cli"}
+
+
+def _python(code, *argv):
+    """Run `code` in a fresh interpreter; -S keeps site-packages hooks,
+    which may import anything, out of the module counts."""
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_importing_the_cli_registers_every_traced_layer():
+    code = "import sys, cuntzkit.cli; print(*(n for n in sys.argv[1:] if f'cuntzkit.{n}' not in sys.modules))"
+    assert _python(code, *TRACED_LAYERS).split() == []
+
+
+def _instance_files(tmp_path):
+    from cuntzkit import chains, geometry as geo, lsc
+
+    arc = geo.space(geo.arc(1))
+
+    def part(a, b):
+        return geo.normalize(arc, [[(a, b, a == 0, b == 1)]])
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    half = lsc.element_to_json(lsc.indicator(part(F(0), F(1, 2))))
+    return {
+        "space": write("arc.json", geo.space_to_json(arc)),
+        "add": write("add.json", {"a": half, "b": half}),
+        "cover": write("cover.json", {"cover": chains.cover_to_json(
+            chains.make_cover([part(F(0), F(3, 4)), part(F(1, 4), F(1))]))}),
+        "sums": write("sums.json", {"xs": ["1", "1", "11/10'"], "xps": ["1", "1", "1/2'"]}),
+    }
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    ("lsc add -s {space} --instance {add}", 0, {"lsc"}),
+    ("chains lebesgue -s {space} --instance {cover}", 0, {"chains"}),
+    ("check refinable-sums --model z --instance {sums}", 1, {"checks", "models"}),
+    ("verify lemmas --cases 2 --check chain-decider-consistency", 0, {"suite", "chains", "gen"}),
+])
+def test_a_cli_call_runs_only_the_layers_its_verb_touches(tmp_path, argv, code, layers):
+    # A module registered but never run is not of type ModuleType itself.
+    script = (
+        "import contextlib, io, sys, types, cuntzkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cuntzkit.cli.main(sys.argv[1:])\n"
+        "print(code, *(n[9:] for n, m in sys.modules.items()\n"
+        "              if n.startswith('cuntzkit.') and type(m) is types.ModuleType))\n"
+    )
+    out = _python(script, *argv.format(**_instance_files(tmp_path)).split()).split()
+    assert (int(out[0]), set(out[1:])) == (code, BELOW | layers)
+
+
+@pytest.fixture
+def fresh_package():
+    """An empty import state for the package, put back as it was after."""
+    saved = {n: m for n, m in sys.modules.items() if n == "cuntzkit" or n.startswith("cuntzkit.")}
+    for n in saved:
+        del sys.modules[n]
+    try:
+        yield
+    finally:
+        for n in [n for n in sys.modules if n == "cuntzkit" or n.startswith("cuntzkit.")]:
+            del sys.modules[n]
+        sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("first", ["cuntzkit.cli", "cuntzkit.checks"])
+def test_each_layer_is_one_module_in_either_import_order(fresh_package, first):
+    importlib.import_module(first)
+    before = {n: m for n, m in sys.modules.items() if n.startswith("cuntzkit.")}
+    cli = importlib.import_module("cuntzkit.cli")
+    checks = importlib.import_module("cuntzkit.checks")
+    assert {n: sys.modules[n] for n in before} == before
+    pkg = sys.modules["cuntzkit"]
+    for name in ("chains", "checks", "duality", "gen", "lsc", "models", "suite"):
+        mod = sys.modules[f"cuntzkit.{name}"]
+        assert getattr(pkg, name) is mod
+        assert getattr(cli, name, mod) is mod
+    suite = importlib.import_module("cuntzkit.suite")
+    assert (checks.chains, checks.models, suite.propcheck) == (pkg.chains, pkg.models, checks)
+    # Values made in one layer are instances of the classes another names.
+    model = suite.models.load_model("z")
+    verdict = checks.check_refinable_sums(model, [model.parse("1")], [model.parse("1")])
+    assert isinstance(verdict, cli.checks.PropertyVerdict) and pkg.SearchBounds is checks.SearchBounds
+    assert isinstance(cli.lsc.zero(pkg.space(pkg.arc())), sys.modules["cuntzkit.lsc"].LscElement)
+    assert pkg.InputError is cli.InputError is sys.modules["cuntzkit.base"].InputError
