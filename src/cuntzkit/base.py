@@ -1,7 +1,8 @@
 """The value layer under `geometry`: input errors, exact rationals and
-their strings, the immutable `Record` every value class builds on, and
-the space descriptors with their constructors. Nothing here reads the
-stored parts of a set; `geometry` re-exports every name.
+their strings, the immutable `Record` every value class builds on, the
+space descriptors with their constructors, and the one reader of input
+files. Nothing here reads the stored parts of a set; `geometry`
+re-exports every name.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ class SpaceMismatchError(ValueError):
     pass
 
 
+def load_json(path: str, label: str, at: str = "$"):
+    """The JSON value of the UTF-8 file at path. A file that cannot be
+    read or decoded (bad bytes, an integer past Python's digit limit,
+    nesting past the recursion limit) is an `InputError` at `at` that
+    names the file."""
+    import json  # here, so that `import cuntzkit` does not load it
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(at, f"cannot read {label} file {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise InputError(at, f"{label} file {path} is not valid JSON: {exc}")
 
 
 def frac(value) -> Fraction:

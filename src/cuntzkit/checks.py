@@ -693,7 +693,7 @@ def check_axioms(table) -> dict:
         report["topological_order"] = _scan(
             order_case(xs, sx, ys)
             for length in range(1, max_len + 1)
-            for seqs in (_increasing_tuples(table, down, length),)
+            for seqs in ([t for t in itertools.product(down, repeat=length) if all(map(le, t, t[1:]))],)
             for xs in seqs
             for sx in (table.sum(xs),)
             for ys in seqs
@@ -702,18 +702,3 @@ def check_axioms(table) -> dict:
         report["topological_order"] = _ax("skipped", 0)
     return report
 
-
-def _increasing_tuples(table, pool, length):
-    out = []
-
-    def go(acc):
-        if len(acc) == length:
-            out.append(tuple(acc))
-            return
-        for v in pool:
-            if acc and not table.le(acc[-1], v):
-                continue
-            go(acc + [v])
-
-    go([])
-    return out

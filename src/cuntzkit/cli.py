@@ -4,7 +4,8 @@ Exit codes: 0 for a positive verdict (witness found, identity holds,
 validation passed), 1 for a negative verdict backed by evidence
 (counterexample, not chainable, axiom failure), 2 for malformed input,
 3 when a search gave up without either answer, 4 for an internal error
-(any other exception, reported as one line on stderr).
+(any other exception, reported as one line on stderr), and 141 with
+nothing on stderr when stdout was closed before the output was written.
 
 All structured output is JSON on stdout, printed with sorted keys so
 identical inputs produce byte-identical bytes.
@@ -21,6 +22,7 @@ import functools
 import importlib.util
 import json
 import math
+import os
 import sys
 
 from . import geometry as geo
@@ -56,24 +58,15 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe killed
 
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_json_file(path: str, label: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError("$", f"cannot read {label} file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError("$", f"{label} file {path} is not valid JSON: {exc}")
-
-
 def _space_of(args) -> geo.SpaceDescriptor:
-    return geo.space_from_json(_load_json_file(args.space, "space"))
+    return geo.space_from_json(geo.load_json(args.space, "space"))
 
 
 def _instance_of(args):
@@ -85,10 +78,10 @@ def _instance_of(args):
         if len(args.files) != len(args.keys):
             wants = " ".join(args.keys).upper()
             raise InputError("$", f"this command takes {len(args.keys)} positional files: {wants}")
-        return {k: _load_json_file(f, k) for k, f in zip(args.keys, args.files)}
+        return {k: geo.load_json(f, k) for k, f in zip(args.keys, args.files)}
     if not args.instance:
         raise InputError("$", "this command needs --instance FILE")
-    obj = _load_json_file(args.instance, "instance")
+    obj = geo.load_json(args.instance, "instance")
     if not isinstance(obj, dict):
         raise InputError("$.instance", "instance must be a JSON object")
     return obj
@@ -344,7 +337,7 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     if args.merge:
-        report = suite.merge_reports([_load_json_file(p, "report") for p in args.merge])
+        report = suite.merge_reports([geo.load_json(p, "report") for p in args.merge])
     else:
         names = args.check
         if args.shard:
@@ -462,7 +455,15 @@ def main(argv=None) -> int:
             return EXIT_OK
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # Flushed here, not at exit, so that a closed stdout is caught below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. As in Python's documented recipe, what is still
+        # buffered goes to devnull, so the flush at exit has nothing to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

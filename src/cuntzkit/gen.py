@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from . import geometry as geo
+from . import lsc
 
 DENOMS = (2, 3, 4, 6, 8, 12)
 LENGTHS = (Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2))
@@ -75,8 +76,6 @@ def grid_points(sp: geo.SpaceDescriptor, *sets) -> list:
 
 
 def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, inf_bias: float = 0.2):
-    from . import lsc
-
     m = rng.randint(0, max_levels)
     levels = []
     cur = None
@@ -94,8 +93,6 @@ def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, i
 
 
 def rand_indicator(rng: random.Random, sp: geo.SpaceDescriptor, max_intervals: int = 4):
-    from . import lsc
-
     return lsc.indicator(rand_open_set(rng, sp, max_intervals=max_intervals))
 
 
@@ -105,8 +102,6 @@ def rand_bounded_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: in
 
 def rand_decreasing_indicators(rng: random.Random, sp: geo.SpaceDescriptor, m: int):
     """A decreasing list of m indicator elements (intersect-accumulated)."""
-    from . import lsc
-
     out = []
     cur = rand_open_set(rng, sp, max_intervals=4)
     for _ in range(m):

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 # The value layer; every name is re-exported.
 from .base import (
     Component, InputError, Record, SpaceDescriptor, SpaceMismatchError, _set,
-    arc, circle, frac, frac_from_str, frac_to_str, point, space,
+    arc, circle, frac, frac_from_str, frac_to_str, load_json, point, space,
 )
 # The sweeps over piece tuples; every name is re-exported.
 from .segment import (
@@ -45,7 +45,8 @@ from .segment import (
 # `_least` restores the least scale; union, closure and `_part` share that
 # tail in `_settle`, and a complement keeps its endpoints and its scale.
 # Raw intervals become a part through `_part` alone; `point_complement`
-# and `grid_windows` write their canonical parts directly.
+# settles its one closed point, and `grid_windows` writes its canonical
+# parts directly.
 # Records are immutable and every stored part is canonical, so `union` and
 # `intersect` of two sets of one class return an operand when the other
 # side is empty or the same object.
@@ -245,26 +246,21 @@ def _comp(sp: SpaceDescriptor, ci: int) -> Component:
 
 def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
     """Everything but one point: point component ci, or the point p of
-    arc or circle ci, built canonical at once. A point off an arc raises
-    the `InputError` that `grid_set` gives its intervals."""
-    _comp(sp, ci)
-    parts = []
-    for i, c in enumerate(sp.components):
-        if i != ci or c.kind == "point":
-            parts.append(i != ci if c.kind == "point" else _full(c.length))
-            continue
+    arc or circle ci. A point off an arc raises the `InputError` that
+    `grid_set` gives its intervals."""
+    c = _comp(sp, ci)
+    if c.kind == "point":
+        part: Part = True
+    else:
         L = c.length
         q = frac(p) % L if c.kind == "circle" else frac(p)
         d = lcm(L.denominator, q.denominator)  # the least scale of 0, q and L
-        Q, Li = _at(q, d), _at(L, d)
-        if not 0 <= Q <= Li:
+        Q = _at(q, d)
+        if not 0 <= Q <= _at(L, d):
             raise InputError(f"$[{ci}][0]", "interval ends beyond the arc" if Q > 0
                              else "interval starts before the component")
-        # A point at an end leaves one piece, closed only at the other end
-        # of an arc; the seam of a circle leaves the open (0, L).
-        end = (0, Q == Li, Li, Q == 0 and c.kind == "arc")
-        parts.append((d, ((0, True, Q, False), (Q, False, Li, True)) if 0 < Q < Li else (end,)))
-    return OpenSet(sp, tuple(parts))
+        part = _settle(c, d, ((Q, True, Q, True),), 1)
+    return complement(ClosedSet(sp, _only(sp, ci, part)))
 
 
 def grid_windows(sp: SpaceDescriptor, ci: int, d: int, lo: int, step: int, width: int, count: int,

@@ -231,8 +231,8 @@ def decompose_below_ne(y: LscElement, n: int) -> list:
     return _layers(y, len(y.levels))
 
 
-def _complement_bounded(y: LscElement, z: LscElement) -> LscElement:
-    """Largest x with x + y <= z, for bounded y.
+def almost_complement(y: LscElement, z: LscElement) -> LscElement:
+    """The largest x with x + y <= z, for bounded y <= z.
 
     The pointwise difference z - y need not be lower semicontinuous; the
     k-th level of the answer is the interior of {z - y >= k}, the largest
@@ -245,6 +245,11 @@ def _complement_bounded(y: LscElement, z: LscElement) -> LscElement:
     later level is V, and V is the answer's infinity part. Each level
     holds V for the same reason, and the levels shrink as k grows.
     """
+    _same_space(y, z)
+    if not geo.is_empty(y.infinity):
+        raise ValueError("left operand must be bounded")
+    if not leq(y, z):
+        raise ValueError("left operand must lie below the right operand")
     below = [geo.complement(level(y, j + 1)) for j in range(len(y.levels) + 1)]
     out = []
     for k in range(1, len(z.levels) + 1):
@@ -253,21 +258,6 @@ def _complement_bounded(y: LscElement, z: LscElement) -> LscElement:
             d = geo.union(d, geo.intersect(below[j], level(z, j + k)))
         out.append(geo.interior(d))
     return _trusted(y.space, out, z.infinity)
-
-
-def almost_complement(y: LscElement, z: LscElement) -> LscElement:
-    """The largest x with x + y <= z, for bounded y <= z.
-
-    Computed directly by `_complement_bounded`: since y is finite
-    everywhere, x may be infinite exactly where z is, so x takes z's
-    infinity part, and only z's stored levels need a level of x.
-    """
-    _same_space(y, z)
-    if not geo.is_empty(y.infinity):
-        raise ValueError("left operand must be bounded")
-    if not leq(y, z):
-        raise ValueError("left operand must lie below the right operand")
-    return _complement_bounded(y, z)
 
 
 def interpolate_between(f: LscElement, h: LscElement) -> LscElement:

@@ -490,9 +490,6 @@ class LscModel(_Ops):
     def meet(self, a, b):
         return lsc.meet(a, b)
 
-    def sum(self, seq):
-        return lsc.sum(self.space, seq)
-
     def propto(self, a, b, cap: int = 64) -> bool:
         return lsc.scaled_below(a, b)
 
@@ -513,20 +510,20 @@ def embed_element(f: lsc.LscElement, target: geo.SpaceDescriptor, offset: int) -
     return lsc.LscElement(target, levels, geo.embed(f.infinity, target, offset))
 
 
-def _bool_matrix(obj, n, path):
+def _square(obj, n, path):
     if not isinstance(obj, list) or len(obj) != n or any(
         not isinstance(row, list) or len(row) != n for row in obj
     ):
         raise InputError(path, f"expected a {n} by {n} matrix")
+
+
+def _bool_matrix(obj, n, path):
+    _square(obj, n, path)
     return [[bool(v) for v in row] for row in obj]
 
 
 def _name_matrix(obj, names, path):
-    n = len(names)
-    if not isinstance(obj, list) or len(obj) != n or any(
-        not isinstance(row, list) or len(row) != n for row in obj
-    ):
-        raise InputError(path, f"expected a {n} by {n} matrix")
+    _square(obj, len(names), path)
     out = []
     for i, row in enumerate(obj):
         out.append([])
@@ -618,13 +615,5 @@ def load_model(selector: str, space: geo.SpaceDescriptor | None = None):
     if selector == "nbar":
         return RationalModel("nbar", finite_softs=False, twin=False)
     if selector.startswith("table:"):
-        fname = selector[len("table:"):]
-        try:
-            with open(fname) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise InputError("$.model", f"cannot read table file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InputError("$.model", f"table file is not valid JSON: {exc}")
-        return table_from_json(obj, "$")
+        return table_from_json(geo.load_json(selector[len("table:"):], "table", "$.model"), "$")
     raise InputError("$.model", f"unknown model {selector!r}")

@@ -433,12 +433,32 @@ def shard_names(shard: int, num_shards: int):
 
 
 def merge_reports(reports) -> dict:
+    """The report of all the checks in shard reports of one seed, case
+    count and mutation list. A report of the wrong shape is an
+    `InputError` at its first field at fault."""
     if not reports:
         raise InputError("$.reports", "nothing to merge")
+    for i, r in enumerate(reports):
+        here = f"$.reports[{i}]"
+        if not isinstance(r, dict):
+            raise InputError(here, "expected a report object")
+        for key in ("seed", "cases", "mutate", "checks"):
+            if key not in r:
+                raise InputError(f"{here}.{key}", "missing field")
+        if not isinstance(r["checks"], list):
+            raise InputError(f"{here}.checks", "expected a list of check results")
+        for j, c in enumerate(r["checks"]):
+            at = f"{here}.checks[{j}]"
+            if not isinstance(c, dict):
+                raise InputError(at, "expected a check result object")
+            if c.get("name") not in CHECK_NAMES:
+                raise InputError(f"{at}.name", "expected the name of a registered check")
+            if not isinstance(c.get("failures"), list):
+                raise InputError(f"{at}.failures", "expected a list of failures")
     head = reports[0]
     for r in reports[1:]:
         for key in ("seed", "cases", "mutate"):
-            if r.get(key) != head.get(key):
+            if r[key] != head[key]:
                 raise InputError("$.reports", f"reports disagree on {key}")
     by_name = {}
     for r in reports:

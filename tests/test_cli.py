@@ -961,6 +961,110 @@ def test_every_verb_exits_with_a_contract_code(fuzz_dir, verb, model, seed, spac
         json.loads(out.getvalue())
 
 
+# Byte-level mutations of valid input files. A mutation maps the file's
+# JSON value and a seeded Random to the bytes of its mutants.
+_MARK = "\0mutant\0"
+
+
+def _nodes(obj, path=()):
+    """The (path, value) of every node of a JSON value, the root first."""
+    yield path, obj
+    kids = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in kids:
+        yield from _nodes(v, path + (k,))
+
+
+def _with(obj, path, text):
+    """The bytes of obj with the node at path written as text."""
+    if not path:
+        return text.encode()
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = _MARK
+    return json.dumps(obj).replace(json.dumps(_MARK), text).encode()
+
+
+def _keyed(obj):
+    """The (path, object, key) of every key of every object in obj."""
+    return [(p, v, k) for p, v in _nodes(obj) if isinstance(v, dict) for k in v]
+
+
+BYTE_MUTATIONS = {
+    "cut-short": lambda obj, rng: [json.dumps(obj).encode()[:rng.randrange(1, len(json.dumps(obj)))]
+                                   for _ in range(8)],
+    "deep-nesting": lambda obj, rng: [_with(obj, p, "[" * 200_000) for p, _ in _nodes(obj)],
+    "5001-digit-integer": lambda obj, rng: [_with(obj, p, "9" * 5001) for p, _ in _nodes(obj)],
+    "NaN": lambda obj, rng: [_with(obj, p, "NaN") for p, _ in _nodes(obj)],
+    "Infinity": lambda obj, rng: [_with(obj, p, "-Infinity") for p, _ in _nodes(obj)],
+    "leading-ff-fe": lambda obj, rng: [b"\xff\xfe" + json.dumps(obj).encode()],
+    "utf-8-bom": lambda obj, rng: [b"\xef\xbb\xbf" + json.dumps(obj).encode()],
+    # The last of two equal keys wins, so each key gets a second, junk value.
+    "duplicate-key": lambda obj, rng: [
+        _with(obj, p, json.dumps(v)[:-1] + f", {json.dumps(k)}: "
+              + rng.choice(["null", "[]", "{}", '"x"', "-1", "true", "[[]]"]) + "}")
+        for p, v, k in _keyed(obj)],
+    "dropped-key": lambda obj, rng: [_with(obj, p, json.dumps({j: w for j, w in v.items() if j != k}))
+                                     for p, v, k in _keyed(obj)],
+    "wrapped-in-a-list": lambda obj, rng: [json.dumps([obj]).encode()],
+}
+
+
+@pytest.fixture(scope="module")
+def byte_fuzz_files(tmp_path_factory):
+    """A valid file of each kind, with the argv that reads it at MUTANT."""
+    d = tmp_path_factory.mktemp("bytes")
+    space = write_json(d, "space.json", geo.space_to_json(ARC))
+    reports = [suite.run_suite(seed=42, cases=1, names=[n])
+               for n in ("unit-cancellation", "termwise-way-below")]
+    other = write_json(d, "other.json", reports[1])
+    return d, {
+        "space": (geo.space_to_json(ARC), ["space", "validate", "-s", "MUTANT"]),
+        "instance": ({"a": lsc.element_to_json(chi((0, F(1, 2), True, False))),
+                      "b": lsc.element_to_json(chi((F(1, 4), 1, False, True)))},
+                     ["lsc", "add", "-s", space, "--instance", "MUTANT"]),
+        "table": (SAT4, ["check", "axioms", "--model", "table:MUTANT"]),
+        "report": (reports[0], ["verify", "lemmas", "--merge", "MUTANT", other]),
+    }
+
+
+@pytest.mark.parametrize("mutation", sorted(BYTE_MUTATIONS))
+@pytest.mark.parametrize("kind", ["space", "instance", "table", "report"])
+def test_mutated_input_bytes_exit_with_a_contract_code(byte_fuzz_files, kind, mutation):
+    d, files = byte_fuzz_files
+    obj, argv = files[kind]
+    mutant = d / "mutant.json"
+    argv = [a.replace("MUTANT", str(mutant)) for a in argv]
+    for data in BYTE_MUTATIONS[mutation](obj, random.Random(f"{kind} {mutation}")):
+        mutant.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        what = (data[:80], err.getvalue()[:300])
+        assert code in (0, 1, 2, 3), what
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), what
+        if code == 2:
+            assert err.getvalue().startswith("error: $"), what
+        else:
+            json.loads(out.getvalue())
+
+
+def test_a_closed_stdout_exits_141_in_silence(arc_file):
+    # 1 would read as a counterexample and 4 as a crash.
+    src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuntzkit.cli", "space", "validate", "-s", arc_file],
+            stdout=write, stderr=subprocess.PIPE, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 @pytest.mark.parametrize("argv, inst, path", [
     (["chains", "epsilon-chain"], {"target": full_arc_target(), "eps": "1e-20000000"}, "$.eps"),
     (["chains", "epsilon-chain"], {"target": full_arc_target(), "eps": "1e-2000000"}, "$.eps"),

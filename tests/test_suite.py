@@ -83,6 +83,23 @@ def test_merge_rejects_mismatched_seed():
         suite.merge_reports([a, b])
 
 
+@pytest.mark.parametrize("mangle, path", [
+    (lambda r: [r], "$.reports[1]"),
+    (lambda r: {k: v for k, v in r.items() if k != "checks"}, "$.reports[1].checks"),
+    (lambda r: {**r, "checks": {}}, "$.reports[1].checks"),
+    (lambda r: {**r, "checks": [{k: v for k, v in r["checks"][0].items() if k != "name"}]},
+     "$.reports[1].checks[0].name"),
+    # A name outside the registry would drop the check, and its failures, from the merge.
+    (lambda r: {**r, "checks": [{**r["checks"][0], "name": "no-such-law"}]}, "$.reports[1].checks[0].name"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "failures": None}]}, "$.reports[1].checks[0].failures"),
+], ids=["list", "no-checks", "checks-object", "no-name", "unknown-name", "failures-null"])
+def test_merge_names_the_field_of_a_malformed_report(mangle, path):
+    report = suite.run_suite(seed=1, cases=1, names=["unit-cancellation"])
+    with pytest.raises(InputError) as exc:
+        suite.merge_reports([report, mangle(report)])
+    assert exc.value.path == path
+
+
 def test_law_driver_records_failures_in_case_order(monkeypatch):
     monkeypatch.setattr(suite, "_LAWS", {})
     drawn = []
