@@ -27,13 +27,16 @@ class SpaceMismatchError(ValueError):
 def load_json(path: str, label: str, at: str = "$"):
     """The JSON value of the UTF-8 file at path. A file that cannot be
     read or decoded (bad bytes, an integer past Python's digit limit,
-    nesting past the recursion limit) is an `InputError` at `at` that
-    names the file."""
+    nesting past the recursion limit, or `NaN` and `Infinity`, which are
+    not JSON) is an `InputError` at `at` that names the file."""
     import json  # here, so that `import cuntzkit` does not load it
+
+    def not_json(name):
+        raise ValueError(f"{name} is not a JSON value")
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=not_json)
     except OSError as exc:
         raise InputError(at, f"cannot read {label} file {path}: {exc}")
     except (ValueError, RecursionError) as exc:

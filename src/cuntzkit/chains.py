@@ -384,42 +384,41 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
         # A point has diameter 0, below every positive eps.
         return ChainWitness("chain", (geo.component_set(sp, desc[0]),), frac(0), (0,))
     n = 2 ** depth
-    spans = []
-    masks = []
+    cells, masks = [], []
     if desc is None:
         ci = _home(target)
         L = sp.components[ci].length
+        a0, a_in, b_in = 0, False, False
         g = L / n
-        roots = []
-        for l in range(1, n):
-            if min(l * g, L / 2) >= eps:
-                continue
+        # An arc of l cells is shorter than eps iff l < most; on a circle
+        # every arc qualifies when half the circle is shorter than eps.
+        most = n if L < 2 * eps else min(n, -(-eps // g))
+        for l in range(1, most):
             for i in range(n):
-                if i == 0:
-                    # A chain around the circle can be rotated so its first
-                    # piece starts at grid point 0; roots need only these.
-                    roots.append(len(masks))
-                spans.append((i * g, False, (i + l) * g, False))
+                cells.append((i, i + l))
                 masks.append(grid_arc_mask(i, l, n, cyclic=True))
+        # A chain around the circle can be rotated so its first piece starts
+        # at grid point 0; roots need only these, the first arc of each length.
+        roots = range(0, len(masks), n)
         full = (1 << 2 * n) - 1
     else:
         ci, (a0, a_in, b0, b_in) = desc
         g = (b0 - a0) / n
+        most = -(-eps // g)
         for i in range(n):
-            for j in range(i + 1, n + 1):
-                if (j - i) * g >= eps:
-                    continue
-                lo_in = a_in if i == 0 else False
-                hi_in = b_in if j == n else False
-                spans.append((a0 + i * g, lo_in, a0 + j * g, hi_in))
+            for j in range(i + 1, min(i + most, n + 1)):
+                cells.append((i, j))
                 mask = grid_arc_mask(i, j - i, n + 1, cyclic=False)
-                masks.append(mask | lo_in << 2 * i | hi_in << 2 * j)
+                masks.append(mask | (a_in and i == 0) | (b_in and j == n) << 2 * n)
         roots = range(len(masks))
         full = grid_arc_mask(0, n, n + 1, cyclic=False) | a_in | b_in << 2 * n
     got = _chain_dfs(masks, roots, full)
     if got is None:
         return None
-    pieces = tuple(geo.component_set(sp, ci, spans[c]) for c in got)
+    pieces = tuple(
+        geo.component_set(sp, ci, (a0 + i * g, a_in and i == 0, a0 + j * g, b_in and j == n))
+        for i, j in (cells[c] for c in got)
+    )
     w = ChainWitness("chain", pieces, mesh_of(pieces), (0,) * len(pieces))
     if not verify_witness(w, target, make_cover([target])):
         raise AssertionError("search produced a chain that fails verify_witness")
@@ -444,19 +443,19 @@ def _chain_dfs(masks, roots, full):
     """The first chain, as indices into masks, that starts at a root and
     whose masks cover full; None when there is none.
 
-    Each node walks the precomputed list of the masks that meet its last
-    piece, in the order of masks, so the first chain found is the one a
-    walk over every mask would find."""
-    seen = set()
-    meets = [[c for c, cand in enumerate(masks) if cand & m] for m in masks]
+    Each node walks the list of the masks that meet its last piece, in the
+    order of masks, so the first chain found is the one a walk over every
+    mask would find. A mask's list is built the first time it is last."""
+    seen, reach = set(), {}
+    meets = [None] * len(masks)
     for root in roots:
-        got = _extend_chain([root], 0, masks, meets, full, seen)
+        got = _extend_chain([root], 0, masks, meets, full, seen, reach)
         if got is not None:
             return got
     return None
 
 
-def _extend_chain(chain, earlier, masks, meets, full, seen):
+def _extend_chain(chain, earlier, masks, meets, full, seen, reach):
     """The first completion of a partial chain whose earlier pieces have the
     union mask earlier, or None. A plain function, not a closure, so the
     memo dies with the search instead of waiting for the cyclic collector."""
@@ -470,15 +469,29 @@ def _extend_chain(chain, earlier, masks, meets, full, seen):
     k = (earlier, last)
     if k in seen:
         return None
+    # Every later piece avoids earlier, so the state is dead when a bit of
+    # full that cur misses lies in no mask that avoids earlier.
+    can = reach.get(earlier)
+    if can is None:
+        can = 0
+        for m in masks:
+            if not m & earlier:
+                can |= m
+        reach[earlier] = can
+    if full & ~(cur | can):
+        return None
     seen.add(k)
-    for c in meets[chain[-1]]:
+    near = meets[chain[-1]]
+    if near is None:
+        near = meets[chain[-1]] = [c for c, cand in enumerate(masks) if cand & last]
+    for c in near:
         cand = masks[c]
         # A candidate inside cur avoids earlier, so it lies inside last,
         # and is a dead end: cur still misses part of full, and a next
         # piece would have to meet it while avoiding cur, which holds it.
         if cand & earlier or not cand & ~cur:
             continue
-        got = _extend_chain(chain + [c], cur, masks, meets, full, seen)
+        got = _extend_chain(chain + [c], cur, masks, meets, full, seen, reach)
         if got is not None:
             return got
     return None

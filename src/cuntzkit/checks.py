@@ -337,24 +337,37 @@ def _validate_almost_ordered(model, xs, ys):
     return True, None
 
 
-def _find_violation(model, xs, D, pool):
-    n = len(xs)
-    for r in range(1, n + 1):
-        for J in itertools.combinations(range(n), r):
-            for xp in pool:
-                if not all(model.wb(xp, xs[j]) for j in J):
-                    continue
-                for z in pool:
-                    if not all(model.le(xs[j], z) for j in J):
-                        continue
-                    if not model.le(xp, D[r - 1]):
-                        broken = "lower"
-                    elif not model.le(D[n - r], z):
-                        broken = "upper"
-                    else:
-                        continue
-                    return {"r": r, "subset": list(J), "xp": model.to_json(xp),
-                            "z": model.to_json(z), "broken": broken}
+def _hypotheses(model, xs, pool):
+    """(r, J, xps, zs) for each r element subset J of the terms, r rising,
+    whose pool holds an x' way below every term of J (xps) and a z above
+    every one (zs); each list in pool order."""
+    out = []
+    for r in range(1, len(xs) + 1):
+        for J in itertools.combinations(range(len(xs)), r):
+            xps = [xp for xp in pool if all(model.wb(xp, xs[j]) for j in J)]
+            zs = [z for z in pool if all(model.le(xs[j], z) for j in J)]
+            if xps and zs:
+                out.append((r, J, xps, zs))
+    return out
+
+
+def _find_violation(model, hyps, D):
+    """The first hypothesis (r, J, x', z), walking J, then x', then z, under
+    which D breaks the lower conclusion x' <= D[r-1] or the upper one
+    D[n-r] <= z; None when there is none. The upper side does not depend
+    on x', so its first break is found once per J."""
+    n = len(D)
+    for r, J, xps, zs in hyps:
+        up = next((z for z in zs if not model.le(D[n - r], z)), None)
+        for xp in xps:
+            if not model.le(xp, D[r - 1]):
+                z, broken = zs[0], "lower"
+            elif up is not None:
+                z, broken = up, "upper"
+            else:
+                continue
+            return {"r": r, "subset": list(J), "xp": model.to_json(xp),
+                    "z": model.to_json(z), "broken": broken}
     return None
 
 
@@ -399,13 +412,13 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     for d in decs:
         if len(d) <= n:
             cands.append(tuple(d) + (model.zero,) * (n - len(d)))
-    pool = model.closure(list(xs), depth=bounds.depth)
+    hyps = _hypotheses(model, xs, model.closure(list(xs), depth=bounds.depth))
     log.append(
         f"the sum {model.el_str(total)} is compact, so any witness eventually decomposes it exactly"
     )
     records = []
     for D in cands:
-        viol = _find_violation(model, xs, D, pool)
+        viol = _find_violation(model, hyps, D)
         if viol is None:
             ok, _why = _validate_almost_ordered(model, xs, list(D))
             if ok:

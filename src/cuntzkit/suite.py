@@ -445,6 +445,12 @@ def merge_reports(reports) -> dict:
         for key in ("seed", "cases", "mutate", "checks"):
             if key not in r:
                 raise InputError(f"{here}.{key}", "missing field")
+        if type(r["seed"]) is not int:  # not bool
+            raise InputError(f"{here}.seed", "expected an integer")
+        if type(r["cases"]) is not int or r["cases"] < 0:
+            raise InputError(f"{here}.cases", "expected a case count of at least 0")
+        if not isinstance(r["mutate"], list) or any(m not in MUTATIONS for m in r["mutate"]):
+            raise InputError(f"{here}.mutate", "expected a list of mutation names")
         if not isinstance(r["checks"], list):
             raise InputError(f"{here}.checks", "expected a list of check results")
         for j, c in enumerate(r["checks"]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from fractions import Fraction
 
 from cuntzkit import gen
@@ -239,6 +239,39 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
             if not chain_pattern_ok(got, almost=False):
                 raise AssertionError("search produced a non-chain")
             return chains.ChainWitness("chain", tuple(got), chains.mesh_of(got), (0,) * len(got))
+    return None
+
+
+def chain_dfs(masks, roots, full):
+    """`chains._chain_dfs` on the same masks, with no reachability prune and
+    the list of the masks that meet each mask built up front for every
+    mask. It reaches the depth-5 circle of the benchmark, where
+    `exhaustive_chain_search` above, with an OpenSet per node, is too slow."""
+    seen = set()
+    meets = [[c for c, cand in enumerate(masks) if cand & m] for m in masks]
+    for root in roots:
+        got = _extend_chain([root], 0, masks, meets, full, seen)
+        if got is not None:
+            return got
+    return None
+
+
+def _extend_chain(chain, earlier, masks, meets, full, seen):
+    last = masks[chain[-1]]
+    cur = earlier | last
+    if not full & ~cur:
+        return chain
+    k = (earlier, last)
+    if k in seen:
+        return None
+    seen.add(k)
+    for c in meets[chain[-1]]:
+        cand = masks[c]
+        if cand & earlier or not cand & ~cur:
+            continue
+        got = _extend_chain(chain + [c], cur, masks, meets, full, seen)
+        if got is not None:
+            return got
     return None
 
 
@@ -676,6 +709,33 @@ def ofs_normalize(terms) -> list:
             nxt.append(lsc.join(lo, out[i]) if i < len(out) else lo)
         out = nxt
     return out
+
+
+# ---------------------------------------------------------------------------
+# The almost-ordered refutation as one loop over subsets J, x' and z per
+# decomposition. `checks._find_violation` finds the pool's hypotheses once
+# per call and must return the same record for every decomposition.
+
+
+def find_violation(model, xs, D, pool):
+    n = len(xs)
+    for r in range(1, n + 1):
+        for J in combinations(range(n), r):
+            for xp in pool:
+                if not all(model.wb(xp, xs[j]) for j in J):
+                    continue
+                for z in pool:
+                    if not all(model.le(xs[j], z) for j in J):
+                        continue
+                    if not model.le(xp, D[r - 1]):
+                        broken = "lower"
+                    elif not model.le(D[n - r], z):
+                        broken = "upper"
+                    else:
+                        continue
+                    return {"r": r, "subset": list(J), "xp": model.to_json(xp),
+                            "z": model.to_json(z), "broken": broken}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,41 @@ def test_grid_search_matches_the_openset_oracle():
         assert (got is not None) == found
 
 
+def _mask_families(rng):
+    """Seeded (masks, roots, full): the arcs of up to `most` cells on a path
+    or cycle grid, each kept at random, in a shuffled order, with random
+    roots, and full the whole grid or a random part of it. Then the whole
+    circles of `exhaustive_chain_search` at depth 5, which the OpenSet
+    oracle is too slow to reach, below and above eps 1/2."""
+    for _ in range(300):
+        cyclic = rng.random() < 0.5
+        n = rng.choice((3, 4, 6, 8, 12))
+        points = n if cyclic else n + 1
+        most = rng.randint(1, n - 1 if cyclic else n)
+        masks = [chains.grid_arc_mask(i, l, points, cyclic) for l in range(1, most + 1)
+                 for i in range(n if cyclic else n + 1 - l)]
+        masks = [m for m in masks if rng.random() < 0.8]
+        rng.shuffle(masks)
+        if not masks:
+            continue
+        roots = rng.sample(range(len(masks)), rng.randint(1, len(masks)))
+        grid = (1 << 2 * points) - 1 if cyclic else chains.grid_arc_mask(0, n, points, False)
+        full = grid if rng.random() < 0.5 else grid & rng.getrandbits(2 * points)
+        yield masks, roots, full
+    for most in (16, 32):
+        masks = [chains.grid_arc_mask(i, l, 32, True) for l in range(1, most) for i in range(32)]
+        yield masks, range(0, len(masks), 32), (1 << 64) - 1
+
+
+def test_chain_dfs_matches_the_unpruned_oracle():
+    outcomes = set()
+    for masks, roots, full in _mask_families(random.Random(22)):
+        got = chains._chain_dfs(masks, roots, full)
+        assert got == oracles.chain_dfs(masks, roots, full), (masks, roots, full)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_grid_search_leaves_no_garbage_cycles():
     # The recursion is a plain function: a nested one holds itself through
     # its closure cell, which left the memo to the cyclic collector.

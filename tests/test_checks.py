@@ -155,6 +155,61 @@ def test_almost_ordered_chain_models_sort(vals):
     assert got == want
 
 
+def _almost_ordered_instances(rng):
+    """Seeded (model, xs) on z, zprime, nbar and sat_table(3..6). A third
+    of the draws are zprime sums of 1, the twin atom and perhaps one more
+    compact or twin, in a random order: the closed form fails only on sums
+    that hold both 1 and the twin."""
+    rationals = [models.load_model(name) for name in ("z", "zprime", "nbar")]
+    tables = [sat_table(k) for k in range(3, 7)]
+    for _ in range(200):
+        pick = rng.random()
+        if pick < 0.2:
+            model = rng.choice(tables)
+            yield model, [rng.choice(list(model.elements())) for _ in range(rng.randint(2, 3))]
+        elif pick < 0.55:
+            extra = rng.choice((TWIN, compact(rng.randint(0, 3))))
+            xs = [compact(1), TWIN] + [extra] * rng.randint(0, 1)
+            rng.shuffle(xs)
+            yield rationals[1], xs
+        else:
+            model = rng.choice(rationals)
+            draws = [lambda: compact(rng.randint(0, 3)), lambda: soft(None)]
+            if model.finite_softs:
+                draws.append(lambda: soft(F(rng.randint(1, 6), rng.choice((2, 3, 4)))))
+            if model.twin:
+                draws.append(lambda: TWIN)
+            yield model, [rng.choice(draws)() for _ in range(rng.randint(2, 3))]
+
+
+def test_refutation_matches_the_triple_loop_oracle():
+    # Every candidate decomposition of a compact sum, and seeded tuples of
+    # pool elements besides: a sum with a soft term is never compact, and
+    # only soft terms tell way-below from the order on these models.
+    rng = random.Random(7)
+    verdicts = {}
+    for model, xs in _almost_ordered_instances(random.Random(22)):
+        v = checks.check_almost_ordered_sums(model, xs)
+        verdicts[v.kind] = verdicts.get(v.kind, 0) + 1
+        total, n = model.sum(xs), len(xs)
+        cands = []
+        if model.is_compact(total):
+            decs, _ = model.decompositions(total, n)
+            cands = [tuple(d) + (model.zero,) * (n - len(d)) for d in decs if len(d) <= n]
+        pool = model.closure(list(xs), depth=checks.SearchBounds().depth)
+        hyps = checks._hypotheses(model, xs, pool)
+        want = [oracles.find_violation(model, xs, D, pool) for D in cands]
+        assert [checks._find_violation(model, hyps, D) for D in cands] == want, (xs, cands)
+        if v.kind == "counterexample":
+            # Every candidate is refuted, each by the oracle's record.
+            assert v.data["decompositions"] == [
+                {"terms": [model.to_json(t) for t in D], "violation": w} for D, w in zip(cands, want)
+            ]
+        for D in (tuple(rng.choice(pool) for _ in range(n)) for _ in range(4)):
+            assert checks._find_violation(model, hyps, D) == oracles.find_violation(model, xs, D, pool), (xs, D)
+    assert verdicts.get("counterexample", 0) >= 50, verdicts
+
+
 # --- weak chainability ----------------------------------------------------
 
 

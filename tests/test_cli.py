@@ -1047,7 +1047,27 @@ def test_mutated_input_bytes_exit_with_a_contract_code(byte_fuzz_files, kind, mu
         if code == 2:
             assert err.getvalue().startswith("error: $"), what
         else:
-            json.loads(out.getvalue())
+            json.loads(out.getvalue(), parse_constant=_refuse)
+
+
+def _refuse(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("kind, at", [("space", "$"), ("instance", "$"), ("table", "$.model"), ("report", "$")])
+def test_json_constants_that_are_not_json_exit_2_naming_the_file(byte_fuzz_files, kind, at, constant):
+    # A merged report used to copy "seed": NaN to its output with exit 0.
+    d, files = byte_fuzz_files
+    obj, argv = files[kind]
+    mutant = d / "constant.json"
+    mutant.write_bytes(_with(obj, next(p for p, v in _nodes(obj) if not isinstance(v, (dict, list))), constant))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([a.replace("MUTANT", str(mutant)) for a in argv])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: {at}: ") and str(mutant) in err.getvalue(), err.getvalue()
+    assert err.getvalue().endswith(f"is not valid JSON: {constant} is not a JSON value\n"), err.getvalue()
 
 
 def test_a_closed_stdout_exits_141_in_silence(arc_file):

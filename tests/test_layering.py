@@ -217,9 +217,10 @@ def test_compile_peak_stays_below_its_spikes(name, limit_kib):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the figures are those of Python 3.11")
 def test_grid_search_memory_stays_small():
     # The whole-circle search of the benchmark, at its depth, peaks at about
-    # 300 KiB. The DFS keeps one list of mask indices per mask: (index,
-    # mask) pairs there peaked at about 650 KiB, the same lists without the
-    # dead-end rule at 480, and a walk over every mask at 425.
+    # 22 KiB. Most states fail the reachability test at depth 2, before they
+    # enter the memo, and only a mask that is some state's last piece gets
+    # a meeting list. With a list for every mask and no such test it peaked
+    # at about 240 KiB.
     code = (
         "import tracemalloc\n"
         "from fractions import Fraction\n"
@@ -233,7 +234,7 @@ def test_grid_search_memory_stays_small():
     env = dict(os.environ, PYTHONPATH=str(PKG.parent), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
     peak_kib = int(out) / 1024
-    assert peak_kib < 420, f"the depth-4 circle search peaks at {peak_kib:.0f} KiB"
+    assert peak_kib < 45, f"the depth-4 circle search peaks at {peak_kib:.0f} KiB"
 
 
 def test_no_module_imports_dataclasses():

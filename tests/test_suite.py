@@ -92,7 +92,19 @@ def test_merge_rejects_mismatched_seed():
     # A name outside the registry would drop the check, and its failures, from the merge.
     (lambda r: {**r, "checks": [{**r["checks"][0], "name": "no-such-law"}]}, "$.reports[1].checks[0].name"),
     (lambda r: {**r, "checks": [{**r["checks"][0], "failures": None}]}, "$.reports[1].checks[0].failures"),
-], ids=["list", "no-checks", "checks-object", "no-name", "unknown-name", "failures-null"])
+    # Each of these merged with exit 0, and reached the output as it came, when
+    # every report carried it; here only the disagreement at $.reports caught it.
+    (lambda r: {**r, "seed": float("nan")}, "$.reports[1].seed"),
+    (lambda r: {**r, "seed": True}, "$.reports[1].seed"),
+    (lambda r: {**r, "seed": "1"}, "$.reports[1].seed"),
+    (lambda r: {**r, "cases": 2.5}, "$.reports[1].cases"),
+    (lambda r: {**r, "cases": -1}, "$.reports[1].cases"),
+    (lambda r: {**r, "mutate": [1]}, "$.reports[1].mutate"),
+    (lambda r: {**r, "mutate": "add-off-by-one"}, "$.reports[1].mutate"),
+    (lambda r: {**r, "mutate": ["no-such-mutation"]}, "$.reports[1].mutate"),
+], ids=["list", "no-checks", "checks-object", "no-name", "unknown-name", "failures-null", "seed-nan",
+        "seed-bool", "seed-string", "cases-float", "cases-negative", "mutate-int", "mutate-string",
+        "mutate-unknown"])
 def test_merge_names_the_field_of_a_malformed_report(mangle, path):
     report = suite.run_suite(seed=1, cases=1, names=["unit-cancellation"])
     with pytest.raises(InputError) as exc:
