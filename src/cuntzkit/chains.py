@@ -39,13 +39,6 @@ class Impossible(Record):
 
 # The most pieces epsilon_chain builds; it builds 2 * (len // eps + 1) - 1.
 MAX_CHAIN_PIECES = 100_000
-# The most terms checks.check_almost_ordered_sums takes: it walks every
-# subset of them, about 1.8 times the time per extra term.
-MAX_ALMOST_ORDERED_TERMS = 16
-# The most cover traces on one whole circle that
-# checks.check_weak_chainability takes: its three-piece stage tries every
-# triple of them.
-MAX_CIRCLE_TRACES = 40
 
 
 class ChainTooLargeError(ValueError):

@@ -19,8 +19,11 @@ import itertools
 from . import chains
 from . import geometry as geo
 from . import lsc
-from . import models
 from .geometry import InputError, Record
+
+
+MAX_ALMOST_ORDERED_TERMS = 16  # check_almost_ordered_sums walks every subset of them
+MAX_CIRCLE_TRACES = 40  # traces on a whole circle: check_weak_chainability tries every triple
 
 
 class PropertyVerdict(Record):
@@ -110,7 +113,7 @@ def check_refinable_sums(model, xs, xps, bounds: SearchBounds | None = None) -> 
         if not model.wb(xs[i], xs[i + 1]):
             raise InputError(f"$.xs[{i}]", "each term must be way below the next")
     for i in range(n):
-        if not model.propto(xs[i], xps[i], bounds.propto_cap):
+        if not model.propto(xs[i], xps[i]):
             raise InputError(
                 f"$.xps[{i}]",
                 "each term must be dominated by a multiple of its partner",
@@ -377,8 +380,8 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     n = len(xs)
     if n == 0:
         raise InputError("$.xs", "need at least one term")
-    if n > chains.MAX_ALMOST_ORDERED_TERMS:
-        raise InputError("$.xs", f"{n} terms, more than the cap of {chains.MAX_ALMOST_ORDERED_TERMS}")
+    if n > MAX_ALMOST_ORDERED_TERMS:
+        raise InputError("$.xs", f"{n} terms, more than the cap of {MAX_ALMOST_ORDERED_TERMS}")
     log = []
     if n == 1:
         return PropertyVerdict(
@@ -508,10 +511,10 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
             tr = geo.restrict(lsc.supp(t), ci)
             if not geo.is_empty(tr):
                 traces.append(tr)
-        if len(traces) > chains.MAX_CIRCLE_TRACES:
+        if len(traces) > MAX_CIRCLE_TRACES:
             raise InputError(
                 "$.ys", f"{len(traces)} cover elements meet circle component {ci}, "
-                f"more than the cap of {chains.MAX_CIRCLE_TRACES}"
+                f"more than the cap of {MAX_CIRCLE_TRACES}"
             )
         block = _circle_block_search(space, ci, traces, bounds, log)
         if block is None:
@@ -530,15 +533,12 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
         zs.extend(lsc.indicator(b) for b in block)
         log.append(f"circle component {ci}: chained with {len(block)} pieces")
     if not geo.is_empty(rest):
-        pieces = [geo.complement(geo.closure(supp))] + [lsc.supp(t) for t in ys]
-        cover = chains.make_cover([p for p in pieces if not geo.is_empty(p)])
+        # Each piece is a window inside a component of rest: none needs clipping.
+        cover = chains.make_cover([p for p in map(lsc.supp, ys) if not geo.is_empty(p)])
         res = chains.refine_to_almost_chain(cover, rest)
         if isinstance(res, chains.Impossible):
             raise AssertionError("the support off its whole circles has a whole circle component")
-        for w in res.pieces:
-            z = lsc.indicator(geo.intersect(w, rest))
-            if not geo.is_empty(lsc.supp(z)):
-                zs.append(z)
+        zs.extend(map(lsc.indicator, res.pieces))
         if not full:
             log.append(f"refined the cover supports to an almost chain of {len(zs)} pieces over the support")
     _require(_validate_weak_chain(x, y, ys, xp, zs))
@@ -610,12 +610,9 @@ def compose_weak_chain(space_a, xp_a, zs_a, space_b, xp_b, zs_b):
     the far-apart clause survives; the caller revalidates."""
     target = geo.SpaceDescriptor(space_a.components + space_b.components)
     off = len(space_a.components)
-    xp = lsc.add(
-        models.embed_element(xp_a, target, 0),
-        models.embed_element(xp_b, target, off),
-    )
-    zs = [models.embed_element(z, target, 0) for z in zs_a]
-    zs += [models.embed_element(z, target, off) for z in zs_b]
+    xp = lsc.add(lsc.embed_element(xp_a, target, 0), lsc.embed_element(xp_b, target, off))
+    zs = [lsc.embed_element(z, target, 0) for z in zs_a]
+    zs += [lsc.embed_element(z, target, off) for z in zs_b]
     return target, xp, zs
 
 

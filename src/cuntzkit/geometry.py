@@ -721,10 +721,11 @@ def open_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> OpenSet:
     raw = []
     for ci, (comp, entry, fl) in enumerate(zip(sp.components, sets, fulls)):
         here = f"{path}.sets[{ci}]"
+        _flag(fl, f"{path}.full_flags[{ci}]")
         if comp.kind == "point":
             if entry:
                 raise InputError(here, "point components take no intervals")
-            raw.append(bool(fl))
+            raw.append(fl)
             continue
         if fl:
             if comp.kind == "arc":
@@ -742,6 +743,12 @@ def open_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> OpenSet:
                 raise InputError(ivpath, "expected [a, b, incl_left, incl_right]")
             a = frac_from_str(iv[0], f"{ivpath}[0]")
             b = frac_from_str(iv[1], f"{ivpath}[1]")
-            ivs.append((a, b, bool(iv[2]), bool(iv[3])))
+            ivs.append((a, b, _flag(iv[2], f"{ivpath}[2]"), _flag(iv[3], f"{ivpath}[3]")))
         raw.append(ivs)
     return normalize(sp, raw, f"{path}.sets")
+
+
+def _flag(v, path: str) -> bool:
+    if type(v) is not bool:
+        raise InputError(path, "expected true or false")
+    return v

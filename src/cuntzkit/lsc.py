@@ -9,7 +9,7 @@ function is infinite. The represented function is
 
 Canonical form: every level contains V, and trailing levels equal to V are
 dropped, so equality of records is equality of functions. Addition is
-the level-set convolution; order, lattice operations, and the way-below
+the level-pair sum; order, lattice operations, and the way-below
 relation are all computed structurally on levels.
 """
 
@@ -96,6 +96,12 @@ def supp(f: LscElement) -> OpenSet:
     return f.levels[0] if f.levels else f.infinity
 
 
+def embed_element(f: LscElement, target: SpaceDescriptor, offset: int) -> LscElement:
+    """f on a larger space that holds f's components from the given offset on."""
+    levels = tuple(geo.embed(lv, target, offset) for lv in f.levels)
+    return LscElement(target, levels, geo.embed(f.infinity, target, offset))
+
+
 def eval_at(f: LscElement, ci: int, p=None):
     if not 0 <= ci < len(f.space.components):
         raise ValueError("component index outside the space")
@@ -134,14 +140,14 @@ def meet(f: LscElement, g: LscElement) -> LscElement:
 
 
 def add(f: LscElement, g: LscElement) -> LscElement:
-    """Pointwise sum via the level-set convolution {f+g >= n} = U_j ({f >= j} & {g >= n-j})."""
+    """Pointwise sum by level pairs: {f+g >= n} joins {f >= n}, {g >= n} and
+    F_i & G_j over stored levels with i + j = n. Every other term of the
+    convolution lies in an infinity part, which {f >= n} or {g >= n} holds."""
     _same_space(f, g)
-    levels = []
-    for n in range(1, len(f.levels) + len(g.levels) + 1):
-        acc = geo.union(level(f, n), level(g, n))  # the terms j = n and j = 0
-        for j in range(1, n):
-            acc = geo.union(acc, geo.intersect(level(f, j), level(g, n - j)))
-        levels.append(acc)
+    levels = [geo.union(level(f, n), level(g, n)) for n in range(1, len(f.levels) + len(g.levels) + 1)]
+    for i, fi in enumerate(f.levels, 1):
+        for j, gj in enumerate(g.levels, 1):
+            levels[i + j - 1] = geo.union(levels[i + j - 1], geo.intersect(fi, gj))
     return _trusted(f.space, levels, geo.union(f.infinity, g.infinity))
 
 

@@ -121,12 +121,14 @@ class _Ops:
     def eq(self, a, b) -> bool:
         return self.le(a, b) and self.le(b, a)
 
-    def propto(self, a, b, cap: int = 64) -> bool:
-        """True iff a <= n*b for some n <= cap."""
-        acc = self.zero
-        for _ in range(cap + 1):
+    def propto(self, a, b) -> bool:
+        """True iff a <= n*b for some n: past the first repeat the multiples
+        of b only cycle, so on a finite model the walk is exact."""
+        acc, seen = self.zero, set()
+        while acc not in seen:
             if self.le(a, acc):
                 return True
+            seen.add(acc)
             acc = self.add(acc, b)
         return False
 
@@ -220,10 +222,10 @@ class RationalModel(_Ops):
     def is_compact(self, a: El) -> bool:
         return a.kind != "s"
 
-    def propto(self, a: El, b: El, cap: int = 64) -> bool:
+    def propto(self, a: El, b: El) -> bool:
         """True iff a <= n*b for some n, however large: the multiples of a
         nonzero b pass every value but the soft top, which only the soft
-        top reaches. cap is ignored."""
+        top reaches."""
         top = El("s", None)
         return a == ZERO or (b != ZERO and (a != top or b == top))
 
@@ -341,8 +343,9 @@ class RationalModel(_Ops):
         return out, True
 
     def closure(self, values, depth: int = 3, cap: int = 160):
-        """Candidate pool: the inputs closed under addition, the partial
-        lattice operations, and soft midpoints, up to the given depth."""
+        """Candidate pool: the inputs closed under addition and soft
+        midpoints, up to the given depth. The partial lattice operations
+        would only add an operand, which is in the pool already."""
         pool = {self.zero}
         pool.update(values)
         finite = [v for v in (_num(x) for x in pool) if v is not math.inf]
@@ -351,17 +354,10 @@ class RationalModel(_Ops):
             if len(pool) >= cap:
                 break
             new = set()
-            cur = sorted(pool, key=_sort_key)
-            for a, b in itertools.combinations_with_replacement(cur, 2):
+            for a, b in itertools.combinations_with_replacement(pool, 2):
                 s = self.add(a, b)
                 if _num(s) is math.inf or _num(s) <= bound:
                     new.add(s)
-                j = self.join(a, b)
-                if j is not None:
-                    new.add(j)
-                m = self.meet(a, b)
-                if m is not None:
-                    new.add(m)
                 if self.finite_softs and _num(a) is not math.inf and _num(b) is not math.inf:
                     mid = (_num(a) + _num(b)) / 2
                     if mid > 0:
@@ -490,7 +486,7 @@ class LscModel(_Ops):
     def meet(self, a, b):
         return lsc.meet(a, b)
 
-    def propto(self, a, b, cap: int = 64) -> bool:
+    def propto(self, a, b) -> bool:
         return lsc.scaled_below(a, b)
 
     def el_str(self, a) -> str:
@@ -503,13 +499,6 @@ class LscModel(_Ops):
         return lsc.element_from_json(self.space, s, path)
 
 
-def embed_element(f: lsc.LscElement, target: geo.SpaceDescriptor, offset: int) -> lsc.LscElement:
-    """Re-house an element on a larger space whose component list contains
-    the element's components verbatim starting at the given offset."""
-    levels = tuple(geo.embed(lv, target, offset) for lv in f.levels)
-    return lsc.LscElement(target, levels, geo.embed(f.infinity, target, offset))
-
-
 def _square(obj, n, path):
     if not isinstance(obj, list) or len(obj) != n or any(
         not isinstance(row, list) or len(row) != n for row in obj
@@ -519,6 +508,9 @@ def _square(obj, n, path):
 
 def _bool_matrix(obj, n, path):
     _square(obj, n, path)
+    for i, j in itertools.product(range(n), repeat=2):
+        if not isinstance(obj[i][j], int) or obj[i][j] not in (0, 1):
+            raise InputError(f"{path}[{i}][{j}]", "expected 0, 1, false or true")
     return [[bool(v) for v in row] for row in obj]
 
 

@@ -40,7 +40,7 @@ def _rng_for(seed: int, name: str) -> random.Random:
     return random.Random(int(digest, 16))
 
 
-def _law(name: str, cap: int | None = None):
+def _law(name: str, cap: float = math.inf):
     """Register a case function as the law `name`, run on at most `cap`
     cases. The decorated name is bound to the law's
     `check(rng, cases, mutate) -> list of failure records`."""
@@ -314,10 +314,10 @@ def _chk_direct_sum(rng, mutate):
     xpb = lsc.element_from_json(ARC1, vb.data["xp"])
     zsb = [lsc.element_from_json(ARC1, z) for z in vb.data["zs"]]
     tgt, xp, zs = propcheck.compose_weak_chain(ARC1, xpa, zsa, ARC1, xpb, zsb)
-    ys_t = [models.embed_element(t, tgt, 0) for t in ysa]
-    ys_t += [models.embed_element(t, tgt, 1) for t in ysb]
-    x_t = lsc.add(models.embed_element(xa, tgt, 0), models.embed_element(xb, tgt, 1))
-    y_t = lsc.add(models.embed_element(ya, tgt, 0), models.embed_element(yb, tgt, 1))
+    ys_t = [lsc.embed_element(t, tgt, 0) for t in ysa]
+    ys_t += [lsc.embed_element(t, tgt, 1) for t in ysb]
+    x_t = lsc.add(lsc.embed_element(xa, tgt, 0), lsc.embed_element(xb, tgt, 1))
+    y_t = lsc.add(lsc.embed_element(ya, tgt, 0), lsc.embed_element(yb, tgt, 1))
     ok, why = propcheck._validate_weak_chain(x_t, y_t, ys_t, xp, zs)
     if not ok:
         return f"composed witness fails: {why}"
@@ -398,17 +398,16 @@ def _check_request(names, cases: int, mutate):
             raise InputError("$.mutate", f"unknown mutation {m!r}")
 
 
+def _entry(name: str, cases: int, failures: list) -> dict:
+    """A check's entry in a report: the cases it ran and its failures."""
+    return {"name": name, "cases": cases, "failures": failures, "status": "fail" if failures else "pass"}
+
+
 def run_check(name: str, seed: int, cases: int, mutate=()) -> dict:
     _check_request((name,), cases, mutate)
     check, cap = _LAWS[name]
-    eff = cases if cap is None else min(cases, cap)
-    failures = check(_rng_for(seed, name), eff, frozenset(mutate))
-    return {
-        "name": name,
-        "cases": eff,
-        "failures": failures,
-        "status": "fail" if failures else "pass",
-    }
+    ran = min(cases, cap)
+    return _entry(name, ran, check(_rng_for(seed, name), ran, frozenset(mutate)))
 
 
 def run_suite(seed: int = 42, cases: int = 100, names=None, mutate=()) -> dict:
@@ -416,14 +415,12 @@ def run_suite(seed: int = 42, cases: int = 100, names=None, mutate=()) -> dict:
         names = CHECK_NAMES
     _check_request(names, cases, mutate)
     picked = [n for n in CHECK_NAMES if n in set(names)]
-    reports = [run_check(n, seed, cases, mutate) for n in picked]
-    return {
-        "seed": seed,
-        "cases": cases,
-        "mutate": sorted(mutate),
-        "checks": reports,
-        "failures": sum(len(r["failures"]) for r in reports),
-    }
+    return _report(seed, cases, sorted(mutate), [run_check(n, seed, cases, mutate) for n in picked])
+
+
+def _report(seed: int, cases: int, mutate: list, checks: list) -> dict:
+    return {"seed": seed, "cases": cases, "mutate": mutate, "checks": checks,
+            "failures": sum(len(c["failures"]) for c in checks)}
 
 
 def shard_names(shard: int, num_shards: int):
@@ -434,8 +431,8 @@ def shard_names(shard: int, num_shards: int):
 
 def merge_reports(reports) -> dict:
     """The report of all the checks in shard reports of one seed, case
-    count and mutation list. A report of the wrong shape is an
-    `InputError` at its first field at fault."""
+    count and mutation list. A report of the wrong shape, or a check entry
+    other than `run_check` builds, is an `InputError` at its first field at fault."""
     if not reports:
         raise InputError("$.reports", "nothing to merge")
     for i, r in enumerate(reports):
@@ -461,6 +458,16 @@ def merge_reports(reports) -> dict:
                 raise InputError(f"{at}.name", "expected the name of a registered check")
             if not isinstance(c.get("failures"), list):
                 raise InputError(f"{at}.failures", "expected a list of failures")
+            ran, last = min(r["cases"], _LAWS[c["name"]][1]), -1
+            for k, f in enumerate(c["failures"]):
+                if not (isinstance(f, dict) and f.keys() == {"case", "detail"} and type(f["case"]) is int
+                        and last < f["case"] < ran and isinstance(f["detail"], str)):
+                    raise InputError(f"{at}.failures[{k}]",
+                                     f'expected {{"case": i, "detail": text}}, i rising and below {ran}')
+                last = f["case"]
+            # type(): 1.0 and true equal 1 but print otherwise.
+            if c != _entry(c["name"], ran, c["failures"]) or type(c["cases"]) is not int:
+                raise InputError(at, f"expected {ran} cases and the status of these failures")
     head = reports[0]
     for r in reports[1:]:
         for key in ("seed", "cases", "mutate"):
@@ -472,11 +479,4 @@ def merge_reports(reports) -> dict:
             if c["name"] in by_name and by_name[c["name"]] != c:
                 raise InputError("$.reports", f"conflicting results for {c['name']}")
             by_name[c["name"]] = c
-    ordered = [by_name[n] for n in CHECK_NAMES if n in by_name]
-    return {
-        "seed": head["seed"],
-        "cases": head["cases"],
-        "mutate": head["mutate"],
-        "checks": ordered,
-        "failures": sum(len(c["failures"]) for c in ordered),
-    }
+    return _report(head["seed"], head["cases"], head["mutate"], [by_name[n] for n in CHECK_NAMES if n in by_name])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from fractions import Fraction
 
 from cuntzkit import gen
@@ -877,30 +877,134 @@ def check_axioms(table) -> dict:
 # emit the same verdict as this route.
 
 
+def _clipped_refinement(supp, rest, ys):
+    """The pieces of one refinement over rest of the cover supports and the
+    complement of the closure of supp, each clipped to rest and kept when
+    nonempty; None where rest has a whole circle component."""
+    from cuntzkit import chains, lsc
+
+    pieces = [geo.complement(geo.closure(supp))] + [lsc.supp(t) for t in ys]
+    cover = chains.make_cover([p for p in pieces if not geo.is_empty(p)])
+    res = chains.refine_to_almost_chain(cover, rest)
+    if isinstance(res, chains.Impossible):
+        return None
+    zs = [lsc.indicator(geo.intersect(w, rest)) for w in res.pieces]
+    return [z for z in zs if not geo.is_empty(lsc.supp(z))]
+
+
+def _weak_chain_json(xp, zs, log):
+    from cuntzkit import lsc
+
+    data = {"xp": lsc.element_to_json(xp), "zs": [lsc.element_to_json(z) for z in zs], "m": len(zs)}
+    return {"kind": "witness", "data": data, "log": log}
+
+
 def weak_chain_one_refine(space, x, y, ys):
     """Verdict JSON of the single refinement over the support of x, for an
     instance with at least two cover elements and x nonzero, or None where
     the support has a whole circle component."""
+    from cuntzkit import lsc
+
+    xp = lsc.meet(x, lsc.unit(space))
+    supp = lsc.supp(xp)
+    zs = _clipped_refinement(supp, supp, ys)
+    if zs is None:
+        return None
+    return _weak_chain_json(xp, zs, [f"refined the cover supports to an almost chain of {len(zs)} pieces over the support"])
+
+
+def weak_chain_clipped(space, x, y, ys, bounds):
+    """Verdict JSON of weak chainability for an instance with at least two
+    cover elements and x nonzero: whole circles of the support by
+    `circle_block_search`, the rest by `_clipped_refinement`.
+    `checks.check_weak_chainability` refines the bare cover supports and
+    takes the pieces unclipped, and must emit the same verdict."""
     from cuntzkit import chains, lsc
 
     xp = lsc.meet(x, lsc.unit(space))
     supp = lsc.supp(xp)
-    pieces = [geo.complement(geo.closure(supp))] + [lsc.supp(t) for t in ys]
-    cover = chains.make_cover([p for p in pieces if not geo.is_empty(p)])
-    res = chains.refine_to_almost_chain(cover, supp)
-    if isinstance(res, chains.Impossible):
-        return None
-    zs = [lsc.indicator(geo.intersect(w, supp)) for w in res.pieces]
-    zs = [z for z in zs if not geo.is_empty(lsc.supp(z))]
-    return {
-        "kind": "witness",
-        "data": {
-            "xp": lsc.element_to_json(xp),
-            "zs": [lsc.element_to_json(z) for z in zs],
-            "m": len(zs),
-        },
-        "log": [f"refined the cover supports to an almost chain of {len(zs)} pieces over the support"],
-    }
+    slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
+    full = [ci for ci, comp in enumerate(space.components)
+            if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)]
+    rest = chains.union_of(space, [s for ci, s in enumerate(slices) if ci not in full])
+    zs, log = [], []
+    for ci in full:
+        traces = [tr for tr in (geo.restrict(lsc.supp(t), ci) for t in ys) if not geo.is_empty(tr)]
+        block = circle_block_search(space, ci, traces, bounds, log)
+        if block is None:
+            log.append(f"the support contains circle component {ci} entirely, and the cover "
+                       f"elements admit no almost chain around it")
+            data = {"component": ci, "reason": "a whole circle component of the support cannot be chained"}
+            return {"kind": "counterexample", "data": data, "log": log}
+        zs += [lsc.indicator(b) for b in block]
+        log.append(f"circle component {ci}: chained with {len(block)} pieces")
+    if not geo.is_empty(rest):
+        zs += _clipped_refinement(supp, rest, ys)
+        if not full:
+            log.append(f"refined the cover supports to an almost chain of {len(zs)} pieces over the support")
+    return _weak_chain_json(xp, zs, log)
+
+
+# ---------------------------------------------------------------------------
+# Sums, candidate pools and proportionality with the work the library leaves
+# out. `lsc.add` intersects stored levels only, `RationalModel.closure`
+# closes under sums and soft midpoints only, and `_Ops.propto` walks the
+# multiples until one repeats; each must agree exactly with its route here.
+
+
+def add_convolution(f, g):
+    """f + g by the whole level-set convolution: level n joins
+    {f >= j} & {g >= n - j} for every j from 0 to n."""
+    from cuntzkit import lsc
+
+    levels = []
+    for n in range(1, len(f.levels) + len(g.levels) + 1):
+        acc = geo.union(lsc.level(f, n), lsc.level(g, n))  # the terms j = n and j = 0
+        for j in range(1, n):
+            acc = geo.union(acc, geo.intersect(lsc.level(f, j), lsc.level(g, n - j)))
+        levels.append(acc)
+    return lsc.from_levels(f.space, levels, geo.union(f.infinity, g.infinity))
+
+
+def pool_closure(model, values, depth: int = 3, cap: int = 160):
+    """The candidate pool of a rational model: the values closed, round by
+    round over the pairs of the sorted pool, under bounded sums, soft
+    midpoints and the join and meet where the model defines them; sorted
+    and cut at cap."""
+    from cuntzkit.models import _num, _sort_key, soft
+
+    pool = {model.zero}
+    pool.update(values)
+    finite = [v for v in (_num(x) for x in pool) if v is not math.inf]
+    bound = (max(finite) if finite else Fraction(1)) * 2 + 2
+    for _ in range(depth):
+        if len(pool) >= cap:
+            break
+        new = set()
+        cur = sorted(pool, key=_sort_key)
+        for a, b in combinations_with_replacement(cur, 2):
+            s = model.add(a, b)
+            if _num(s) is math.inf or _num(s) <= bound:
+                new.add(s)
+            for c in (model.join(a, b), model.meet(a, b)):
+                if c is not None:
+                    new.add(c)
+            if model.finite_softs and _num(a) is not math.inf and _num(b) is not math.inf:
+                mid = (_num(a) + _num(b)) / 2
+                if mid > 0:
+                    new.add(soft(mid))
+        pool |= new
+    return sorted(pool, key=_sort_key)[:cap]
+
+
+def propto_capped(model, a, b, cap: int = 64) -> bool:
+    """True iff a <= n*b for some n <= cap, trying n = 0, 1, ..., cap."""
+    acc = model.zero
+    for _ in range(cap + 1):
+        if model.le(a, acc):
+            return True
+        acc = model.add(acc, b)
+    return False
 
 
 # The complement of one point through the checked constructor: every entry

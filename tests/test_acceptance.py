@@ -277,10 +277,10 @@ def test_criterion_09_weak_chainability():
         xpb = lsc.element_from_json(arc_b, vb.data["xp"])
         zsb = [lsc.element_from_json(arc_b, z) for z in vb.data["zs"]]
         tgt, cxp, czs = checks.compose_weak_chain(two_arcs, xp, zs, arc_b, xpb, zsb)
-        x_t = lsc.add(models.embed_element(x, tgt, 0), models.embed_element(xb, tgt, 2))
-        y_t = lsc.add(models.embed_element(y, tgt, 0), models.embed_element(yb, tgt, 2))
-        ys_t = [models.embed_element(t, tgt, 0) for t in ys]
-        ys_t += [models.embed_element(t, tgt, 2) for t in ysb]
+        x_t = lsc.add(lsc.embed_element(x, tgt, 0), lsc.embed_element(xb, tgt, 2))
+        y_t = lsc.add(lsc.embed_element(y, tgt, 0), lsc.embed_element(yb, tgt, 2))
+        ys_t = [lsc.embed_element(t, tgt, 0) for t in ys]
+        ys_t += [lsc.embed_element(t, tgt, 2) for t in ysb]
         good, why = checks._validate_weak_chain(x_t, y_t, ys_t, cxp, czs)
         comp_ok = good and len(czs) == len(zs) + len(zsb)
     dt = time.monotonic() - t0

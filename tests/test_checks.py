@@ -427,6 +427,46 @@ def test_weak_chain_matches_the_one_refine_route():
     assert compared >= 60 and on_circles >= 10
 
 
+def _whole_circle_instance(rng):
+    """An instance on a circle, a unit arc and a point: y is the unit, x
+    holds the whole circle, a window of the arc and perhaps the point, and
+    ys are seeded arcs that cover the circle plus the indicator of the arc
+    and the point. A quarter of the draws take three short arcs that no
+    almost chain takes around the circle."""
+    sp = geo.space(geo.circle(1), geo.arc(1), geo.point())
+    if rng.random() < 0.25:
+        raws = [[(F(0), F(3, 10))], [(F(1, 4), F(11, 20))], [(F(1, 2), F(21, 20))]]
+    else:
+        raws = []
+        while not raws or not geo.subset(geo.component_set(sp, 0), chains.union_of(
+                sp, [geo.normalize(sp, [r, [], False]) for r in raws])):
+            a = F(rng.randrange(8), 8)
+            raws.append([(a, a + F(rng.randint(2, 7), 8))])
+    ys = [lsc.indicator(geo.normalize(sp, [r, [], False])) for r in raws]
+    ys.append(lsc.indicator(geo.normalize(sp, [[], [(F(0), F(1), True, True)], True])))
+    a = F(rng.randrange(4), 8)
+    x = lsc.indicator(geo.normalize(sp, ["full", [(a, a + F(1, 2))], rng.random() < 0.5]))
+    return sp, x, lsc.unit(sp), ys
+
+
+def test_weak_chain_matches_the_clipped_route():
+    # The bare cover supports and the pieces as they come, against the
+    # cover that adds the complement of the support's closure and clips
+    # every piece to the rest of the support.
+    rng = random.Random(23)
+    kinds = set()
+    instances = [_weak_chain_instance(rng) for _ in range(120)]
+    instances += [_whole_circle_instance(rng) for _ in range(30)]
+    for sp, x, y, ys in instances:
+        if geo.is_empty(lsc.supp(x)):
+            continue
+        bounds = checks.SearchBounds(depth=rng.randint(1, 4))
+        got = checks.verdict_to_json(checks.check_weak_chainability(sp, x, y, ys, bounds))
+        assert got == oracles.weak_chain_clipped(sp, x, y, ys, bounds)
+        kinds.add((got["kind"], len(sp.components) > 1, any(c.kind == "point" for c in sp.components)))
+    assert {("witness", True, True), ("counterexample", True, True)} <= kinds
+
+
 def test_each_certificate_runs_its_search_once(monkeypatch):
     refines = []
     real_refine = chains.refine_to_almost_chain
@@ -474,10 +514,10 @@ def test_compose_weak_chain_concatenates():
     zsc = [lsc.element_from_json(CIRCLE, z) for z in vc.data["zs"]]
     tgt, xp, zs = checks.compose_weak_chain(ARC, xpa, zsa, CIRCLE, xpc, zsc)
     assert len(tgt.components) == 2
-    ys_t = [models.embed_element(t, tgt, 0) for t in (y1, y2)]
-    ys_t += [models.embed_element(t, tgt, 1) for t in (b1, b2)]
-    x_t = lsc.add(models.embed_element(x, tgt, 0), models.embed_element(full, tgt, 1))
-    y_t = lsc.add(models.embed_element(y, tgt, 0), models.embed_element(full, tgt, 1))
+    ys_t = [lsc.embed_element(t, tgt, 0) for t in (y1, y2)]
+    ys_t += [lsc.embed_element(t, tgt, 1) for t in (b1, b2)]
+    x_t = lsc.add(lsc.embed_element(x, tgt, 0), lsc.embed_element(full, tgt, 1))
+    y_t = lsc.add(lsc.embed_element(y, tgt, 0), lsc.embed_element(full, tgt, 1))
     ok, why = checks._validate_weak_chain(x_t, y_t, ys_t, xp, zs)
     assert ok, why
     assert len(zs) == len(zsa) + len(zsc)
@@ -491,6 +531,19 @@ def sat_table(n, unit=None):
     add = [[min(a + b, n) for b in range(n + 1)] for a in range(n + 1)]
     names = [str(k) for k in range(n)] + [f"{n}up"]
     return models.TableModel(tuple(names), le, add, unit=unit)
+
+
+def test_table_propto_is_the_capped_loop():
+    # Walking the multiples until one repeats against 64 of them: the cap
+    # never binds on a table of at most 25 elements.
+    rng = random.Random(2024)
+    tables = [sat_table(n) for n in range(1, 25)] + [rand_table(rng) for _ in range(300)]
+    for t in tables:
+        for a in t.elements():
+            for b in t.elements():
+                assert t.propto(a, b) == oracles.propto_capped(t, a, b), (t.names, a, b)
+    top = sat_table(24)
+    assert top.propto(24, 1) and not top.propto(24, 0)
 
 
 def test_axioms_truncated_naturals_fail_weak_cancellation():

@@ -259,6 +259,41 @@ def test_backwards_interval_error_names_its_sets_path(arc_file, tmp_path):
     assert proc.stderr == "error: $.a.levels[0].sets[0][0]: interval needs a < b\n"
 
 
+def test_string_false_flag_is_exit_2(capsys, circle_file, tmp_path):
+    # bool("false") is True: read that way, this flag made a the whole
+    # circle and the call answered "holds": false with exit 1.
+    a = write_json(tmp_path, "a.json", {"levels": [{"sets": [[]], "full_flags": ["false"]}], "infinity": None})
+    b = write_json(tmp_path, "b.json", lsc.element_to_json(chi((0, F(1, 2)), sp=CIRCLE)))
+    code, out, err = run(capsys, ["lsc", "leq", "-s", circle_file, a, b])
+    assert (code, out, err) == (2, "", "error: $.a.levels[0].full_flags[0]: expected true or false\n")
+
+
+@pytest.mark.parametrize("sets, flags, path", [
+    ([[], [], []], ["true", False, False], "full_flags[0]"),
+    ([[], [], []], [False, 1, False], "full_flags[1]"),
+    ([[], [], []], [False, False, 0], "full_flags[2]"),
+    ([[], [], []], [False, False, None], "full_flags[2]"),
+    ([[["0", "1/2", 1, False]], [], []], [False, False, False], "sets[0][0][2]"),
+    ([[], [["0", "1/2", False, "false"]], []], [False, False, False], "sets[1][0][3]"),
+], ids=["circle-string", "arc-int", "point-zero", "point-null", "arc-incl-int", "circle-incl-string"])
+def test_set_flags_must_be_json_booleans(capsys, tmp_path, sets, flags, path):
+    sp = geo.space(geo.circle(1), geo.arc(1), geo.point())
+    space = write_json(tmp_path, "sp.json", geo.space_to_json(sp))
+    a = write_json(tmp_path, "a.json", {"levels": [{"sets": sets, "full_flags": flags}], "infinity": None})
+    code, out, err = run(capsys, ["lsc", "eval", "-s", space, a])
+    assert (code, out, err) == (2, "", f"error: $.element.levels[0].{path}: expected true or false\n")
+
+
+@pytest.mark.parametrize("entry", [2, -1, "1", "true", 1.0, 0.5, None, [1]])
+def test_table_order_entries_are_0_1_false_or_true(capsys, tmp_path, entry):
+    le = [[1, True], [False, 0]]
+    le[1][1] = entry
+    table = {"elements": ["0", "1"], "le": le, "add": [["0", "1"], ["1", "1"]]}
+    path = write_json(tmp_path, "t.json", table)
+    code, out, err = run(capsys, ["check", "axioms", "--model", f"table:{path}"])
+    assert (code, out, err) == (2, "", "error: $.le[1][1]: expected 0, 1, false or true\n")
+
+
 @pytest.mark.parametrize("eps", ["0", "-1/2"])
 def test_epsilon_chain_nonpositive_eps_is_exit_2_at_eps(arc_file, tmp_path, eps):
     inst = write_json(tmp_path, "c.json", {"target": full_arc_target(), "eps": eps})
@@ -602,13 +637,13 @@ def _evenly_spaced_arcs(k):
 
 @pytest.mark.parametrize("argv, inst, path, reason", [
     (["almost-ordered", "--model", "z"],
-     {"xs": [str(i) for i in range(1, chains.MAX_ALMOST_ORDERED_TERMS + 2)]}, "$.xs",
-     f"{chains.MAX_ALMOST_ORDERED_TERMS + 1} terms, more than the cap of {chains.MAX_ALMOST_ORDERED_TERMS}"),
+     {"xs": [str(i) for i in range(1, checks.MAX_ALMOST_ORDERED_TERMS + 2)]}, "$.xs",
+     f"{checks.MAX_ALMOST_ORDERED_TERMS + 1} terms, more than the cap of {checks.MAX_ALMOST_ORDERED_TERMS}"),
     (["weak-chain"],
      {"x": lsc.element_to_json(lsc.unit(CIRCLE)), "y": lsc.element_to_json(lsc.unit(CIRCLE)),
-      "ys": _evenly_spaced_arcs(chains.MAX_CIRCLE_TRACES + 1)}, "$.ys",
-     f"{chains.MAX_CIRCLE_TRACES + 1} cover elements meet circle component 0, "
-     f"more than the cap of {chains.MAX_CIRCLE_TRACES}"),
+      "ys": _evenly_spaced_arcs(checks.MAX_CIRCLE_TRACES + 1)}, "$.ys",
+     f"{checks.MAX_CIRCLE_TRACES + 1} cover elements meet circle component 0, "
+     f"more than the cap of {checks.MAX_CIRCLE_TRACES}"),
 ], ids=["almost-ordered", "weak-chain"])
 def test_over_the_cap_instances_exit_2_at_once(capsys, circle_file, tmp_path, argv, inst, path, reason):
     f = write_json(tmp_path, "i.json", inst)

@@ -4,8 +4,8 @@
 its private helpers, and alone imports `segment`, the sweeps over those
 tuples; every other module goes through the public set operations and
 per-component views. `checks` sees a model only through the protocol
-its methods answer: of `models` it uses `embed_element`
-alone, it never probes a model with `getattr`, and only
+its methods answer: it uses no name of `models`, it never probes a
+model with `getattr`, and only
 `check_refinable_sums` reads `model.kind`, to pick the constructive
 route. Every annotation in the package must also resolve, so tools that
 read them see real names, and `geometry.py` stays below the size at
@@ -101,16 +101,15 @@ def test_only_geometry_imports_the_segment_sweeps():
 
 
 def bypasses_the_model_protocol(source: str) -> list:
-    """Lines of a checker module that use a `models` name other than
-    `embed_element`, call `getattr` on a model, or read `model.kind`
-    outside `check_refinable_sums`."""
+    """Lines of a checker module that use a `models` name, call `getattr`
+    on a model, or read `model.kind` outside `check_refinable_sums`."""
     tree = ast.parse(source)
     aliases = set()
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.module in ("models", "cuntzkit.models"):
-                found += [f"{node.lineno}: imports {a.name}" for a in node.names if a.name != "embed_element"]
+                found += [f"{node.lineno}: imports {a.name}" for a in node.names]
             elif node.module in (None, "cuntzkit"):
                 aliases |= {a.asname or a.name for a in node.names if a.name == "models"}
 
@@ -118,7 +117,7 @@ def bypasses_the_model_protocol(source: str) -> list:
         if isinstance(node, ast.FunctionDef):
             func = func or node.name
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id in aliases and node.attr != "embed_element":
+            if node.value.id in aliases:
                 found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
             elif node.value.id == "model" and node.attr == "kind" and func != "check_refinable_sums":
                 found.append(f"{node.lineno}: model.kind in {func}")
@@ -153,7 +152,9 @@ def test_the_protocol_rule_catches_each_kind_of_bypass():
     )
     assert bypasses_the_model_protocol(src) == [
         "2: imports soft",
+        "2: imports embed_element",
         "4: getattr(model, ...)",
+        "5: models.embed_element",
         "6: models.soft",
         "8: model.kind in _decomps",
     ]
@@ -348,7 +349,7 @@ def test_each_layer_is_one_module_in_either_import_order(fresh_package, first):
         assert getattr(pkg, name) is mod
         assert getattr(cli, name, mod) is mod
     suite = importlib.import_module("cuntzkit.suite")
-    assert (checks.chains, checks.models, suite.propcheck) == (pkg.chains, pkg.models, checks)
+    assert (checks.chains, suite.models, suite.propcheck) == (pkg.chains, pkg.models, checks)
     # Values made in one layer are instances of the classes another names.
     model = suite.models.load_model("z")
     verdict = checks.check_refinable_sums(model, [model.parse("1")], [model.parse("1")])

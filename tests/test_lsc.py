@@ -54,6 +54,61 @@ def test_add_examples():
     assert s == elem([[(F(0), F("3/4"))], [(F("1/4"), F("1/2"))]])
 
 
+def _nested(rng, sp, m):
+    """An element of m nested levels over a random infinity part: on an arc
+    level k is one window about its middle and on a circle one window
+    through the seam, of radii that shrink with k, and a point lies in the
+    levels up to a random depth."""
+    radii = sorted((F(rng.randint(1, 99), 200) for _ in range(m)), reverse=True)
+    depths = [rng.randint(0, m) for _ in sp.components]
+    levels = []
+    for k, r in enumerate(radii):
+        raw = []
+        for c, depth in zip(sp.components, depths):
+            if c.kind == "point":
+                raw.append(k < depth)
+            elif c.kind == "arc":
+                raw.append([(c.length * (F(1, 2) - r), c.length * (F(1, 2) + r))])
+            else:
+                raw.append([(c.length * (1 - r), c.length * (1 + r))])
+        levels.append(geo.normalize(sp, raw))
+    v = gen.rand_open_set(rng, sp, max_intervals=2) if rng.random() < 0.5 else None
+    return lsc.from_levels(sp, levels, v)
+
+
+def test_add_is_the_whole_convolution():
+    # Level pairs against every term of the convolution: equal records and
+    # equal element JSON, on the suite's generators and on nested families
+    # of up to 100 levels through a circle's seam.
+    rng = seeded(2310)
+    pairs = []
+    for _ in range(200):
+        sp = gen.rand_space(rng)
+        draw = rng.choice((gen.rand_lsc, gen.rand_bounded_lsc, gen.rand_indicator))
+        pairs.append((draw(rng, sp), gen.rand_lsc(rng, sp, max_levels=5)))
+    sp = geo.space(geo.arc(1), geo.circle(F(3, 2)), geo.point())
+    for m in (0, 1, 100, *(rng.randint(0, 100) for _ in range(5))):
+        f = _nested(rng, sp, m)
+        pairs += [(f, _nested(rng, sp, rng.randint(0, 100))), (gen.rand_lsc(rng, sp), f)]
+    assert max(len(f.levels) for f, _ in pairs) == 100
+    assert any(not geo.is_empty(f.infinity) and len(f.levels) > 20 for f, _ in pairs)
+    for f, g in pairs:
+        got, want = lsc.add(f, g), oracles.add_convolution(f, g)
+        assert got == want and lsc.element_to_json(got) == lsc.element_to_json(want), (f, g)
+
+
+def test_embed_element_offsets():
+    two = geo.space(geo.arc(1), geo.arc(1))
+    a = chi((F(0), F(1, 2)))
+    lifted = lsc.embed_element(a, two, 0)
+    assert lsc.eval_at(lifted, 0, F(1, 4)) == 1
+    assert lsc.eval_at(lifted, 1, F(1, 4)) == 0
+    lifted2 = lsc.embed_element(a, two, 1)
+    assert lsc.eval_at(lifted2, 1, F(1, 4)) == 1
+    with pytest.raises(geo.SpaceMismatchError):
+        lsc.embed_element(a, two, 2)
+
+
 def test_way_below_examples():
     assert lsc.way_below(chi((F("1/4"), F("1/2"))), chi((F(0), F("3/4"))))
     assert not lsc.way_below(chi((F(0), F("1/2"))), chi((F(0), F("1/2"))))
@@ -231,7 +286,7 @@ def seeded(seed):
 @given(st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_add_matches_pointwise_oracle(seed):
-    # the level convolution computes the pointwise sum at every grid rational
+    # the level-pair sum computes the pointwise sum at every grid rational
     rng = seeded(seed)
     sp = gen.rand_space(rng)
     f = gen.rand_lsc(rng, sp)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from cuntzkit import geometry as geo
 from cuntzkit import lsc, models
 from cuntzkit.geometry import InputError
@@ -140,7 +141,7 @@ def test_propto_scales():
 @pytest.mark.parametrize("model", [Z, ZP, NBAR], ids=["z", "zprime", "nbar"])
 def test_propto_is_the_loop_without_a_cap(model):
     # The largest ratio in the pool is 100 against 1/2', reached at 201
-    # multiples, so the loop of _Ops.propto decides every pair at cap 250.
+    # multiples, so the capped loop decides every pair at cap 250.
     pool = [compact(n) for n in (0, 1, 2, 3, 7, 100)] + [soft(None)]
     if model.finite_softs:
         pool += [soft(F(1, 2)), soft(F(3, 2)), soft(F(11, 10)), soft(99)]
@@ -148,8 +149,8 @@ def test_propto_is_the_loop_without_a_cap(model):
         pool.append(TWIN)
     for a in pool:
         for b in pool:
-            assert model.propto(a, b) == models._Ops.propto(model, a, b, 250), (a, b)
-    assert model.propto(compact(100), compact(1)) and not models._Ops.propto(model, compact(100), compact(1))
+            assert model.propto(a, b) == oracles.propto_capped(model, a, b, 250), (a, b)
+    assert model.propto(compact(100), compact(1)) and not oracles.propto_capped(model, compact(100), compact(1))
 
 
 def test_sums_between_is_incomplete_only_when_the_cap_cuts_it():
@@ -205,6 +206,35 @@ def test_closure_reaches_midpoints():
     pool2 = ZP.closure([compact(1), TWIN], depth=3)
     assert soft(F(3, 2)) in pool2
     assert compact(2) in pool2
+
+
+def _pool_values(rng, model):
+    draws = [lambda: compact(rng.randint(0, 4)), lambda: soft(None)]
+    if model.finite_softs:
+        draws.append(lambda: soft(F(rng.randint(1, 9), rng.choice((2, 3, 4)))))
+    if model.twin:
+        draws.append(lambda: TWIN)
+    return [rng.choice(draws)() for _ in range(rng.randint(1, 4))]
+
+
+def test_closure_is_the_pool_with_lattice_operations():
+    # Sums and midpoints alone, over the pool in any order, against the
+    # rounds that also add joins and meets over the sorted pool.
+    rng = random.Random(2023)
+    sizes = set()
+    for model in (Z, ZP, NBAR):
+        for depth in range(5):
+            for _ in range(5):
+                values = _pool_values(rng, model)
+                got = model.closure(values, depth)
+                assert got == oracles.pool_closure(model, values, depth), (model.name, values, depth)
+                sizes.add(len(got))
+    assert 1 in sizes and 160 in sizes
+    # The cap cuts this pool: it holds more than 160 elements before the cut.
+    values = [compact(1), compact(3), soft(F(1, 3)), soft(F(5, 2))]
+    got = Z.closure(values, 3)
+    assert len(got) == 160 and got == oracles.pool_closure(Z, values, 3)
+    assert len(oracles.pool_closure(Z, values, 3, cap=10**4)) > 160
 
 
 def table(names, le, add, **kw):
@@ -303,18 +333,6 @@ def test_every_model_answers_the_checker_protocol():
                 assert model.add(h, h) == e
             else:
                 assert h is None
-
-
-def test_embed_element_offsets():
-    two = geo.space(geo.arc(1), geo.arc(1))
-    a = chi((F(0), F(1, 2)))
-    lifted = models.embed_element(a, two, 0)
-    assert lsc.eval_at(lifted, 0, F(1, 4)) == 1
-    assert lsc.eval_at(lifted, 1, F(1, 4)) == 0
-    lifted2 = models.embed_element(a, two, 1)
-    assert lsc.eval_at(lifted2, 1, F(1, 4)) == 1
-    with pytest.raises(geo.SpaceMismatchError):
-        models.embed_element(a, two, 2)
 
 
 def test_load_model_selectors(tmp_path):

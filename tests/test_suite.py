@@ -76,6 +76,13 @@ def test_merge_equals_full_run():
     assert suite.merge_reports(shards) == full
 
 
+def test_merge_of_failing_shards_equals_full_run():
+    mutate = ("add-off-by-one",)
+    full = suite.run_suite(seed=9, cases=2, mutate=mutate)
+    shards = [suite.run_suite(seed=9, cases=2, names=suite.shard_names(i, 3), mutate=mutate) for i in range(3)]
+    assert full["failures"] > 0 and suite.merge_reports(shards) == full
+
+
 def test_merge_rejects_mismatched_seed():
     a = suite.run_suite(seed=1, cases=2, names=["bounded-decomposition"])
     b = suite.run_suite(seed=2, cases=2, names=["unit-cancellation"])
@@ -102,9 +109,33 @@ def test_merge_rejects_mismatched_seed():
     (lambda r: {**r, "mutate": [1]}, "$.reports[1].mutate"),
     (lambda r: {**r, "mutate": "add-off-by-one"}, "$.reports[1].mutate"),
     (lambda r: {**r, "mutate": ["no-such-mutation"]}, "$.reports[1].mutate"),
+    # Each of these merged into a report that contradicts itself: this one
+    # said the check passed, over -7 cases, with one failure.
+    (lambda r: {**r, "checks": [{**r["checks"][0], "status": "pass", "cases": -7,
+                                 "failures": [{"case": 0, "detail": "planted"}]}]}, "$.reports[1].checks[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "status": "fail"}]}, "$.reports[1].checks[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "cases": 2}]}, "$.reports[1].checks[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "cases": True}]}, "$.reports[1].checks[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "extra": 1}]}, "$.reports[1].checks[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "failures": [{"case": 1, "detail": "x"}]}]},
+     "$.reports[1].checks[0].failures[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "failures": [{"case": True, "detail": "x"}]}]},
+     "$.reports[1].checks[0].failures[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "failures": [{"case": 0, "detail": 3}]}]},
+     "$.reports[1].checks[0].failures[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "failures": [{"case": 0}]}]},
+     "$.reports[1].checks[0].failures[0]"),
+    (lambda r: {**r, "checks": [{**r["checks"][0], "failures": ["case 0"]}]},
+     "$.reports[1].checks[0].failures[0]"),
+    # Two failures of one case in a report of one case.
+    (lambda r: {**r, "checks": [{**r["checks"][0], "status": "fail",
+                                 "failures": [{"case": 0, "detail": "x"}, {"case": 0, "detail": "y"}]}]},
+     "$.reports[1].checks[0].failures[1]"),
 ], ids=["list", "no-checks", "checks-object", "no-name", "unknown-name", "failures-null", "seed-nan",
         "seed-bool", "seed-string", "cases-float", "cases-negative", "mutate-int", "mutate-string",
-        "mutate-unknown"])
+        "mutate-unknown", "status-pass-cases-negative-one-failure", "status-fail", "cases-past-the-run",
+        "cases-bool", "extra-field", "failure-case-out-of-range", "failure-case-bool", "failure-detail-int",
+        "failure-no-detail", "failure-string", "failure-case-repeated"])
 def test_merge_names_the_field_of_a_malformed_report(mangle, path):
     report = suite.run_suite(seed=1, cases=1, names=["unit-cancellation"])
     with pytest.raises(InputError) as exc:
