@@ -115,6 +115,9 @@ class Record:
 
 
 class Component(Record):
+    """An arc [0, L], a circle of circumference L, or an isolated point.
+    A point is given no length and stores 0, the segment [0, 0]."""
+
     __slots__ = ("kind", "length")
 
     def __init__(self, kind: str, length: Fraction | None = None):
@@ -123,6 +126,7 @@ class Component(Record):
         if kind == "point":
             if length is not None:
                 raise ValueError("point components have no length")
+            length = Fraction(0)
         elif length is None or length <= 0:
             raise ValueError("arc/circle components need a positive length")
         _set(self, "kind", kind)

@@ -133,8 +133,7 @@ def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
     rows = []
     for i in range(n - 1):
         t = lsc.interpolate_between(xs[i], xs[i + 1])
-        row = lsc.decompose_below_ne(t, max(1, lsc.num_levels(t)))
-        rows.append(tuple(row) if row else (model.zero,))
+        rows.append(tuple(lsc.decompose_below_ne(t, lsc.num_levels(t))))
         log.append(f"row {i}: level indicators of an interpolant between x[{i}] and x[{i + 1}]")
     rows = _padded(model, rows)
     _require(_validate_refinable(model, xs, xps, rows))

@@ -33,11 +33,13 @@ from .segment import (
 # ---------------------------------------------------------------------------
 # Stored parts.
 #
-# A stored arc or circle part is (d, pieces): each coordinate x is kept as
-# the integer x*d, where d is the least common denominator of L and every
-# endpoint (an empty part has d == L.denominator). The pieces form a
-# canonical tuple (`segment`), unique for the point set, so equal sets
-# compare and hash the same.
+# A stored part is (d, pieces): each coordinate x is kept as the integer
+# x*d, where d is the least common denominator of L and every endpoint (an
+# empty part has d == L.denominator). The pieces form a canonical tuple
+# (`segment`), unique for the point set, so equal sets compare and hash
+# the same. A point component is the segment [0, 0] (L == 0), so its part
+# is (1, ()) or (1, ((0, True, 0, True),)), and every set operation runs
+# the arc's sweep on it.
 #
 # The sweeps of `segment` run on the integers of one scale. Two
 # parts meet at the lcm of their scales (`_common`). Where an endpoint can
@@ -64,7 +66,7 @@ def _full(L: Fraction) -> Part:
 
 
 def _empty(c: Component) -> Part:
-    return False if c.kind == "point" else (c.length.denominator, ())
+    return c.length.denominator, ()
 
 
 def _part(comp: Component, d: int, pieces: Sequence[Piece]) -> Part:
@@ -88,15 +90,14 @@ def _settle(comp: Component, d: int, pieces: tuple[Piece, ...], n: int) -> Part:
 
 
 # ---------------------------------------------------------------------------
-# Public set types. `parts` holds, per component, either a scaled part
-# (d, pieces) (arc/circle) or a bool (point). Both types share the
-# representation; the distinction is the openness/closedness invariant of
-# the stored pieces. This module is the only one that reads `parts`: other
-# modules see a set through the set operations and the per-component views
-# `component_set`, `restrict`, `spans`, `scaled_spans`, `breakpoints`,
-# `probe_points` and `embed`.
+# Public set types. `parts` holds one scaled part (d, pieces) per
+# component. Both types share the representation; the distinction is the
+# openness/closedness invariant of the stored pieces. This module is the
+# only one that reads `parts`: other modules see a set through the set
+# operations and the per-component views `component_set`, `restrict`,
+# `spans`, `scaled_spans`, `breakpoints`, `probe_points` and `embed`.
 
-Part = Union[Scaled, bool]
+Part = Scaled
 
 
 class OpenSet(Record):
@@ -143,7 +144,7 @@ def empty_set(sp: SpaceDescriptor) -> OpenSet:
 
 
 def full_set(sp: SpaceDescriptor) -> OpenSet:
-    return OpenSet(sp, tuple(True if c.kind == "point" else _full(c.length) for c in sp.components))
+    return OpenSet(sp, tuple(_full(c.length) for c in sp.components))
 
 
 def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
@@ -194,7 +195,7 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
         if comp.kind == "point":
             if not isinstance(entry, bool):
                 raise InputError(f"{path}[{ci}]", "point components take a boolean")
-            parts.append(entry)
+            parts.append(_full(comp.length) if entry else _empty(comp))
             continue
         L = comp.length
         if entry == "full":
@@ -249,17 +250,14 @@ def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
     arc or circle ci. A point off an arc raises the `InputError` that
     `grid_set` gives its intervals."""
     c = _comp(sp, ci)
-    if c.kind == "point":
-        part: Part = True
-    else:
-        L = c.length
-        q = frac(p) % L if c.kind == "circle" else frac(p)
-        d = lcm(L.denominator, q.denominator)  # the least scale of 0, q and L
-        Q = _at(q, d)
-        if not 0 <= Q <= _at(L, d):
-            raise InputError(f"$[{ci}][0]", "interval ends beyond the arc" if Q > 0
-                             else "interval starts before the component")
-        part = _settle(c, d, ((Q, True, Q, True),), 1)
+    L = c.length
+    q = _ZERO if c.kind == "point" else frac(p) % L if c.kind == "circle" else frac(p)
+    d = lcm(L.denominator, q.denominator)  # the least scale of 0, q and L
+    Q = _at(q, d)
+    if not 0 <= Q <= _at(L, d):
+        raise InputError(f"$[{ci}][0]", "interval ends beyond the arc" if Q > 0
+                         else "interval starts before the component")
+    part = _settle(c, d, ((Q, True, Q, True),), 1)
     return complement(ClosedSet(sp, _only(sp, ci, part)))
 
 
@@ -306,9 +304,6 @@ def union(a: SetLike, b: SetLike):
             return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
-        if comp.kind == "point":
-            parts.append(pa or pb)
-            continue
         if not pa[1] or not pb[1]:
             parts.append(pb if not pa[1] else pa)
             continue
@@ -327,11 +322,8 @@ def intersect(a: SetLike, b: SetLike):
             return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
-        if comp.kind == "point":
-            parts.append(pa and pb)
-        else:
-            d, xs, ys = _common(pa, pb)
-            parts.append(_least(d, _intersect(xs, ys), comp.length))
+        d, xs, ys = _common(pa, pb)
+        parts.append(_least(d, _intersect(xs, ys), comp.length))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -340,22 +332,15 @@ def meets(a: SetLike, b: SetLike) -> bool:
     """Whether a and b share a point: `not is_empty(intersect(a, b))`,
     from the sweep alone, with no set built and no least scale sought."""
     _check_same_space(a, b)
-    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
-        if comp.kind == "point":
-            if pa and pb:
-                return True
-        elif pa[1] and pb[1] and _meets(*_common(pa, pb)[1:]):
+    for pa, pb in zip(a.parts, b.parts):
+        if pa[1] and pb[1] and _meets(*_common(pa, pb)[1:]):
             return True
     return False
 
 
 def closure(a: SetLike) -> ClosedSet:
     parts: list[Part] = []
-    for comp, pa in zip(a.space.components, a.parts):
-        if comp.kind == "point":
-            parts.append(pa)
-            continue
-        d, pieces = pa
+    for comp, (d, pieces) in zip(a.space.components, a.parts):
         parts.append(_settle(comp, d, _seg_closure(pieces), len(pieces)))
     return ClosedSet(a.space, tuple(parts))
 
@@ -363,12 +348,8 @@ def closure(a: SetLike) -> ClosedSet:
 def complement(a: SetLike):
     """Set complement within the space. Open sets go to closed and back."""
     parts: list[Part] = []
-    for comp, pa in zip(a.space.components, a.parts):
-        if comp.kind == "point":
-            parts.append(not pa)
-        else:
-            d, pieces = pa
-            parts.append((d, _complement(pieces, _at(comp.length, d))))
+    for comp, (d, pieces) in zip(a.space.components, a.parts):
+        parts.append((d, _complement(pieces, _at(comp.length, d))))
     cls = ClosedSet if isinstance(a, OpenSet) else OpenSet
     return cls(a.space, tuple(parts))
 
@@ -379,18 +360,15 @@ def interior(c: SetLike) -> OpenSet:
 
 def is_empty(a: SetLike) -> bool:
     for p in a.parts:
-        if p is True or (p is not False and p[1]):
+        if p[1]:
             return False
     return True
 
 
 def subset(a: SetLike, b: SetLike) -> bool:
     _check_same_space(a, b)
-    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
-        if comp.kind == "point":
-            if pa and not pb:
-                return False
-        elif pa[1] and not _subset(*_common(pa, pb)[1:]):
+    for pa, pb in zip(a.parts, b.parts):
+        if pa[1] and not _subset(*_common(pa, pb)[1:]):
             return False
     return True
 
@@ -404,7 +382,7 @@ def contains_point(a: SetLike, ci: int, p: Fraction | None = None) -> bool:
     comp = _comp(a.space, ci)
     part = a.parts[ci]
     if comp.kind == "point":
-        return bool(part)
+        return bool(part[1])
     if comp.kind == "circle":
         p = p % comp.length
     d, pieces = part
@@ -419,12 +397,7 @@ def connected_components(a: SetLike) -> list:
     """Maximal connected pieces, each returned as a set on the same space."""
     cls = type(a)
     out = []
-    for ci, (comp, part) in enumerate(zip(a.space.components, a.parts)):
-        if comp.kind == "point":
-            if part:
-                out.append(cls(a.space, _only(a.space, ci, True)))
-            continue
-        d, pieces = part
+    for ci, (comp, (d, pieces)) in enumerate(zip(a.space.components, a.parts)):
         L = comp.length
         if comp.kind == "circle" and _contains(pieces, 0):
             # The first and last pieces meet through the seam (a whole
@@ -455,9 +428,7 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
     coordinates (a < b <= a + L on a circle, wrapping through the seam).
     A point component is always the whole point."""
     comp = _comp(sp, ci)
-    if comp.kind == "point":
-        part: Part = True
-    elif span is None:
+    if comp.kind == "point" or span is None:
         part = _full(comp.length)
     else:
         a, ain, b, bin_ = span
@@ -487,8 +458,6 @@ def scaled_spans(sp: SpaceDescriptor, sets: Sequence[SetLike], ci: int, window: 
     of each set and of the window's ends, each a sorted sequence that may
     be the stored tuple itself. A point component has D == 1."""
     comp = _comp(sp, ci)
-    if comp.kind == "point":
-        return 1, [[(0, True, 0, True)] if s.parts[ci] else [] for s in sets]
     parts = [s.parts[ci] for s in sets]
     D = lcm(comp.length.denominator, *[d for d, _ in parts])
     if window is not None:
@@ -530,11 +499,9 @@ def breakpoints(s: SetLike, ci: int) -> list[Fraction]:
     """The endpoints of the pieces stored for component ci, each in [0, L].
     A set through a circle's seam contributes both 0 and L; a point
     component has none."""
-    _comp(s.space, ci)
-    part = s.parts[ci]
-    if isinstance(part, bool):
+    if _comp(s.space, ci).kind == "point":
         return []
-    d, pieces = part
+    d, pieces = s.parts[ci]
     return [Fraction(x, d) for x in sorted({x for a, _, b, _ in pieces for x in (a, b)})]
 
 
@@ -548,18 +515,18 @@ def probe_points(sp: SpaceDescriptor, sets: Sequence[SetLike], within: SetLike |
     against `within`; only p is handed out as a Fraction."""
     out = []
     for ci, comp in enumerate(sp.components):
-        w = False if within is None else within.parts[ci]
+        dw, ws = (1, ()) if within is None else within.parts[ci]
         if comp.kind == "point":
-            out.append((ci, None, bool(w)))
+            out.append((ci, None, bool(ws)))
             continue
-        parts = [part for part in (s.parts[ci] for s in sets) if not isinstance(part, bool)]
-        D = 4 * lcm(comp.length.denominator, *[d for d, _ in parts], *(w[:1] if w else ()))
+        parts = [s.parts[ci] for s in sets]
+        D = 4 * lcm(comp.length.denominator, dw, *[d for d, _ in parts])
         Li = _at(comp.length, D)
         vals = {0, Li // 2, Li}
         for d, pieces in parts:
             m = D // d
             vals.update(x * m for a, _, b, _ in pieces for x in (a, b))
-        ws = _rescale(w[1], D // w[0]) if w else ()
+        ws = _rescale(ws, D // dw)
         out += [(ci, Fraction(x, D), inside) for x, inside in _probe_sweep(sorted(vals), ws)]
     return out
 
@@ -576,10 +543,10 @@ def embed(s: SetLike, target: SpaceDescriptor, offset: int):
 
 
 def component_diameter(comp: Component, part: Part) -> Fraction:
-    if comp.kind == "point" or not part[1]:
+    if not part[1]:
         return _ZERO
     d, pieces = part
-    if comp.kind == "arc":
+    if comp.kind != "circle":
         return Fraction(pieces[-1][2] - pieces[0][0], d)
     return Fraction(_circle_diameter(pieces, _at(comp.length, d)), 2 * d)
 
@@ -596,12 +563,8 @@ def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
     if delta >= 2:
         raise ValueError("neighborhood radius must stay below the inter-component distance")
     parts: list[Part] = []
-    for comp, part in zip(s.space.components, s.parts):
-        if comp.kind == "point":
-            parts.append(bool(part))
-            continue
+    for comp, (d0, pieces) in zip(s.space.components, s.parts):
         L = comp.length
-        d0, pieces = part
         d = lcm(d0, delta.denominator)
         grown = _grown(_rescale(pieces, d // d0), _at(delta, d), _at(L, d), comp.kind == "circle")
         parts.append(_full(L) if grown is None else _least(d, grown, L))
@@ -617,10 +580,10 @@ def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
     if meets(ca, cb):
         return _ZERO
     cands = []
-    occ_a = [ci for ci, p in enumerate(ca.parts) if p is True or (p is not False and p[1])]
-    occ_b = [ci for ci, p in enumerate(cb.parts) if p is True or (p is not False and p[1])]
+    occ_a = [ci for ci, p in enumerate(ca.parts) if p[1]]
+    occ_b = [ci for ci, p in enumerate(cb.parts) if p[1]]
     for comp, pa, pb in zip(a.space.components, ca.parts, cb.parts):
-        if comp.kind == "point" or not (pa[1] and pb[1]):
+        if not (pa[1] and pb[1]):
             continue
         d, xs, ys = _common(pa, pb)
         cands.append(Fraction(_gap(xs, ys, _at(comp.length, d) if comp.kind == "circle" else inf), d))
@@ -631,11 +594,7 @@ def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
 
 def diameter(a: SetLike) -> Fraction:
     """Sup of pairwise distances; 0 for the empty set."""
-    per = [
-        _ZERO if part is True else component_diameter(comp, part)
-        for comp, part in zip(a.space.components, a.parts)
-        if part is True or (part is not False and part[1])
-    ]
+    per = [component_diameter(comp, part) for comp, part in zip(a.space.components, a.parts) if part[1]]
     if not per:
         return _ZERO
     best = max(per)
@@ -697,9 +656,9 @@ def set_to_json(a: SetLike) -> dict:
     sets = []
     fulls = []
     for comp, part in zip(a.space.components, a.parts):
-        full = part is True or (comp.kind == "circle" and part == _full(comp.length))
+        full = comp.kind != "arc" and part == _full(comp.length)
         fulls.append(full)
-        if comp.kind == "point" or full:
+        if full:
             sets.append([])
             continue
         d, pieces = part

@@ -205,20 +205,18 @@ def _layers(f: LscElement, n: int) -> list:
     return [indicator(level(f, k)) for k in range(1, n + 1)]
 
 
-def ordered_sum_pairwise(xs, ys, off_by_one: bool = False) -> list:
+def ordered_sum_pairwise(xs, ys) -> list:
     """Merge two decreasing indicator lists into one decreasing list with the same sum.
 
     A sum of indicators is the sum of exactly one decreasing list of
     indicators, its level indicators, so the merge is the first 2m level
-    indicators of the sum, m the longer length. off_by_one drops the first
-    level and is only for the mutation canary.
+    indicators of the sum, m the longer length.
     """
     xs, ys = list(xs), list(ys)
     _check_indicator_chain(xs, "first summands")
     _check_indicator_chain(ys, "second summands")
     terms = xs + ys
-    out = _layers(sum(terms[0].space, terms), 2 * max(len(xs), len(ys))) if terms else []
-    return out[1:] if off_by_one else out
+    return _layers(sum(terms[0].space, terms), 2 * max(len(xs), len(ys))) if terms else []
 
 
 def ofs_normalize(terms) -> list:

@@ -235,7 +235,7 @@ def _grown(pieces: Sequence[Piece], r, L, circle: bool) -> tuple[Piece, ...] | N
     if not circle:
         return _intersect(_merge((a - r, False, b + r, False) for a, _, b, _ in pieces), ((0, True, L, True),))
     lifted = _circle_spans(pieces, L)
-    if any((b - a) + 2 * r >= L for a, _, b, _ in lifted):
+    if any((b - a) + 2 * r > L for a, _, b, _ in lifted):
         return None
     return _seam_sync(_merge(p for a, _, b, _ in lifted for p in _wrap(a - r, False, b + r, False, L)), L)
 

@@ -68,9 +68,9 @@ def grid_points(sp, *sets) -> list:
 
 def probe_points(sp, sets, within=None) -> list:
     """`grid_points` with each probe's membership in `within` by
-    `geometry.contains_point`, one point at a time: the slow route of
+    `member`, one point at a time: the slow route of
     `geometry.probe_points`."""
-    return [(ci, p, within is not None and geo.contains_point(within, ci, p)) for ci, p in grid_points(sp, *sets)]
+    return [(ci, p, within is not None and member(within, ci, p)) for ci, p in grid_points(sp, *sets)]
 
 
 def element_grid(*elements):
@@ -547,17 +547,26 @@ class Result:
     parts: tuple
 
 
+# The two stored parts of a point component, the empty and the full
+# segment [0, 0], and the bools the oracle's point route reads them as.
+POINT_PARTS = {(1, ()): False, (1, ((0, True, 0, True),)): True}
+
+
 def rat_parts(s):
-    """The parts of a set with Fraction coordinates: bools for points,
-    pieces read off the integer grid of each scaled part."""
+    """The parts of a set with Fraction coordinates: a point's part as its
+    bool, other pieces read off the integer grid of each scaled part. A
+    point part that is not one of the two canonical tuples raises, so a
+    point set has one record."""
     if isinstance(s, Result):
         return s.parts
     out = []
-    for p in s.parts:
-        if not isinstance(p, bool):
-            d, pieces = p
-            p = tuple((Fraction(a, d), ain, Fraction(b, d), bin_) for a, ain, b, bin_ in pieces)
-        out.append(p)
+    for comp, (d, pieces) in zip(s.space.components, s.parts):
+        if comp.kind == "point":
+            if (d, pieces) not in POINT_PARTS:
+                raise ValueError(f"point part {(d, pieces)!r} is not canonical")
+            out.append(POINT_PARTS[d, pieces])
+        else:
+            out.append(tuple((Fraction(a, d), ain, Fraction(b, d), bin_) for a, ain, b, bin_ in pieces))
     return tuple(out)
 
 
@@ -618,6 +627,93 @@ def subset(a, b) -> bool:
         elif seg_intersect(pa, seg_complement(pb, comp.length)):
             return False
     return True
+
+
+def connected_components(a):
+    """One Result per connected piece of a, component by component: a
+    point that a holds, and each piece of an arc or circle, a circle's
+    first and last pieces as one when they meet through the seam."""
+    empty = tuple(False if c.kind == "point" else () for c in a.space.components)
+    out = []
+    for ci, (comp, part) in enumerate(zip(a.space.components, rat_parts(a))):
+        if comp.kind == "point":
+            groups = [True] if part else []
+        else:
+            groups = [(p,) for p in part]
+            if comp.kind == "circle" and len(part) >= 2 and part[0][0] == 0 and part[0][1]:
+                groups = [(part[0], part[-1])] + groups[1:-1]
+        out += [Result(_cls(a), a.space, empty[:ci] + (g,) + empty[ci + 1:]) for g in groups]
+    return out
+
+
+def set_to_json(a) -> dict:
+    """`geometry.set_to_json` from the Fraction parts: a point's bool and a
+    whole circle as flags, any other part as its spans."""
+    sets, fulls = [], []
+    for ci, (comp, part) in enumerate(zip(a.space.components, rat_parts(a))):
+        full = part is True or (comp.kind == "circle" and part == ((0, True, comp.length, True),))
+        fulls.append(full)
+        ivs = [] if comp.kind == "point" or full else spans(a, ci)
+        sets.append([[geo.frac_to_str(x), geo.frac_to_str(y), xin, yin] for x, xin, y, yin in ivs])
+    return {"sets": sets, "full_flags": fulls}
+
+
+# Distances by probes of a closed set. On an arc the extreme distances
+# from a closed set are taken at the ends of its pieces; on a circle also
+# at an end and its antipode when the set holds both. A point probes None.
+
+
+def _ends(cl) -> list:
+    """(ci, x) for each end of a piece of the closed set cl and each
+    antipode of an end on a circle that cl holds; (ci, None) for a point."""
+    out = []
+    for ci, (comp, part) in enumerate(zip(cl.space.components, rat_parts(cl))):
+        if comp.kind == "point":
+            out += [(ci, None)] if part else []
+            continue
+        ends = {x for a, _, b, _ in part for x in (a, b)}
+        if comp.kind == "circle":
+            half = comp.length / 2
+            ends |= {(x + half) % comp.length for x in ends if member(cl, ci, x + half)}
+        out += [(ci, x) for x in sorted(ends)]
+    return out
+
+
+def _distance(sp, p, q) -> Fraction:
+    (ci, x), (cj, y) = p, q
+    comp = sp.components[ci]
+    if ci != cj:
+        return Fraction(2)
+    if comp.kind == "point":
+        return Fraction(0)
+    d = abs(x - y)
+    return min(d, comp.length - d) if comp.kind == "circle" else d
+
+
+def diameter(a) -> Fraction:
+    ends = _ends(closure(a))
+    return max((_distance(a.space, p, q) for p in ends for q in ends), default=Fraction(0))
+
+
+def set_distance(a, b):
+    """The infimum of distances between points of a and of b; None if
+    either is empty."""
+    if not any(rat_parts(a)) or not any(rat_parts(b)):
+        return None
+    ca, cb = closure(a), closure(b)
+    if any(intersect(ca, cb).parts):
+        return Fraction(0)
+    return min(_distance(a.space, p, q) for p in _ends(ca) for q in _ends(cb))
+
+
+def distance_to(cl, ci: int, p):
+    """The distance from the point p of component ci (None on a point
+    component) to the closed set cl, or None when cl has no point on ci."""
+    if not rat_parts(cl)[ci]:
+        return None
+    if member(cl, ci, p):
+        return Fraction(0)
+    return min(_distance(cl.space, (ci, p), e) for e in _ends(cl) if e[0] == ci)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_point_complement_matches_the_grid_set_route():
         sp = gen.rand_space(rng, max_components=3)
         for ci, p in gen.grid_points(sp, gen.rand_open_set(rng, sp)):
             L = sp.components[ci].length
-            for q in [p] if L is None else [p + k * L for k in (-1, 0, 1, 2)]:
+            for q in [p] if p is None else [p + k * L for k in (-1, 0, 1, 2)]:
                 try:
                     want = oracles.point_complement_grid(sp, ci, q)
                 except geo.InputError as exc:

@@ -166,6 +166,8 @@ def test_point_component_sets():
     assert oracles.member(s, 1, None)
     assert geo.diameter(s) == 2
     assert oracles.rat_parts(geo.complement(s))[1] is False
+    # A point is the segment [0, 0]: its part is one of two tuples.
+    assert s.parts[1] == (1, ((0, True, 0, True),)) and geo.complement(s).parts[1] == (1, ())
 
 
 def seeded(seed):
@@ -581,6 +583,7 @@ def coarse_closed_set(rng, sp):
 def is_canonical(s) -> bool:
     for comp, stored, part in zip(s.space.components, s.parts, oracles.rat_parts(s)):
         if comp.kind == "point":
+            # `rat_parts` has refused any point part but the two canonical ones.
             continue
         if stored[0] != least_scale(comp, part):
             return False
@@ -624,6 +627,11 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
             ):
                 assert same(got, want), (seed, op, x)
                 assert is_canonical(got), (seed, op, x)
+            got, want = geo.connected_components(x), oracles.connected_components(x)
+            assert len(got) == len(want) and all(map(same, got, want)), (seed, x)
+            assert all(map(is_canonical, got)), (seed, x)
+            assert geo.diameter(x) == oracles.diameter(x), (seed, x)
+            assert geo.set_to_json(x) == oracles.set_to_json(x), (seed, x)
             for y in pool:
                 for op, got, want in (
                     ("union", geo.union(x, y), oracles.union(x, y)),
@@ -632,6 +640,7 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
                     assert same(got, want), (seed, op, x, y)
                     assert is_canonical(got), (seed, op, x, y)
                 assert geo.subset(x, y) == oracles.subset(x, y), (seed, x, y)
+                assert geo.set_distance(x, y) == oracles.set_distance(x, y), (seed, x, y)
 
 
 def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
@@ -748,10 +757,17 @@ def test_probe_sweep_matches_the_per_point_oracle():
     for seed in range(60):
         rng = seeded(seed)
         pool = oracle_sweep_pool(rng)
-        for x in pool:
+        for i, x in enumerate(pool):
             y = rng.choice(pool)
             for sets in ((), (x,), (x, y), (y, x), (y,)):
                 assert_probes_match_the_oracle(KERNEL, sets, x)
+            # The neighborhood, probe by probe, against the distance to x.
+            delta = (F(1, 8), F(1, 3), F(3, 4), F(7, 4))[i % 4]
+            nb, cl = geo.neighborhood(x, delta), oracles.closure(x)
+            assert type(nb) is geo.OpenSet and is_canonical(nb), (seed, x, delta)
+            for ci, p in oracles.grid_points(KERNEL, x, nb):
+                dist = oracles.distance_to(cl, ci, p)
+                assert oracles.member(nb, ci, p) == (dist is not None and dist < delta), (seed, x, delta, ci, p)
 
 
 def test_probe_sweep_matches_the_per_point_oracle_on_random_spaces():

@@ -145,7 +145,7 @@ def test_records_take_their_fields_in_order():
 
 
 def test_defaults_and_keywords():
-    assert geo.Component("point").length is None
+    assert geo.Component("point").length == 0
     b = checks.SearchBounds()
     assert (b.depth, b.propto_cap, b.compact_cap) == (3, 64, 64)
     assert checks.SearchBounds(depth=5) == checks.SearchBounds(5, 64, 64)
