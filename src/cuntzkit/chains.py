@@ -62,13 +62,6 @@ def make_cover(pieces) -> Cover:
     return Cover(sp, pieces)
 
 
-def union_of(sp: SpaceDescriptor, pieces) -> OpenSet:
-    out = geo.empty_set(sp)
-    for p in pieces:
-        out = geo.union(out, p)
-    return out
-
-
 def chain_pattern_ok(pieces, almost: bool) -> bool:
     """Pieces two or more apart in the list never meet; for a chain (not an
     almost chain) every piece is also nonempty and meets the next one.
@@ -123,10 +116,6 @@ def _closure_overlaps(pieces):
             active.append((hi, i))
 
 
-def mesh_of(pieces) -> Fraction:
-    return max((geo.diameter(p) for p in pieces), default=frac(0))
-
-
 def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
     if w.kind not in ("chain", "almost_chain"):
         return False
@@ -137,7 +126,7 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
         raise geo.SpaceMismatchError("cover lives on a different space")
     if not chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain"):
         return False
-    if w.mesh != mesh_of(w.pieces):
+    if w.mesh != geo.max_diameter(w.pieces):
         return False
     if len(w.refines) != len(w.pieces):
         return False
@@ -146,7 +135,7 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
             return False
         if not geo.subset(p, cover.pieces[idx]):
             return False
-    return geo.subset(target, union_of(target.space, w.pieces))
+    return geo.subset(target, geo.union_all(target.space, w.pieces))
 
 
 def decide_chainable(target: OpenSet) -> bool:
@@ -289,7 +278,7 @@ def lebesgue_number(cover: Cover) -> Fraction:
     delta lies inside one cover piece. On circles a subset of diameter d
     is only pinned inside an arc of length 2d, so the arc margin is halved."""
     sp = cover.space
-    if not geo.sets_equal(union_of(sp, cover.pieces), geo.full_set(sp)):
+    if not geo.sets_equal(geo.union_all(sp, cover.pieces), geo.full_set(sp)):
         raise ValueError("not a cover of the whole space")
     best = frac(2)
     for ci, comp in enumerate(sp.components):
@@ -336,7 +325,7 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
     a component is a whole circle."""
     if target.space != cover.space:
         raise geo.SpaceMismatchError("target lives on a different space")
-    if not geo.subset(target, union_of(cover.space, cover.pieces)):
+    if not geo.subset(target, geo.union_all(cover.space, cover.pieces)):
         raise ValueError("cover does not cover target")
     descs = [_component_span(piece) for piece in geo.connected_components(target)]
     if None in descs:
@@ -412,7 +401,7 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
         geo.component_set(sp, ci, (a0 + i * g, a_in and i == 0, a0 + j * g, b_in and j == n))
         for i, j in (cells[c] for c in got)
     )
-    w = ChainWitness("chain", pieces, mesh_of(pieces), (0,) * len(pieces))
+    w = ChainWitness("chain", pieces, geo.max_diameter(pieces), (0,) * len(pieces))
     if not verify_witness(w, target, make_cover([target])):
         raise AssertionError("search produced a chain that fails verify_witness")
     return w

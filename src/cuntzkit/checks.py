@@ -502,7 +502,7 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
         ci for ci, comp in enumerate(space.components)
         if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)
     ]
-    rest = chains.union_of(space, [s for ci, s in enumerate(slices) if ci not in full])
+    rest = geo.union_all(space, [s for ci, s in enumerate(slices) if ci not in full])
     zs = []
     for ci in full:
         traces = []
@@ -636,46 +636,69 @@ def _scan(found) -> dict:
     return _ax("pass", cases)
 
 
-def _o5_cases(els, le, add, name):
-    """The cases of o5 in order, decided on bitsets over positions in els:
-    up[s] holds the z with s <= z and down[t] the z with z <= t, so the z
-    that some c puts between xp + c and x + c are the bits of the OR over c
-    of up[xp + c] & down[x + c]."""
-    up, down = {}, {}
-    for s in els:
-        up[s] = down[s] = 0
-    for i, z in enumerate(els):
-        for s in els:
-            if le(s, z):
-                up[s] |= 1 << i
-            if le(z, s):
-                down[s] |= 1 << i
-    for xp in els:
-        for x in els:
-            if not le(xp, x):
-                continue
-            good = 0
-            for c in els:
-                good |= up[add(xp, c)] & down[add(x, c)]
-            for i, z in enumerate(els):
-                if le(x, z):
-                    yield None if good >> i & 1 else {"xp": name(xp), "x": name(x), "z": name(z)}
+def _lanes(bitsets, n: int) -> int:
+    """The bitsets side by side in one int, the i-th in lane i: the n bits
+    from n*i on."""
+    out = 0
+    for i, b in enumerate(bitsets):
+        out |= b << n * i
+    return out
+
+
+def _bit_scan(items, where) -> dict:
+    """Report on an axiom from items (need, good, key) in case order: the
+    cases of an item are the bits of need from the lowest up, the ones
+    good lacks fail, and where(key, i) is the counterexample at bit i.
+    Each count is a popcount."""
+    cases = 0
+    for need, good, key in items:
+        bad = need & ~good
+        if bad:
+            low = bad & -bad
+            return _ax("fail", cases + (need & (low - 1)).bit_count() + 1, where(key, low.bit_length() - 1))
+        cases += need.bit_count()
+    return _ax("pass", cases)
 
 
 def check_axioms(table) -> dict:
+    """The axiom report of a finite table, each axiom's cases counted in
+    the order of its nested loops over the elements up to and including
+    the first counterexample. o3, o5 and weak cancellation read the
+    table's matrices (`le_rows`, `add_rows`) on bitsets; the lattice law
+    and the topological order scan their cases one by one."""
     els = list(table.elements())
     le, add, name = table.le, table.add, table.el_str
-    report = {}
-    report["o3"] = _scan(
-        None if le(add(x, z), add(y, z)) else {"x": name(x), "y": name(y), "z": name(z)}
-        for x in els for y in els if le(x, y) for z in els
-    )
-    report["o5"] = _scan(_o5_cases(els, le, add, name))
-    report["weak_cancellation"] = _scan(
-        {"x": name(x), "y": name(y), "z": name(z)}
-        if le(add(x, z), add(y, z)) and not le(x, y) else None
-        for x in els for y in els for z in els
-    )
+    n, rows, sums = len(els), table.le_rows, table.add_rows
+    above = [_lanes(row, 1) for row in rows]  # above[s]: the z with s <= z
+    below = [_lanes(col, 1) for col in zip(*rows)]  # below[t]: the z with z <= t
+    # Lane z of ups[x] is above[x + z] and lane z of ones[y] the one bit of
+    # y + z: x + z <= y + z iff lane z of ones[y] & ups[x] is nonzero. So
+    # the z of o3 for x <= y are the lanes of ones[y], and those ups[x]
+    # misses fail; weak cancellation fails for x </= y where it hits.
+    ups = [_lanes([above[s] for s in row], n) for row in sums]
+    ones = [_lanes([1 << s for s in row], n) for row in sums]
+
+    def pair(xy, i):
+        return {"x": name(xy[0]), "y": name(xy[1]), "z": name(i // n)}
+
+    # Lane x of downs[c] is below[x + c], so the OR over c of above[x' + c]
+    # in every lane & downs[c] holds in lane x the z that o5 asks for. The
+    # cases of x' are the z above each x >= x': lane x of need is above[x].
+    every = _lanes([1] * n, n)
+    downs = [_lanes([below[row[c]] for row in sums], n) for c in els]
+
+    def o5(xp):
+        good = 0
+        for c in els:
+            good |= above[sums[xp][c]] * every & downs[c]
+        return _lanes([above[x] if rows[xp][x] else 0 for x in els], n), good, xp
+
+    report = {
+        "o3": _bit_scan(((ones[y], ups[x], (x, y)) for x in els for y in els if rows[x][y]), pair),
+        "o5": _bit_scan(map(o5, els), lambda xp, i: {"xp": name(xp), "x": name(i // n), "z": name(i % n)}),
+        "weak_cancellation": _bit_scan(
+            ((ones[y], -1 if rows[x][y] else ~ups[x], (x, y)) for x in els for y in els), pair),
+    }
     if table.has_lattice_tables:
         report["lattice_law"] = _scan(
             None if add(x, y) == add(table.join(x, y), table.meet(x, y))

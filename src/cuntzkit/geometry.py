@@ -56,8 +56,8 @@ from .segment import (
 # `scaled_spans` gives them back; otherwise Fractions only cross the
 # boundary: `normalize`, `open_set_from_json`, `component_set`,
 # `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
-# `probe_points`, `diameter`, `set_distance` and `set_to_json` give them
-# back. `probe_points` builds and sweeps its probes on integers and hands
+# `probe_points`, `diameter`, `max_diameter`, `set_distance` and
+# `set_to_json` give them back. `probe_points` builds and sweeps its probes on integers and hands
 # out only the probe itself as a Fraction.
 
 
@@ -238,18 +238,23 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
     return OpenSet(sp, tuple(parts))
 
 
-def _comp(sp: SpaceDescriptor, ci: int) -> Component:
-    """Component ci of sp, for a view that takes a component index."""
+def _comp(sp: SpaceDescriptor, ci: int, p=None) -> Component:
+    """Component ci of sp, for a view that takes a component index and,
+    on an arc or circle only, a coordinate p."""
     if not 0 <= ci < len(sp.components):
         raise ValueError("component index outside the space")
-    return sp.components[ci]
+    comp = sp.components[ci]
+    if p is not None and comp.kind == "point":
+        raise ValueError("point components have no coordinate")
+    return comp
 
 
 def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
     """Everything but one point: point component ci, or the point p of
     arc or circle ci. A point off an arc raises the `InputError` that
-    `grid_set` gives its intervals."""
-    c = _comp(sp, ci)
+    `grid_set` gives its intervals, and a p for a point component
+    `ValueError`."""
+    c = _comp(sp, ci, p)
     L = c.length
     q = _ZERO if c.kind == "point" else frac(p) % L if c.kind == "circle" else frac(p)
     d = lcm(L.denominator, q.denominator)  # the least scale of 0, q and L
@@ -311,6 +316,29 @@ def union(a: SetLike, b: SetLike):
         parts.append(_settle(comp, d, _union(xs, ys), len(xs) + len(ys)))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
+
+
+def union_all(sp: SpaceDescriptor, sets: Sequence[SetLike]):
+    """The union of sets on sp, the empty set for none: the fold of `union`
+    from the empty set, with each component's pieces merged once, at the
+    lcm of their scales. An OpenSet when every set is one, else a
+    ClosedSet."""
+    cls = OpenSet
+    for s in sets:
+        if s.space is not sp and s.space != sp:
+            raise SpaceMismatchError("operands live on different spaces")
+        if s.__class__ is not OpenSet:
+            cls = ClosedSet
+    parts = []
+    for ci, comp in enumerate(sp.components):
+        held = [s.parts[ci] for s in sets if s.parts[ci][1]]
+        if len(held) <= 1:
+            parts.append(held[0] if held else _empty(comp))
+            continue
+        D = lcm(*[d for d, _ in held])
+        pieces = [p for d, xs in held for p in (xs if d == D else _rescale(xs, D // d))]
+        parts.append(_settle(comp, D, _merge(pieces), len(pieces)))
+    return cls(sp, tuple(parts))
 
 
 def intersect(a: SetLike, b: SetLike):
@@ -379,7 +407,7 @@ def sets_equal(a: SetLike, b: SetLike) -> bool:
 
 
 def contains_point(a: SetLike, ci: int, p: Fraction | None = None) -> bool:
-    comp = _comp(a.space, ci)
+    comp = _comp(a.space, ci, p)
     part = a.parts[ci]
     if comp.kind == "point":
         return bool(part[1])
@@ -542,15 +570,6 @@ def embed(s: SetLike, target: SpaceDescriptor, offset: int):
     return type(s)(target, tuple(parts))
 
 
-def component_diameter(comp: Component, part: Part) -> Fraction:
-    if not part[1]:
-        return _ZERO
-    d, pieces = part
-    if comp.kind != "circle":
-        return Fraction(pieces[-1][2] - pieces[0][0], d)
-    return Fraction(_circle_diameter(pieces, _at(comp.length, d)), 2 * d)
-
-
 def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
     """Open metric neighborhood {x : dist(x, s) < delta}, per component.
 
@@ -594,13 +613,30 @@ def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
 
 def diameter(a: SetLike) -> Fraction:
     """Sup of pairwise distances; 0 for the empty set."""
-    per = [component_diameter(comp, part) for comp, part in zip(a.space.components, a.parts) if part[1]]
-    if not per:
-        return _ZERO
-    best = max(per)
-    if len(per) >= 2:
-        best = max(best, frac(2))
-    return best
+    return max_diameter((a,))
+
+
+def max_diameter(sets: Sequence[SetLike]) -> Fraction:
+    """The largest `diameter` of the sets, 0 for none: the mesh of a chain.
+    Each component's diameter is a ratio of integers at its scale, compared
+    with the largest so far by cross-multiplication, and one Fraction is
+    built, for the answer."""
+    best, scale = 0, 1  # the largest diameter so far is best / scale
+    for s in sets:
+        seen = 0
+        for comp, (d, pieces) in zip(s.space.components, s.parts):
+            if pieces:
+                seen += 1
+                if comp.kind == "circle":
+                    x, d = _circle_diameter(pieces, _at(comp.length, d)), 2 * d
+                else:
+                    x = pieces[-1][2] - pieces[0][0]
+                if x * scale > best * d:
+                    best, scale = x, d
+        # Points of two components lie 2 apart.
+        if seen >= 2 and 2 * scale > best:
+            best, scale = 2, 1
+    return Fraction(best, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,8 @@ def eval_at(f: LscElement, ci: int, p=None):
     if not 0 <= ci < len(f.space.components):
         raise ValueError("component index outside the space")
     comp = f.space.components[ci]
-    if comp.kind == "point":
-        if p is not None:
-            raise ValueError("point components have no coordinate")
-    else:
+    # A point component with a coordinate raises in `geo.contains_point`.
+    if comp.kind != "point":
         p = frac(p)
         if comp.kind == "arc" and not 0 <= p <= comp.length:
             raise ValueError("point outside the space")

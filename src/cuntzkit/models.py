@@ -87,9 +87,26 @@ def _num(x: El):
     return math.inf if x.value is None else x.value
 
 
-def _sort_key(x: El):
-    n = _num(x)
-    return (1 if n is math.inf else 0, n if n is not math.inf else Fraction(0), "cts".index(x.kind))
+def _encode(x: El, D: int) -> tuple:
+    """x as the tuple (is_top, value * D, "cts".index(kind)), D a multiple
+    of a soft value's denominator. Tuples sort in the pool's order: by
+    value, the soft top last, and compact, twin and soft on a tie."""
+    if x.kind == "c":
+        return 0, x.value * D, 0
+    if x.kind == "t":
+        return 0, D, 1
+    if x.value is None:
+        return 1, 0, 2
+    return 0, x.value.numerator * (D // x.value.denominator), 2
+
+
+def _decode(x: tuple, D: int) -> El:
+    top, v, k = x
+    if k == 0:
+        return El("c", v // D)
+    if k == 1:
+        return TWIN
+    return El("s", None if top else Fraction(v, D))
 
 
 class Window(Record):
@@ -303,7 +320,7 @@ class RationalModel(_Ops):
                         p = soft(v)
                         if self.wb(a, p) and self.wb(p, b) and p not in probes:
                             probes.append(p)
-        return Window(tuple(sorted(compacts, key=_sort_key)), complete, tuple(probes))
+        return Window(tuple(sorted(compacts, key=lambda c: _encode(c, 1))), complete, tuple(probes))
 
     def decompositions(self, c: El, parts_cap: int = 4):
         """All decreasing tuples of nonzero parts summing exactly to a
@@ -344,60 +361,80 @@ class RationalModel(_Ops):
 
     def closure(self, values, depth: int = 3, cap: int = 160):
         """Candidate pool: the inputs closed under addition and soft
-        midpoints, up to the given depth. The partial lattice operations
-        would only add an operand, which is in the pool already."""
+        midpoints, round by round up to the given depth or until a round
+        adds nothing, sorted and cut at cap elements. The partial lattice
+        operations would only add an operand, which is in the pool already.
+
+        The pool runs on one integer scale D: an element is the tuple
+        `_encode` gives it, and only the returned elements are decoded. D
+        starts at the lcm of the input denominators and doubles with each
+        round that takes midpoints, which makes every midpoint an integer.
+        """
         pool = {self.zero}
         pool.update(values)
-        finite = [v for v in (_num(x) for x in pool) if v is not math.inf]
-        bound = (max(finite) if finite else Fraction(1)) * 2 + 2
+        D = math.lcm(*[x.value.denominator for x in pool if x.kind == "s" and x.value is not None])
+        pool = {_encode(x, D) for x in pool}
+        # The bound on sums, scaled: the pool holds zero, so it is finite.
+        bound = 2 * max(v for top, v, _ in pool if not top) + 2 * D
+        m = 2 if self.finite_softs else 1
         for _ in range(depth):
             if len(pool) >= cap:
                 break
+            # A sum with zero or the top, and a midpoint with the top, is
+            # in the pool already; so only nonzero finite pairs add sums.
+            fin = [(v, k) for top, v, k in pool if not top]
             new = set()
-            for a, b in itertools.combinations_with_replacement(pool, 2):
-                s = self.add(a, b)
-                if _num(s) is math.inf or _num(s) <= bound:
-                    new.add(s)
-                if self.finite_softs and _num(a) is not math.inf and _num(b) is not math.inf:
-                    mid = (_num(a) + _num(b)) / 2
-                    if mid > 0:
-                        new.add(soft(mid))
+            for i, (a, ka) in enumerate(fin):
+                for b, kb in fin[i:]:
+                    s = a + b
+                    if a and b and s <= bound:
+                        new.add((0, s * m, 2 if ka == 2 or kb == 2 else 0))
+                    if m == 2 and s:
+                        new.add((0, s, 2))  # (a + b) / 2 at the scale 2D
+            if m == 2:
+                pool = {(top, v * 2, k) for top, v, k in pool}
+                D *= 2
+                bound *= 2
+            n = len(pool)
             pool |= new
-        return sorted(pool, key=_sort_key)[:cap]
+            if len(pool) == n:
+                break
+        return [_decode(x, D) for x in sorted(pool)[:cap]]
 
 
 class TableModel(_Ops):
     """A finite model given by explicit order and addition tables.
 
-    Elements are indices into the name list. Every element of a finite
-    model is compact, so way-below coincides with the order.
+    Elements are indices into the name list, and the matrices are public:
+    le_rows[a][b] says a <= b and add_rows[a][b] is a + b. Every element of
+    a finite model is compact, so way-below coincides with the order.
     """
 
     kind = "table"
 
     def __init__(self, names, le_m, add_m, join_m=None, meet_m=None, unit=None):
         self.names = tuple(names)
-        self._le = le_m
-        self._add = add_m
+        self.le_rows = le_m
+        self.add_rows = add_m
         self._join = join_m
         self._meet = meet_m
         self.unit = unit
         n = len(self.names)
-        zeros = [i for i in range(n) if all(self._add[i][j] == j for j in range(n))]
+        zeros = [i for i in range(n) if all(self.add_rows[i][j] == j for j in range(n))]
         if not zeros:
             raise InputError("$.add", "no neutral element in the addition table")
         self.zero = zeros[0]
-        self.zero_is_least = all(self._le[self.zero])
+        self.zero_is_least = all(self.le_rows[self.zero])
         self.has_lattice_tables = join_m is not None and meet_m is not None
 
     def elements(self):
         return range(len(self.names))
 
     def le(self, a: int, b: int) -> bool:
-        return self._le[a][b]
+        return self.le_rows[a][b]
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add_rows[a][b]
 
     def wb(self, a: int, b: int) -> bool:
         return self.le(a, b)

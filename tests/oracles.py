@@ -154,6 +154,21 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
     return True
 
 
+def union_fold(sp, pieces):
+    """The union of the pieces on sp, folded from the empty set with one
+    `geo.union` per piece."""
+    out = geo.empty_set(sp)
+    for p in pieces:
+        out = geo.union(out, p)
+    return out
+
+
+def mesh_of(pieces) -> Fraction:
+    """The largest `geo.diameter` of the pieces, a Fraction for each; 0 for
+    none."""
+    return max((geo.diameter(p) for p in pieces), default=Fraction(0))
+
+
 def component_span(piece):
     """The component ci of a nonempty connected open piece and its span
     (a, a_in, b, b_in), read off `rat_parts`: a circle's first and last
@@ -238,7 +253,7 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
         if got is not None:
             if not chain_pattern_ok(got, almost=False):
                 raise AssertionError("search produced a non-chain")
-            return chains.ChainWitness("chain", tuple(got), chains.mesh_of(got), (0,) * len(got))
+            return chains.ChainWitness("chain", tuple(got), mesh_of(got), (0,) * len(got))
     return None
 
 
@@ -310,7 +325,7 @@ def epsilon_chain(target, eps):
         lo_in = a_in if i == 0 else False
         hi_in = b_in if i == 2 * n - 2 else False
         pieces.append(geo.component_set(sp, ci, (lo, lo_in, hi, hi_in)))
-    return chains.ChainWitness("chain", tuple(pieces), chains.mesh_of(pieces), (0,) * len(pieces))
+    return chains.ChainWitness("chain", tuple(pieces), mesh_of(pieces), (0,) * len(pieces))
 
 
 def sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
@@ -1022,7 +1037,7 @@ def weak_chain_clipped(space, x, y, ys, bounds):
     slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
     full = [ci for ci, comp in enumerate(space.components)
             if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)]
-    rest = chains.union_of(space, [s for ci, s in enumerate(slices) if ci not in full])
+    rest = union_fold(space, [s for ci, s in enumerate(slices) if ci not in full])
     zs, log = [], []
     for ci in full:
         traces = [tr for tr in (geo.restrict(lsc.supp(t), ci) for t in ys) if not geo.is_empty(tr)]
@@ -1062,12 +1077,21 @@ def add_convolution(f, g):
     return lsc.from_levels(f.space, levels, geo.union(f.infinity, g.infinity))
 
 
+def _pool_key(x):
+    """The pool's order: by value, the soft top last, and compact, twin
+    and soft on a tie."""
+    from cuntzkit.models import _num
+
+    n = _num(x)
+    return (1 if n is math.inf else 0, n if n is not math.inf else Fraction(0), "cts".index(x.kind))
+
+
 def pool_closure(model, values, depth: int = 3, cap: int = 160):
     """The candidate pool of a rational model: the values closed, round by
     round over the pairs of the sorted pool, under bounded sums, soft
     midpoints and the join and meet where the model defines them; sorted
     and cut at cap."""
-    from cuntzkit.models import _num, _sort_key, soft
+    from cuntzkit.models import _num, soft
 
     pool = {model.zero}
     pool.update(values)
@@ -1077,7 +1101,7 @@ def pool_closure(model, values, depth: int = 3, cap: int = 160):
         if len(pool) >= cap:
             break
         new = set()
-        cur = sorted(pool, key=_sort_key)
+        cur = sorted(pool, key=_pool_key)
         for a, b in combinations_with_replacement(cur, 2):
             s = model.add(a, b)
             if _num(s) is math.inf or _num(s) <= bound:
@@ -1090,7 +1114,7 @@ def pool_closure(model, values, depth: int = 3, cap: int = 160):
                 if mid > 0:
                     new.add(soft(mid))
         pool |= new
-    return sorted(pool, key=_sort_key)[:cap]
+    return sorted(pool, key=_pool_key)[:cap]
 
 
 def propto_capped(model, a, b, cap: int = 64) -> bool:

@@ -223,7 +223,7 @@ def test_criterion_08_chainability_matrix():
     cover = chains.make_cover(w.pieces)
     against_own_pieces = chains.ChainWitness(w.kind, w.pieces, w.mesh,
                                              tuple(range(len(w.pieces))))
-    arc_ok = (chains.mesh_of(w.pieces) < F(1, 100)
+    arc_ok = (geo.max_diameter(w.pieces) < F(1, 100)
               and chains.verify_witness(against_own_pieces, arc_target, cover)
               and chains.decide_chainable(arc_target))
 

@@ -160,7 +160,7 @@ def test_verify_witness_incomplete_coverage():
     cover = chains.make_cover([target])
     w = chains.epsilon_chain(target, F("1/3"))
     cut = chains.ChainWitness(
-        w.kind, w.pieces[:-1], chains.mesh_of(w.pieces[:-1]), w.refines[:-1]
+        w.kind, w.pieces[:-1], geo.max_diameter(w.pieces[:-1]), w.refines[:-1]
     )
     assert not chains.verify_witness(cut, target, cover)
 
@@ -389,7 +389,7 @@ def _thin_cover(rng, sp, target):
     """Random open pieces plus a thin neighbourhood of whatever part of
     the target's closure they miss, so few pieces hold a whole component."""
     pieces = [gen.rand_nonempty_open_set(rng, sp, max_intervals=3) for _ in range(rng.randint(1, 4))]
-    rest = geo.intersect(geo.closure(target), geo.complement(chains.union_of(sp, pieces)))
+    rest = geo.intersect(geo.closure(target), geo.complement(geo.union_all(sp, pieces)))
     if not geo.is_empty(rest):
         pieces.append(geo.neighborhood(rest, F(1, rng.choice((8, 16, 32)))))
     return chains.make_cover(pieces)
@@ -472,7 +472,7 @@ def test_verify_witness_on_a_4001_piece_chain():
     (a, a_in, b, _), = geo.spans(pieces[k], 0)
     pieces[k] = geo.component_set(ARC, 0, (a, a_in, b + (b - a) / 4, False))
     assert not geo.is_empty(geo.intersect(pieces[k], pieces[k + 2]))
-    wide = chains.ChainWitness("chain", tuple(pieces), chains.mesh_of(pieces), w.refines)
+    wide = chains.ChainWitness("chain", tuple(pieces), geo.max_diameter(pieces), w.refines)
     assert not chains.verify_witness(wide, target, cover)
 
     pieces = list(w.pieces)

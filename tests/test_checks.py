@@ -405,7 +405,7 @@ def _weak_chain_instance(rng):
     sp = gen.rand_space(rng, kinds=("arc", "circle", "point"))
     ys = [lsc.indicator(gen.rand_nonempty_open_set(rng, sp, max_intervals=3, full_bias=0.1))
           for _ in range(rng.randint(2, 4))]
-    covered = chains.union_of(sp, [lsc.supp(t) for t in ys])
+    covered = geo.union_all(sp, [lsc.supp(t) for t in ys])
     y = lsc.indicator(oracles.shrink_open_set(covered, rng.choice([8, 16, 32])))
     x = lsc.indicator(oracles.shrink_open_set(lsc.supp(y), rng.choice([8, 16, 32])))
     return sp, x, y, ys
@@ -438,7 +438,7 @@ def _whole_circle_instance(rng):
         raws = [[(F(0), F(3, 10))], [(F(1, 4), F(11, 20))], [(F(1, 2), F(21, 20))]]
     else:
         raws = []
-        while not raws or not geo.subset(geo.component_set(sp, 0), chains.union_of(
+        while not raws or not geo.subset(geo.component_set(sp, 0), geo.union_all(
                 sp, [geo.normalize(sp, [r, [], False]) for r in raws])):
             a = F(rng.randrange(8), 8)
             raws.append([(a, a + F(rng.randint(2, 7), 8))])
@@ -647,11 +647,11 @@ def test_axioms_topological_order_with_unit():
     assert c["broken"] == "sum order without termwise order"
 
 
-def rand_table(rng):
-    """A table of 1 to 7 elements with neutral element 0: a chain or a
+def rand_table(rng, most=7):
+    """A table of 1 to `most` elements with neutral element 0: a chain or a
     random partial order, a saturating, idempotent or random commutative
     addition, lattice tables half the time and an optional unit."""
-    n = rng.randint(1, 7)
+    n = rng.randint(1, most)
     if rng.random() < 0.5:
         le = [[i <= j for j in range(n)] for i in range(n)]
     else:
@@ -699,6 +699,25 @@ def test_axioms_match_the_nested_loop_route():
         assert seen[axiom] == {"pass", "fail"}
     for axiom in ("lattice_law", "topological_order"):
         assert seen[axiom] == {"pass", "fail", "skipped"}
+
+
+def test_axioms_on_wide_tables_match_the_nested_loop_route():
+    # The bitsets and lanes of o3, o5 and weak cancellation past 8
+    # elements: the saturating tables of 2 to 25 elements with and without
+    # a unit, and random tables of up to 30, where the first failing case
+    # sits past the eighth element.
+    tables = [sat_table(n, unit) for n in range(1, 25) for unit in (None, 1)]
+    rng = random.Random(20261019)
+    tables += [rand_table(rng, 30) for _ in range(150)]
+    late = set()
+    for t in tables:
+        rep = checks.check_axioms(t)
+        assert rep == oracles.check_axioms(t), t.names
+        for axiom in ("o3", "o5", "weak_cancellation"):
+            bad = rep[axiom]["counterexample"]
+            if bad is not None and t.names.index(bad["z"]) >= 8:
+                late.add(axiom)
+    assert late == {"o3", "o5", "weak_cancellation"}
 
 
 # --- bounds and serialization ---------------------------------------------

@@ -911,7 +911,7 @@ def _fuzz_instance(verb, model, rng, sp):
         return {"xs": atoms(rng.randint(1, 3))}
     if verb == "check weak-chain":
         ys = [gen.rand_indicator(rng, sp) for _ in range(rng.randint(1, 3))]
-        covered = chains.union_of(sp, [lsc.supp(t) for t in ys])
+        covered = geo.union_all(sp, [lsc.supp(t) for t in ys])
         y = lsc.indicator(oracles.shrink_open_set(covered, 16))
         x = lsc.indicator(oracles.shrink_open_set(lsc.supp(y), 16))
         return {"x": el(x), "y": el(y), "ys": [el(t) for t in ys]}

@@ -669,6 +669,85 @@ def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
         geo.meets(geo.full_set(KERNEL), geo.full_set(ARC))
 
 
+def _union_families(rng):
+    """(space, sets) pairs for the one-merge union and the integer mesh:
+    open and closed sets of the oracle pool (arcs, circles through the
+    seam, a point component, empty and full sets), open sets on a random
+    space at mixed scales, and the windows of a chain around a circle at
+    two scales; 0, 1 and many sets of each."""
+    pool = oracle_sweep_pool(rng)
+    sp = gen.rand_space(rng, kinds=("arc", "circle", "point"))
+    rand = [gen.rand_open_set(rng, sp) for _ in range(8)]
+    d = rng.choice((8, 12))
+    ring = list(geo.grid_windows(CIRC, 0, d, rng.randrange(d), 1, 2, rng.randint(1, d)))
+    ring += list(geo.grid_windows(CIRC, 0, 3 * d, rng.randrange(3 * d), 2, 3, rng.randint(1, d)))
+    long_arc = geo.space(geo.arc(3), geo.point(), geo.circle(F(5, 2)))
+    wide = [gen.rand_open_set(rng, long_arc) for _ in range(8)]
+    for space_, sets in ((KERNEL, pool), (sp, rand), (CIRC, ring), (long_arc, wide)):
+        for k in (0, 1, 2, 3, 6, len(sets)):
+            yield space_, rng.sample(sets, min(k, len(sets)))
+
+
+def test_union_all_is_the_fold_of_union():
+    # Two routes: one merge per component at the lcm scale against one
+    # `union` per set, folded from the empty set.
+    seen = set()
+    for seed in range(40):
+        for sp, sets in _union_families(seeded(seed)):
+            got, want = geo.union_all(sp, sets), oracles.union_fold(sp, sets)
+            assert got == want and type(got) is type(want), (seed, sets)
+            assert is_canonical(got), (seed, sets)
+            seen.add(len(sets) if len(sets) <= 1 else "many")
+            seen.add(type(got).__name__)
+            for ci, comp in enumerate(sp.components):
+                scales = {s.parts[ci][0] for s in sets if s.parts[ci][1]}
+                if len(scales) >= 2:
+                    seen.add("mixed scales")
+                if comp.kind == "circle" and len(sets) >= 2 and oracles.member(got, ci, 0):
+                    seen.add("seam")
+                if comp.kind == "point" and got.parts[ci][1]:
+                    seen.add("point")
+    assert seen == {0, 1, "many", "OpenSet", "ClosedSet", "mixed scales", "seam", "point"}
+    with pytest.raises(geo.SpaceMismatchError):
+        geo.union_all(KERNEL, [geo.full_set(KERNEL), geo.full_set(ARC)])
+
+
+def test_max_diameter_is_the_largest_diameter():
+    # Two routes: integer diameters compared by cross-multiplication
+    # against the largest of the Fraction diameters.
+    seen = set()
+    for seed in range(40):
+        for sp, sets in _union_families(seeded(seed)):
+            got = geo.max_diameter(sets)
+            assert type(got) is F and got == oracles.mesh_of(sets), (seed, sets)
+            if got > 2:
+                seen.add("one component past 2")
+            elif got == 2 and any(sum(1 for part in s.parts if part[1]) >= 2 for s in sets):
+                seen.add("two components")
+            elif not sets:
+                seen.add("none")
+    assert seen == {"none", "two components", "one component past 2"}
+
+
+def test_a_point_component_takes_no_coordinate():
+    # A point has no coordinate: the views that take one on an arc or a
+    # circle refuse one on a point, the way `lsc.eval_at` does.
+    sp = geo.space(geo.point(), geo.arc(1))
+    s = geo.full_set(sp)
+    f = lsc.indicator(s)
+    for call in (
+        lambda p: geo.contains_point(s, 0, p),
+        lambda p: geo.point_complement(sp, 0, p),
+        lambda p: lsc.eval_at(f, 0, p),
+    ):
+        call(None)
+        for p in (F(7), F(0), 0):
+            with pytest.raises(ValueError, match="^point components have no coordinate$"):
+                call(p)
+    assert geo.contains_point(s, 0) and geo.point_complement(sp, 0) == geo.component_set(sp, 1)
+    assert lsc.eval_at(f, 0) == 1
+
+
 def test_grid_windows_match_grid_set_window_by_window():
     # Each window written at once against the same interval checked and
     # built by `grid_set`, on arcs with closed ends and on circles, where
@@ -781,7 +860,8 @@ def test_probe_sweep_matches_the_per_point_oracle_on_random_spaces():
 
 
 @pytest.mark.parametrize("view", [
-    lambda s, ci: geo.contains_point(s, ci, F(1, 2)),
+    # Component 2 is a point, which takes no coordinate.
+    lambda s, ci: geo.contains_point(s, ci, None if ci == 2 else F(1, 2)),
     lambda s, ci: geo.component_set(s.space, ci),
     geo.restrict,
     geo.spans,

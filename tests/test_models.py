@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -218,13 +219,14 @@ def _pool_values(rng, model):
 
 
 def test_closure_is_the_pool_with_lattice_operations():
-    # Sums and midpoints alone, over the pool in any order, against the
-    # rounds that also add joins and meets over the sorted pool.
+    # Sums and midpoints alone, over the pool in any order and on one
+    # integer scale, against the rounds that also add joins and meets over
+    # the sorted pool. Past depth 4 most pools reach the cap.
     rng = random.Random(2023)
     sizes = set()
     for model in (Z, ZP, NBAR):
-        for depth in range(5):
-            for _ in range(5):
+        for depth in range(9):
+            for _ in range(5 if depth < 5 else 2):
                 values = _pool_values(rng, model)
                 got = model.closure(values, depth)
                 assert got == oracles.pool_closure(model, values, depth), (model.name, values, depth)
@@ -235,6 +237,25 @@ def test_closure_is_the_pool_with_lattice_operations():
     got = Z.closure(values, 3)
     assert len(got) == 160 and got == oracles.pool_closure(Z, values, 3)
     assert len(oracles.pool_closure(Z, values, 3, cap=10**4)) > 160
+
+
+def test_closure_stops_at_its_fixed_point():
+    # The pool of a depth past the last round that adds something (nbar)
+    # or past the round that reaches the cap (z, zprime) is the pool at
+    # that round, and such a depth costs no more rounds.
+    for model, values in (
+        (NBAR, [compact(1), compact(2)]),
+        (NBAR, [soft(None)]),
+        (Z, [compact(1), soft(F(1, 3))]),
+        (Z, [soft(None)]),
+        (ZP, [compact(1), TWIN]),
+    ):
+        pools = [model.closure(values, depth) for depth in range(10)]
+        stop = next(d for d in range(9) if pools[d + 1] == pools[d])
+        start = time.perf_counter()
+        assert model.closure(values, 10**6) == pools[stop], (model.name, values)
+        assert time.perf_counter() - start < 5, (model.name, values)
+    assert NBAR.closure([compact(1), compact(2)], 10**6) == [compact(k) for k in range(7)]
 
 
 def table(names, le, add, **kw):
