@@ -217,37 +217,36 @@ def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
     """Smallest escape margin for connected subsets of the interval K from
     lo to hi (with the given endpoint membership) against candidate
     intervals. None means no constraint anywhere. Raises if the candidates
-    leave part of K uncovered."""
+    leave part of K uncovered. K is nonempty: lo < hi, or lo == hi with
+    both ends in.
 
-    def esc(d, din):
-        if absorb_hi and d == hi and (din or not hi_in):
-            return None
-        return d
-
-    pts = sorted({lo, hi} | {iv[0] for iv in intervals} | {iv[2] for iv in intervals})
+    One walk over the intervals sorted by (start, not start_in). At each
+    breakpoint b of K, first the open cell before b and then the point b,
+    the furthest end (d, d_in) of the intervals started so far tells
+    whether any interval covers it, and is its largest escape. Once a
+    started interval ends at hi and absorbs it, nothing further
+    constrains."""
+    pts = {lo, hi} | {iv[0] for iv in intervals} | {iv[2] for iv in intervals}
+    # (b, False) stands for the open cell just before b, (b, True) for b.
+    steps = sorted([(b, False) for b in pts if lo < b <= hi]
+                   + [(b, True) for b in pts if lo < b < hi or (b == lo and lo_in) or (b == hi and hi_in)])
+    ivs = sorted((c, not cin, d, din) for c, cin, d, din in intervals)
+    i, n = 0, len(ivs)
+    end = None
+    absorbed = False
     vals = []
-    prev = None
-    for b in pts:
-        if b < lo or b > hi:
-            continue
-        if prev is not None and prev < b:
-            es = [esc(d, din) for (c, _, d, din) in intervals if c < b and d >= b]
-            if not es:
-                raise ValueError("cover leaves part of the target uncovered")
-            if None not in es:
-                vals.append(max(es) - b)
-        in_k = (lo < b < hi) or (b == lo and lo_in) or (b == hi and hi_in)
-        if in_k:
-            es = [
-                esc(d, din)
-                for (c, cin, d, din) in intervals
-                if (c < b or (c == b and cin)) and (b < d or (b == d and din))
-            ]
-            if not es:
-                raise ValueError("cover leaves part of the target uncovered")
-            if None not in es:
-                vals.append(max(es) - b)
-        prev = b
+    for step in steps:
+        # The intervals that start before the cell, or at or before the point.
+        while i < n and ivs[i][:2] < step:
+            _, _, d, din = ivs[i]
+            end = (d, din) if end is None else max(end, (d, din))
+            absorbed = absorbed or (absorb_hi and d == hi and (din or not hi_in))
+            i += 1
+        if absorbed:
+            break
+        if end is None or end < step:
+            raise ValueError("cover leaves part of the target uncovered")
+        vals.append(end[0] - step[0])
     if not vals:
         return None
     delta = min(vals)

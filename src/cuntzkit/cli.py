@@ -47,10 +47,11 @@ def _lazy(name: str):
     return mod
 
 
-chains, checks, gen, lsc, models, suite = map(_lazy, ("chains", "checks", "gen", "lsc", "models", "suite"))
-# No verb uses `duality`, but the benchmark's tracing launcher
-# (bench/cli_launcher.py) wraps seven layers and looks for each in
-# `sys.modules` after `import cuntzkit.cli`.
+chains, checks, lsc, models, suite = map(_lazy, ("chains", "checks", "lsc", "models", "suite"))
+# No verb calls `gen` or `duality` itself, but the benchmark's tracing
+# launcher (bench/cli_launcher.py) wraps seven layers and looks for each
+# in `sys.modules` after `import cuntzkit.cli`.
+_lazy("gen")
 _lazy("duality")
 
 EXIT_OK = 0
@@ -146,7 +147,8 @@ def cmd_lsc_eval(args) -> int:
             p = None if entry[1] is None else geo.frac_from_str(entry[1], f"{here}[1]")
             pts.append((ci, p))
     else:
-        pts = gen.grid_points(sp, lsc.supp(f), lsc.level(f, max(1, lsc.num_levels(f))))
+        top = lsc.level(f, max(1, lsc.num_levels(f)))
+        pts = [(ci, p) for ci, p, _ in geo.probe_points(sp, (lsc.supp(f), top))]
     values = []
     for i, (ci, p) in enumerate(pts):
         try:

@@ -24,9 +24,8 @@ from .base import (
 )
 # The sweeps over piece tuples; every name is re-exported.
 from .segment import (
-    Piece, Scaled, _at, _by_start, _circle_diameter, _circle_spans, _coalesce, _common, _complement, _contains,
-    _gap, _geodesic, _grown, _intersect, _least, _meets, _merge, _piece_ok, _probe_sweep, _rescale,
-    _seam_sync, _seg_closure, _subset, _union, _wrap,
+    Piece, Scaled, _at, _circle_diameter, _circle_spans, _coalesce, _common, _complement, _contains,
+    _gap, _geodesic, _grown, _intersect, _least, _merge, _probe_sweep, _rescale, _seam_sync, _seg_closure, _wrap,
 )
 
 
@@ -42,10 +41,12 @@ from .segment import (
 # the arc's sweep on it.
 #
 # The sweeps of `segment` run on the integers of one scale. Two
-# parts meet at the lcm of their scales (`_common`). Where an endpoint can
-# vanish (coalescing in a union, closure or `_merge`; any intersection)
-# `_least` restores the least scale; union, closure and `_part` share that
-# tail in `_settle`, and a complement keeps its endpoints and its scale.
+# parts meet at the lcm of their scales (`_common`). Every union and every
+# raw part is merged by `_merge`, and `meets` and `subset` read the
+# `_intersect` sweep. Where an endpoint can vanish (coalescing in `_merge`
+# or a closure; any intersection) `_least` restores the least scale;
+# union, closure and `_part` share that tail in `_settle`, and a
+# complement keeps its endpoints and its scale.
 # Raw intervals become a part through `_part` alone; `point_complement`
 # settles its one closed point, and `grid_windows` writes its canonical
 # parts directly.
@@ -313,7 +314,7 @@ def union(a: SetLike, b: SetLike):
             parts.append(pb if not pa[1] else pa)
             continue
         d, xs, ys = _common(pa, pb)
-        parts.append(_settle(comp, d, _union(xs, ys), len(xs) + len(ys)))
+        parts.append(_settle(comp, d, _merge(xs + ys), len(xs) + len(ys)))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -358,12 +359,10 @@ def intersect(a: SetLike, b: SetLike):
 
 def meets(a: SetLike, b: SetLike) -> bool:
     """Whether a and b share a point: `not is_empty(intersect(a, b))`,
-    from the sweep alone, with no set built and no least scale sought."""
+    read off the intersection sweep, with no set built and no least
+    scale sought."""
     _check_same_space(a, b)
-    for pa, pb in zip(a.parts, b.parts):
-        if pa[1] and pb[1] and _meets(*_common(pa, pb)[1:]):
-            return True
-    return False
+    return any(pa[1] and pb[1] and _intersect(*_common(pa, pb)[1:]) for pa, pb in zip(a.parts, b.parts))
 
 
 def closure(a: SetLike) -> ClosedSet:
@@ -394,10 +393,15 @@ def is_empty(a: SetLike) -> bool:
 
 
 def subset(a: SetLike, b: SetLike) -> bool:
+    """Whether a lies in b: on each component a's pieces are their
+    intersection with b's, as canonical tuples are unique and the
+    intersection of two is canonical."""
     _check_same_space(a, b)
     for pa, pb in zip(a.parts, b.parts):
-        if pa[1] and not _subset(*_common(pa, pb)[1:]):
-            return False
+        if pa[1]:
+            _, xs, ys = _common(pa, pb)
+            if _intersect(xs, ys) != xs:
+                return False
     return True
 
 

@@ -2,17 +2,22 @@
 cut pieces.
 
 A cut piece is (a, a_in, b, b_in): an interval inside [0, L] with
-explicit endpoint membership. Degenerate pieces (a == b) must have both
-flags set. A canonical tuple is sorted by left end, each piece valid
-(`_piece_ok`), no two touching.
+explicit endpoint membership. A piece is valid if a < b, or a == b with
+both flags set. A canonical tuple is sorted by left end, each piece
+valid, no two touching.
 
-The helpers run on any ordered numbers, each as one linear sweep over
-canonical tuples; raw pieces (input, wraps around a circle, grown
-neighborhoods) go through `_merge` first, and `_seam_sync` keeps the
-circle rule "0 in S iff L in S". `geometry`, their one user, keeps each
-part's pieces as integers at a scale and re-exports every name here:
-`_at` and `_rescale` move to a scale, `_common` brings two scaled tuples
-to the lcm of their scales and `_least` back to the least one.
+The helpers run on any ordered numbers. Raw pieces in any order (input,
+wraps around a circle, grown neighborhoods, the pieces of a union)
+become a canonical tuple through `_merge`, one sort and one `_coalesce`
+sweep; they must be valid, as nothing drops them. `_intersect`,
+`_complement`, `_seg_closure` and `_contains` are one sweep each over
+canonical tuples, and `_intersect` also tells whether two tuples meet
+and whether one lies in the other. `_seam_sync` keeps the circle rule
+"0 in S iff L in S" through `_coalesce`. `geometry`, their one user,
+keeps each part's pieces as integers at a scale and re-exports every
+name here: `_at` and `_rescale` move to a scale, `_common` brings two
+scaled tuples to the lcm of their scales and `_least` back to the least
+one.
 """
 
 from __future__ import annotations
@@ -24,11 +29,6 @@ from typing import Iterable, Sequence
 Piece = tuple[Fraction, bool, Fraction, bool]
 # Pieces (d, pieces) whose coordinates are integers at the scale d.
 Scaled = tuple[int, tuple[Piece, ...]]
-
-
-def _piece_ok(p: Piece) -> bool:
-    a, ain, b, bin_ = p
-    return a < b or (a == b and ain and bin_)
 
 
 def _coalesce(items: Iterable[Piece]) -> tuple[Piece, ...]:
@@ -47,11 +47,8 @@ def _coalesce(items: Iterable[Piece]) -> tuple[Piece, ...]:
 
 
 def _merge(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
-    """The canonical tuple of raw pieces in any order; invalid ones are dropped."""
-    return _coalesce(sorted(
-        (p for p in pieces if _piece_ok(p)),
-        key=lambda p: (p[0], not p[1], p[2], not p[3]),
-    ))
+    """The canonical tuple of valid pieces in any order."""
+    return _coalesce(sorted(pieces, key=lambda p: (p[0], not p[1])))
 
 
 def _complement(pieces: Sequence[Piece], L) -> tuple[Piece, ...]:
@@ -90,61 +87,6 @@ def _intersect(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
     return tuple(out)
 
 
-def _meets(xs, ys) -> bool:
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        a1, i1, b1, j1 = xs[i]
-        a2, i2, b2, j2 = ys[j]
-        if a1 > a2 or (a1 == a2 and not i1):
-            a, ain = a1, i1
-        else:
-            a, ain = a2, i2
-        if b1 < b2 or (b1 == b2 and not j1):
-            b, bin_ = b1, j1
-            i += 1
-        else:
-            b, bin_ = b2, j2
-            j += 1
-        if a < b or (a == b and ain and bin_):
-            return True
-    return False
-
-
-def _by_start(xs: Sequence[Piece], ys: Sequence[Piece]) -> Iterable[Piece]:
-    """The pieces of two sorted tuples, merged in (a, not a_in) order."""
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        x, y = xs[i], ys[j]
-        if x[0] < y[0] or (x[0] == y[0] and x[1]):
-            yield x
-            i += 1
-        else:
-            yield y
-            j += 1
-    yield from xs[i:] or ys[j:]
-
-
-def _union(xs: Sequence[Piece], ys: Sequence[Piece]) -> tuple[Piece, ...]:
-    return _coalesce(_by_start(xs, ys))
-
-
-def _subset(xs: Sequence[Piece], ys: Sequence[Piece]) -> bool:
-    """Whether xs lies in ys. Only the first piece of ys that reaches the
-    right end of a piece of xs can hold that piece."""
-    j, ny = 0, len(ys)
-    for a, ain, b, bin_ in xs:
-        while j < ny and (ys[j][2] < b or (ys[j][2] == b and bin_ and not ys[j][3])):
-            j += 1
-        if j == ny:
-            return False
-        c, cin = ys[j][0], ys[j][1]
-        if c > a or (c == a and ain and not cin):
-            return False
-    return True
-
-
 def _seg_closure(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
     return _coalesce([(a, True, b, True) for a, _, b, _ in pieces])
 
@@ -170,21 +112,13 @@ def _probe_sweep(xs: Sequence, ws: Sequence[Piece]) -> list[tuple]:
 def _seam_sync(pieces: tuple[Piece, ...], L) -> tuple[Piece, ...]:
     """Circle seam rule: the points 0 and L are the same point. Only the
     first piece of a canonical tuple can hold 0 and only the last can hold
-    L, so at most those two change."""
+    L; if exactly one is held, the other joins as a point."""
     if not pieces:
         return pieces
-    a, ain, b, bin_ = pieces[0]
-    la, lain, lb, lbin = pieces[-1]
-    has0 = a == 0 and ain
-    if has0 == (lb == L and lbin):
+    has0 = pieces[0][0] == 0 and pieces[0][1]
+    if has0 == (pieces[-1][2] == L and pieces[-1][3]):
         return pieces
-    if has0:
-        if lb == L:
-            return pieces[:-1] + ((la, lain, L, True),)
-        return pieces + ((L, True, L, True),)
-    if a == 0:
-        return ((0, True, b, bin_),) + pieces[1:]
-    return ((0, True, 0, True),) + pieces
+    return _coalesce(pieces + ((L, True, L, True),) if has0 else ((0, True, 0, True),) + pieces)
 
 
 def _wrap(a, ain: bool, b, bin_: bool, L) -> list[Piece]:

@@ -421,6 +421,36 @@ def test_sweep_matches_the_oracle_on_the_covers_it_runs_on(monkeypatch):
         assert _outcome(real, call) == _outcome(oracles.sweep_delta, call), call
 
 
+def test_sweep_matches_the_oracle_on_random_interval_families():
+    # Seeded families with a closed lower end, where the oracle's own case
+    # for an open one cannot fire: ends inside K, on its ends and, when hi
+    # absorbs nothing, past hi; points and single intervals among them.
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(20000):
+        m = rng.choice((4, 8, 12))
+        lo = rng.randint(0, m - 1)
+        if rng.random() < 0.1:
+            hi, hi_in = lo, True
+        else:
+            hi, hi_in = rng.randint(lo + 1, m), rng.random() < 0.5
+        absorb_hi = rng.random() < 0.5
+        top = hi if absorb_hi else m + 2
+        intervals = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.15:
+                x = rng.randint(0, top)
+                intervals.append((x, True, x, True))
+            else:
+                a, b = sorted(rng.sample(range(-2, top + 1), 2))
+                intervals.append((a, rng.random() < 0.5, b, rng.random() < 0.5))
+        call = ((intervals, lo, True, hi, hi_in), {"absorb_hi": absorb_hi})
+        got = _outcome(chains._sweep_delta, call)
+        assert got == _outcome(oracles.sweep_delta, call), call
+        seen.add("raises" if isinstance(got, tuple) else "none" if got is None else "margin")
+    assert seen == {"raises", "none", "margin"}
+
+
 def _sweep_cases(rng):
     """Seeded piece lists for the sweep: random multi-interval sets on
     spaces with arcs, circles (spans through the seam included) and

@@ -587,7 +587,7 @@ def is_canonical(s) -> bool:
             continue
         if stored[0] != least_scale(comp, part):
             return False
-        if not all(geo._piece_ok(p) for p in part):
+        if not all(a < b or (a == b and ain and bin_) for a, ain, b, bin_ in part):
             return False
         for (_, _, pb, pbin), (qa, qain, _, _) in zip(part, part[1:]):
             if not (pb < qa or (pb == qa and not pbin and not qain)):
@@ -878,27 +878,31 @@ def test_component_views_reject_an_index_outside_the_space(view):
 
 def test_segment_sweeps_match_the_merge_oracle():
     # Canonical tuples with any endpoint flags, half open and degenerate
-    # pieces mixed, reach every branch of the seam patch as well.
-    L = F(1)
-    grid = [F(i, 4) for i in range(5)]
+    # pieces mixed, reach every branch of the seam patch as well. Raw
+    # pieces are valid, as `_merge` asks: a degenerate one has both flags.
+    # The sweeps run on Fractions and on integers at two scales.
     rng = seeded(0)
 
-    def canonical():
+    def canonical(grid):
         raw = []
         for _ in range(rng.randint(0, 4)):
-            a, b = sorted(rng.sample(grid, 2)) if rng.random() < 0.7 else [rng.choice(grid)] * 2
-            raw.append((a, rng.random() < 0.5, b, rng.random() < 0.5))
+            if rng.random() < 0.7:
+                a, b = sorted(rng.sample(grid, 2))
+                raw.append((a, rng.random() < 0.5, b, rng.random() < 0.5))
+            else:
+                a = rng.choice(grid)
+                raw.append((a, True, a, True))
         want = oracles.merge(raw)
         assert geo._merge(raw) == want
         return want
 
-    for _ in range(3000):
-        xs, ys = canonical(), canonical()
-        assert geo._union(xs, ys) == oracles.seg_union(xs, ys)
-        assert geo._intersect(xs, ys) == oracles.seg_intersect(xs, ys)
-        assert geo._complement(xs, L) == oracles.seg_complement(xs, L)
-        assert geo._seam_sync(xs, L) == oracles.seam_sync(xs, L)
-        assert geo._subset(xs, ys) == (not oracles.seg_intersect(xs, oracles.seg_complement(ys, L)))
+    for grid, L in (([F(i, 4) for i in range(5)], F(1)), (list(range(5)), 4), (list(range(13)), 12)):
+        for _ in range(3000):
+            xs, ys = canonical(grid), canonical(grid)
+            assert geo._merge(xs + ys) == oracles.seg_union(xs, ys)
+            assert geo._intersect(xs, ys) == oracles.seg_intersect(xs, ys)
+            assert geo._complement(xs, L) == oracles.seg_complement(xs, L)
+            assert geo._seam_sync(xs, L) == oracles.seam_sync(xs, L)
 
 
 # ---------------------------------------------------------------------------

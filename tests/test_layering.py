@@ -297,6 +297,7 @@ def _instance_files(tmp_path):
     return {
         "space": write("arc.json", geo.space_to_json(arc)),
         "add": write("add.json", {"a": half, "b": half}),
+        "eval": write("eval.json", {"element": half}),
         "cover": write("cover.json", {"cover": chains.cover_to_json(
             chains.make_cover([part(F(0), F(3, 4)), part(F(1, 4), F(1))]))}),
         "sums": write("sums.json", {"xs": ["1", "1", "11/10'"], "xps": ["1", "1", "1/2'"]}),
@@ -305,6 +306,8 @@ def _instance_files(tmp_path):
 
 @pytest.mark.parametrize("argv, code, layers", [
     ("lsc add -s {space} --instance {add}", 0, {"lsc"}),
+    # Without points, the probes come from `geometry`, not `gen`.
+    ("lsc eval -s {space} --instance {eval}", 0, {"lsc"}),
     ("chains lebesgue -s {space} --instance {cover}", 0, {"chains"}),
     ("check refinable-sums --model z --instance {sums}", 1, {"checks", "models"}),
     ("verify lemmas --cases 2 --check chain-decider-consistency", 0, {"suite", "chains", "gen"}),
