@@ -11,6 +11,7 @@ is provided as independent evidence for negative answers.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from fractions import Fraction
 from math import lcm
 
@@ -66,76 +67,76 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
     """Pieces two or more apart in the list never meet; for a chain (not an
     almost chain) every piece is also nonempty and meets the next one.
 
-    Pieces can only meet where their closed spans overlap on some
-    component, so a sort-and-sweep over the spans names the candidate
-    pairs and only those get the exact test."""
-    if not almost:
-        for i, p in enumerate(pieces):
-            if geo.is_empty(p):
-                return False
-            if i and not geo.meets(pieces[i - 1], p):
-                return False
-    tested = set()
-    for pair in _closure_overlaps(pieces):
-        i, j = pair
-        if j - i >= 2 and pair not in tested:
-            tested.add(pair)
-            if geo.meets(pieces[i], pieces[j]):
-                return False
-    return True
-
-
-def _closure_overlaps(pieces):
-    """Yield each pair (i, j), i < j, of pieces whose closed spans overlap on
-    some component, possibly more than once. The spans are swept as
-    integers at one scale; a span through a circle's seam is split at L,
-    so both halves keep the seam point."""
+    Every meeting is read off the spans of `_lifted`, in one sweep per
+    component over the spans sorted by (start, not start_in): two spans
+    meet when the larger start is below the smaller end, or equals it and
+    both hold that point. The sweep stops at the first meeting of two
+    pieces two or more apart."""
     if not pieces:
-        return
+        return True
     sp = pieces[0].space
     if any(p.space != sp for p in pieces):
         raise geo.SpaceMismatchError("chain pieces live on different spaces")
-    for ci, comp in enumerate(sp.components):
-        D, per = geo.scaled_spans(sp, pieces, ci)
-        L = int(comp.length * D) if comp.kind == "circle" else None
-        ivs = []
-        for i, spans in enumerate(per):
-            for a, _, b, _ in spans:
-                if L is not None and b > L:
-                    ivs.append((a, L, i))
-                    ivs.append((0, b - L, i))
-                else:
-                    ivs.append((a, b, i))
-        ivs.sort()
-        active: list = []  # (hi, i) of spans that may still overlap the next one
-        for lo, hi, i in ivs:
+    linked = set()  # the i for which pieces i and i + 1 meet
+    for ci in range(len(sp.components)):
+        ivs = sorted((a, not a_in, b, b_in, i) for i, spans in enumerate(_lifted(sp, pieces, ci))
+                     for a, a_in, b, b_in in spans)
+        active: list = []  # (hi, hi_in, i) of the spans whose closures reach lo
+        for lo, lo_out, hi, hi_in, i in ivs:
+            # Later spans start at lo or after it, so a span that ends
+            # before lo meets none of them.
             active = [t for t in active if t[0] >= lo]
-            for _, j in active:
-                if j != i:
-                    yield (j, i) if j < i else (i, j)
-            active.append((hi, i))
+            for t_hi, t_in, j in active:
+                # lo is the larger start. A span t that ends past it holds
+                # the points just after lo, or lo itself when this span is
+                # the point lo; one that ends at lo meets this span there
+                # only if both hold it.
+                if j != i and (t_hi > lo or t_in and not lo_out):
+                    if abs(i - j) > 1:
+                        return False
+                    linked.add(min(i, j))
+            active.append((hi, hi_in, i))
+    return almost or len(linked) == len(pieces) - 1 and not any(map(geo.is_empty, pieces))
+
+
+def _lifted(sp, sets, ci):
+    """The spans of each set on component ci, as `scaled_spans` gives them
+    at one scale; on a circle, its copies a turn apart clipped to [0, L],
+    where the seam is both 0 and L. Every point of the component lies in
+    them, so two sets meet, or one lies in the other, exactly when their
+    spans there do; and a connected span lies in a set exactly when it
+    lies in one of its spans, the last one that starts at or before it."""
+    comp = sp.components[ci]
+    return geo.scaled_spans(sp, sets, ci, (0, True, comp.length, True) if comp.kind == "circle" else None)[1]
+
+
+def _held(sp, w, cover, n) -> bool:
+    """Whether each of the n pieces of w lies in the cover piece its
+    refines entry names, read off the spans of `_lifted`."""
+    for ci in range(len(sp.components)):
+        per = _lifted(sp, [*w.pieces, *cover.pieces], ci)
+        for spans, idx in zip(per, w.refines):
+            held = per[n + idx]
+            for a, a_in, b, b_in in spans:
+                j = bisect_right(held, (a, not a_in), key=lambda s: (s[0], not s[1])) - 1
+                if j < 0 or held[j][2:] < (b, b_in):
+                    return False
+    return True
 
 
 def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
     if w.kind not in ("chain", "almost_chain"):
         return False
-    for p in w.pieces:
-        if p.space != target.space:
-            raise geo.SpaceMismatchError("witness pieces live on a different space")
+    if any(p.space != target.space for p in w.pieces):
+        raise geo.SpaceMismatchError("witness pieces live on a different space")
     if cover.space != target.space:
         raise geo.SpaceMismatchError("cover lives on a different space")
-    if not chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain"):
+    sp, n = target.space, len(w.pieces)
+    if not (chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain") and w.mesh == geo.max_diameter(w.pieces)
+            and geo.subset(target, geo.union_all(sp, w.pieces)) and len(w.refines) == n
+            and all(0 <= idx < len(cover.pieces) for idx in w.refines)):
         return False
-    if w.mesh != geo.max_diameter(w.pieces):
-        return False
-    if len(w.refines) != len(w.pieces):
-        return False
-    for p, idx in zip(w.pieces, w.refines):
-        if not 0 <= idx < len(cover.pieces):
-            return False
-        if not geo.subset(p, cover.pieces[idx]):
-            return False
-    return geo.subset(target, geo.union_all(target.space, w.pieces))
+    return _held(sp, w, cover, n)
 
 
 def decide_chainable(target: OpenSet) -> bool:
@@ -152,22 +153,27 @@ def decide_almost_chainable(sp: SpaceDescriptor) -> bool:
     return all(c.kind != "circle" for c in sp.components)
 
 
-def _home(piece: OpenSet) -> int:
-    """The index of the component a nonempty connected piece lies on."""
-    sp = piece.space
-    return next(ci for ci in range(len(sp.components)) if geo.scaled_spans(sp, (piece,), ci)[1][0])
+def _home(piece: OpenSet):
+    """(ci, spans): the component a nonempty connected piece lies on, and
+    its `spans` there."""
+    for ci in range(len(piece.space.components)):
+        got = geo.spans(piece, ci)
+        if got:
+            return ci, got
 
 
 def _component_span(piece: OpenSet):
     """Describe a connected open piece: (ci, None) for a point, or
-    (ci, (a, a_in, b, b_in)) in lifted coordinates. None for a full circle."""
-    ci = _home(piece)
-    kind = piece.space.components[ci].kind
-    if kind == "point":
+    (ci, (a, a_in, b, b_in)) in lifted coordinates, from its one span. None
+    for a full circle, whose span is exactly (0, True, L, True); an open
+    span of length L misses a point."""
+    ci, spans = _home(piece)
+    comp = piece.space.components[ci]
+    if comp.kind == "point":
         return ci, None
-    if kind == "circle" and piece == geo.component_set(piece.space, ci):
+    if comp.kind == "circle" and spans[0] == (0, True, comp.length, True):
         return None
-    return ci, geo.spans(piece, ci)[0]
+    return ci, spans[0]
 
 
 def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
@@ -189,18 +195,17 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
     return _span_chain(target.space, *desc, eps)
 
 
-def _span_chain(sp: SpaceDescriptor, ci: int, span, eps: Fraction | None) -> ChainWitness:
+def _span_chain(sp: SpaceDescriptor, ci: int, span, eps: Fraction | None, name="eps") -> ChainWitness:
     """`epsilon_chain` of the connected piece that `_component_span` reads
-    as (ci, span)."""
+    as (ci, span). The ChainTooLargeError it raises names eps as `name`."""
     if span is None:
-        piece = geo.component_set(sp, ci)
-        return ChainWitness("chain", (piece,), frac(0), (0,))
+        return ChainWitness("chain", (geo.component_set(sp, ci),), frac(0), (0,))
     a, a_in, b, b_in = span
     length = b - a
     n = length // eps + 1
     if 2 * n - 1 > MAX_CHAIN_PIECES:
         raise ChainTooLargeError(
-            f"eps {eps} needs {2 * n - 1} pieces, more than the cap of {MAX_CHAIN_PIECES}"
+            f"{name} {eps} needs {2 * n - 1} pieces, more than the cap of {MAX_CHAIN_PIECES}"
         )
     # Window i runs from a + i*h to a + (i + 2)*h, h = length / 2n. At the
     # scale d every such end is the integer A + i*H, so the windows are
@@ -255,18 +260,15 @@ def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
     return delta
 
 
-def _cover_delta(cover: Cover, ci: int, k, window=None, absorb_hi: bool = True):
-    """The escape margin of _sweep_delta over the lifted interval k of
-    component ci, against the spans of every cover piece clipped to the
-    window (k itself by default). Pieces stay separate: the sweep must only
-    see intervals lying inside a single piece. The sweep runs on the
-    integers of `scaled_spans`, whose scale takes in the window's ends and
-    so k's, which are those or multiples of L; only the margin becomes a
-    Fraction. None when one piece holds the whole component."""
-    whole = geo.component_set(cover.space, ci)
-    if any(geo.subset(whole, p) for p in cover.pieces):
-        return None
-    D, per = geo.scaled_spans(cover.space, cover.pieces, ci, window or k)
+def _cover_delta(D: int, per, k, absorb_hi: bool = True):
+    """The escape margin of _sweep_delta over the lifted interval k
+    against per, the spans of every cover piece clipped to a window that
+    holds k, as `scaled_spans` gives them at the scale D; its scale takes
+    in the window's ends and so k's, which are those or multiples of L.
+    Pieces stay separate: the sweep must only see intervals lying inside
+    a single piece. Only the margin becomes a Fraction. When one piece
+    holds k and absorb_hi is set, the sweep stops at k's first point and
+    the margin is None."""
     lo, lo_in, hi, hi_in = k
     m = _sweep_delta([iv for ivs in per for iv in ivs], int(lo * D), lo_in, int(hi * D), hi_in, absorb_hi=absorb_hi)
     return None if m is None else Fraction(m, D)
@@ -285,59 +287,76 @@ def lebesgue_number(cover: Cover) -> Fraction:
             continue
         L = comp.length
         if comp.kind == "arc":
-            d = _cover_delta(cover, ci, (frac(0), True, L, True))
+            k = (0, True, L, True)
+            d = _cover_delta(*geo.scaled_spans(sp, cover.pieces, ci, k), k)
         else:
             # Sweep the lifted copy [L, 2L] of the circle with spans clipped
             # to [0, 3L], so every point is probed with its full context.
-            d = _cover_delta(
-                cover, ci, (L, True, 2 * L, True), (frac(0), True, 3 * L, True), absorb_hi=False
-            )
-            if d is not None:
-                d = d / 2
+            # Only a whole circle clips to all of [0, 3L], and it holds
+            # every subset.
+            D, per = geo.scaled_spans(sp, cover.pieces, ci, (0, True, 3 * L, True))
+            if any(len(spans) == 1 and spans[0] == (0, True, 3 * L * D, True) for spans in per):
+                continue
+            d = _cover_delta(D, per, (L, True, 2 * L, True), absorb_hi=False) / 2
         if d is not None:
             best = min(best, d)
     return best
 
 
-def _component_chain(cover: Cover, ci: int, span) -> ChainWitness:
-    """A chain covering the connected target piece (ci, span) of
-    `_component_span`, with each window inside the cover piece its
-    `refines` entry names."""
-    delta = None  # a point needs no bound on the mesh
-    if span is not None:
-        # With no margin anywhere, one window longer than the span will do.
-        delta = _cover_delta(cover, ci, span) or span[2] - span[0] + 1
-    w = _span_chain(cover.space, ci, span, delta)
-    return ChainWitness(w.kind, w.pieces, w.mesh, tuple(_containing_piece(cover, p) for p in w.pieces))
-
-
-def _containing_piece(cover: Cover, window: OpenSet) -> int:
-    for i, p in enumerate(cover.pieces):
-        if geo.subset(window, p):
-            return i
-    raise AssertionError("window escaped every cover piece")
+def _least_holders(per, windows) -> list:
+    """For each window, one span of windows, the least i such that one
+    span of per[i] holds it. The windows' starts and ends rise. One sweep
+    over the windows and the spans of per, sorted together by (start, not
+    start_in) with a span before a window that starts where it does: the
+    spans started so far wait in a list sorted by index, and one whose end
+    falls short of a window's end holds no later window either, so it
+    leaves for good once it comes first."""
+    events = sorted([(a, not a_in, 0, b, b_in, i) for i, spans in enumerate(per) for a, a_in, b, b_in in spans]
+                    + [(a, not a_in, 1, b, b_in, 0) for ((a, a_in, b, b_in),) in windows])
+    waiting = []  # (i, end, end_in), sorted
+    out = []
+    for _, _, is_window, b, b_in, i in events:
+        if not is_window:
+            insort(waiting, (i, b, b_in))
+            continue
+        while waiting[0][1:] < (b, b_in):
+            del waiting[0]
+        out.append(waiting[0][0])
+    return out
 
 
 def refine_to_almost_chain(cover: Cover, target: OpenSet):
     """An almost chain refining the cover and covering the target, built
-    chain by chain over the target's connected components. Impossible when
-    a component is a whole circle."""
-    if target.space != cover.space:
+    chain by chain over the target's connected components, each window
+    inside the cover piece its `refines` entry names. Impossible when a
+    component is a whole circle."""
+    sp, m = cover.space, len(cover.pieces)
+    if target.space != sp:
         raise geo.SpaceMismatchError("target lives on a different space")
-    if not geo.subset(target, geo.union_all(cover.space, cover.pieces)):
+    if not geo.subset(target, geo.union_all(sp, cover.pieces)):
         raise ValueError("cover does not cover target")
     descs = [_component_span(piece) for piece in geo.connected_components(target)]
     if None in descs:
         return Impossible("a connected component of the target is a whole circle")
-    pieces, refines, mesh = (), (), frac(0)
-    for desc in descs:
-        w = _component_chain(cover, *desc)
+    pieces, refines, mesh = (), [], frac(0)
+    for ci, span in descs:
+        # The margin comes from the cover's spans clipped to the component's
+        # span: a point needs none, and with no margin anywhere one window
+        # longer than the span will do. The pieces that hold each window
+        # come from those spans and the windows' own, at one scale.
+        D, per = geo.scaled_spans(sp, cover.pieces, ci, span)
+        delta = span and (_cover_delta(D, per, span) or span[2] - span[0] + 1)
+        w = _span_chain(sp, ci, span, delta, "the cover's margin")
+        _, per = geo.scaled_spans(sp, [*cover.pieces, *w.pieces], ci, span)
+        # Each window is one span there.
+        refines += _least_holders(per[:m], per[m:])
         pieces += w.pieces
-        refines += w.refines
         # Each chain's mesh is that of its pieces, so the largest is the mesh.
         mesh = max(mesh, w.mesh)
-    kind = "chain" if chain_pattern_ok(pieces, almost=False) else "almost_chain"
-    return ChainWitness(kind, pieces, mesh, refines)
+    # Each component's windows are a chain, as `epsilon_chain`'s are, and
+    # lie in that open component, so windows of two components never meet:
+    # the pieces are a chain exactly when there is at most one component.
+    return ChainWitness("chain" if len(descs) <= 1 else "almost_chain", pieces, mesh, tuple(refines))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +386,7 @@ def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
     n = 2 ** depth
     cells, masks = [], []
     if desc is None:
-        ci = _home(target)
+        ci = _home(target)[0]
         L = sp.components[ci].length
         a0, a_in, b_in = 0, False, False
         g = L / n

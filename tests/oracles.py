@@ -154,6 +154,65 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
     return True
 
 
+def chain_pattern_meets(pieces, almost: bool) -> bool:
+    """`chains.chain_pattern_ok` as a sweep that only names candidates: a
+    sort-and-sweep over the closed spans of `geo.scaled_spans` yields the
+    pairs of pieces whose closures overlap, and each gets `geo.meets`; a
+    chain's consecutive pairs get `geo.meets` too."""
+    if not almost:
+        for i, p in enumerate(pieces):
+            if geo.is_empty(p):
+                return False
+            if i and not geo.meets(pieces[i - 1], p):
+                return False
+    tested = set()
+    for pair in closure_overlaps(pieces):
+        i, j = pair
+        if j - i >= 2 and pair not in tested:
+            tested.add(pair)
+            if geo.meets(pieces[i], pieces[j]):
+                return False
+    return True
+
+
+def closure_overlaps(pieces):
+    """Yield each pair (i, j), i < j, of pieces whose closed spans overlap on
+    some component, possibly more than once. The spans are swept as
+    integers at one scale; a span through a circle's seam is split at L,
+    so both halves keep the seam point."""
+    if not pieces:
+        return
+    sp = pieces[0].space
+    for ci, comp in enumerate(sp.components):
+        D, per = geo.scaled_spans(sp, pieces, ci)
+        L = int(comp.length * D) if comp.kind == "circle" else None
+        ivs = []
+        for i, spans in enumerate(per):
+            for a, _, b, _ in spans:
+                if L is not None and b > L:
+                    ivs.append((a, L, i))
+                    ivs.append((0, b - L, i))
+                else:
+                    ivs.append((a, b, i))
+        ivs.sort()
+        active: list = []
+        for lo, hi, i in ivs:
+            active = [t for t in active if t[0] >= lo]
+            for _, j in active:
+                if j != i:
+                    yield (j, i) if j < i else (i, j)
+            active.append((hi, i))
+
+
+def containing_piece(cover, window) -> int:
+    """The least index of a cover piece that holds the window, one
+    `geo.subset` per piece."""
+    for i, p in enumerate(cover.pieces):
+        if geo.subset(window, p):
+            return i
+    raise AssertionError("window escaped every cover piece")
+
+
 def union_fold(sp, pieces):
     """The union of the pieces on sp, folded from the empty set with one
     `geo.union` per piece."""

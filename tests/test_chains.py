@@ -414,7 +414,7 @@ def test_sweep_matches_the_oracle_on_the_covers_it_runs_on(monkeypatch):
         sp = gen.rand_space(rng, max_components=3)
         target = gen.rand_open_set(rng, sp, full_bias=0.3)
         chains.refine_to_almost_chain(_thin_cover(rng, sp, target), target)
-    # 2,263 sweeps, 816 of them on a window with an open lower end.
+    # 2,735 sweeps, 988 of them on a window with an open lower end.
     assert len(sweeps) >= 2000
     assert sum(not args[2] for args, _ in sweeps) >= 800
     for call in sweeps:
@@ -487,6 +487,168 @@ def test_chain_pattern_sweep_matches_all_pairs_oracle():
             assert got == oracles.chain_pattern_ok(pieces, almost), (pieces, almost)
             seen.add((almost, got))
     assert len(seen) == 4
+
+
+def test_chain_pattern_matches_the_meets_sweep():
+    # The same piece lists, against the sweep that only names candidate
+    # pairs and asks `geo.meets` of each.
+    rng = random.Random(99)
+    for pieces in _sweep_cases(rng):
+        for almost in (False, True):
+            got = chains.chain_pattern_ok(pieces, almost)
+            assert got == oracles.chain_pattern_meets(pieces, almost), (pieces, almost)
+
+
+def _closed_cases(rng):
+    """Seeded lists of closed sets on a circle with a point beside it:
+    closed arcs on a grid of eighths, some ending at the seam or through
+    it, the seam point and other points, and closures of random open
+    sets."""
+    sp = geo.space(geo.circle(1), geo.point())
+    for _ in range(400):
+        pieces = []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.2:  # the point x
+                x = F(rng.randint(0, 7), 8)
+                pieces.append(geo.closure(geo.normalize(sp, [[(x, x + F(1, 16))], False])))
+                pieces[-1] = geo.intersect(pieces[-1], geo.complement(geo.normalize(sp, [[(x, x + F(1, 8))], False])))
+            elif r < 0.7:
+                a = F(rng.randint(0, 7), 8)
+                b = a + F(rng.randint(1, 6), 8)
+                pieces.append(geo.closure(geo.component_set(sp, 0, (a, False, b, False))))
+            else:
+                pieces.append(geo.closure(gen.rand_nonempty_open_set(rng, sp, max_intervals=2)))
+        yield pieces
+
+
+def test_chain_pattern_on_closed_sets_matches_all_pairs_oracle():
+    # Closed sets meet at the seam through points the sweep sees at 0 and
+    # at L: [3/4, 1] and {0} meet, and so do [3/4, 1] and [0, 1/4].
+    rng = random.Random(5)
+    seen = set()
+    for pieces in _closed_cases(rng):
+        for almost in (False, True):
+            got = chains.chain_pattern_ok(pieces, almost)
+            assert got == oracles.chain_pattern_ok(pieces, almost), ([geo.set_to_json(p) for p in pieces], almost)
+            seen.add((almost, got))
+    assert len(seen) == 4
+    sp = geo.space(geo.circle(1))
+    seam = geo.closure(geo.component_set(sp, 0, (F(3, 4), False, F(1), False)))
+    zero = geo.complement(geo.component_set(sp, 0, (F(0), False, F(1), False)))
+    start = geo.closure(geo.component_set(sp, 0, (F(0), False, F(1, 4), False)))
+    mid = geo.closure(geo.component_set(sp, 0, (F(1, 4), False, F(1, 2), False)))
+    assert not chains.chain_pattern_ok([seam, mid, zero], almost=True)
+    assert not chains.chain_pattern_ok([start, mid, seam], almost=True)
+    assert chains.chain_pattern_ok([mid, start, seam], almost=False)
+
+
+def _containment_cases(rng):
+    """Seeded (cover, target) pairs for the containing-piece sweep: random
+    targets and covers of pieces of several spans on spaces with arcs,
+    circles and points; the unit arc with closed ends; targets through a
+    circle's seam, under covers with pieces through it, whole circles and
+    circles less a point. Each cover also gets copies of its pieces, the
+    whole space or the union of two pieces at random places, so that
+    several pieces hold one window."""
+    arc, circle = geo.space(geo.arc(1)), geo.space(geo.circle(1), geo.point())
+    for case in range(1500):
+        if case % 3 == 0:
+            sp = gen.rand_space(rng, max_components=3)
+            target = gen.rand_open_set(rng, sp, max_intervals=3, full_bias=0.3)
+            pieces = oracles.rand_cover_pieces(rng, sp, target)
+        elif case % 3 == 1:
+            sp, target = arc, geo.full_set(arc)
+            cuts = sorted(F(rng.randint(1, 15), 16) for _ in range(2))
+            pieces = [geo.component_set(sp, 0, (F(0), True, cuts[1], False)),
+                      geo.component_set(sp, 0, (cuts[0], False, F(1), True)),
+                      gen.rand_nonempty_open_set(rng, sp, max_intervals=3)]
+            if cuts[0] == cuts[1]:
+                pieces.append(geo.component_set(sp, 0, (cuts[0] - F(1, 32), False, cuts[0] + F(1, 32), False)))
+        else:
+            sp = circle
+            a = F(rng.randint(9, 15), 16)
+            target = geo.union(geo.component_set(sp, 0, (a, False, a + F(rng.randint(3, 16), 16), False)),
+                               geo.full_set(sp) if rng.random() < 0.3 else geo.empty_set(sp))
+            if rng.random() < 0.3:
+                target = geo.union(target, geo.normalize(sp, [[(F(1, 16), F(1, 8))], False]))
+            if isinstance(chains.refine_to_almost_chain(chains.make_cover([geo.full_set(sp)]), target), chains.Impossible):
+                continue
+            p = F(rng.randint(0, 15), 16)
+            pieces = [geo.component_set(sp, 0, (p, False, p + 1, False)),
+                      geo.component_set(sp, 0, (a - F(1, 16), False, a + F(9, 16), False)),
+                      gen.rand_nonempty_open_set(rng, sp, max_intervals=3)]
+            pieces.append(geo.union(geo.component_set(sp, 0, (p - F(1, 8), False, p + F(1, 8), False)),
+                                    geo.normalize(sp, [[], True])))
+        for _ in range(rng.randint(0, 3)):
+            extra = rng.choice([geo.full_set(sp), rng.choice(pieces),
+                                geo.union(rng.choice(pieces), rng.choice(pieces))])
+            pieces.insert(rng.randint(0, len(pieces)), extra)
+        yield chains.make_cover(pieces), target
+
+
+def test_containing_sweep_matches_the_subset_route():
+    # Each window's refines entry is the least index of a piece that holds
+    # it, as one `geo.subset` per window and piece finds it.
+    rng = random.Random(17)
+    windows = shared = seam = 0
+    for cover, target in _containment_cases(rng):
+        got = chains.refine_to_almost_chain(cover, target)
+        if isinstance(got, chains.Impossible):
+            continue
+        # The kind, read from the number of target components, is the one
+        # the pieces have.
+        assert got.kind == ("chain" if oracles.chain_pattern_ok(got.pieces, almost=False) else "almost_chain")
+        for w, idx in zip(got.pieces, got.refines):
+            assert idx == oracles.containing_piece(cover, w), (geo.set_to_json(w), idx)
+            windows += 1
+            shared += sum(geo.subset(w, p) for p in cover.pieces) >= 2
+            seam += any(geo.contains_point(w, ci, F(0)) for ci, c in enumerate(w.space.components) if c.kind == "circle")
+    # 4,674 windows, 2,850 of them held by two pieces or more, 407 holding a seam.
+    assert windows >= 4500 and shared >= 2700 and seam >= 400, (windows, shared, seam)
+
+
+def test_verify_witness_checks_each_refines_entry_as_subset_does():
+    # Refined witnesses with their refines entries redrawn: the witness is
+    # valid exactly when each piece lies in the piece its entry names.
+    rng = random.Random(23)
+    seen = set()
+    for cover, target in _containment_cases(rng):
+        got = chains.refine_to_almost_chain(cover, target)
+        if isinstance(got, chains.Impossible) or not got.pieces:
+            continue
+        refines = tuple(rng.randrange(len(cover.pieces)) if rng.random() < 0.3 else idx for idx in got.refines)
+        w = chains.ChainWitness(got.kind, got.pieces, got.mesh, refines)
+        want = all(geo.subset(p, cover.pieces[idx]) for p, idx in zip(w.pieces, refines))
+        assert chains.verify_witness(w, target, cover) == want, [geo.set_to_json(p) for p in cover.pieces]
+        seen.add(want)
+    assert seen == {False, True}
+
+
+def _window_cover(n):
+    """The unit arc and its cover by n open windows of width 2/(n + 1),
+    each overlapping the next by half, closed at 0 and 1."""
+    h = F(1, n + 1)
+    pieces = [geo.component_set(ARC, 0, (i * h, i == 0, (i + 2) * h, i == n - 1)) for i in range(n)]
+    return geo.full_set(ARC), chains.make_cover(pieces)
+
+
+def test_refine_and_verify_ask_geometry_no_question_per_pair(monkeypatch):
+    # The set questions that refining a cover by n windows and verifying
+    # the result ask of `geometry` do not grow with n.
+    counts = {}
+    for n in (100, 800):
+        calls = []
+        for name in ("subset", "meets"):
+            real = getattr(geo, name)
+            monkeypatch.setattr(geo, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        target, cover = _window_cover(n)
+        w = chains.refine_to_almost_chain(cover, target)
+        assert w.kind == "chain" and len(w.pieces) > 2 * n
+        assert chains.verify_witness(w, target, cover)
+        counts[n] = len(calls)
+        monkeypatch.undo()
+    assert counts[100] == counts[800] <= 4, counts
 
 
 def test_verify_witness_on_a_4001_piece_chain():

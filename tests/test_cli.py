@@ -635,21 +635,29 @@ def _evenly_spaced_arcs(k):
     return [lsc.element_to_json(chi((F(i, k), F(i, k) + F(3, 10)), sp=CIRCLE)) for i in range(k)]
 
 
-@pytest.mark.parametrize("argv, inst, path, reason", [
-    (["almost-ordered", "--model", "z"],
+@pytest.mark.parametrize("argv, space, inst, path, reason", [
+    (["check", "almost-ordered", "--model", "z"], None,
      {"xs": [str(i) for i in range(1, checks.MAX_ALMOST_ORDERED_TERMS + 2)]}, "$.xs",
      f"{checks.MAX_ALMOST_ORDERED_TERMS + 1} terms, more than the cap of {checks.MAX_ALMOST_ORDERED_TERMS}"),
-    (["weak-chain"],
+    (["check", "weak-chain"], "circle",
      {"x": lsc.element_to_json(lsc.unit(CIRCLE)), "y": lsc.element_to_json(lsc.unit(CIRCLE)),
       "ys": _evenly_spaced_arcs(checks.MAX_CIRCLE_TRACES + 1)}, "$.ys",
      f"{checks.MAX_CIRCLE_TRACES + 1} cover elements meet circle component 0, "
      f"more than the cap of {checks.MAX_CIRCLE_TRACES}"),
-], ids=["almost-ordered", "weak-chain"])
-def test_over_the_cap_instances_exit_2_at_once(capsys, circle_file, tmp_path, argv, inst, path, reason):
+    # The two pieces overlap on (1/1000000, 3/2000000), so the margin is
+    # 1/2000000 and the chain would need 4,000,001 windows.
+    (["chains", "refine"], "arc",
+     {"target": full_arc_target(), "cover": {"pieces": [
+         geo.set_to_json(geo.normalize(ARC, [((F(0), F(3, 2000000), True, False),)])),
+         geo.set_to_json(geo.normalize(ARC, [((F(1, 1000000), F(1), False, True),)]))]}}, "$.cover",
+     f"the cover's margin 1/2000000 needs 4000001 pieces, more than the cap of {chains.MAX_CHAIN_PIECES}"),
+], ids=["almost-ordered", "weak-chain", "refine"])
+def test_over_the_cap_instances_exit_2_at_once(capsys, arc_file, circle_file, tmp_path, argv, space, inst, path,
+                                               reason):
     f = write_json(tmp_path, "i.json", inst)
-    space = ["-s", circle_file] if argv == ["weak-chain"] else []
+    space = {None: [], "arc": ["-s", arc_file], "circle": ["-s", circle_file]}[space]
     t0 = time.perf_counter()
-    got = run(capsys, ["check", *argv, *space, "--instance", f])
+    got = run(capsys, [*argv, *space, "--instance", f])
     assert time.perf_counter() - t0 < 1
     assert got == (2, "", f"error: {path}: {reason}\n")
 
