@@ -3,28 +3,31 @@ compact one-dimensional spaces, with chain-cover decision procedures and
 randomized law checking.
 
 Submodules:
-    base      input errors, rationals, the Record base, space descriptors
-    segment   linear sweeps over the cut pieces of one segment [0, L]
-    geometry  exact set calculus on arcs, circles and point components
-    lsc       elements as nested open level sets, order and sum operations
-    chains    chain covers, refinement, chainability deciders
-    models    abstract ordered monoids sharing one comparison interface
-    checks    certificate producing decision procedures
-    duality   open/closed set translations of order statements
-    gen       seeded random generators for spaces, sets and elements
-    suite     the seeded law suite behind `cuntzkit verify lemmas`
-    cli       the `cuntzkit` command
+    base        input errors, rationals, the Record base, space descriptors
+    segment     linear sweeps over the cut pieces of one segment [0, L]
+    geometry    exact set calculus on arcs, circles and point components
+    views       per-component views and the metric of those sets
+    lsc         elements as nested open level sets, order and sum operations
+    chains      chain covers, refinement, chainability deciders
+    gridsearch  the bounded exhaustive chain search
+    models      abstract ordered monoids sharing one comparison interface
+    checks      certificate producing decision procedures
+    duality     open/closed set translations of order statements
+    gen         seeded random generators for spaces, sets and elements
+    suite       the seeded law suite behind `cuntzkit verify lemmas`
+    cli         the `cuntzkit` command, with its handlers in `cli_lsc`,
+                `cli_chains`, `cli_check` and `cli_verify`
 
-Importing the package runs only `geometry` and what is below it. A
-`cuntzkit` call runs the layers its verb reads, no more: a `space` verb
-none above `geometry`, an `lsc` verb `lsc`, a `chains` verb `chains`, a
-`check` verb `checks` and what its check needs, `verify lemmas` `suite`
-and what its laws need.
+Importing the package runs only `base`. A `cuntzkit` call runs the
+layers its verb reads, no more: a `space` verb `geometry`, an `lsc` verb
+`lsc`, a `chains` verb `chains`, a `check` verb `checks` and what its
+check needs (`check refinable-sums --model z` needs no `geometry`),
+`verify lemmas` `suite` and what its laws need.
 """
 
 from importlib import import_module
 
-from .geometry import InputError, SpaceMismatchError, arc, circle, point, space
+from .base import InputError, SpaceMismatchError, arc, circle, point, space
 
 __all__ = [
     "InputError",
@@ -40,7 +43,7 @@ __all__ = [
     "SearchBounds",
 ]
 
-# Public names defined above `geometry`, by the module that defines them.
+# Public names defined above `base`, by the module that defines them.
 _HOMES = {"indicator": "lsc", "unit": "lsc", "zero": "lsc", "PropertyVerdict": "checks", "SearchBounds": "checks"}
 
 

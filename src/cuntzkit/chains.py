@@ -6,7 +6,8 @@ meetings between non-neighbors. The mesh of either is the largest piece
 diameter. Deciders classify structurally: a connected open set is
 chainable unless it is a whole circle, and a space is almost or piecewise
 chainable exactly when it has no circle component. A bounded grid search
-is provided as independent evidence for negative answers.
+(`gridsearch`) is provided as independent evidence for negative answers;
+its names are read here too, and load it on the first read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import geometry as geo
+from . import views
 from .geometry import InputError, OpenSet, Record, SpaceDescriptor, frac
 
 
@@ -107,7 +109,7 @@ def _lifted(sp, sets, ci):
     spans there do; and a connected span lies in a set exactly when it
     lies in one of its spans, the last one that starts at or before it."""
     comp = sp.components[ci]
-    return geo.scaled_spans(sp, sets, ci, (0, True, comp.length, True) if comp.kind == "circle" else None)[1]
+    return views.scaled_spans(sp, sets, ci, (0, True, comp.length, True) if comp.kind == "circle" else None)[1]
 
 
 def _held(sp, w, cover, n) -> bool:
@@ -132,8 +134,8 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
     if cover.space != target.space:
         raise geo.SpaceMismatchError("cover lives on a different space")
     sp, n = target.space, len(w.pieces)
-    if not (chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain") and w.mesh == geo.max_diameter(w.pieces)
-            and geo.subset(target, geo.union_all(sp, w.pieces)) and len(w.refines) == n
+    if not (chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain") and w.mesh == views.max_diameter(w.pieces)
+            and geo.subset(target, views.union_all(sp, w.pieces)) and len(w.refines) == n
             and all(0 <= idx < len(cover.pieces) for idx in w.refines)):
         return False
     return _held(sp, w, cover, n)
@@ -141,7 +143,7 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
 
 def decide_chainable(target: OpenSet) -> bool:
     """Connected and not a whole circle. The empty set counts as chainable."""
-    comps = geo.connected_components(target)
+    comps = views.connected_components(target)
     if len(comps) > 1:
         return False
     if not comps:
@@ -157,7 +159,7 @@ def _home(piece: OpenSet):
     """(ci, spans): the component a nonempty connected piece lies on, and
     its `spans` there."""
     for ci in range(len(piece.space.components)):
-        got = geo.spans(piece, ci)
+        got = views.spans(piece, ci)
         if got:
             return ci, got
 
@@ -184,7 +186,7 @@ def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
     eps = frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    comps = geo.connected_components(target)
+    comps = views.connected_components(target)
     if not comps:
         return ChainWitness("chain", (), frac(0), ())
     if len(comps) > 1:
@@ -199,7 +201,7 @@ def _span_chain(sp: SpaceDescriptor, ci: int, span, eps: Fraction | None, name="
     """`epsilon_chain` of the connected piece that `_component_span` reads
     as (ci, span). The ChainTooLargeError it raises names eps as `name`."""
     if span is None:
-        return ChainWitness("chain", (geo.component_set(sp, ci),), frac(0), (0,))
+        return ChainWitness("chain", (views.component_set(sp, ci),), frac(0), (0,))
     a, a_in, b, b_in = span
     length = b - a
     n = length // eps + 1
@@ -213,9 +215,9 @@ def _span_chain(sp: SpaceDescriptor, ci: int, span, eps: Fraction | None, name="
     h = length / (2 * n)
     d = lcm(sp.components[ci].length.denominator, a.denominator, h.denominator)
     A, H = a.numerator * (d // a.denominator), h.numerator * (d // h.denominator)
-    pieces = geo.grid_windows(sp, ci, d, A, H, 2 * H, 2 * n - 1, a_in, b_in)
+    pieces = views.grid_windows(sp, ci, d, A, H, 2 * H, 2 * n - 1, a_in, b_in)
     # The windows are congruent, so one diameter is the mesh.
-    return ChainWitness("chain", pieces, geo.diameter(pieces[0]), (0,) * len(pieces))
+    return ChainWitness("chain", pieces, views.diameter(pieces[0]), (0,) * len(pieces))
 
 
 def _sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
@@ -279,7 +281,7 @@ def lebesgue_number(cover: Cover) -> Fraction:
     delta lies inside one cover piece. On circles a subset of diameter d
     is only pinned inside an arc of length 2d, so the arc margin is halved."""
     sp = cover.space
-    if not geo.sets_equal(geo.union_all(sp, cover.pieces), geo.full_set(sp)):
+    if not geo.sets_equal(views.union_all(sp, cover.pieces), geo.full_set(sp)):
         raise ValueError("not a cover of the whole space")
     best = frac(2)
     for ci, comp in enumerate(sp.components):
@@ -288,13 +290,13 @@ def lebesgue_number(cover: Cover) -> Fraction:
         L = comp.length
         if comp.kind == "arc":
             k = (0, True, L, True)
-            d = _cover_delta(*geo.scaled_spans(sp, cover.pieces, ci, k), k)
+            d = _cover_delta(*views.scaled_spans(sp, cover.pieces, ci, k), k)
         else:
             # Sweep the lifted copy [L, 2L] of the circle with spans clipped
             # to [0, 3L], so every point is probed with its full context.
             # Only a whole circle clips to all of [0, 3L], and it holds
             # every subset.
-            D, per = geo.scaled_spans(sp, cover.pieces, ci, (0, True, 3 * L, True))
+            D, per = views.scaled_spans(sp, cover.pieces, ci, (0, True, 3 * L, True))
             if any(len(spans) == 1 and spans[0] == (0, True, 3 * L * D, True) for spans in per):
                 continue
             d = _cover_delta(D, per, (L, True, 2 * L, True), absorb_hi=False) / 2
@@ -333,9 +335,9 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
     sp, m = cover.space, len(cover.pieces)
     if target.space != sp:
         raise geo.SpaceMismatchError("target lives on a different space")
-    if not geo.subset(target, geo.union_all(sp, cover.pieces)):
+    if not geo.subset(target, views.union_all(sp, cover.pieces)):
         raise ValueError("cover does not cover target")
-    descs = [_component_span(piece) for piece in geo.connected_components(target)]
+    descs = [_component_span(piece) for piece in views.connected_components(target)]
     if None in descs:
         return Impossible("a connected component of the target is a whole circle")
     pieces, refines, mesh = (), [], frac(0)
@@ -344,10 +346,10 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
         # span: a point needs none, and with no margin anywhere one window
         # longer than the span will do. The pieces that hold each window
         # come from those spans and the windows' own, at one scale.
-        D, per = geo.scaled_spans(sp, cover.pieces, ci, span)
+        D, per = views.scaled_spans(sp, cover.pieces, ci, span)
         delta = span and (_cover_delta(D, per, span) or span[2] - span[0] + 1)
         w = _span_chain(sp, ci, span, delta, "the cover's margin")
-        _, per = geo.scaled_spans(sp, [*cover.pieces, *w.pieces], ci, span)
+        _, per = views.scaled_spans(sp, [*cover.pieces, *w.pieces], ci, span)
         # Each window is one span there.
         refines += _least_holders(per[:m], per[m:])
         pieces += w.pieces
@@ -357,144 +359,6 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
     # lie in that open component, so windows of two components never meet:
     # the pieces are a chain exactly when there is at most one component.
     return ChainWitness("chain" if len(descs) <= 1 else "almost_chain", pieces, mesh, tuple(refines))
-
-
-# ---------------------------------------------------------------------------
-# Bounded exhaustive search. Negative chainability answers are structural;
-# this search independently confirms them at desk scale by enumerating all
-# chains whose pieces are open grid arcs at a given dyadic depth.
-
-
-def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
-    """Search all grid-arc chains of mesh below eps covering the target.
-
-    Pieces are open arcs with endpoints on the dyadic grid of the target at
-    the given depth (first and last windows may absorb closed target
-    endpoints). Returns a ChainWitness or None when the whole grid family
-    is exhausted without success."""
-    eps = frac(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    comps = geo.connected_components(target)
-    if len(comps) != 1:
-        raise ValueError("the grid search handles one connected target")
-    sp = target.space
-    desc = _component_span(comps[0])
-    if desc is not None and desc[1] is None:
-        # A point has diameter 0, below every positive eps.
-        return ChainWitness("chain", (geo.component_set(sp, desc[0]),), frac(0), (0,))
-    n = 2 ** depth
-    cells, masks = [], []
-    if desc is None:
-        ci = _home(target)[0]
-        L = sp.components[ci].length
-        a0, a_in, b_in = 0, False, False
-        g = L / n
-        # An arc of l cells is shorter than eps iff l < most; on a circle
-        # every arc qualifies when half the circle is shorter than eps.
-        most = n if L < 2 * eps else min(n, -(-eps // g))
-        for l in range(1, most):
-            for i in range(n):
-                cells.append((i, i + l))
-                masks.append(grid_arc_mask(i, l, n, cyclic=True))
-        # A chain around the circle can be rotated so its first piece starts
-        # at grid point 0; roots need only these, the first arc of each length.
-        roots = range(0, len(masks), n)
-        full = (1 << 2 * n) - 1
-    else:
-        ci, (a0, a_in, b0, b_in) = desc
-        g = (b0 - a0) / n
-        most = -(-eps // g)
-        for i in range(n):
-            for j in range(i + 1, min(i + most, n + 1)):
-                cells.append((i, j))
-                mask = grid_arc_mask(i, j - i, n + 1, cyclic=False)
-                masks.append(mask | (a_in and i == 0) | (b_in and j == n) << 2 * n)
-        roots = range(len(masks))
-        full = grid_arc_mask(0, n, n + 1, cyclic=False) | a_in | b_in << 2 * n
-    got = _chain_dfs(masks, roots, full)
-    if got is None:
-        return None
-    pieces = tuple(
-        geo.component_set(sp, ci, (a0 + i * g, a_in and i == 0, a0 + j * g, b_in and j == n))
-        for i, j in (cells[c] for c in got)
-    )
-    w = ChainWitness("chain", pieces, geo.max_diameter(pieces), (0,) * len(pieces))
-    if not verify_witness(w, target, make_cover([target])):
-        raise AssertionError("search produced a chain that fails verify_witness")
-    return w
-
-
-def grid_arc_mask(start: int, cells: int, points: int, cyclic: bool) -> int:
-    """The grid mask of the open arc running `cells` cells forward from grid
-    point `start` over `points` sorted grid points: bit 2k stands for grid
-    point k and bit 2k + 1 for the open cell after it, so the arc sets its
-    cells and its interior points. On a cyclic grid (a whole circle) the
-    last cell runs from the last point back to point 0, and an arc of fewer
-    than `points` cells may pass through it. Grid-aligned sets meet iff
-    their masks share a bit."""
-    m = ((1 << (2 * cells - 1)) - 1) << (2 * start + 1)
-    if cyclic:
-        m = (m | m >> 2 * points) & ((1 << 2 * points) - 1)
-    return m
-
-
-def _chain_dfs(masks, roots, full):
-    """The first chain, as indices into masks, that starts at a root and
-    whose masks cover full; None when there is none.
-
-    Each node walks the list of the masks that meet its last piece, in the
-    order of masks, so the first chain found is the one a walk over every
-    mask would find. A mask's list is built the first time it is last."""
-    seen, reach = set(), {}
-    meets = [None] * len(masks)
-    for root in roots:
-        got = _extend_chain([root], 0, masks, meets, full, seen, reach)
-        if got is not None:
-            return got
-    return None
-
-
-def _extend_chain(chain, earlier, masks, meets, full, seen, reach):
-    """The first completion of a partial chain whose earlier pieces have the
-    union mask earlier, or None. A plain function, not a closure, so the
-    memo dies with the search instead of waiting for the cyclic collector."""
-    # The future of a partial chain depends only on the union of the earlier
-    # pieces (which new pieces must avoid) and on the last piece (which the
-    # next one must meet), so that pair is the memo key.
-    last = masks[chain[-1]]
-    cur = earlier | last
-    if not full & ~cur:
-        return chain
-    k = (earlier, last)
-    if k in seen:
-        return None
-    # Every later piece avoids earlier, so the state is dead when a bit of
-    # full that cur misses lies in no mask that avoids earlier.
-    can = reach.get(earlier)
-    if can is None:
-        can = 0
-        for m in masks:
-            if not m & earlier:
-                can |= m
-        reach[earlier] = can
-    if full & ~(cur | can):
-        return None
-    seen.add(k)
-    near = meets[chain[-1]]
-    if near is None:
-        near = meets[chain[-1]] = [c for c, cand in enumerate(masks) if cand & last]
-    for c in near:
-        cand = masks[c]
-        # A candidate inside cur avoids earlier, so it lies inside last,
-        # and is a dead end: cur still misses part of full, and a next
-        # piece would have to meet it while avoiding cur, which holds it.
-        if cand & earlier or not cand & ~cur:
-            continue
-        got = _extend_chain(chain + [c], cur, masks, meets, full, seen, reach)
-        if got is not None:
-            return got
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +408,17 @@ def cover_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> Cover:
         return make_cover(pieces)
     except ValueError as exc:
         raise InputError(f"{path}.pieces", str(exc))
+
+
+# The grid search's names, kept readable here; the first read loads
+# `gridsearch` and keeps the name in this module's globals.
+_SEARCH = frozenset({"exhaustive_chain_search", "grid_arc_mask", "_chain_dfs", "_extend_chain"})
+
+
+def __getattr__(name):
+    if name not in _SEARCH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import gridsearch
+
+    value = globals()[name] = getattr(gridsearch, name)
+    return value

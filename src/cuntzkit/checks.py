@@ -18,8 +18,8 @@ import itertools
 
 from . import chains
 from . import geometry as geo
-from . import lsc
-from .geometry import InputError, Record
+from . import lsc, views
+from .base import InputError, Record
 
 
 MAX_ALMOST_ORDERED_TERMS = 16  # check_almost_ordered_sums walks every subset of them
@@ -497,17 +497,17 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
     # Whole circle components of the support are chained by the circle
     # block search; the rest of the support, which has none, by one
     # refinement of the cover supports.
-    slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
+    slices = [views.restrict(supp, ci) for ci in range(len(space.components))]
     full = [
         ci for ci, comp in enumerate(space.components)
-        if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)
+        if comp.kind == "circle" and slices[ci] == views.component_set(space, ci)
     ]
-    rest = geo.union_all(space, [s for ci, s in enumerate(slices) if ci not in full])
+    rest = views.union_all(space, [s for ci, s in enumerate(slices) if ci not in full])
     zs = []
     for ci in full:
         traces = []
         for t in ys:
-            tr = geo.restrict(lsc.supp(t), ci)
+            tr = views.restrict(lsc.supp(t), ci)
             if not geo.is_empty(tr):
                 traces.append(tr)
         if len(traces) > MAX_CIRCLE_TRACES:
@@ -571,7 +571,7 @@ def _circle_block_search(space, ci, traces, bounds, log):
     points) and the piece cap min(8, 2 * len(traces) + 2) of the arc
     chains this rules out.
     """
-    fullc = geo.component_set(space, ci)
+    fullc = views.component_set(space, ci)
     for tr in traces:
         if geo.subset(fullc, tr):
             return [fullc]
@@ -591,7 +591,7 @@ def _circle_block_search(space, ci, traces, bounds, log):
     grid = 2 ** min(bounds.depth, 4)
     bps = set()
     for tr in traces:
-        bps.update(x % L for x in geo.breakpoints(tr, ci))
+        bps.update(x % L for x in views.breakpoints(tr, ci))
     for k in range(grid):
         bps.add(L * k / grid)
     cap = min(8, 2 * len(traces) + 2)

@@ -5,19 +5,19 @@ For an indicator y below the unit e, write U_y for its support and C_y
 for the closed complement of the support. Every law here is computed
 once with point set geometry and once with order operations alone, and
 the verifier reports whether the two routes agree. Points are probed on
-a finite grid built from the piece endpoints (`geometry.probe_points`);
+a finite grid built from the piece endpoints (`views.probe_points`);
 they are never enumerated.
 """
 
 from __future__ import annotations
 
 from . import geometry as geo
-from . import lsc
+from . import lsc, views
 
 
 def point_complement(sp: geo.SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
     """The open set of everything except one point of component ci."""
-    return geo.point_complement(sp, ci, p)
+    return views.point_complement(sp, ci, p)
 
 
 def _unit_indicator(y: lsc.LscElement):
@@ -45,7 +45,7 @@ def verify_basictop(y: lsc.LscElement, z: lsc.LscElement) -> dict:
     out["closed_reverses_order"] = geo.subset(cy, cz) == lsc.leq(z, y)
 
     agree = True
-    for ci, p, member in geo.probe_points(sp, (uy, uz), uy):
+    for ci, p, member in views.probe_points(sp, (uy, uz), uy):
         pc = lsc.indicator(point_complement(sp, ci, p))
         joined = lsc.join(y, pc) == e
         if member != joined:
@@ -53,7 +53,7 @@ def verify_basictop(y: lsc.LscElement, z: lsc.LscElement) -> dict:
             break
     out["membership_is_unit_join"] = agree
 
-    disjoint = not geo.meets(uy, uz)
+    disjoint = not views.meets(uy, uz)
     out["disjointness_is_zero_meet"] = disjoint == (lsc.meet(y, z) == lsc.zero(sp))
 
     ac = lsc.almost_complement(y, e)
@@ -110,7 +110,7 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
     # point exactly when i == j: a circle's probe at L is its probe at 0.
     comps = sp.components
     pts = [
-        (ci, p) for ci, p, _ in geo.probe_points(sp, [lsc.supp(y) for y in ys])
+        (ci, p) for ci, p, _ in views.probe_points(sp, [lsc.supp(y) for y in ys])
         if comps[ci].kind != "circle" or p != comps[ci].length
     ]
     pcs = [lsc.indicator(point_complement(sp, ci, p)) for ci, p in pts]

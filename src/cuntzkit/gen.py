@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from . import geometry as geo
-from . import lsc
+from . import lsc, views
 
 DENOMS = (2, 3, 4, 6, 8, 12)
 LENGTHS = (Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2))
@@ -71,8 +71,8 @@ def rand_nonempty_open_set(rng: random.Random, sp: geo.SpaceDescriptor, **kw) ->
 def grid_points(sp: geo.SpaceDescriptor, *sets) -> list:
     """Probe points per component: all piece endpoints, space ends, and
     midpoints of consecutive distinct values. Point components probe None.
-    A view over `geometry.probe_points`."""
-    return [(ci, p) for ci, p, _ in geo.probe_points(sp, sets)]
+    A view over `views.probe_points`."""
+    return [(ci, p) for ci, p, _ in views.probe_points(sp, sets)]
 
 
 def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, inf_bias: float = 0.2):

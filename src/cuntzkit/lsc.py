@@ -98,22 +98,26 @@ def supp(f: LscElement) -> OpenSet:
 
 def embed_element(f: LscElement, target: SpaceDescriptor, offset: int) -> LscElement:
     """f on a larger space that holds f's components from the given offset on."""
-    levels = tuple(geo.embed(lv, target, offset) for lv in f.levels)
-    return LscElement(target, levels, geo.embed(f.infinity, target, offset))
+    from . import views
+
+    levels = tuple(views.embed(lv, target, offset) for lv in f.levels)
+    return LscElement(target, levels, views.embed(f.infinity, target, offset))
 
 
 def eval_at(f: LscElement, ci: int, p=None):
+    from . import views
+
     if not 0 <= ci < len(f.space.components):
         raise ValueError("component index outside the space")
     comp = f.space.components[ci]
-    # A point component with a coordinate raises in `geo.contains_point`.
+    # A point component with a coordinate raises in `views.contains_point`.
     if comp.kind != "point":
         p = frac(p)
         if comp.kind == "arc" and not 0 <= p <= comp.length:
             raise ValueError("point outside the space")
-    if geo.contains_point(f.infinity, ci, p):
+    if views.contains_point(f.infinity, ci, p):
         return math.inf
-    return len([lv for lv in f.levels if geo.contains_point(lv, ci, p)])
+    return len([lv for lv in f.levels if views.contains_point(lv, ci, p)])
 
 
 def leq(f: LscElement, g: LscElement) -> bool:
@@ -264,18 +268,20 @@ def almost_complement(y: LscElement, z: LscElement) -> LscElement:
 
 def interpolate_between(f: LscElement, h: LscElement) -> LscElement:
     """Produce g with f way-below g way-below h, by a uniform level expansion."""
+    from . import views
+
     if not way_below(f, h):
         raise ValueError("interpolation needs f way below h")
     if not f.levels:
         return zero(f.space)
     gaps = []
     for k in range(1, len(f.levels) + 1):
-        d = geo.set_distance(geo.closure(f.levels[k - 1]), geo.complement(level(h, k)))
+        d = views.set_distance(geo.closure(f.levels[k - 1]), geo.complement(level(h, k)))
         if d is not None:
             gaps.append(d)
     delta = (min(gaps) if gaps else frac(2)) / 2
     levels = [
-        geo.intersect(geo.neighborhood(f.levels[k - 1], delta), level(h, k))
+        geo.intersect(views.neighborhood(f.levels[k - 1], delta), level(h, k))
         for k in range(1, len(f.levels) + 1)
     ]
     g = from_levels(f.space, levels)

@@ -30,9 +30,8 @@ import json
 import math
 from fractions import Fraction
 
-from . import geometry as geo
 from . import lsc
-from .geometry import InputError, Record, frac
+from .base import InputError, Record, SpaceDescriptor, frac, frac_from_str, frac_to_str, load_json
 
 
 class El(Record):
@@ -253,7 +252,7 @@ class RationalModel(_Ops):
             return "1''"
         if a.value is None:
             return "inf"
-        return geo.frac_to_str(a.value) + "'"
+        return frac_to_str(a.value) + "'"
 
     def half(self, p: El):
         if p.kind == "s" and p.value is not None:
@@ -270,11 +269,11 @@ class RationalModel(_Ops):
             el = TWIN
         elif t.endswith("'"):
             try:
-                el = soft(geo.frac_from_str(t[:-1], path))
+                el = soft(frac_from_str(t[:-1], path))
             except ValueError:
                 raise InputError(path, f"soft values must be positive, got '{t}'")
         else:
-            v = geo.frac_from_str(t, path)
+            v = frac_from_str(t, path)
             if v.denominator != 1 or v < 0:
                 raise InputError(path, f"compact values are naturals, got '{t}'")
             el = compact(v)
@@ -501,7 +500,7 @@ class LscModel(_Ops):
 
     kind = "lsc"
 
-    def __init__(self, space: geo.SpaceDescriptor):
+    def __init__(self, space: SpaceDescriptor):
         self.space = space
         self.zero = lsc.zero(space)
 
@@ -631,7 +630,7 @@ def table_from_json(obj, path: str = "$") -> TableModel:
     return model
 
 
-def load_model(selector: str, space: geo.SpaceDescriptor | None = None):
+def load_model(selector: str, space: SpaceDescriptor | None = None):
     """Resolve a model selector string."""
     if selector == "lsc":
         if space is None:
@@ -644,5 +643,5 @@ def load_model(selector: str, space: geo.SpaceDescriptor | None = None):
     if selector == "nbar":
         return RationalModel("nbar", finite_softs=False, twin=False)
     if selector.startswith("table:"):
-        return table_from_json(geo.load_json(selector[len("table:"):], "table", "$.model"), "$")
+        return table_from_json(load_json(selector[len("table:"):], "table", "$.model"), "$")
     raise InputError("$.model", f"unknown model {selector!r}")

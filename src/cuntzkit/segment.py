@@ -13,11 +13,11 @@ sweep; they must be valid, as nothing drops them. `_intersect`,
 `_complement`, `_seg_closure` and `_contains` are one sweep each over
 canonical tuples, and `_intersect` also tells whether two tuples meet
 and whether one lies in the other. `_seam_sync` keeps the circle rule
-"0 in S iff L in S" through `_coalesce`. `geometry`, their one user,
-keeps each part's pieces as integers at a scale and re-exports every
-name here: `_at` and `_rescale` move to a scale, `_common` brings two
-scaled tuples to the lcm of their scales and `_least` back to the least
-one.
+"0 in S iff L in S" through `_coalesce`. `geometry` keeps each part's
+pieces as integers at a scale and re-exports every name here: `_at` and
+`_rescale` move to a scale, `_common` brings two scaled tuples to the
+lcm of their scales and `_least` back to the least one. `views`, the
+one other user, keeps the sweeps that only its views and metric run.
 """
 
 from __future__ import annotations
@@ -98,17 +98,6 @@ def _contains(pieces: Sequence[Piece], p) -> bool:
     return False
 
 
-def _probe_sweep(xs: Sequence, ws: Sequence[Piece]) -> list[tuple]:
-    """(x, x in ws) for the sorted points xs and their midpoints, in one sweep."""
-    out = []
-    j = 0
-    for x in xs[:1] + [x for a, b in zip(xs, xs[1:]) for x in ((a + b) // 2, b)]:
-        while j < len(ws) and (ws[j][2] < x or (ws[j][2] == x and not ws[j][3])):
-            j += 1
-        out.append((x, j < len(ws) and (ws[j][0] < x or (ws[j][0] == x and ws[j][1]))))
-    return out
-
-
 def _seam_sync(pieces: tuple[Piece, ...], L) -> tuple[Piece, ...]:
     """Circle seam rule: the points 0 and L are the same point. Only the
     first piece of a canonical tuple can hold 0 and only the last can hold
@@ -137,41 +126,6 @@ def _circle_spans(pieces: tuple[Piece, ...], L) -> list[Piece]:
         glued = (la - L, lain, fb, fbin) if la >= L else (la, lain, fb + L, fbin)
         return sorted([glued, *mid])
     return list(pieces)
-
-
-def _geodesic(x, y, L):
-    d = abs(x - y)
-    return min(d, L - d)
-
-
-def _gap(xs: Sequence[Piece], ys: Sequence[Piece], L) -> int:
-    """The least distance between ends of xs and ys, geodesic on a circle of length L (inf: an arc)."""
-    ends_y = [e for p in ys for e in (p[0], p[2])]
-    return min(_geodesic(x, y, L) for p in xs for x in (p[0], p[2]) for y in ends_y)
-
-
-def _circle_diameter(pieces: Sequence[Piece], L):
-    """Twice the diameter of a nonempty tuple on the circle of length L."""
-    cl = _seam_sync(_seg_closure(pieces), L)
-    if cl == ((0, True, L, True),):
-        return L
-    # Turned by half the circle, which is L at scale 2.
-    cl2 = _rescale(cl, 2)
-    turned = _merge(p for a, ain, b, bin_ in cl2 for p in _wrap(a + L, ain, b + L, bin_, 2 * L))
-    if _intersect(cl2, _seam_sync(turned, 2 * L)):
-        return L
-    ends = [a for a, _, _, _ in cl] + [b for _, _, b, _ in cl]
-    return 2 * max(_geodesic(x, y, L) for x in ends for y in ends)
-
-
-def _grown(pieces: Sequence[Piece], r, L, circle: bool) -> tuple[Piece, ...] | None:
-    """Open r-neighbourhood of a tuple, clipped on an arc; None if a whole circle."""
-    if not circle:
-        return _intersect(_merge((a - r, False, b + r, False) for a, _, b, _ in pieces), ((0, True, L, True),))
-    lifted = _circle_spans(pieces, L)
-    if any((b - a) + 2 * r > L for a, _, b, _ in lifted):
-        return None
-    return _seam_sync(_merge(p for a, _, b, _ in lifted for p in _wrap(a - r, False, b + r, False, L)), L)
 
 
 def _at(x: Fraction, d: int) -> int:

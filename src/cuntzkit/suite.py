@@ -25,7 +25,7 @@ from . import chains
 from . import checks as propcheck
 from . import duality, gen
 from . import geometry as geo
-from . import lsc, models
+from . import lsc, models, views
 from .geometry import InputError
 
 MUTATIONS = ("add-off-by-one",)
@@ -121,7 +121,7 @@ def _chk_infinity_collapse(rng, mutate):
         return "stacked infinity indicator escapes"
     if lsc.supp(lsc.scalar_mul(3, f)) != lsc.supp(f):
         return "scaling moved the support"
-    if any(inside and lsc.eval_at(f, ci, p) != math.inf for ci, p, inside in geo.probe_points(sp, (v,), v)):
+    if any(inside and lsc.eval_at(f, ci, p) != math.inf for ci, p, inside in views.probe_points(sp, (v,), v)):
         return "finite value on the infinite part"
 
 
@@ -130,7 +130,7 @@ def _chk_point_comparability(rng, mutate):
     sp = gen.rand_space(rng, max_components=2)
     y = lsc.indicator(gen.rand_open_set(rng, sp))
     u = lsc.supp(y)
-    for ci, p, inside in geo.probe_points(sp, (u,), u):
+    for ci, p, inside in views.probe_points(sp, (u,), u):
         pc = lsc.indicator(duality.point_complement(sp, ci, p))
         if lsc.leq(y, pc) != (not inside):
             return "point complement misorders"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cuntzkit import chains, gen
+from cuntzkit import chains, gen, views
 from cuntzkit import geometry as geo
 
 ARC = geo.space(geo.arc(1))
@@ -635,13 +635,13 @@ def _window_cover(n):
 
 def test_refine_and_verify_ask_geometry_no_question_per_pair(monkeypatch):
     # The set questions that refining a cover by n windows and verifying
-    # the result ask of `geometry` do not grow with n.
+    # the result ask of `geometry` and its views do not grow with n.
     counts = {}
     for n in (100, 800):
         calls = []
-        for name in ("subset", "meets"):
-            real = getattr(geo, name)
-            monkeypatch.setattr(geo, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for owner, name in ((geo, "subset"), (views, "meets")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
         target, cover = _window_cover(n)
         w = chains.refine_to_almost_chain(cover, target)
         assert w.kind == "chain" and len(w.pieces) > 2 * n

@@ -21,7 +21,7 @@ import cuntzkit
 import oracles
 from cuntzkit import chains, checks, cli, gen, suite
 from cuntzkit import geometry as geo
-from cuntzkit import lsc
+from cuntzkit import lsc, views
 
 
 ARC = geo.space(geo.arc(1))
@@ -423,7 +423,7 @@ def test_chains_epsilon_chain_cap(capsys, arc_file, tmp_path, monkeypatch):
     assert len(json.loads(out)["witness"]["pieces"]) == 4001
     # About 2M pieces: rejected before any piece is built.
     built = []
-    monkeypatch.setattr(geo, "component_set", lambda *a: built.append(a))
+    monkeypatch.setattr(views, "component_set", lambda *a: built.append(a))
     inst = write_json(tmp_path, "c.json", {"target": full_arc_target(), "eps": "1/1000000"})
     code, out, err = run(capsys, ["chains", "epsilon-chain", "-s", arc_file, "--instance", inst])
     assert code == 2 and out == "" and built == []
@@ -651,7 +651,14 @@ def _evenly_spaced_arcs(k):
          geo.set_to_json(geo.normalize(ARC, [((F(0), F(3, 2000000), True, False),)])),
          geo.set_to_json(geo.normalize(ARC, [((F(1, 1000000), F(1), False, True),)]))]}}, "$.cover",
      f"the cover's margin 1/2000000 needs 4000001 pieces, more than the cap of {chains.MAX_CHAIN_PIECES}"),
-], ids=["almost-ordered", "weak-chain", "refine"])
+    # A valid weak-chain instance whose cover, the supports of the ys, is
+    # that cover: it once exited 4, an internal error.
+    (["check", "weak-chain"], "arc",
+     {"x": lsc.element_to_json(lsc.unit(ARC)), "y": lsc.element_to_json(lsc.unit(ARC)),
+      "ys": [lsc.element_to_json(chi((0, F(3, 2000000), True, False))),
+             lsc.element_to_json(chi((F(1, 1000000), 1, False, True)))]}, "$.ys",
+     f"the cover's margin 1/2000000 needs 4000001 pieces, more than the cap of {chains.MAX_CHAIN_PIECES}"),
+], ids=["almost-ordered", "weak-chain", "refine", "weak-chain-margin"])
 def test_over_the_cap_instances_exit_2_at_once(capsys, arc_file, circle_file, tmp_path, argv, space, inst, path,
                                                reason):
     f = write_json(tmp_path, "i.json", inst)
@@ -828,23 +835,40 @@ def _parse_with(parser, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+def _choices(parser):
+    (choices,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    return choices
+
+
 def test_the_parser_of_one_group_reads_and_prints_as_the_full_table(tmp_path, monkeypatch):
-    # main builds only the verbs of the group its first word names.
+    # main builds only the verb its first two words name, or only the
+    # verbs of the group its first word names when the second names none.
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
     full = cli.build_parser()
-    (groups,) = [a.choices for a in full._actions if isinstance(a.choices, dict)]
+    groups = _choices(full)
     argvs = [[], ["--help"], ["nope"], ["nope", "add"]]
+    inexact = []
     for g, gp in groups.items():
         argvs += [[g], [g, "--help"], [g, "nope"]]
-        (verbs,) = [a.choices for a in gp._actions if isinstance(a.choices, dict)]
-        argvs += [[g, v, "--help"] for v in verbs]
-    argvs += [list(call.argv) for call in workloads.cli_calls(42, tmp_path)]
-    assert len(argvs) == 4 + 3 * 5 + 20 + 12
+        verbs = _choices(gp)
+        # Help, a missing required option, an unknown option, extra arguments.
+        argvs += [[g, v, *rest] for v in verbs for rest in (["--help"], [], ["--nope", "1"], ["x", "y", "z"])]
+        # A verb name that is not exact: a prefix, another case, a longer word.
+        inexact += [[g, w] for v in verbs for w in (v[:-1], v.upper(), v + "s") if w not in verbs]
+        for v in verbs:
+            assert _choices(_choices(cli.build_parser(g, v))[g]).keys() == {v}, (g, v)
+    for g, w in inexact:
+        assert _choices(_choices(cli.build_parser(g, w))[g]).keys() == _choices(groups[g]).keys(), (g, w)
+    calls = [list(call.argv) for call in workloads.cli_calls(42, tmp_path)]
+    argvs += inexact + calls
+    assert len(argvs) == 4 + 3 * 5 + 4 * 20 + len(inexact) + 12 and len(inexact) == 3 * 20
     for argv in argvs:
-        one = _parse_with(cli.build_parser(argv[0] if argv else None), argv)
+        one = _parse_with(cli.build_parser(*argv[:2]), argv)
         assert one == _parse_with(full, argv), argv
+        # The group's parser, as a command line with no verb or another builds it.
+        assert _parse_with(cli.build_parser(argv[0] if argv else None), argv) == one, argv
 
 
 def test_output_is_deterministic(capsys, tmp_path):

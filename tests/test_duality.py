@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzkit import duality, gen, lsc
+from cuntzkit import duality, gen, lsc, views
 from cuntzkit import geometry as geo
 
 import oracles
@@ -76,8 +76,8 @@ def _distinct_points(sp, ys):
 
 def test_topology_laws_build_each_probe_once(monkeypatch):
     built, joins = [], []
-    real_complement, real_join = geo.point_complement, lsc.join
-    monkeypatch.setattr(geo, "point_complement", lambda *a: built.append(a[1:]) or real_complement(*a))
+    real_complement, real_join = views.point_complement, lsc.join
+    monkeypatch.setattr(views, "point_complement", lambda *a: built.append(a[1:]) or real_complement(*a))
     monkeypatch.setattr(lsc, "join", lambda f, g: joins.append(1) or real_join(f, g))
     rng = random.Random(31)
     for _ in range(25):

@@ -1,9 +1,9 @@
 """Layering rules of the package, checked on its own source.
 
-`geometry` alone reads the stored piece tuples of a set (`.parts`) and
-its private helpers, and alone imports `segment`, the sweeps over those
-tuples; every other module goes through the public set operations and
-per-component views. `checks` sees a model only through the protocol
+`geometry` and its views module `views` alone read the stored piece
+tuples of a set (`.parts`) and geometry's private helpers, and alone
+import `segment`, the sweeps over those tuples; every other module goes
+through the public set operations and per-component views. `checks` sees a model only through the protocol
 its methods answer: it uses no name of `models`, it never probes a
 model with `getattr`, and only
 `check_refinable_sums` reads `model.kind`, to pick the constructive
@@ -12,10 +12,12 @@ read them see real names, and `geometry.py` stays below the size at
 which compiling it takes a step more memory. A CLI process imports no
 more of the standard library than it needs: no module uses
 `dataclasses`, and importing the CLI loads neither it, `inspect` nor
-`hashlib`. A CLI call runs only the layers its verb touches, each layer
-is one module object whichever is imported first, and `import
-cuntzkit.cli` still puts every layer the benchmark traces in
-`sys.modules`.
+`hashlib`. A CLI call runs only the layers and the handler module its
+verb touches, and compiles no more than a fixed budget of tokens for two
+of them. Each layer is one module object whichever is imported first,
+and `import cuntzkit.cli` still puts every layer the benchmark traces in
+`sys.modules`. A name that `geometry` or `chains` hands out for a module
+split from it is that module's own object.
 """
 
 import ast
@@ -76,8 +78,14 @@ def test_the_rule_catches_each_kind_of_reach():
     assert reaches_into_geometry(src) == ["2: imports _merge", "3: geo._only", "4: .parts"]
 
 
+# The modules that read the representation: `geometry`, and `views`, its
+# per-component views and metric, split from it so that a call which only
+# builds and compares sets does not compile them.
+REPRESENTATION = {"geometry.py", "views.py"}
+
+
 def test_only_geometry_reads_the_representation():
-    modules = sorted(p for p in PKG.glob("*.py") if p.name != "geometry.py")
+    modules = sorted(p for p in PKG.glob("*.py") if p.name not in REPRESENTATION)
     assert modules
     found = {p.name: reaches_into_geometry(p.read_text()) for p in modules}
     assert {k: v for k, v in found.items() if v} == {}
@@ -86,7 +94,7 @@ def test_only_geometry_reads_the_representation():
 def test_only_geometry_imports_the_segment_sweeps():
     found = []
     for path in sorted(PKG.glob("*.py")):
-        if path.name == "geometry.py":
+        if path.name in REPRESENTATION:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -264,7 +272,9 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
 # tracer right after `import cuntzkit.cli`, and the tracer finds each of
 # these in `sys.modules` there; reading them through `vars()` runs them.
 TRACED_LAYERS = ("geometry", "lsc", "gen", "duality", "models", "chains", "checks")
-BELOW = {"base", "segment", "geometry", "cli"}
+# What every call runs, and what every call that reads a space runs.
+BELOW = {"base", "cli"}
+SETS = {"segment", "geometry"}
 
 
 def _python(code, *argv):
@@ -278,6 +288,16 @@ def _python(code, *argv):
 def test_importing_the_cli_registers_every_traced_layer():
     code = "import sys, cuntzkit.cli; print(*(n for n in sys.argv[1:] if f'cuntzkit.{n}' not in sys.modules))"
     assert _python(code, *TRACED_LAYERS).split() == []
+
+
+def test_importing_the_package_or_the_cli_runs_only_base():
+    code = (
+        "import importlib, sys, types\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "print(*sorted(n for n, m in sys.modules.items() if n.split('.')[0] == 'cuntzkit' and type(m) is types.ModuleType))\n"
+    )
+    assert _python(code, "cuntzkit").split() == ["cuntzkit", "cuntzkit.base"]
+    assert _python(code, "cuntzkit.cli").split() == ["cuntzkit", "cuntzkit.base", "cuntzkit.cli"]
 
 
 def _instance_files(tmp_path):
@@ -304,13 +324,18 @@ def _instance_files(tmp_path):
     }
 
 
+# Each call: its exit code and the modules it runs beyond BELOW. No call
+# runs `gridsearch`, or the handler module of another group.
 @pytest.mark.parametrize("argv, code, layers", [
-    ("lsc add -s {space} --instance {add}", 0, {"lsc"}),
-    # Without points, the probes come from `geometry`, not `gen`.
-    ("lsc eval -s {space} --instance {eval}", 0, {"lsc"}),
-    ("chains lebesgue -s {space} --instance {cover}", 0, {"chains"}),
-    ("check refinable-sums --model z --instance {sums}", 1, {"checks", "models"}),
-    ("verify lemmas --cases 2 --check chain-decider-consistency", 0, {"suite", "chains", "gen"}),
+    # No views: elements are parsed, added and written by `geometry` alone.
+    ("lsc add -s {space} --instance {add}", 0, SETS | {"lsc", "cli_lsc"}),
+    # Without points, the probes come from `views`, not `gen`.
+    ("lsc eval -s {space} --instance {eval}", 0, SETS | {"views", "lsc", "cli_lsc"}),
+    ("chains lebesgue -s {space} --instance {cover}", 0, SETS | {"views", "chains", "cli_chains"}),
+    # The rational model reads no space: no `geometry`, no `segment`.
+    ("check refinable-sums --model z --instance {sums}", 1, {"checks", "models", "cli_check"}),
+    ("verify lemmas --cases 2 --check chain-decider-consistency", 0,
+     SETS | {"views", "suite", "chains", "gen", "cli_verify"}),
 ])
 def test_a_cli_call_runs_only_the_layers_its_verb_touches(tmp_path, argv, code, layers):
     # A module registered but never run is not of type ModuleType itself.
@@ -323,6 +348,56 @@ def test_a_cli_call_runs_only_the_layers_its_verb_touches(tmp_path, argv, code, 
     )
     out = _python(script, *argv.format(**_instance_files(tmp_path)).split()).split()
     assert (int(out[0]), set(out[1:])) == (code, BELOW | layers)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="Python 3.12 tokenizes f-strings differently")
+@pytest.mark.parametrize("argv, budget", [
+    # At the parent of the views split these compiled 15,621 and 23,850.
+    ("lsc add -s {space} --instance {add}", 12_000),
+    ("check refinable-sums --model z --instance {sums}", 16_000),
+])
+def test_a_cli_call_compiles_few_tokens(tmp_path, argv, budget):
+    # With no bytecode cache each module a call runs is compiled from its
+    # source, at a cost that grows with its tokens (COMMENT and NL not
+    # counted, as in test_geometry_stays_below_the_compile_memory_step).
+    script = (
+        "import contextlib, io, sys, types, cuntzkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cuntzkit.cli.main(sys.argv[1:])\n"
+        "print(*(m.__file__ for n, m in sys.modules.items()\n"
+        "        if n.split('.')[0] == 'cuntzkit' and type(m) is types.ModuleType))\n"
+    )
+    counts = {}
+    for path in _python(script, *argv.format(**_instance_files(tmp_path)).split()).split():
+        with open(path, encoding="utf-8") as fh:
+            counts[pathlib.Path(path).name] = sum(
+                1 for t in tokenize.generate_tokens(fh.readline) if t.type not in (tokenize.COMMENT, tokenize.NL))
+    assert "__init__.py" in counts and "cli.py" in counts
+    assert sum(counts.values()) < budget, counts
+
+
+@pytest.mark.parametrize("owner, home, names", [
+    ("geometry", "views", "_VIEWS"),
+    ("chains", "gridsearch", "_SEARCH"),
+])
+def test_names_split_off_are_read_from_their_new_module(owner, home, names):
+    # Importing the module they were split from does not load them, and
+    # each function the new module defines reads there as the same object.
+    code = (
+        "import importlib, sys, types\n"
+        "owner = importlib.import_module(f'cuntzkit.{sys.argv[1]}')\n"
+        "full = f'cuntzkit.{sys.argv[2]}'\n"
+        "print(type(sys.modules.get(full)) is types.ModuleType)\n"
+        "home = importlib.import_module(full)\n"
+        "names = sorted(getattr(owner, sys.argv[3]))\n"
+        "print(len(names), all(getattr(owner, n) is getattr(home, n) is vars(owner)[n] for n in names))\n"
+        "print(*sorted(n for n, f in vars(home).items() if getattr(f, '__module__', None) == full and n not in names))\n"
+    )
+    loaded, checked, missing = _python(code, owner, home, names).split("\n")[:3]
+    assert (loaded, missing) == ("False", "")
+    assert checked.split() == [str(len(getattr(importlib.import_module(f"cuntzkit.{owner}"), names))), "True"]
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        importlib.import_module(f"cuntzkit.{owner}").nope
 
 
 @pytest.fixture
@@ -347,7 +422,7 @@ def test_each_layer_is_one_module_in_either_import_order(fresh_package, first):
     checks = importlib.import_module("cuntzkit.checks")
     assert {n: sys.modules[n] for n in before} == before
     pkg = sys.modules["cuntzkit"]
-    for name in ("chains", "checks", "duality", "gen", "lsc", "models", "suite"):
+    for name in ("geometry", "views", "chains", "checks", "duality", "gen", "lsc", "models", "suite"):
         mod = sys.modules[f"cuntzkit.{name}"]
         assert getattr(pkg, name) is mod
         assert getattr(cli, name, mod) is mod
@@ -356,6 +431,6 @@ def test_each_layer_is_one_module_in_either_import_order(fresh_package, first):
     # Values made in one layer are instances of the classes another names.
     model = suite.models.load_model("z")
     verdict = checks.check_refinable_sums(model, [model.parse("1")], [model.parse("1")])
-    assert isinstance(verdict, cli.checks.PropertyVerdict) and pkg.SearchBounds is checks.SearchBounds
+    assert isinstance(verdict, pkg.checks.PropertyVerdict) and pkg.SearchBounds is checks.SearchBounds
     assert isinstance(cli.lsc.zero(pkg.space(pkg.arc())), sys.modules["cuntzkit.lsc"].LscElement)
     assert pkg.InputError is cli.InputError is sys.modules["cuntzkit.base"].InputError
