@@ -7,7 +7,8 @@ diameter. Deciders classify structurally: a connected open set is
 chainable unless it is a whole circle, and a space is almost or piecewise
 chainable exactly when it has no circle component. A bounded grid search
 (`gridsearch`) is provided as independent evidence for negative answers;
-its names are read here too, and load it on the first read.
+its readers import it from there, and only `exhaustive_chain_search`
+is still read here, for bench/workloads.py.
 """
 
 from __future__ import annotations
@@ -410,9 +411,11 @@ def cover_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> Cover:
         raise InputError(f"{path}.pieces", str(exc))
 
 
-# The grid search's names, kept readable here; the first read loads
-# `gridsearch` and keeps the name in this module's globals.
-_SEARCH = frozenset({"exhaustive_chain_search", "grid_arc_mask", "_chain_dfs", "_extend_chain"})
+# The grid search lives in `gridsearch`, and every reader in the package
+# and its tests imports it from there. The one name still readable here
+# serves bench/workloads.py, and goes with ROADMAP item 1: its first read
+# loads `gridsearch` and keeps the name in this module's globals.
+_SEARCH = frozenset({"exhaustive_chain_search"})
 
 
 def __getattr__(name):

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from . import chains
 from . import geometry as geo
-from .cli import EXIT_NEGATIVE, EXIT_OK, InputError, _emit, _field, _instance_of, _space_of
+from .base import InputError
+from .cli import EXIT_NEGATIVE, EXIT_OK, _emit, _field, _instance_of, _space_of
 
 
 def cmd_chains_epsilon_chain(args) -> int:

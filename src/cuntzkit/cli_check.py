@@ -6,9 +6,9 @@ from __future__ import annotations
 import functools
 
 from . import chains, checks, lsc, models
+from .base import InputError
 from .cli import (
-    EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, InputError, _emit, _field, _instance_of, _operands, _parse_elements,
-    _space_of,
+    EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, _emit, _field, _instance_of, _operands, _parse_elements, _space_of,
 )
 
 

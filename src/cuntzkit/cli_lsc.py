@@ -8,7 +8,8 @@ import math
 
 from . import geometry as geo
 from . import lsc, views
-from .cli import EXIT_NEGATIVE, EXIT_OK, InputError, _emit, _field, _instance_of, _operands, _parse_elements, _space_of
+from .base import InputError
+from .cli import EXIT_NEGATIVE, EXIT_OK, _emit, _field, _instance_of, _operands, _parse_elements, _space_of
 
 
 def cmd_lsc_eval(args) -> int:

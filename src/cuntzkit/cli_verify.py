@@ -4,7 +4,8 @@ command (`cli`), loaded when it is dispatched."""
 from __future__ import annotations
 
 from . import suite
-from .cli import EXIT_NEGATIVE, EXIT_OK, InputError, _emit, load_json
+from .base import InputError, load_json
+from .cli import EXIT_NEGATIVE, EXIT_OK, _emit
 
 
 def cmd_verify_lemmas(args) -> int:

@@ -16,7 +16,8 @@ from . import lsc, views
 
 
 def point_complement(sp: geo.SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
-    """The open set of everything except one point of component ci."""
+    """`views.point_complement`, kept for its one reader,
+    bench/workloads.py, until ROADMAP item 1."""
     return views.point_complement(sp, ci, p)
 
 
@@ -46,7 +47,7 @@ def verify_basictop(y: lsc.LscElement, z: lsc.LscElement) -> dict:
 
     agree = True
     for ci, p, member in views.probe_points(sp, (uy, uz), uy):
-        pc = lsc.indicator(point_complement(sp, ci, p))
+        pc = lsc.indicator(views.point_complement(sp, ci, p))
         joined = lsc.join(y, pc) == e
         if member != joined:
             agree = False
@@ -113,7 +114,7 @@ def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
         (ci, p) for ci, p, _ in views.probe_points(sp, [lsc.supp(y) for y in ys])
         if comps[ci].kind != "circle" or p != comps[ci].length
     ]
-    pcs = [lsc.indicator(point_complement(sp, ci, p)) for ci, p in pts]
+    pcs = [lsc.indicator(views.point_complement(sp, ci, p)) for ci, p in pts]
     out["grid_points_are_separated"] = all(
         pcs[i] != e and all((lsc.join(pcs[i], pcs[j]) == e) != (i == j) for j in range(i, len(pcs)))
         for i in range(len(pcs))

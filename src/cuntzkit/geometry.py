@@ -7,8 +7,9 @@ one least common denominator per component. Open and closed subsets are
 kept in a canonical form so that structural equality coincides with
 equality of the represented point sets.
 
-The metric is the arc-length metric inside a component (geodesic on
-circles) and a constant 2 between points of different components.
+The metric of `views` is the arc-length metric inside a component
+(geodesic on circles) and a constant 2 between points of different
+components.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
-# The value layer; every name is re-exported.
+# The value layer; its public names are re-exported.
 from .base import (
     Component, InputError, Record, SpaceDescriptor, SpaceMismatchError, _set,
     arc, circle, frac, frac_from_str, frac_to_str, load_json, point, space,
 )
-# The sweeps over piece tuples; every name is re-exported.
+# The sweeps over piece tuples that this module runs.
 from .segment import (
-    Piece, Scaled, _at, _circle_spans, _coalesce, _common, _complement, _contains, _intersect, _least, _merge,
-    _rescale, _seam_sync, _seg_closure, _wrap,
+    Piece, Scaled, _at, _circle_spans, _common, _complement, _contains, _intersect, _least, _merge, _seam_sync,
+    _seg_closure, _wrap,
 )
 
 
@@ -53,12 +54,13 @@ from .segment import (
 # Records are immutable and every stored part is canonical, so `union` and
 # `intersect` of two sets of one class return an operand when the other
 # side is empty or the same object.
-# `grid_set` and `grid_windows` take integers at a scale and
-# `scaled_spans` gives them back; otherwise Fractions only cross the
-# boundary: `normalize`, `open_set_from_json`, `component_set`,
-# `neighborhood` and `contains_point` take them; `spans`, `breakpoints`,
-# `probe_points`, `diameter`, `max_diameter`, `set_distance` and
-# `set_to_json` give them back. `probe_points` builds and sweeps its probes on integers and hands
+# `grid_set` and `views.grid_windows` take integers at a scale and
+# `views.scaled_spans` gives them back; otherwise Fractions only cross the
+# boundary: `normalize`, `open_set_from_json` and the views
+# `component_set`, `neighborhood` and `contains_point` take them;
+# `set_to_json` and the views `spans`, `breakpoints`, `probe_points`,
+# `diameter`, `max_diameter` and `set_distance` give them back.
+# `views.probe_points` builds and sweeps its probes on integers and hands
 # out only the probe itself as a Fraction.
 
 
@@ -322,16 +324,12 @@ def compactly_contained(a: OpenSet, b: OpenSet) -> bool:
 
 # ---------------------------------------------------------------------------
 # The per-component views and the metric live in `views`, which a call
-# that builds and compares sets alone never compiles. Each of its names
-# stays readable here: the first read loads `views` and keeps the name in
-# this module's globals. The package's own callers import `views` itself.
+# that builds and compares sets alone never compiles; every reader in the
+# package and its tests imports `views` itself. The one name still
+# readable here serves bench/workloads.py, and goes with ROADMAP item 1:
+# its first read loads `views` and keeps the name in this module's globals.
 
-_VIEWS = frozenset({
-    "breakpoints", "component_set", "connected_components", "contains_point", "diameter", "embed",
-    "grid_windows", "max_diameter", "meets", "neighborhood", "point_complement", "probe_points", "restrict",
-    "scaled_spans", "set_distance", "spans", "union_all",
-    "_ZERO", "_circle_diameter", "_comp", "_gap", "_geodesic", "_grown", "_only", "_probe_sweep",
-})
+_VIEWS = frozenset({"neighborhood"})
 
 
 def __getattr__(name):

@@ -2,8 +2,9 @@
 are structural (`chains.decide_chainable`); this search independently
 confirms them at desk scale by enumerating all chains whose pieces are
 open grid arcs at a given dyadic depth. No verb runs it, so it lives
-apart from `chains`, which hands out its names through its module
-`__getattr__`.
+apart from `chains`. Its readers import it from here; `chains` forwards
+only `exhaustive_chain_search`, which bench/workloads.py reads through
+it.
 """
 
 from __future__ import annotations

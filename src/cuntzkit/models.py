@@ -510,6 +510,9 @@ class LscModel(_Ops):
     def add(self, a, b):
         return lsc.add(a, b)
 
+    def sum(self, seq):
+        return lsc.sum(self.space, seq)
+
     def wb(self, a, b) -> bool:
         return lsc.way_below(a, b)
 

@@ -14,7 +14,7 @@ sweep; they must be valid, as nothing drops them. `_intersect`,
 canonical tuples, and `_intersect` also tells whether two tuples meet
 and whether one lies in the other. `_seam_sync` keeps the circle rule
 "0 in S iff L in S" through `_coalesce`. `geometry` keeps each part's
-pieces as integers at a scale and re-exports every name here: `_at` and
+pieces as integers at a scale and imports the sweeps it runs: `_at` and
 `_rescale` move to a scale, `_common` brings two scaled tuples to the
 lcm of their scales and `_least` back to the least one. `views`, the
 one other user, keeps the sweeps that only its views and metric run.

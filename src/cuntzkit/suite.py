@@ -131,7 +131,7 @@ def _chk_point_comparability(rng, mutate):
     y = lsc.indicator(gen.rand_open_set(rng, sp))
     u = lsc.supp(y)
     for ci, p, inside in views.probe_points(sp, (u,), u):
-        pc = lsc.indicator(duality.point_complement(sp, ci, p))
+        pc = lsc.indicator(views.point_complement(sp, ci, p))
         if lsc.leq(y, pc) != (not inside):
             return "point complement misorders"
 

@@ -6,8 +6,8 @@ A view reads a set one component at a time: `component_set`, `restrict`,
 `max_diameter`, `set_distance` and `neighborhood`; `meets`, `union_all`,
 `point_complement` and `grid_windows` build or compare sets for chain
 covers. Like `geometry`, this module reads the stored parts and the
-sweeps of `segment`; `geometry` hands out every name here through its
-module `__getattr__`, which loads this module on the first read of one.
+sweeps of `segment`. Its readers import it; `geometry` forwards only
+`neighborhood`, which bench/workloads.py reads through it.
 
 Coordinates are lifted: on a circle of length L a span through the seam
 is one interval (a, a_in, b, b_in) with 0 <= a < L < b, and a point

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from cuntzkit import gen
 from cuntzkit import geometry as geo
+from cuntzkit import segment, views
 
 
 def member(s, ci: int, p) -> bool:
@@ -56,7 +57,7 @@ def grid_points(sp, *sets) -> list:
             continue
         vals = {Fraction(0), comp.length, comp.length / 2}
         for s in sets:
-            vals.update(geo.breakpoints(s, ci))
+            vals.update(views.breakpoints(s, ci))
         ordered = sorted(vals)
         probes = set(ordered)
         for x, y in zip(ordered, ordered[1:]):
@@ -69,7 +70,7 @@ def grid_points(sp, *sets) -> list:
 def probe_points(sp, sets, within=None) -> list:
     """`grid_points` with each probe's membership in `within` by
     `member`, one point at a time: the slow route of
-    `geometry.probe_points`."""
+    `views.probe_points`."""
     return [(ci, p, within is not None and member(within, ci, p)) for ci, p in grid_points(sp, *sets)]
 
 
@@ -101,7 +102,7 @@ def shrink_open_set(s, k: int):
             continue
         ivs = []
         if comp.kind == "circle":
-            for a, _, b, _ in geo._circle_spans(part, L):
+            for a, _, b, _ in segment._circle_spans(part, L):
                 a2, b2 = a + step, b - step
                 if a2 < b2:
                     start = a2 % L
@@ -156,21 +157,21 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
 
 def chain_pattern_meets(pieces, almost: bool) -> bool:
     """`chains.chain_pattern_ok` as a sweep that only names candidates: a
-    sort-and-sweep over the closed spans of `geo.scaled_spans` yields the
-    pairs of pieces whose closures overlap, and each gets `geo.meets`; a
-    chain's consecutive pairs get `geo.meets` too."""
+    sort-and-sweep over the closed spans of `views.scaled_spans` yields the
+    pairs of pieces whose closures overlap, and each gets `views.meets`; a
+    chain's consecutive pairs get `views.meets` too."""
     if not almost:
         for i, p in enumerate(pieces):
             if geo.is_empty(p):
                 return False
-            if i and not geo.meets(pieces[i - 1], p):
+            if i and not views.meets(pieces[i - 1], p):
                 return False
     tested = set()
     for pair in closure_overlaps(pieces):
         i, j = pair
         if j - i >= 2 and pair not in tested:
             tested.add(pair)
-            if geo.meets(pieces[i], pieces[j]):
+            if views.meets(pieces[i], pieces[j]):
                 return False
     return True
 
@@ -184,7 +185,7 @@ def closure_overlaps(pieces):
         return
     sp = pieces[0].space
     for ci, comp in enumerate(sp.components):
-        D, per = geo.scaled_spans(sp, pieces, ci)
+        D, per = views.scaled_spans(sp, pieces, ci)
         L = int(comp.length * D) if comp.kind == "circle" else None
         ivs = []
         for i, spans in enumerate(per):
@@ -223,9 +224,9 @@ def union_fold(sp, pieces):
 
 
 def mesh_of(pieces) -> Fraction:
-    """The largest `geo.diameter` of the pieces, a Fraction for each; 0 for
+    """The largest `views.diameter` of the pieces, a Fraction for each; 0 for
     none."""
-    return max((geo.diameter(p) for p in pieces), default=Fraction(0))
+    return max((views.diameter(p) for p in pieces), default=Fraction(0))
 
 
 def component_span(piece):
@@ -251,14 +252,14 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    comps = geo.connected_components(target)
+    comps = views.connected_components(target)
     if len(comps) != 1:
         raise ValueError("the grid search handles one connected target")
     sp = target.space
     ci, span = component_span(comps[0])
     if sp.components[ci].kind == "point":
-        piece = geo.component_set(sp, ci)
-        if geo.diameter(piece) < eps:
+        piece = views.component_set(sp, ci)
+        if views.diameter(piece) < eps:
             return chains.ChainWitness("chain", (piece,), Fraction(0), (0,))
         return None
     n = 2 ** depth
@@ -271,7 +272,7 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
             if min(l * g, L / 2) >= eps:
                 continue
             for i in range(n):
-                w = geo.component_set(sp, ci, (i * g, False, (i + l) * g, False))
+                w = views.component_set(sp, ci, (i * g, False, (i + l) * g, False))
                 arcs.append(w)
                 if i == 0:
                     roots.append(w)
@@ -285,7 +286,7 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
                     continue
                 lo_in = a_in if i == 0 else False
                 hi_in = b_in if j == n else False
-                arcs.append(geo.component_set(sp, ci, (a0 + i * g, lo_in, a0 + j * g, hi_in)))
+                arcs.append(views.component_set(sp, ci, (a0 + i * g, lo_in, a0 + j * g, hi_in)))
         roots = arcs
     seen = set()
 
@@ -317,7 +318,7 @@ def exhaustive_chain_search(target, eps, depth: int = 4):
 
 
 def chain_dfs(masks, roots, full):
-    """`chains._chain_dfs` on the same masks, with no reachability prune and
+    """`gridsearch._chain_dfs` on the same masks, with no reachability prune and
     the list of the masks that meet each mask built up front for every
     mask. It reaches the depth-5 circle of the benchmark, where
     `exhaustive_chain_search` above, with an OpenSet per node, is too slow."""
@@ -357,7 +358,7 @@ def epsilon_chain(target, eps):
     eps = geo.frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    comps = geo.connected_components(target)
+    comps = views.connected_components(target)
     if not comps:
         return chains.ChainWitness("chain", (), Fraction(0), ())
     if len(comps) > 1:
@@ -367,7 +368,7 @@ def epsilon_chain(target, eps):
     if span is None and sp.components[ci].kind == "circle":
         raise chains.NotChainableError("a whole circle admits no chain cover of small mesh")
     if span is None:
-        piece = geo.component_set(sp, ci)
+        piece = views.component_set(sp, ci)
         return chains.ChainWitness("chain", (piece,), Fraction(0), (0,))
     a, a_in, b, b_in = span
     length = b - a
@@ -383,7 +384,7 @@ def epsilon_chain(target, eps):
         hi = lo + w
         lo_in = a_in if i == 0 else False
         hi_in = b_in if i == 2 * n - 2 else False
-        pieces.append(geo.component_set(sp, ci, (lo, lo_in, hi, hi_in)))
+        pieces.append(views.component_set(sp, ci, (lo, lo_in, hi, hi_in)))
     return chains.ChainWitness("chain", tuple(pieces), mesh_of(pieces), (0,) * len(pieces))
 
 
@@ -438,7 +439,7 @@ def sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
 def circle_block_search(space, ci, traces, bounds, log):
     import itertools
 
-    fullc = geo.component_set(space, ci)
+    fullc = views.component_set(space, ci)
     for tr in traces:
         if geo.subset(fullc, tr):
             return [fullc]
@@ -458,7 +459,7 @@ def circle_block_search(space, ci, traces, bounds, log):
     grid = 2 ** min(bounds.depth, 4)
     bps = set()
     for tr in traces:
-        bps.update(x % L for x in geo.breakpoints(tr, ci))
+        bps.update(x % L for x in views.breakpoints(tr, ci))
     for k in range(grid):
         bps.add(L * k / grid)
     bps = sorted(bps)
@@ -467,7 +468,7 @@ def circle_block_search(space, ci, traces, bounds, log):
         for b in bps:
             if a == b:
                 continue
-            arc = geo.component_set(space, ci, (a, False, b if b > a else b + L, False))
+            arc = views.component_set(space, ci, (a, False, b if b > a else b + L, False))
             if any(geo.subset(arc, tr) for tr in traces):
                 arcs.append(arc)
     cap = min(8, 2 * len(traces) + 2)
@@ -508,7 +509,7 @@ def circle_block_search(space, ci, traces, bounds, log):
 
 
 def spans(s, ci: int, window=None) -> list:
-    """`geometry.spans` computed on Fractions: the stored pieces read
+    """`views.spans` computed on Fractions: the stored pieces read
     through `rat_parts`, a circle's first and last pieces glued back
     through the seam, and with a window the circle spans repeated every L
     along the line, merged, and clipped to it."""
@@ -1093,13 +1094,13 @@ def weak_chain_clipped(space, x, y, ys, bounds):
 
     xp = lsc.meet(x, lsc.unit(space))
     supp = lsc.supp(xp)
-    slices = [geo.restrict(supp, ci) for ci in range(len(space.components))]
+    slices = [views.restrict(supp, ci) for ci in range(len(space.components))]
     full = [ci for ci, comp in enumerate(space.components)
-            if comp.kind == "circle" and slices[ci] == geo.component_set(space, ci)]
+            if comp.kind == "circle" and slices[ci] == views.component_set(space, ci)]
     rest = union_fold(space, [s for ci, s in enumerate(slices) if ci not in full])
     zs, log = [], []
     for ci in full:
-        traces = [tr for tr in (geo.restrict(lsc.supp(t), ci) for t in ys) if not geo.is_empty(tr)]
+        traces = [tr for tr in (views.restrict(lsc.supp(t), ci) for t in ys) if not geo.is_empty(tr)]
         block = circle_block_search(space, ci, traces, bounds, log)
         if block is None:
             log.append(f"the support contains circle component {ci} entirely, and the cover "
@@ -1188,7 +1189,7 @@ def propto_capped(model, a, b, cap: int = 64) -> bool:
 
 # The complement of one point through the checked constructor: every entry
 # goes through `geo.grid_set`'s validation, wrap, merge and least scale.
-# `geo.point_complement` writes the same canonical parts directly, and must
+# `views.point_complement` writes the same canonical parts directly, and must
 # raise the same `InputError` for a point off an arc.
 
 
@@ -1238,7 +1239,7 @@ def rand_cover_pieces(rng, sp, target, max_pieces: int = 5) -> list:
 def components_as_space(target):
     """The connected components of an open set, viewed as an abstract space."""
     comps = []
-    for piece in geo.connected_components(target):
+    for piece in views.connected_components(target):
         ci, span = component_span(piece)
         comp = target.space.components[ci]
         if span is None:

@@ -20,9 +20,11 @@ from cuntzkit import cli
 from cuntzkit import duality
 from cuntzkit import gen
 from cuntzkit import geometry as geo
+from cuntzkit import gridsearch
 from cuntzkit import lsc
 from cuntzkit import models
 from cuntzkit import suite
+from cuntzkit import views
 
 
 def report(num, name, ok, detail=""):
@@ -223,14 +225,14 @@ def test_criterion_08_chainability_matrix():
     cover = chains.make_cover(w.pieces)
     against_own_pieces = chains.ChainWitness(w.kind, w.pieces, w.mesh,
                                              tuple(range(len(w.pieces))))
-    arc_ok = (geo.max_diameter(w.pieces) < F(1, 100)
+    arc_ok = (views.max_diameter(w.pieces) < F(1, 100)
               and chains.verify_witness(against_own_pieces, arc_target, cover)
               and chains.decide_chainable(arc_target))
 
     circle = geo.space(geo.circle(1))
     circle_target = geo.normalize(circle, ["full"])
     circle_ok = (not chains.decide_chainable(circle_target)
-                 and chains.exhaustive_chain_search(circle_target, F(1, 2), depth=4) is None)
+                 and gridsearch.exhaustive_chain_search(circle_target, F(1, 2), depth=4) is None)
 
     mixed = geo.space(geo.arc(1), geo.circle(1))
     pieces = geo.space(geo.arc(1), geo.arc(2), geo.point())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cuntzkit import chains, gen, views
+from cuntzkit import chains, gen, gridsearch, views
 from cuntzkit import geometry as geo
 
 ARC = geo.space(geo.arc(1))
@@ -160,7 +160,7 @@ def test_verify_witness_incomplete_coverage():
     cover = chains.make_cover([target])
     w = chains.epsilon_chain(target, F("1/3"))
     cut = chains.ChainWitness(
-        w.kind, w.pieces[:-1], geo.max_diameter(w.pieces[:-1]), w.refines[:-1]
+        w.kind, w.pieces[:-1], views.max_diameter(w.pieces[:-1]), w.refines[:-1]
     )
     assert not chains.verify_witness(cut, target, cover)
 
@@ -197,9 +197,9 @@ def test_lebesgue_circle_cover():
     pts = [F(i, 16) for i in range(16)]
     for p in pts:
         for q in pts:
-            if geo._geodesic(p, q, F(1)) < delta:
+            if views._geodesic(p, q, F(1)) < delta:
                 assert any(
-                    geo.contains_point(c, 0, p) and geo.contains_point(c, 0, q)
+                    views.contains_point(c, 0, p) and views.contains_point(c, 0, q)
                     for c in (c1, c2, c3)
                 )
 
@@ -285,7 +285,7 @@ def test_cover_json_round_trip():
 
 def test_exhaustive_search_finds_arc_chain():
     target = geo.full_set(ARC)
-    w = chains.exhaustive_chain_search(target, F("3/4"), depth=2)
+    w = gridsearch.exhaustive_chain_search(target, F("3/4"), depth=2)
     assert w is not None
     assert chains.verify_witness(w, target, chains.make_cover([target]))
     assert w.mesh < F("3/4")
@@ -294,7 +294,7 @@ def test_exhaustive_search_finds_arc_chain():
 def test_exhaustive_search_rejects_circle():
     # Independent of the structural decider: no grid chain covers a circle.
     target = geo.full_set(CIRCLE)
-    assert chains.exhaustive_chain_search(target, F("1/2"), depth=3) is None
+    assert gridsearch.exhaustive_chain_search(target, F("1/2"), depth=3) is None
 
 
 def _search_targets(rng):
@@ -319,14 +319,14 @@ def test_grid_search_matches_the_openset_oracle():
     for target in _search_targets(rng):
         for depth in (1, 2, 3):
             eps = F(rng.randint(1, 12), rng.choice([4, 8, 12]))
-            got = chains.exhaustive_chain_search(target, eps, depth)
+            got = gridsearch.exhaustive_chain_search(target, eps, depth)
             assert got == oracles.exhaustive_chain_search(target, eps, depth), (target, eps, depth)
             outcomes.add(got is None)
     assert outcomes == {True, False}
     # The benchmark's two instances, at its depths.
     for target, eps, depth, found in ((geo.full_set(CIRCLE), F(1, 2), 4, False),
                                       (arcset((F(0), F(1), True, True)), F(1, 8), 5, True)):
-        got = chains.exhaustive_chain_search(target, eps, depth)
+        got = gridsearch.exhaustive_chain_search(target, eps, depth)
         assert got == oracles.exhaustive_chain_search(target, eps, depth)
         assert (got is not None) == found
 
@@ -342,25 +342,25 @@ def _mask_families(rng):
         n = rng.choice((3, 4, 6, 8, 12))
         points = n if cyclic else n + 1
         most = rng.randint(1, n - 1 if cyclic else n)
-        masks = [chains.grid_arc_mask(i, l, points, cyclic) for l in range(1, most + 1)
+        masks = [gridsearch.grid_arc_mask(i, l, points, cyclic) for l in range(1, most + 1)
                  for i in range(n if cyclic else n + 1 - l)]
         masks = [m for m in masks if rng.random() < 0.8]
         rng.shuffle(masks)
         if not masks:
             continue
         roots = rng.sample(range(len(masks)), rng.randint(1, len(masks)))
-        grid = (1 << 2 * points) - 1 if cyclic else chains.grid_arc_mask(0, n, points, False)
+        grid = (1 << 2 * points) - 1 if cyclic else gridsearch.grid_arc_mask(0, n, points, False)
         full = grid if rng.random() < 0.5 else grid & rng.getrandbits(2 * points)
         yield masks, roots, full
     for most in (16, 32):
-        masks = [chains.grid_arc_mask(i, l, 32, True) for l in range(1, most) for i in range(32)]
+        masks = [gridsearch.grid_arc_mask(i, l, 32, True) for l in range(1, most) for i in range(32)]
         yield masks, range(0, len(masks), 32), (1 << 64) - 1
 
 
 def test_chain_dfs_matches_the_unpruned_oracle():
     outcomes = set()
     for masks, roots, full in _mask_families(random.Random(22)):
-        got = chains._chain_dfs(masks, roots, full)
+        got = gridsearch._chain_dfs(masks, roots, full)
         assert got == oracles.chain_dfs(masks, roots, full), (masks, roots, full)
         outcomes.add(got is None)
     assert outcomes == {True, False}
@@ -372,7 +372,7 @@ def test_grid_search_leaves_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert chains.exhaustive_chain_search(geo.full_set(CIRCLE), F(1, 2), 4) is None
+        assert gridsearch.exhaustive_chain_search(geo.full_set(CIRCLE), F(1, 2), 4) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -389,9 +389,9 @@ def _thin_cover(rng, sp, target):
     """Random open pieces plus a thin neighbourhood of whatever part of
     the target's closure they miss, so few pieces hold a whole component."""
     pieces = [gen.rand_nonempty_open_set(rng, sp, max_intervals=3) for _ in range(rng.randint(1, 4))]
-    rest = geo.intersect(geo.closure(target), geo.complement(geo.union_all(sp, pieces)))
+    rest = geo.intersect(geo.closure(target), geo.complement(views.union_all(sp, pieces)))
     if not geo.is_empty(rest):
-        pieces.append(geo.neighborhood(rest, F(1, rng.choice((8, 16, 32)))))
+        pieces.append(views.neighborhood(rest, F(1, rng.choice((8, 16, 32)))))
     return chains.make_cover(pieces)
 
 
@@ -491,7 +491,7 @@ def test_chain_pattern_sweep_matches_all_pairs_oracle():
 
 def test_chain_pattern_matches_the_meets_sweep():
     # The same piece lists, against the sweep that only names candidate
-    # pairs and asks `geo.meets` of each.
+    # pairs and asks `views.meets` of each.
     rng = random.Random(99)
     for pieces in _sweep_cases(rng):
         for almost in (False, True):
@@ -516,7 +516,7 @@ def _closed_cases(rng):
             elif r < 0.7:
                 a = F(rng.randint(0, 7), 8)
                 b = a + F(rng.randint(1, 6), 8)
-                pieces.append(geo.closure(geo.component_set(sp, 0, (a, False, b, False))))
+                pieces.append(geo.closure(views.component_set(sp, 0, (a, False, b, False))))
             else:
                 pieces.append(geo.closure(gen.rand_nonempty_open_set(rng, sp, max_intervals=2)))
         yield pieces
@@ -534,10 +534,10 @@ def test_chain_pattern_on_closed_sets_matches_all_pairs_oracle():
             seen.add((almost, got))
     assert len(seen) == 4
     sp = geo.space(geo.circle(1))
-    seam = geo.closure(geo.component_set(sp, 0, (F(3, 4), False, F(1), False)))
-    zero = geo.complement(geo.component_set(sp, 0, (F(0), False, F(1), False)))
-    start = geo.closure(geo.component_set(sp, 0, (F(0), False, F(1, 4), False)))
-    mid = geo.closure(geo.component_set(sp, 0, (F(1, 4), False, F(1, 2), False)))
+    seam = geo.closure(views.component_set(sp, 0, (F(3, 4), False, F(1), False)))
+    zero = geo.complement(views.component_set(sp, 0, (F(0), False, F(1), False)))
+    start = geo.closure(views.component_set(sp, 0, (F(0), False, F(1, 4), False)))
+    mid = geo.closure(views.component_set(sp, 0, (F(1, 4), False, F(1, 2), False)))
     assert not chains.chain_pattern_ok([seam, mid, zero], almost=True)
     assert not chains.chain_pattern_ok([start, mid, seam], almost=True)
     assert chains.chain_pattern_ok([mid, start, seam], almost=False)
@@ -560,25 +560,25 @@ def _containment_cases(rng):
         elif case % 3 == 1:
             sp, target = arc, geo.full_set(arc)
             cuts = sorted(F(rng.randint(1, 15), 16) for _ in range(2))
-            pieces = [geo.component_set(sp, 0, (F(0), True, cuts[1], False)),
-                      geo.component_set(sp, 0, (cuts[0], False, F(1), True)),
+            pieces = [views.component_set(sp, 0, (F(0), True, cuts[1], False)),
+                      views.component_set(sp, 0, (cuts[0], False, F(1), True)),
                       gen.rand_nonempty_open_set(rng, sp, max_intervals=3)]
             if cuts[0] == cuts[1]:
-                pieces.append(geo.component_set(sp, 0, (cuts[0] - F(1, 32), False, cuts[0] + F(1, 32), False)))
+                pieces.append(views.component_set(sp, 0, (cuts[0] - F(1, 32), False, cuts[0] + F(1, 32), False)))
         else:
             sp = circle
             a = F(rng.randint(9, 15), 16)
-            target = geo.union(geo.component_set(sp, 0, (a, False, a + F(rng.randint(3, 16), 16), False)),
+            target = geo.union(views.component_set(sp, 0, (a, False, a + F(rng.randint(3, 16), 16), False)),
                                geo.full_set(sp) if rng.random() < 0.3 else geo.empty_set(sp))
             if rng.random() < 0.3:
                 target = geo.union(target, geo.normalize(sp, [[(F(1, 16), F(1, 8))], False]))
             if isinstance(chains.refine_to_almost_chain(chains.make_cover([geo.full_set(sp)]), target), chains.Impossible):
                 continue
             p = F(rng.randint(0, 15), 16)
-            pieces = [geo.component_set(sp, 0, (p, False, p + 1, False)),
-                      geo.component_set(sp, 0, (a - F(1, 16), False, a + F(9, 16), False)),
+            pieces = [views.component_set(sp, 0, (p, False, p + 1, False)),
+                      views.component_set(sp, 0, (a - F(1, 16), False, a + F(9, 16), False)),
                       gen.rand_nonempty_open_set(rng, sp, max_intervals=3)]
-            pieces.append(geo.union(geo.component_set(sp, 0, (p - F(1, 8), False, p + F(1, 8), False)),
+            pieces.append(geo.union(views.component_set(sp, 0, (p - F(1, 8), False, p + F(1, 8), False)),
                                     geo.normalize(sp, [[], True])))
         for _ in range(rng.randint(0, 3)):
             extra = rng.choice([geo.full_set(sp), rng.choice(pieces),
@@ -603,7 +603,8 @@ def test_containing_sweep_matches_the_subset_route():
             assert idx == oracles.containing_piece(cover, w), (geo.set_to_json(w), idx)
             windows += 1
             shared += sum(geo.subset(w, p) for p in cover.pieces) >= 2
-            seam += any(geo.contains_point(w, ci, F(0)) for ci, c in enumerate(w.space.components) if c.kind == "circle")
+            seam += any(views.contains_point(w, ci, F(0))
+                        for ci, c in enumerate(w.space.components) if c.kind == "circle")
     # 4,674 windows, 2,850 of them held by two pieces or more, 407 holding a seam.
     assert windows >= 4500 and shared >= 2700 and seam >= 400, (windows, shared, seam)
 
@@ -629,7 +630,7 @@ def _window_cover(n):
     """The unit arc and its cover by n open windows of width 2/(n + 1),
     each overlapping the next by half, closed at 0 and 1."""
     h = F(1, n + 1)
-    pieces = [geo.component_set(ARC, 0, (i * h, i == 0, (i + 2) * h, i == n - 1)) for i in range(n)]
+    pieces = [views.component_set(ARC, 0, (i * h, i == 0, (i + 2) * h, i == n - 1)) for i in range(n)]
     return geo.full_set(ARC), chains.make_cover(pieces)
 
 
@@ -661,10 +662,10 @@ def test_verify_witness_on_a_4001_piece_chain():
     # Piece k widened past its right end meets piece k + 2 as well.
     pieces = list(w.pieces)
     k = 2000
-    (a, a_in, b, _), = geo.spans(pieces[k], 0)
-    pieces[k] = geo.component_set(ARC, 0, (a, a_in, b + (b - a) / 4, False))
+    (a, a_in, b, _), = views.spans(pieces[k], 0)
+    pieces[k] = views.component_set(ARC, 0, (a, a_in, b + (b - a) / 4, False))
     assert not geo.is_empty(geo.intersect(pieces[k], pieces[k + 2]))
-    wide = chains.ChainWitness("chain", tuple(pieces), geo.max_diameter(pieces), w.refines)
+    wide = chains.ChainWitness("chain", tuple(pieces), views.max_diameter(pieces), w.refines)
     assert not chains.verify_witness(wide, target, cover)
 
     pieces = list(w.pieces)
@@ -730,15 +731,15 @@ def test_lebesgue_number_is_valid(seed):
     assert delta > 0
     for ci, comp in enumerate(sp.components):
         if comp.kind == "point":
-            assert any(geo.contains_point(p, ci, None) for p in cover.pieces)
+            assert any(views.contains_point(p, ci, None) for p in cover.pieces)
             continue
         L = comp.length
         pts = [L * F(i, 24) for i in range(25)]
         for _ in range(40):
             p, q = rng.choice(pts), rng.choice(pts)
-            dist = geo._geodesic(p, q, L) if comp.kind == "circle" else abs(p - q)
+            dist = views._geodesic(p, q, L) if comp.kind == "circle" else abs(p - q)
             if dist < delta:
                 assert any(
-                    geo.contains_point(c, ci, p) and geo.contains_point(c, ci, q)
+                    views.contains_point(c, ci, p) and views.contains_point(c, ci, q)
                     for c in cover.pieces
                 )

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cuntzkit
 import oracles
-from cuntzkit import chains, checks, gen, lsc, models
+from cuntzkit import chains, checks, gen, lsc, models, views
 from cuntzkit import geometry as geo
 from cuntzkit.geometry import InputError
 from cuntzkit.models import TWIN, compact, soft
@@ -405,7 +405,7 @@ def _weak_chain_instance(rng):
     sp = gen.rand_space(rng, kinds=("arc", "circle", "point"))
     ys = [lsc.indicator(gen.rand_nonempty_open_set(rng, sp, max_intervals=3, full_bias=0.1))
           for _ in range(rng.randint(2, 4))]
-    covered = geo.union_all(sp, [lsc.supp(t) for t in ys])
+    covered = views.union_all(sp, [lsc.supp(t) for t in ys])
     y = lsc.indicator(oracles.shrink_open_set(covered, rng.choice([8, 16, 32])))
     x = lsc.indicator(oracles.shrink_open_set(lsc.supp(y), rng.choice([8, 16, 32])))
     return sp, x, y, ys
@@ -438,7 +438,7 @@ def _whole_circle_instance(rng):
         raws = [[(F(0), F(3, 10))], [(F(1, 4), F(11, 20))], [(F(1, 2), F(21, 20))]]
     else:
         raws = []
-        while not raws or not geo.subset(geo.component_set(sp, 0), geo.union_all(
+        while not raws or not geo.subset(views.component_set(sp, 0), views.union_all(
                 sp, [geo.normalize(sp, [r, [], False]) for r in raws])):
             a = F(rng.randrange(8), 8)
             raws.append([(a, a + F(rng.randint(2, 7), 8))])

@@ -19,21 +19,21 @@ def chi(*ivs, sp=ARC):
 
 
 def test_point_complement_shapes():
-    pc = duality.point_complement(ARC, 0, F(1, 2))
-    assert not geo.contains_point(pc, 0, F(1, 2))
-    assert geo.contains_point(pc, 0, F(0))
-    assert geo.contains_point(pc, 0, F(1))
-    end = duality.point_complement(ARC, 0, F(0))
-    assert not geo.contains_point(end, 0, F(0))
-    wrap = duality.point_complement(CIRCLE, 0, F(0))
-    assert not geo.contains_point(wrap, 0, F(0))
-    assert geo.contains_point(wrap, 0, F(1, 2))
-    mixed = duality.point_complement(MIXED, 2)
-    assert not geo.contains_point(mixed, 2)
-    assert geo.contains_point(mixed, 0, F(1, 3))
+    pc = views.point_complement(ARC, 0, F(1, 2))
+    assert not views.contains_point(pc, 0, F(1, 2))
+    assert views.contains_point(pc, 0, F(0))
+    assert views.contains_point(pc, 0, F(1))
+    end = views.point_complement(ARC, 0, F(0))
+    assert not views.contains_point(end, 0, F(0))
+    wrap = views.point_complement(CIRCLE, 0, F(0))
+    assert not views.contains_point(wrap, 0, F(0))
+    assert views.contains_point(wrap, 0, F(1, 2))
+    mixed = views.point_complement(MIXED, 2)
+    assert not views.contains_point(mixed, 2)
+    assert views.contains_point(mixed, 0, F(1, 3))
 
 
-@pytest.mark.parametrize("route", [geo.point_complement, duality.point_complement])
+@pytest.mark.parametrize("route", [views.point_complement, duality.point_complement])
 def test_point_complement_rejects_a_component_index_outside_the_space(route):
     sp = geo.space(geo.arc(1), geo.point())
     for ci in (-1, len(sp.components), 5):
@@ -56,11 +56,11 @@ def test_point_complement_matches_the_grid_set_route():
                     want = oracles.point_complement_grid(sp, ci, q)
                 except geo.InputError as exc:
                     with pytest.raises(geo.InputError) as err:
-                        duality.point_complement(sp, ci, q)
+                        views.point_complement(sp, ci, q)
                     assert (err.value.path, err.value.reason) == (exc.path, exc.reason)
                     reasons.add(exc.reason)
                     continue
-                got = duality.point_complement(sp, ci, q)
+                got = views.point_complement(sp, ci, q)
                 assert got == want and hash(got) == hash(want), (sp, ci, q)
                 built += 1
     assert built > 1_000

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from cuntzkit import gen
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
+from cuntzkit import segment
+from cuntzkit import views
 
 import oracles
 
@@ -118,8 +120,8 @@ def test_closure_adds_endpoints():
 
 def test_interior_of_closed_union_point():
     c = geo.union(
-        geo.closure(geo.component_set(ARC, 0, (F(0), False, F(1, 2), False))),
-        geo.complement(geo.point_complement(ARC, 0, F(3, 4))),
+        geo.closure(views.component_set(ARC, 0, (F(0), False, F(1, 2), False))),
+        geo.complement(views.point_complement(ARC, 0, F(3, 4))),
     )
     inner = geo.interior(c)
     assert inner == opens(ARC, [[(F(0), F("1/2"), True, False)]])
@@ -135,36 +137,36 @@ def test_compact_containment_cases():
 
 def test_connected_components_arc_and_wrap():
     s = opens(ARC, [[(F(0), F("1/4")), (F("1/2"), F("3/4"))]])
-    pieces = geo.connected_components(s)
+    pieces = views.connected_components(s)
     assert len(pieces) == 2
     assert geo.union(pieces[0], pieces[1]) == s
 
-    assert geo.connected_components(geo.full_set(CIRC)) == [geo.full_set(CIRC)]
+    assert views.connected_components(geo.full_set(CIRC)) == [geo.full_set(CIRC)]
 
     w = opens(CIRC, [[(F("3/4"), F("5/4"))]])
-    ws = geo.connected_components(w)
+    ws = views.connected_components(w)
     assert ws == [w]
 
 
 def test_diameter_examples():
     s = opens(ARC, [[(F(0), F("1/4")), (F("1/2"), F("3/4"))]])
-    assert geo.diameter(s) == F("3/4")
+    assert views.diameter(s) == F("3/4")
 
     two = geo.space(geo.arc(1), geo.arc(1))
     both = geo.normalize(two, [[(F(0), F("1/4"))], [(F(0), F("1/4"))]])
-    assert geo.diameter(both) == 2
+    assert views.diameter(both) == 2
 
-    assert geo.diameter(opens(CIRC, [[(F(0), F("3/4"))]])) == F("1/2")
-    assert geo.diameter(opens(CIRC, [[(F(0), F("1/4"))]])) == F("1/4")
-    assert geo.diameter(geo.full_set(CIRC)) == F("1/2")
-    assert geo.diameter(geo.empty_set(ARC)) == 0
+    assert views.diameter(opens(CIRC, [[(F(0), F("3/4"))]])) == F("1/2")
+    assert views.diameter(opens(CIRC, [[(F(0), F("1/4"))]])) == F("1/4")
+    assert views.diameter(geo.full_set(CIRC)) == F("1/2")
+    assert views.diameter(geo.empty_set(ARC)) == 0
 
 
 def test_point_component_sets():
     sp = geo.space(geo.arc(1), geo.point())
     s = geo.normalize(sp, [[(F(0), F("1/2"))], True])
     assert oracles.member(s, 1, None)
-    assert geo.diameter(s) == 2
+    assert views.diameter(s) == 2
     assert oracles.rat_parts(geo.complement(s))[1] is False
     # A point is the segment [0, 0]: its part is one of two tuples.
     assert s.parts[1] == (1, ((0, True, 0, True),)) and geo.complement(s).parts[1] == (1, ())
@@ -255,7 +257,7 @@ def test_components_partition(seed):
     rng = seeded(seed)
     sp = gen.rand_space(rng)
     s = gen.rand_open_set(rng, sp)
-    pieces = geo.connected_components(s)
+    pieces = views.connected_components(s)
     back = geo.empty_set(sp)
     for p in pieces:
         assert not geo.is_empty(p)
@@ -279,15 +281,15 @@ def in_span(iv, p) -> bool:
 
 def test_views_of_a_set_through_the_seam():
     s = opens(CIRC, [[(F("1/4"), F("1/2")), (F("3/4"), F("5/4"))]])
-    assert geo.spans(s, 0) == [(F("1/4"), False, F("1/2"), False), (F("3/4"), False, F("5/4"), False)]
-    assert geo.breakpoints(s, 0) == [F(0), F("1/4"), F("1/2"), F("3/4"), F(1)]
-    assert geo.spans(s, 0, (F(1), True, F(2), True)) == [
+    assert views.spans(s, 0) == [(F("1/4"), False, F("1/2"), False), (F("3/4"), False, F("5/4"), False)]
+    assert views.breakpoints(s, 0) == [F(0), F("1/4"), F("1/2"), F("3/4"), F(1)]
+    assert views.spans(s, 0, (F(1), True, F(2), True)) == [
         (F(1), True, F("5/4"), False),
         (F("5/4"), False, F("3/2"), False),
         (F("7/4"), False, F(2), True),
     ]
-    assert geo.component_set(CIRC, 0, (F("3/4"), False, F("5/4"), False)) == opens(CIRC, [[(F("3/4"), F("5/4"))]])
-    assert geo.spans(geo.full_set(CIRC), 0) == [(F(0), True, F(1), True)]
+    assert views.component_set(CIRC, 0, (F("3/4"), False, F("5/4"), False)) == opens(CIRC, [[(F("3/4"), F("5/4"))]])
+    assert views.spans(geo.full_set(CIRC), 0) == [(F(0), True, F(1), True)]
 
 
 def test_component_set_rejects_bad_spans():
@@ -298,12 +300,12 @@ def test_component_set_rejects_bad_spans():
         (CIRC, (F(0), False, F("3/2"), False)),
     ):
         with pytest.raises(ValueError):
-            geo.component_set(sp, 0, span)
+            views.component_set(sp, 0, span)
 
 
 def test_embed_rejects_foreign_components():
     with pytest.raises(geo.SpaceMismatchError):
-        geo.embed(geo.full_set(ARC), geo.space(geo.point(), geo.circle(1)), 1)
+        views.embed(geo.full_set(ARC), geo.space(geo.point(), geo.circle(1)), 1)
 
 
 @given(st.integers(0, 10_000))
@@ -315,9 +317,9 @@ def test_restrict_over_all_components_unions_back(seed):
     for x in (s, geo.closure(s)):
         back = geo.empty_set(sp) if isinstance(x, geo.OpenSet) else geo.complement(geo.full_set(sp))
         for ci in range(len(sp.components)):
-            r = geo.restrict(x, ci)
+            r = views.restrict(x, ci)
             assert type(r) is type(x) and geo.subset(r, x)
-            assert all(geo.is_empty(geo.restrict(r, cj)) for cj in range(len(sp.components)) if cj != ci)
+            assert all(geo.is_empty(views.restrict(r, cj)) for cj in range(len(sp.components)) if cj != ci)
             back = geo.union(back, r)
         assert back == x
 
@@ -331,7 +333,7 @@ def test_component_set_equals_normalize(seed):
         raw = [False if c.kind == "point" else [] for c in sp.components]
         if comp.kind == "point":
             raw[ci] = True
-            assert geo.component_set(sp, ci) == geo.normalize(sp, raw)
+            assert views.component_set(sp, ci) == geo.normalize(sp, raw)
             continue
         L = comp.length
         d = rng.choice(gen.DENOMS)
@@ -340,7 +342,7 @@ def test_component_set_equals_normalize(seed):
             a, b = L * F(i, d), L * F(rng.randint(i + 1, d), d)
             ain, bin_ = a == 0 and rng.random() < 0.5, b == L and rng.random() < 0.5
             raw[ci] = [(a, b, ain, bin_)]
-            assert geo.component_set(sp, ci, (a, ain, b, bin_)) == geo.normalize(sp, raw)
+            assert views.component_set(sp, ci, (a, ain, b, bin_)) == geo.normalize(sp, raw)
             raw[ci] = [(F(0), L, True, True)]
         else:
             a = L * F(rng.randrange(d), d)
@@ -348,9 +350,9 @@ def test_component_set_equals_normalize(seed):
             raw[ci] = [(a, b)]
             want = geo.normalize(sp, raw)
             turns = rng.randint(-2, 2) * L
-            assert geo.component_set(sp, ci, (a + turns, False, b + turns, False)) == want
+            assert views.component_set(sp, ci, (a + turns, False, b + turns, False)) == want
             raw[ci] = "full"
-        assert geo.component_set(sp, ci) == geo.normalize(sp, raw)
+        assert views.component_set(sp, ci) == geo.normalize(sp, raw)
 
 
 @given(st.integers(0, 10_000))
@@ -360,12 +362,12 @@ def test_spans_agree_with_connected_components(seed):
     sp = gen.rand_space(rng, kinds=SEAM_KINDS)
     s = gen.rand_open_set(rng, sp, full_bias=0.2)
     built = {
-        geo.component_set(sp, ci, span)
+        views.component_set(sp, ci, span)
         for ci in range(len(sp.components))
-        for span in geo.spans(s, ci)
+        for span in views.spans(s, ci)
     }
-    assert built == set(geo.connected_components(s))
-    assert sum(len(geo.spans(s, ci)) for ci in range(len(sp.components))) == len(built)
+    assert built == set(views.connected_components(s))
+    assert sum(len(views.spans(s, ci)) for ci in range(len(sp.components))) == len(built)
 
 
 def _span_window(rng, comp):
@@ -398,8 +400,8 @@ def test_spans_match_the_fraction_oracle():
         for ci, comp in enumerate(sp.components):
             for window in (None,) if comp.kind == "point" else (None, _span_window(rng, comp)):
                 want = [oracles.spans(x, ci, window) for x in sets]
-                assert [geo.spans(x, ci, window) for x in sets] == want, (seed, ci, window)
-                D, got = geo.scaled_spans(sp, sets, ci, window)
+                assert [views.spans(x, ci, window) for x in sets] == want, (seed, ci, window)
+                D, got = views.scaled_spans(sp, sets, ci, window)
                 assert all(type(v) is int for ivs in got for iv in ivs for v in (iv[0], iv[2]))
                 assert [[(F(a, D), ain, F(b, D), bin_) for a, ain, b, bin_ in ivs] for ivs in got] == want
                 for ivs in want:
@@ -429,8 +431,8 @@ def test_windowed_spans_match_pointwise_membership(seed):
             lo = L * F(rng.randint(-4, 8), 4)
             hi = lo + L * F(rng.randint(1, 8), 4)
         window = (lo, rng.random() < 0.5, hi, rng.random() < 0.5)
-        got = geo.spans(s, ci, window)
-        marks = {x + m * L for x in geo.breakpoints(s, ci) + [F(0), L] for m in range(-2, 6)} | {lo, hi}
+        got = views.spans(s, ci, window)
+        marks = {x + m * L for x in views.breakpoints(s, ci) + [F(0), L] for m in range(-2, 6)} | {lo, hi}
         marks = sorted(marks)
         probes = marks + [(x + y) / 2 for x, y in zip(marks, marks[1:])]
         for p in probes:
@@ -447,7 +449,7 @@ def test_breakpoints_agree_with_json_endpoints(seed):
     s = gen.rand_open_set(rng, sp, full_bias=0.2)
     enc = geo.set_to_json(s)
     for ci, comp in enumerate(sp.components):
-        got = geo.breakpoints(s, ci)
+        got = views.breakpoints(s, ci)
         assert got == sorted(set(got))
         ends = {F(e) for iv in enc["sets"][ci] for e in iv[:2]}
         if comp.kind == "point":
@@ -458,7 +460,7 @@ def test_breakpoints_agree_with_json_endpoints(seed):
             assert got == [F(0), comp.length]
         else:
             L = comp.length
-            seam = {F(0)} if geo.contains_point(s, ci, F(0)) else set()
+            seam = {F(0)} if views.contains_point(s, ci, F(0)) else set()
             assert {x % L for x in got} == {e % L for e in ends} | seam
 
 
@@ -474,13 +476,13 @@ def test_embed_commutes_with_union_and_intersect(seed):
     a, b = gen.rand_open_set(rng, sp), gen.rand_open_set(rng, sp)
 
     def up(x):
-        return geo.embed(x, target, off)
+        return views.embed(x, target, off)
 
     assert up(geo.union(a, b)) == geo.union(up(a), up(b))
     assert up(geo.intersect(a, b)) == geo.intersect(up(a), up(b))
     assert up(geo.empty_set(sp)) == geo.empty_set(target)
     for ci in range(len(sp.components)):
-        assert geo.spans(up(a), off + ci) == geo.spans(a, ci)
+        assert views.spans(up(a), off + ci) == views.spans(a, ci)
 
 
 def least_scale(comp, rat_part):
@@ -519,7 +521,7 @@ def test_one_set_has_one_least_scale():
         for comp, (d, _), rat in zip(sp.components, s.parts, oracles.rat_parts(s)):
             assert d == least_scale(comp, rat)
     assert [d for d, _ in sets[0].parts] == [4, 6, 2]
-    assert geo.is_empty(geo.restrict(sets[0], 2)) and sets[0].parts[2] == (2, ())
+    assert geo.is_empty(views.restrict(sets[0], 2)) and sets[0].parts[2] == (2, ())
     # An intersection that leaves nothing falls back to each L's denominator.
     away = geo.normalize(sp, [[(F(1, 2), F(5, 4))], [(F(1, 12), F(1, 6))], []])
     gone = geo.intersect(sets[0], away)
@@ -565,7 +567,7 @@ def coarse_closed_set(rng, sp):
     for ci, comp in enumerate(sp.components):
         if comp.kind == "point":
             if rng.random() < 0.5:
-                s = geo.union(s, geo.complement(geo.point_complement(sp, ci)))
+                s = geo.union(s, geo.complement(views.point_complement(sp, ci)))
             continue
         n = int(comp.length * 4)
         for _ in range(rng.randint(0, 3)):
@@ -573,9 +575,9 @@ def coarse_closed_set(rng, sp):
             # Often a single point, including 0 or L alone on a circle.
             j = i if rng.random() < 0.4 else rng.randint(i, n if comp.kind == "arc" else i + n)
             if i == j:
-                piece = geo.complement(geo.point_complement(sp, ci, F(i, 4)))
+                piece = geo.complement(views.point_complement(sp, ci, F(i, 4)))
             else:
-                piece = geo.closure(geo.component_set(sp, ci, (F(i, 4), False, F(j, 4), False)))
+                piece = geo.closure(views.component_set(sp, ci, (F(i, 4), False, F(j, 4), False)))
             s = geo.union(s, piece)
     return s
 
@@ -627,10 +629,10 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
             ):
                 assert same(got, want), (seed, op, x)
                 assert is_canonical(got), (seed, op, x)
-            got, want = geo.connected_components(x), oracles.connected_components(x)
+            got, want = views.connected_components(x), oracles.connected_components(x)
             assert len(got) == len(want) and all(map(same, got, want)), (seed, x)
             assert all(map(is_canonical, got)), (seed, x)
-            assert geo.diameter(x) == oracles.diameter(x), (seed, x)
+            assert views.diameter(x) == oracles.diameter(x), (seed, x)
             assert geo.set_to_json(x) == oracles.set_to_json(x), (seed, x)
             for y in pool:
                 for op, got, want in (
@@ -640,7 +642,7 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
                     assert same(got, want), (seed, op, x, y)
                     assert is_canonical(got), (seed, op, x, y)
                 assert geo.subset(x, y) == oracles.subset(x, y), (seed, x, y)
-                assert geo.set_distance(x, y) == oracles.set_distance(x, y), (seed, x, y)
+                assert views.set_distance(x, y) == oracles.set_distance(x, y), (seed, x, y)
 
 
 def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
@@ -653,7 +655,7 @@ def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
         pool = oracle_sweep_pool(seeded(seed))
         for x in pool:
             for y in pool:
-                got = geo.meets(x, y)
+                got = views.meets(x, y)
                 inter = oracles.intersect(x, y)
                 assert got == (not geo.is_empty(geo.intersect(x, y))) == any(inter.parts), (seed, x, y)
                 if not got:
@@ -666,7 +668,7 @@ def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
                     seen.add("seam")
     assert seen == {"OpenSet", "ClosedSet", "mixed", "point only", "seam"}
     with pytest.raises(geo.SpaceMismatchError):
-        geo.meets(geo.full_set(KERNEL), geo.full_set(ARC))
+        views.meets(geo.full_set(KERNEL), geo.full_set(ARC))
 
 
 def _union_families(rng):
@@ -679,8 +681,8 @@ def _union_families(rng):
     sp = gen.rand_space(rng, kinds=("arc", "circle", "point"))
     rand = [gen.rand_open_set(rng, sp) for _ in range(8)]
     d = rng.choice((8, 12))
-    ring = list(geo.grid_windows(CIRC, 0, d, rng.randrange(d), 1, 2, rng.randint(1, d)))
-    ring += list(geo.grid_windows(CIRC, 0, 3 * d, rng.randrange(3 * d), 2, 3, rng.randint(1, d)))
+    ring = list(views.grid_windows(CIRC, 0, d, rng.randrange(d), 1, 2, rng.randint(1, d)))
+    ring += list(views.grid_windows(CIRC, 0, 3 * d, rng.randrange(3 * d), 2, 3, rng.randint(1, d)))
     long_arc = geo.space(geo.arc(3), geo.point(), geo.circle(F(5, 2)))
     wide = [gen.rand_open_set(rng, long_arc) for _ in range(8)]
     for space_, sets in ((KERNEL, pool), (sp, rand), (CIRC, ring), (long_arc, wide)):
@@ -694,7 +696,7 @@ def test_union_all_is_the_fold_of_union():
     seen = set()
     for seed in range(40):
         for sp, sets in _union_families(seeded(seed)):
-            got, want = geo.union_all(sp, sets), oracles.union_fold(sp, sets)
+            got, want = views.union_all(sp, sets), oracles.union_fold(sp, sets)
             assert got == want and type(got) is type(want), (seed, sets)
             assert is_canonical(got), (seed, sets)
             seen.add(len(sets) if len(sets) <= 1 else "many")
@@ -709,7 +711,7 @@ def test_union_all_is_the_fold_of_union():
                     seen.add("point")
     assert seen == {0, 1, "many", "OpenSet", "ClosedSet", "mixed scales", "seam", "point"}
     with pytest.raises(geo.SpaceMismatchError):
-        geo.union_all(KERNEL, [geo.full_set(KERNEL), geo.full_set(ARC)])
+        views.union_all(KERNEL, [geo.full_set(KERNEL), geo.full_set(ARC)])
 
 
 def test_max_diameter_is_the_largest_diameter():
@@ -718,7 +720,7 @@ def test_max_diameter_is_the_largest_diameter():
     seen = set()
     for seed in range(40):
         for sp, sets in _union_families(seeded(seed)):
-            got = geo.max_diameter(sets)
+            got = views.max_diameter(sets)
             assert type(got) is F and got == oracles.mesh_of(sets), (seed, sets)
             if got > 2:
                 seen.add("one component past 2")
@@ -736,15 +738,15 @@ def test_a_point_component_takes_no_coordinate():
     s = geo.full_set(sp)
     f = lsc.indicator(s)
     for call in (
-        lambda p: geo.contains_point(s, 0, p),
-        lambda p: geo.point_complement(sp, 0, p),
+        lambda p: views.contains_point(s, 0, p),
+        lambda p: views.point_complement(sp, 0, p),
         lambda p: lsc.eval_at(f, 0, p),
     ):
         call(None)
         for p in (F(7), F(0), 0):
             with pytest.raises(ValueError, match="^point components have no coordinate$"):
                 call(p)
-    assert geo.contains_point(s, 0) and geo.point_complement(sp, 0) == geo.component_set(sp, 1)
+    assert views.contains_point(s, 0) and views.point_complement(sp, 0) == views.component_set(sp, 1)
     assert lsc.eval_at(f, 0) == 1
 
 
@@ -769,7 +771,7 @@ def test_grid_windows_match_grid_set_window_by_window():
         lo = rng.randint(0, 2 * Li if ci == 2 else Li - top)
         lo_in = ci == 1 and lo == 0 and rng.random() < 0.5
         hi_in = ci == 1 and lo + top == Li and rng.random() < 0.5
-        got = geo.grid_windows(sp, ci, d, lo, step, width, count, lo_in, hi_in)
+        got = views.grid_windows(sp, ci, d, lo, step, width, count, lo_in, hi_in)
         assert len(got) == count
         for i, w in enumerate(got):
             x = lo + i * step
@@ -795,7 +797,7 @@ def test_grid_windows_match_grid_set_window_by_window():
 def test_grid_windows_reject_windows_off_the_component(ci, args):
     sp = geo.space(geo.point(), geo.arc(F(1, 3)), geo.circle(F(1, 2)))
     with pytest.raises(ValueError):
-        geo.grid_windows(sp, ci, *args)
+        views.grid_windows(sp, ci, *args)
 
 
 def test_union_and_intersect_return_an_operand_when_the_other_side_is_empty_or_the_same():
@@ -821,10 +823,10 @@ def test_union_and_intersect_return_an_operand_when_the_other_side_is_empty_or_t
 
 def assert_probes_match_the_oracle(sp, sets, within):
     want = oracles.probe_points(sp, sets, within)
-    got = geo.probe_points(sp, sets, within)
+    got = views.probe_points(sp, sets, within)
     assert got == want, (sets, within)
     assert all(p is None if sp.components[ci].kind == "point" else type(p) is F for ci, p, _ in got)
-    assert geo.probe_points(sp, sets) == [(ci, p, False) for ci, p, _ in want]
+    assert views.probe_points(sp, sets) == [(ci, p, False) for ci, p, _ in want]
     assert gen.grid_points(sp, *sets) == oracles.grid_points(sp, *sets)
 
 
@@ -842,7 +844,7 @@ def test_probe_sweep_matches_the_per_point_oracle():
                 assert_probes_match_the_oracle(KERNEL, sets, x)
             # The neighborhood, probe by probe, against the distance to x.
             delta = (F(1, 8), F(1, 3), F(3, 4), F(7, 4))[i % 4]
-            nb, cl = geo.neighborhood(x, delta), oracles.closure(x)
+            nb, cl = views.neighborhood(x, delta), oracles.closure(x)
             assert type(nb) is geo.OpenSet and is_canonical(nb), (seed, x, delta)
             for ci, p in oracles.grid_points(KERNEL, x, nb):
                 dist = oracles.distance_to(cl, ci, p)
@@ -861,11 +863,11 @@ def test_probe_sweep_matches_the_per_point_oracle_on_random_spaces():
 
 @pytest.mark.parametrize("view", [
     # Component 2 is a point, which takes no coordinate.
-    lambda s, ci: geo.contains_point(s, ci, None if ci == 2 else F(1, 2)),
-    lambda s, ci: geo.component_set(s.space, ci),
-    geo.restrict,
-    geo.spans,
-    geo.breakpoints,
+    lambda s, ci: views.contains_point(s, ci, None if ci == 2 else F(1, 2)),
+    lambda s, ci: views.component_set(s.space, ci),
+    views.restrict,
+    views.spans,
+    views.breakpoints,
 ], ids=["contains_point", "component_set", "restrict", "spans", "breakpoints"])
 def test_component_views_reject_an_index_outside_the_space(view):
     s = geo.full_set(geo.space(geo.arc(1), geo.circle(1), geo.point()))
@@ -893,16 +895,16 @@ def test_segment_sweeps_match_the_merge_oracle():
                 a = rng.choice(grid)
                 raw.append((a, True, a, True))
         want = oracles.merge(raw)
-        assert geo._merge(raw) == want
+        assert segment._merge(raw) == want
         return want
 
     for grid, L in (([F(i, 4) for i in range(5)], F(1)), (list(range(5)), 4), (list(range(13)), 12)):
         for _ in range(3000):
             xs, ys = canonical(grid), canonical(grid)
-            assert geo._merge(xs + ys) == oracles.seg_union(xs, ys)
-            assert geo._intersect(xs, ys) == oracles.seg_intersect(xs, ys)
-            assert geo._complement(xs, L) == oracles.seg_complement(xs, L)
-            assert geo._seam_sync(xs, L) == oracles.seam_sync(xs, L)
+            assert segment._merge(xs + ys) == oracles.seg_union(xs, ys)
+            assert segment._intersect(xs, ys) == oracles.seg_intersect(xs, ys)
+            assert segment._complement(xs, L) == oracles.seg_complement(xs, L)
+            assert segment._seam_sync(xs, L) == oracles.seam_sync(xs, L)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ more of the standard library than it needs: no module uses
 verb touches, and compiles no more than a fixed budget of tokens for two
 of them. Each layer is one module object whichever is imported first,
 and `import cuntzkit.cli` still puts every layer the benchmark traces in
-`sys.modules`. A name that `geometry` or `chains` hands out for a module
-split from it is that module's own object.
+`sys.modules`. Each name has one home: the package and its tests read
+a name from the module that defines it, and `geometry` and `chains`
+forward to the modules split from them only the names `bench/` reads
+through them, each as that module's own object.
 """
 
 import ast
@@ -233,11 +235,11 @@ def test_grid_search_memory_stays_small():
     code = (
         "import tracemalloc\n"
         "from fractions import Fraction\n"
-        "from cuntzkit import chains, geometry as geo\n"
+        "from cuntzkit import geometry as geo, gridsearch\n"
         "full = geo.full_set(geo.space(geo.circle(1)))\n"
-        "chains.exhaustive_chain_search(full, Fraction(1, 2), depth=4)\n"
+        "gridsearch.exhaustive_chain_search(full, Fraction(1, 2), depth=4)\n"
         "tracemalloc.start()\n"
-        "chains.exhaustive_chain_search(full, Fraction(1, 2), depth=4)\n"
+        "gridsearch.exhaustive_chain_search(full, Fraction(1, 2), depth=4)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PKG.parent), PYTHONDONTWRITEBYTECODE="1")
@@ -376,13 +378,15 @@ def test_a_cli_call_compiles_few_tokens(tmp_path, argv, budget):
     assert sum(counts.values()) < budget, counts
 
 
-@pytest.mark.parametrize("owner, home, names", [
-    ("geometry", "views", "_VIEWS"),
-    ("chains", "gridsearch", "_SEARCH"),
-])
+# Each forward: the module split off, and its set of names still readable
+# through the module it was split from.
+FORWARDS = [("geometry", "views", "_VIEWS"), ("chains", "gridsearch", "_SEARCH")]
+
+
+@pytest.mark.parametrize("owner, home, names", FORWARDS)
 def test_names_split_off_are_read_from_their_new_module(owner, home, names):
     # Importing the module they were split from does not load them, and
-    # each function the new module defines reads there as the same object.
+    # each forwarded name reads there as the same object as in its home.
     code = (
         "import importlib, sys, types\n"
         "owner = importlib.import_module(f'cuntzkit.{sys.argv[1]}')\n"
@@ -391,13 +395,140 @@ def test_names_split_off_are_read_from_their_new_module(owner, home, names):
         "home = importlib.import_module(full)\n"
         "names = sorted(getattr(owner, sys.argv[3]))\n"
         "print(len(names), all(getattr(owner, n) is getattr(home, n) is vars(owner)[n] for n in names))\n"
-        "print(*sorted(n for n, f in vars(home).items() if getattr(f, '__module__', None) == full and n not in names))\n"
     )
-    loaded, checked, missing = _python(code, owner, home, names).split("\n")[:3]
-    assert (loaded, missing) == ("False", "")
+    loaded, checked = _python(code, owner, home, names).split("\n")[:2]
+    assert loaded == "False"
     assert checked.split() == [str(len(getattr(importlib.import_module(f"cuntzkit.{owner}"), names))), "True"]
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         importlib.import_module(f"cuntzkit.{owner}").nope
+
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(cuntzkit.__path__))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def binds(source: str, imports: bool) -> set:
+    """The names a module binds at its top level by a def, a class or an
+    assignment, and, if `imports`, by an import too; not the names its
+    module `__getattr__` hands out."""
+    stack = list(ast.parse(source).body)
+    found = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try, ast.For, ast.While, ast.With)):
+            stack += node.body + getattr(node, "orelse", []) + getattr(node, "finalbody", [])
+            stack += [s for h in getattr(node, "handlers", []) for s in h.body]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return found
+
+
+def module_reads(source: str) -> list:
+    """(line, module, name) for each name read from a module of the
+    package: `from .X import name` or `from cuntzkit.X import name`, and
+    `alias.name` where `from . import X as alias`, `from cuntzkit import
+    X as alias` or `import cuntzkit.X` bound the alias. Dunders are not
+    counted, nor names read from the package itself."""
+    tree = ast.parse(source)
+    aliases, packages, found = {}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level <= 1:
+            mod = node.module or ""
+            if node.level == 0:
+                if mod.split(".")[0] != "cuntzkit":
+                    continue
+                mod = mod.partition(".")[2]
+            for a in node.names:
+                if not mod and a.name in MODULES:
+                    aliases[a.asname or a.name] = a.name
+                elif mod:
+                    found.append((node.lineno, mod, a.name))
+        elif isinstance(node, ast.Import):
+            packages |= {a.asname or "cuntzkit" for a in node.names if a.name.split(".")[0] == "cuntzkit"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or node.attr.startswith("__"):
+            continue
+        v = node.value
+        if isinstance(v, ast.Name) and v.id in aliases:
+            found.append((node.lineno, aliases[v.id], node.attr))
+        elif isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name) and v.value.id in packages:
+            if v.attr in MODULES:
+                found.append((node.lineno, v.attr, node.attr))
+    return sorted(found)
+
+
+def test_the_read_rule_catches_each_kind_of_read():
+    src = (
+        "import cuntzkit.cli\n"
+        "from cuntzkit import geometry as geo, InputError\n"
+        "from .views import spans\n"
+        "def f(sp):\n"
+        "    from . import chains\n"
+        "    return geo.union(chains.make_cover, cuntzkit.cli.main, geo.__name__, cuntzkit.arc)\n"
+    )
+    assert module_reads(src) == [
+        (3, "views", "spans"), (6, "chains", "make_cover"), (6, "cli", "main"), (6, "geometry", "union"),
+    ]
+
+
+def _binds(imports: bool) -> dict:
+    return {m: binds((PKG / f"{m}.py").read_text(), imports) for m in MODULES}
+
+
+def _reads(*globs) -> dict:
+    return {str(p.relative_to(ROOT)): module_reads(p.read_text()) for g in globs for p in sorted(ROOT.glob(g))}
+
+
+@pytest.mark.parametrize("owner, home, names", FORWARDS)
+def test_each_forward_holds_what_the_benchmark_reads_through_it(owner, home, names):
+    # bench/ is frozen and reads `geometry.neighborhood` and
+    # `chains.exhaustive_chain_search`; when it reads them from their
+    # homes (ROADMAP item 1), this asks for empty forwards.
+    bound = _binds(True)[owner]
+    wanted = {n for reads in _reads("bench/*.py").values() for _, m, n in reads if m == owner and n not in bound}
+    assert set(getattr(importlib.import_module(f"cuntzkit.{owner}"), names)) == wanted
+    assert wanted <= _binds(False)[home]
+
+
+def test_the_benchmark_reads_the_point_complement_alias():
+    # `duality.point_complement` stays for bench/workloads.py alone.
+    assert any(("duality", "point_complement") == r[1:] for reads in _reads("bench/*.py").values() for r in reads)
+
+
+def test_the_package_and_its_tests_read_each_name_from_its_home():
+    # No read names something its module does not bind, as a forwarded
+    # name is, or reads the alias, and a `_`-name is read from the module
+    # that defines it. The one exception is the alias case of the test
+    # that every route to a point complement checks its component index.
+    defined, bound = _binds(False), _binds(True)
+    found = [
+        f"{path}:{line}: {m}.{n}"
+        for path, reads in _reads("src/cuntzkit/*.py", "tests/*.py").items()
+        for line, m, n in reads
+        if n not in bound[m] or (m, n) == ("duality", "point_complement") or (n[0] == "_" and n not in defined[m])
+    ]
+    case = next(f for f in ast.parse((ROOT / "tests" / "test_duality.py").read_text()).body
+                if getattr(f, "name", None) == "test_point_complement_rejects_a_component_index_outside_the_space")
+    assert found == [f"tests/test_duality.py:{case.decorator_list[0].lineno}: duality.point_complement"]
+
+
+def test_the_package_imports_each_name_from_the_module_that_defines_it():
+    # Only base's public names may be read through `geometry`, which says
+    # that it re-exports them.
+    defined = _binds(False)
+    base = {n for n in defined["base"] if not n.startswith("_")}
+    found = [
+        f"{path}:{line}: {m}.{n}"
+        for path, reads in _reads("src/cuntzkit/*.py").items()
+        for line, m, n in reads
+        if n not in defined[m] and not (m == "geometry" and n in base)
+    ]
+    assert found == []
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cuntzkit import gen
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
+from cuntzkit import views
 
 import oracles
 
@@ -170,8 +171,8 @@ def _draws(seed: int, count: int):
 
 def _through_seam(sp, f) -> bool:
     whole = geo.full_set(sp)
-    return any(c.kind == "circle" and geo.contains_point(lsc.supp(f), ci, F(0))
-               and geo.restrict(lsc.supp(f), ci) != geo.restrict(whole, ci)
+    return any(c.kind == "circle" and views.contains_point(lsc.supp(f), ci, F(0))
+               and views.restrict(lsc.supp(f), ci) != views.restrict(whole, ci)
                for ci, c in enumerate(sp.components))
 
 
@@ -193,7 +194,7 @@ def test_ordered_sums_match_the_meet_join_routes():
             seen.add("zero term")
         if any(_through_seam(sp, f) for f in elements):
             seen.add("seam")
-        if any(c.kind == "point" and geo.contains_point(lsc.supp(f), ci)
+        if any(c.kind == "point" and views.contains_point(lsc.supp(f), ci)
                for f in elements for ci, c in enumerate(sp.components)):
             seen.add("point")
     assert seen == {"one side empty", "both sides", "no sides", "zero term", "seam", "point"}

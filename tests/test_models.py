@@ -325,6 +325,8 @@ def test_lsc_model_delegates():
     b = chi((F(0), F(3, 4)))
     assert m.le(a, b)
     assert m.add(a, b) == lsc.add(a, b)
+    assert m.sum([]) == lsc.sum(ARC, [])
+    assert m.sum([a, b]) == lsc.sum(ARC, [a, b])
     assert m.join(a, b) == b
     assert m.meet(a, b) == a
     assert m.propto(lsc.scalar_mul(3, a), a)
