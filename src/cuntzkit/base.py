@@ -1,8 +1,9 @@
 """The value layer under `geometry`: input errors, exact rationals and
 their strings, the immutable `Record` every value class builds on, the
 space descriptors with their constructors, and the one reader of input
-files. Nothing here reads the stored parts of a set; `geometry`
-re-exports every name.
+files. Nothing here reads the stored parts of a set. The package reads
+these names from here; `geometry` re-exports the public ones for users,
+the tests and `bench/`.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ from math import lcm
 
 from . import geometry as geo
 from . import views
-from .geometry import InputError, OpenSet, Record, SpaceDescriptor, frac
+from .base import InputError, Record, SpaceDescriptor, SpaceMismatchError, frac, frac_from_str, frac_to_str
+from .geometry import OpenSet
 
 
 class Cover(Record):
@@ -60,7 +61,7 @@ def make_cover(pieces) -> Cover:
     sp = pieces[0].space
     for p in pieces:
         if p.space != sp:
-            raise geo.SpaceMismatchError("cover pieces live on different spaces")
+            raise SpaceMismatchError("cover pieces live on different spaces")
         if geo.is_empty(p):
             raise ValueError("cover pieces must be nonempty")
     return Cover(sp, pieces)
@@ -79,7 +80,7 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
         return True
     sp = pieces[0].space
     if any(p.space != sp for p in pieces):
-        raise geo.SpaceMismatchError("chain pieces live on different spaces")
+        raise SpaceMismatchError("chain pieces live on different spaces")
     linked = set()  # the i for which pieces i and i + 1 meet
     for ci in range(len(sp.components)):
         ivs = sorted((a, not a_in, b, b_in, i) for i, spans in enumerate(_lifted(sp, pieces, ci))
@@ -131,9 +132,9 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
     if w.kind not in ("chain", "almost_chain"):
         return False
     if any(p.space != target.space for p in w.pieces):
-        raise geo.SpaceMismatchError("witness pieces live on a different space")
+        raise SpaceMismatchError("witness pieces live on a different space")
     if cover.space != target.space:
-        raise geo.SpaceMismatchError("cover lives on a different space")
+        raise SpaceMismatchError("cover lives on a different space")
     sp, n = target.space, len(w.pieces)
     if not (chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain") and w.mesh == views.max_diameter(w.pieces)
             and geo.subset(target, views.union_all(sp, w.pieces)) and len(w.refines) == n
@@ -335,7 +336,7 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
     component is a whole circle."""
     sp, m = cover.space, len(cover.pieces)
     if target.space != sp:
-        raise geo.SpaceMismatchError("target lives on a different space")
+        raise SpaceMismatchError("target lives on a different space")
     if not geo.subset(target, views.union_all(sp, cover.pieces)):
         raise ValueError("cover does not cover target")
     descs = [_component_span(piece) for piece in views.connected_components(target)]
@@ -370,7 +371,7 @@ def witness_to_json(w: ChainWitness) -> dict:
     return {
         "kind": w.kind,
         "pieces": [geo.set_to_json(p) for p in w.pieces],
-        "mesh": geo.frac_to_str(w.mesh),
+        "mesh": frac_to_str(w.mesh),
         "refines": list(w.refines),
     }
 
@@ -387,7 +388,7 @@ def witness_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> ChainWitness
     pieces = tuple(
         geo.open_set_from_json(sp, p, f"{path}.pieces[{i}]") for i, p in enumerate(raw)
     )
-    mesh = geo.frac_from_str(obj.get("mesh", "0"), f"{path}.mesh")
+    mesh = frac_from_str(obj.get("mesh", "0"), f"{path}.mesh")
     refines = obj.get("refines", [])
     if not isinstance(refines, list) or not all(type(i) is int for i in refines):  # not bool
         raise InputError(f"{path}.refines", "expected a list of piece indices")

@@ -19,7 +19,7 @@ import itertools
 from . import chains
 from . import geometry as geo
 from . import lsc, views
-from .base import InputError, Record
+from .base import InputError, Record, SpaceDescriptor
 
 
 MAX_ALMOST_ORDERED_TERMS = 16  # check_almost_ordered_sums walks every subset of them
@@ -607,7 +607,7 @@ def compose_weak_chain(space_a, xp_a, zs_a, space_b, xp_b, zs_b):
     """Concatenate two chain witnesses over the juxtaposition of their
     spaces. Pieces from different blocks live on disjoint components, so
     the far-apart clause survives; the caller revalidates."""
-    target = geo.SpaceDescriptor(space_a.components + space_b.components)
+    target = SpaceDescriptor(space_a.components + space_b.components)
     off = len(space_a.components)
     xp = lsc.add(lsc.embed_element(xp_a, target, 0), lsc.embed_element(xp_b, target, off))
     zs = [lsc.embed_element(z, target, 0) for z in zs_a]

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .base import InputError, SpaceMismatchError, load_json
+from .base import InputError, SpaceDescriptor, SpaceMismatchError, load_json
 
 
 def _lazy(name: str):
@@ -69,7 +69,7 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _space_of(args) -> geo.SpaceDescriptor:
+def _space_of(args) -> SpaceDescriptor:
     return geo.space_from_json(load_json(args.space, "space"))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import chains
 from . import geometry as geo
-from .base import InputError
+from .base import InputError, frac_from_str, frac_to_str
 from .cli import EXIT_NEGATIVE, EXIT_OK, _emit, _field, _instance_of, _space_of
 
 
@@ -13,7 +13,7 @@ def cmd_chains_epsilon_chain(args) -> int:
     sp = _space_of(args)
     inst = _instance_of(args)
     target = geo.open_set_from_json(sp, _field(inst, "target"), "$.target")
-    eps = geo.frac_from_str(_field(inst, "eps"), "$.eps")
+    eps = frac_from_str(_field(inst, "eps"), "$.eps")
     if eps <= 0:
         raise InputError("$.eps", "eps must be positive")
     try:
@@ -26,7 +26,7 @@ def cmd_chains_epsilon_chain(args) -> int:
     except ValueError as exc:
         raise InputError("$.target", str(exc))
     _emit({"chainable": True, "witness": chains.witness_to_json(w),
-           "mesh": geo.frac_to_str(w.mesh)})
+           "mesh": frac_to_str(w.mesh)})
     return EXIT_OK
 
 
@@ -64,7 +64,7 @@ def cmd_chains_lebesgue(args) -> int:
         delta = chains.lebesgue_number(cover)
     except ValueError as exc:
         raise InputError("$.cover", str(exc))
-    _emit({"delta": geo.frac_to_str(delta)})
+    _emit({"delta": frac_to_str(delta)})
     return EXIT_OK
 
 

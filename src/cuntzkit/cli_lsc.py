@@ -6,9 +6,8 @@ from __future__ import annotations
 import functools
 import math
 
-from . import geometry as geo
 from . import lsc, views
-from .base import InputError
+from .base import InputError, frac_from_str, frac_to_str
 from .cli import EXIT_NEGATIVE, EXIT_OK, _emit, _field, _instance_of, _operands, _parse_elements, _space_of
 
 
@@ -28,7 +27,7 @@ def cmd_lsc_eval(args) -> int:
                 raise InputError(f"{here}[0]", "component index outside the space")
             if entry[1] is None and sp.components[ci].kind != "point":
                 raise InputError(f"{here}[1]", "arc and circle components need a point")
-            p = None if entry[1] is None else geo.frac_from_str(entry[1], f"{here}[1]")
+            p = None if entry[1] is None else frac_from_str(entry[1], f"{here}[1]")
             pts.append((ci, p))
     else:
         top = lsc.level(f, max(1, lsc.num_levels(f)))
@@ -41,7 +40,7 @@ def cmd_lsc_eval(args) -> int:
             raise InputError(f"$.points[{i}][1]", str(exc))
         values.append({
             "component": ci,
-            "point": None if p is None else geo.frac_to_str(p),
+            "point": None if p is None else frac_to_str(p),
             "value": "inf" if v == math.inf else v,
         })
     _emit({"values": values})

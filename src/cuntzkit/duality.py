@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from . import geometry as geo
 from . import lsc, views
+from .base import SpaceDescriptor
 
 
-def point_complement(sp: geo.SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
+def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
     """`views.point_complement`, kept for its one reader,
     bench/workloads.py, until ROADMAP item 1."""
     return views.point_complement(sp, ci, p)
@@ -78,7 +79,7 @@ def verify_hausdorff_wayb(y: lsc.LscElement, z: lsc.LscElement) -> bool:
     return geometric == lsc.way_below(y, z)
 
 
-def verify_topology_laws(sp: geo.SpaceDescriptor, ys) -> dict:
+def verify_topology_laws(sp: SpaceDescriptor, ys) -> dict:
     """Family laws: closed sets of a join meet, closed sets of a meet
     join, and separation of grid points. Empty families fall back to the
     whole space and the empty set."""

@@ -12,26 +12,27 @@ from fractions import Fraction
 
 from . import geometry as geo
 from . import lsc, views
+from .base import SpaceDescriptor, arc, circle, point, space
 
 DENOMS = (2, 3, 4, 6, 8, 12)
 LENGTHS = (Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2))
 
 
-def rand_space(rng: random.Random, max_components: int = 4, kinds=("arc", "arc", "arc", "circle", "point")) -> geo.SpaceDescriptor:
+def rand_space(rng: random.Random, max_components: int = 4, kinds=("arc", "arc", "arc", "circle", "point")) -> SpaceDescriptor:
     n = rng.randint(1, max_components)
     comps = []
     for _ in range(n):
         kind = rng.choice(kinds)
         if kind == "arc":
-            comps.append(geo.arc(rng.choice(LENGTHS)))
+            comps.append(arc(rng.choice(LENGTHS)))
         elif kind == "circle":
-            comps.append(geo.circle(rng.choice(LENGTHS)))
+            comps.append(circle(rng.choice(LENGTHS)))
         else:
-            comps.append(geo.point())
-    return geo.space(*comps)
+            comps.append(point())
+    return space(*comps)
 
 
-def rand_open_set(rng: random.Random, sp: geo.SpaceDescriptor, max_intervals: int = 6, full_bias: float = 0.05) -> geo.OpenSet:
+def rand_open_set(rng: random.Random, sp: SpaceDescriptor, max_intervals: int = 6, full_bias: float = 0.05) -> geo.OpenSet:
     raw = []
     for comp in sp.components:
         if comp.kind == "point":
@@ -60,7 +61,7 @@ def rand_open_set(rng: random.Random, sp: geo.SpaceDescriptor, max_intervals: in
     return geo.grid_set(sp, raw)
 
 
-def rand_nonempty_open_set(rng: random.Random, sp: geo.SpaceDescriptor, **kw) -> geo.OpenSet:
+def rand_nonempty_open_set(rng: random.Random, sp: SpaceDescriptor, **kw) -> geo.OpenSet:
     for _ in range(64):
         s = rand_open_set(rng, sp, **kw)
         if not geo.is_empty(s):
@@ -68,14 +69,14 @@ def rand_nonempty_open_set(rng: random.Random, sp: geo.SpaceDescriptor, **kw) ->
     return geo.full_set(sp)
 
 
-def grid_points(sp: geo.SpaceDescriptor, *sets) -> list:
+def grid_points(sp: SpaceDescriptor, *sets) -> list:
     """Probe points per component: all piece endpoints, space ends, and
     midpoints of consecutive distinct values. Point components probe None.
     A view over `views.probe_points`."""
     return [(ci, p) for ci, p, _ in views.probe_points(sp, sets)]
 
 
-def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, inf_bias: float = 0.2):
+def rand_lsc(rng: random.Random, sp: SpaceDescriptor, max_levels: int = 3, inf_bias: float = 0.2):
     m = rng.randint(0, max_levels)
     levels = []
     cur = None
@@ -92,15 +93,15 @@ def rand_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3, i
     return lsc.from_levels(sp, levels, v)
 
 
-def rand_indicator(rng: random.Random, sp: geo.SpaceDescriptor, max_intervals: int = 4):
+def rand_indicator(rng: random.Random, sp: SpaceDescriptor, max_intervals: int = 4):
     return lsc.indicator(rand_open_set(rng, sp, max_intervals=max_intervals))
 
 
-def rand_bounded_lsc(rng: random.Random, sp: geo.SpaceDescriptor, max_levels: int = 3):
+def rand_bounded_lsc(rng: random.Random, sp: SpaceDescriptor, max_levels: int = 3):
     return rand_lsc(rng, sp, max_levels=max_levels, inf_bias=0.0)
 
 
-def rand_decreasing_indicators(rng: random.Random, sp: geo.SpaceDescriptor, m: int):
+def rand_decreasing_indicators(rng: random.Random, sp: SpaceDescriptor, m: int):
     """A decreasing list of m indicator elements (intersect-accumulated)."""
     out = []
     cur = rand_open_set(rng, sp, max_intervals=4)
@@ -110,7 +111,7 @@ def rand_decreasing_indicators(rng: random.Random, sp: geo.SpaceDescriptor, m: i
     return out
 
 
-def rand_connected_target(rng: random.Random, sp: geo.SpaceDescriptor, allow_full_circle: bool = False) -> geo.OpenSet:
+def rand_connected_target(rng: random.Random, sp: SpaceDescriptor, allow_full_circle: bool = False) -> geo.OpenSet:
     """A nonempty connected open subset of one component."""
     ci = rng.randrange(len(sp.components))
     comp = sp.components[ci]

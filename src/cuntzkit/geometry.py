@@ -18,14 +18,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
-# The value layer; its public names are re-exported.
+# The value layer. The package reads these names from `base`; its public
+# ones are re-exported here for users, the tests and bench/.
 from .base import (
     Component, InputError, Record, SpaceDescriptor, SpaceMismatchError, _set,
     arc, circle, frac, frac_from_str, frac_to_str, load_json, point, space,
 )
 # The sweeps over piece tuples that this module runs.
 from .segment import (
-    Piece, Scaled, _at, _circle_spans, _common, _complement, _contains, _intersect, _least, _merge, _seam_sync,
+    Part, Piece, _at, _circle_spans, _common, _complement, _contains, _intersect, _least, _merge, _seam_sync,
     _seg_closure, _wrap,
 )
 
@@ -98,8 +99,6 @@ def _settle(comp: Component, d: int, pieces: tuple[Piece, ...], n: int) -> Part:
 # openness/closedness invariant of the stored pieces. This module and
 # `views` are the only ones that read `parts`: other modules see a set
 # through the set operations and the per-component views of `views`.
-
-Part = Scaled
 
 
 class OpenSet(Record):

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 
 from . import geometry as geo
-from .geometry import InputError, OpenSet, Record, SpaceDescriptor, frac
-
-_set = object.__setattr__
+from .base import InputError, Record, SpaceDescriptor, SpaceMismatchError, _set, frac
+from .geometry import OpenSet
 
 
 class LscElement(Record):
@@ -47,7 +46,7 @@ def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) ->
     """Canonicalize: fold the infinity part into each level, drop trailing levels equal to it."""
     v = infinity if infinity is not None else geo.empty_set(sp)
     if v.space != sp or any(lv.space != sp for lv in levels):
-        raise geo.SpaceMismatchError("levels live on a different space")
+        raise SpaceMismatchError("levels live on a different space")
     promoted = [geo.union(lv, v) for lv in levels]
     for hi, lo in zip(promoted, promoted[1:]):
         if not geo.subset(lo, hi):
@@ -78,7 +77,7 @@ def unit(sp: SpaceDescriptor) -> LscElement:
 
 def _same_space(f: LscElement, g: LscElement):
     if f.space is not g.space and f.space != g.space:
-        raise geo.SpaceMismatchError("elements live on different spaces")
+        raise SpaceMismatchError("elements live on different spaces")
 
 
 def num_levels(f: LscElement) -> int:
@@ -107,10 +106,7 @@ def embed_element(f: LscElement, target: SpaceDescriptor, offset: int) -> LscEle
 def eval_at(f: LscElement, ci: int, p=None):
     from . import views
 
-    if not 0 <= ci < len(f.space.components):
-        raise ValueError("component index outside the space")
-    comp = f.space.components[ci]
-    # A point component with a coordinate raises in `views.contains_point`.
+    comp = views._comp(f.space, ci, p)
     if comp.kind != "point":
         p = frac(p)
         if comp.kind == "arc" and not 0 <= p <= comp.length:
@@ -193,10 +189,14 @@ def scaled_below(f: LscElement, g: LscElement) -> bool:
     return geo.subset(supp(f), supp(g)) and geo.subset(f.infinity, g.infinity)
 
 
-def _check_indicator_chain(terms, what: str):
+def _check_indicators(terms, what: str):
     for t in terms:
         if len(t.levels) > 1 or not geo.is_empty(t.infinity):
             raise ValueError(f"{what} must be indicator elements")
+
+
+def _check_indicator_chain(terms, what: str):
+    _check_indicators(terms, what)
     for hi, lo in zip(terms, terms[1:]):
         if not leq(lo, hi):
             raise ValueError(f"{what} must be decreasing")
@@ -224,9 +224,7 @@ def ordered_sum_pairwise(xs, ys) -> list:
 def ofs_normalize(terms) -> list:
     """Reorder a list of indicator elements into a decreasing list with the
     same sum: the level indicators of the sum, one per term."""
-    for t in terms:
-        if len(t.levels) > 1 or not geo.is_empty(t.infinity):
-            raise ValueError("terms must be indicator elements")
+    _check_indicators(terms, "terms")
     return _layers(sum(terms[0].space, terms), len(terms)) if terms else []
 
 

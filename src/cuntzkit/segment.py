@@ -14,10 +14,11 @@ sweep; they must be valid, as nothing drops them. `_intersect`,
 canonical tuples, and `_intersect` also tells whether two tuples meet
 and whether one lies in the other. `_seam_sync` keeps the circle rule
 "0 in S iff L in S" through `_coalesce`. `geometry` keeps each part's
-pieces as integers at a scale and imports the sweeps it runs: `_at` and
-`_rescale` move to a scale, `_common` brings two scaled tuples to the
-lcm of their scales and `_least` back to the least one. `views`, the
-one other user, keeps the sweeps that only its views and metric run.
+pieces as integers at a scale and imports the sweeps it runs: `_at`
+moves to a scale, `_common` brings two scaled tuples to the lcm of
+their scales and `_least` back to the least one. `views`, the one other
+user, also imports `_rescale`, which multiplies a tuple's coordinates,
+and keeps the sweeps that only its views and metric run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 
 Piece = tuple[Fraction, bool, Fraction, bool]
 # Pieces (d, pieces) whose coordinates are integers at the scale d.
-Scaled = tuple[int, tuple[Piece, ...]]
+Part = tuple[int, tuple[Piece, ...]]
 
 
 def _coalesce(items: Iterable[Piece]) -> tuple[Piece, ...]:
@@ -137,7 +138,7 @@ def _rescale(pieces: tuple[Piece, ...], m: int) -> tuple[Piece, ...]:
     return tuple([(a * m, ain, b * m, bin_) for a, ain, b, bin_ in pieces])
 
 
-def _least(d: int, pieces: tuple[Piece, ...], L: Fraction) -> Scaled:
+def _least(d: int, pieces: tuple[Piece, ...], L: Fraction) -> Part:
     """The scaled tuple (d, pieces) at its least scale: only
     d // L.denominator can be divided out, and only as far as every
     endpoint allows."""
@@ -149,7 +150,7 @@ def _least(d: int, pieces: tuple[Piece, ...], L: Fraction) -> Scaled:
     return d // k, tuple([(a // k, ain, b // k, bin_) for a, ain, b, bin_ in pieces])
 
 
-def _common(pa: Scaled, pb: Scaled) -> tuple[int, tuple[Piece, ...], tuple[Piece, ...]]:
+def _common(pa: Part, pb: Part) -> tuple[int, tuple[Piece, ...], tuple[Piece, ...]]:
     """The pieces of two scaled tuples at the lcm of their scales."""
     (da, xs), (db, ys) = pa, pb
     if da == db:

@@ -21,12 +21,10 @@ import math
 import random
 from fractions import Fraction
 
-from . import chains
-from . import checks as propcheck
-from . import duality, gen
+from . import chains, checks, duality, gen
 from . import geometry as geo
 from . import lsc, models, views
-from .geometry import InputError
+from .base import InputError, arc, space
 
 MUTATIONS = ("add-off-by-one",)
 
@@ -277,7 +275,7 @@ def _chk_chain_decider(rng, mutate):
             return "chain witness fails verification"
 
 
-ARC1 = geo.space(geo.arc(1))
+ARC1 = space(arc(1))
 
 
 def _rand_weak_chain_instance(rng):
@@ -295,12 +293,12 @@ def _rand_weak_chain_instance(rng):
 @_law("weak-chain-construction", 25)
 def _chk_weak_chain(rng, mutate):
     x, y, ys = _rand_weak_chain_instance(rng)
-    v = propcheck.check_weak_chainability(ARC1, x, y, ys)
+    v = checks.check_weak_chainability(ARC1, x, y, ys)
     if v.kind != "witness":
         return f"expected a witness, got {v.kind}"
     xp = lsc.element_from_json(ARC1, v.data["xp"])
     zs = [lsc.element_from_json(ARC1, z) for z in v.data["zs"]]
-    ok, why = propcheck._validate_weak_chain(x, y, ys, xp, zs)
+    ok, why = checks._validate_weak_chain(x, y, ys, xp, zs)
     if not ok:
         return f"witness fails revalidation: {why}"
 
@@ -309,18 +307,18 @@ def _chk_weak_chain(rng, mutate):
 def _chk_direct_sum(rng, mutate):
     xa, ya, ysa = _rand_weak_chain_instance(rng)
     xb, yb, ysb = _rand_weak_chain_instance(rng)
-    va = propcheck.check_weak_chainability(ARC1, xa, ya, ysa)
-    vb = propcheck.check_weak_chainability(ARC1, xb, yb, ysb)
+    va = checks.check_weak_chainability(ARC1, xa, ya, ysa)
+    vb = checks.check_weak_chainability(ARC1, xb, yb, ysb)
     xpa = lsc.element_from_json(ARC1, va.data["xp"])
     zsa = [lsc.element_from_json(ARC1, z) for z in va.data["zs"]]
     xpb = lsc.element_from_json(ARC1, vb.data["xp"])
     zsb = [lsc.element_from_json(ARC1, z) for z in vb.data["zs"]]
-    tgt, xp, zs = propcheck.compose_weak_chain(ARC1, xpa, zsa, ARC1, xpb, zsb)
+    tgt, xp, zs = checks.compose_weak_chain(ARC1, xpa, zsa, ARC1, xpb, zsb)
     ys_t = [lsc.embed_element(t, tgt, 0) for t in ysa]
     ys_t += [lsc.embed_element(t, tgt, 1) for t in ysb]
     x_t = lsc.add(lsc.embed_element(xa, tgt, 0), lsc.embed_element(xb, tgt, 1))
     y_t = lsc.add(lsc.embed_element(ya, tgt, 0), lsc.embed_element(yb, tgt, 1))
-    ok, why = propcheck._validate_weak_chain(x_t, y_t, ys_t, xp, zs)
+    ok, why = checks._validate_weak_chain(x_t, y_t, ys_t, xp, zs)
     if not ok:
         return f"composed witness fails: {why}"
 
@@ -335,11 +333,11 @@ def _chk_refinable_lsc(rng, mutate):
         for c in cuts
     ]
     m = models.LscModel(ARC1)
-    v = propcheck.check_refinable_sums(m, xs, xs)
+    v = checks.check_refinable_sums(m, xs, xs)
     if v.kind != "witness":
         return f"expected a witness, got {v.kind}"
     rows = [[lsc.element_from_json(ARC1, e) for e in row] for row in v.data["rows"]]
-    ok, why = propcheck._validate_refinable(m, xs, xs, rows)
+    ok, why = checks._validate_refinable(m, xs, xs, rows)
     if not ok:
         return f"rows fail revalidation: {why}"
 
@@ -347,7 +345,7 @@ def _chk_refinable_lsc(rng, mutate):
 @_law("refinable-sums-counterexample", 1)
 def _chk_refinable_counterexample(rng, mutate):
     one = models.compact(1)
-    v = propcheck.check_refinable_sums(
+    v = checks.check_refinable_sums(
         models.load_model("z"),
         [one, one, models.soft(Fraction(11, 10))],
         [one, one, models.soft(Fraction(1, 2))],
@@ -365,7 +363,7 @@ def _chk_almost_ordered(rng, mutate):
     z = models.load_model("z")
     vals = [rng.randrange(0, 7) for _ in range(rng.randrange(2, 5))]
     xs = [models.compact(n) for n in vals]
-    v = propcheck.check_almost_ordered_sums(z, xs)
+    v = checks.check_almost_ordered_sums(z, xs)
     if v.kind != "witness":
         return f"expected a witness, got {v.kind}"
     got = [z.parse(s) for s in v.data["ys"]]
@@ -376,7 +374,7 @@ def _chk_almost_ordered(rng, mutate):
 @_law("almost-ordered-counterexample", 1)
 def _chk_almost_ordered_counterexample(rng, mutate):
     zp = models.load_model("zprime")
-    v = propcheck.check_almost_ordered_sums(zp, [models.compact(1), models.TWIN])
+    v = checks.check_almost_ordered_sums(zp, [models.compact(1), models.TWIN])
     if v.kind != "counterexample":
         return f"expected a counterexample, got {v.kind}"
     if len(v.data.get("decompositions", [])) != 3:
@@ -420,9 +418,9 @@ def run_suite(seed: int = 42, cases: int = 100, names=None, mutate=()) -> dict:
     return _report(seed, cases, sorted(mutate), [run_check(n, seed, cases, mutate) for n in picked])
 
 
-def _report(seed: int, cases: int, mutate: list, checks: list) -> dict:
-    return {"seed": seed, "cases": cases, "mutate": mutate, "checks": checks,
-            "failures": sum(len(c["failures"]) for c in checks)}
+def _report(seed: int, cases: int, mutate: list, entries: list) -> dict:
+    return {"seed": seed, "cases": cases, "mutate": mutate, "checks": entries,
+            "failures": sum(len(c["failures"]) for c in entries)}
 
 
 def shard_names(shard: int, num_shards: int):

@@ -23,12 +23,12 @@ from typing import Sequence
 
 from .base import Component, InputError, SpaceDescriptor, SpaceMismatchError, frac
 from .geometry import (
-    ClosedSet, OpenSet, Part, SetLike, _check_same_space, _empty, _full, _open_part_ok, _part, _settle, closure,
+    ClosedSet, OpenSet, SetLike, _check_same_space, _empty, _full, _open_part_ok, _part, _settle, closure,
     complement, empty_set, is_empty,
 )
 from .segment import (
-    Piece, _at, _circle_spans, _common, _contains, _intersect, _least, _merge, _rescale, _seam_sync, _seg_closure,
-    _wrap,
+    Part, Piece, _at, _circle_spans, _common, _contains, _intersect, _least, _merge, _rescale, _seam_sync,
+    _seg_closure, _wrap,
 )
 
 
@@ -89,14 +89,16 @@ def _grown(pieces: Sequence[Piece], r, L, circle: bool) -> tuple[Piece, ...] | N
 _ZERO = Fraction(0)
 
 
-def _comp(sp: SpaceDescriptor, ci: int, p=None) -> Component:
+def _comp(sp: SpaceDescriptor, ci: int, p=...) -> Component:
     """Component ci of sp, for a view that takes a component index and,
-    on an arc or circle only, a coordinate p."""
+    if it names a point of it, a coordinate p: one on an arc or circle,
+    None on a point component."""
     if not 0 <= ci < len(sp.components):
         raise ValueError("component index outside the space")
     comp = sp.components[ci]
-    if p is not None and comp.kind == "point":
-        raise ValueError("point components have no coordinate")
+    if p is not ... and (p is None) != (comp.kind == "point"):
+        raise ValueError("point components have no coordinate" if p is not None
+                         else "arc and circle components need a point")
     return comp
 
 

@@ -8,6 +8,8 @@ import json
 import os
 import pathlib
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -822,6 +824,59 @@ def test_benchmark_cli_calls_keep_their_pinned_bytes(capsys, tmp_path, monkeypat
         code, out, _ = run(capsys, list(call.argv))
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == (call.exit, pins[f"cli.{call.name}"]), call.name
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_benchmark_cli_calls_at_other_seeds_keep_their_golden_bytes(capsys, tmp_path, monkeypatch, seed):
+    # The verb mix at seeds 7 and 3: each call's exit code and the sha256
+    # of its stdout as tests/pin_golden.py recorded them in tests/golden.json.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    pins = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())[str(seed)]
+    calls = workloads.cli_calls(seed, tmp_path)
+    assert sorted(call.name for call in calls) == sorted(pins)
+    for call in calls:
+        code, out, _ = run(capsys, list(call.argv))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert {"exit": code, "stdout_sha256": digest} == pins[call.name], call.name
+
+
+def workflow_commands(text: str) -> list:
+    """The argv of each `-m cuntzkit.cli` call in a workflow's shell
+    lines: continuation lines joined, each `for NAME in WORD ...` loop
+    variable read as its first word, and the words cut at the first shell
+    operator, such as a redirection."""
+    loops, found = {}, []
+    for line in text.replace("\\\n", " ").splitlines():
+        loop = re.match(r"\s*for (\w+) in (\S+)", line)
+        if loop:
+            loops[loop[1]] = loop[2]
+        if "-m cuntzkit.cli " in line:
+            rest = re.sub(r"\$(\w+)", lambda v: loops.get(v[1], v[0]), line.split("-m cuntzkit.cli ", 1)[1])
+            words = shlex.shlex(rest, posix=True, punctuation_chars=True)
+            words.whitespace_split = True
+            argv = []
+            for w in words:
+                if w[0] in "<>|&;":
+                    break
+                argv.append(w)
+            found.append(argv)
+    return found
+
+
+def test_the_workflow_calls_only_verbs_and_options_the_parser_takes():
+    # The CI workflow runs only on a push, so a verb or option renamed in
+    # the package but not in the workflow would otherwise fail there first.
+    path = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    commands = workflow_commands(path.read_text())
+    assert {tuple(argv[:2]) for argv in commands} == {
+        ("verify", "lemmas"), ("check", "almost-ordered"), ("chains", "refine"),
+        ("check", "refinable-sums"), ("lsc", "add"),
+    }
+    for argv in commands:
+        parsed, _, err = _parse_with(cli.build_parser(), argv)
+        assert isinstance(parsed, dict), (argv, err)
 
 
 def _parse_with(parser, argv):

@@ -41,6 +41,17 @@ def test_point_complement_rejects_a_component_index_outside_the_space(route):
             route(sp, ci, F(1, 2))
 
 
+@pytest.mark.parametrize("route", [
+    lambda sp: lsc.eval_at(lsc.unit(sp), 0, None),
+    lambda sp: views.contains_point(geo.full_set(sp), 0, None),
+    lambda sp: views.point_complement(sp, 0, None),
+], ids=["eval_at", "contains_point", "point_complement"])
+@pytest.mark.parametrize("sp", [ARC, CIRCLE], ids=["arc", "circle"])
+def test_a_point_of_an_arc_or_circle_needs_a_coordinate(route, sp):
+    with pytest.raises(ValueError, match="^arc and circle components need a point$"):
+        route(sp)
+
+
 def test_point_complement_matches_the_grid_set_route():
     # Seeded grid points, shifted by -L, 0, L and 2L so that circle points
     # wrap and arc points leave the arc: the direct construction and the

@@ -19,7 +19,10 @@ and `import cuntzkit.cli` still puts every layer the benchmark traces in
 `sys.modules`. Each name has one home: the package and its tests read
 a name from the module that defines it, and `geometry` and `chains`
 forward to the modules split from them only the names `bench/` reads
-through them, each as that module's own object.
+through them, each as that module's own object. Each concept has one
+name: no top-level alias in the package binds or reads a name another
+module binds, and every module of the package is bound under its own
+name, `geometry` as `geo` apart.
 """
 
 import ast
@@ -518,16 +521,49 @@ def test_the_package_and_its_tests_read_each_name_from_its_home():
 
 
 def test_the_package_imports_each_name_from_the_module_that_defines_it():
-    # Only base's public names may be read through `geometry`, which says
-    # that it re-exports them.
+    # `geometry` re-exports base's public names for users, the tests and
+    # bench/, but the package reads them from `base`.
     defined = _binds(False)
-    base = {n for n in defined["base"] if not n.startswith("_")}
     found = [
         f"{path}:{line}: {m}.{n}"
         for path, reads in _reads("src/cuntzkit/*.py").items()
         for line, m, n in reads
-        if n not in defined[m] and not (m == "geometry" and n in base)
+        if n not in defined[m]
     ]
+    assert found == []
+
+
+def test_the_package_gives_no_name_a_second_binding():
+    # A top-level assignment of a bare name or an attribute, such as
+    # `Part = Scaled` or `_set = object.__setattr__`, is an alias: it
+    # neither binds nor reads a name that another module of the package
+    # binds, so each concept keeps one name in one module.
+    defined = _binds(False)
+    found = []
+    for m in MODULES:
+        for node in ast.parse((PKG / f"{m}.py").read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, (ast.Name, ast.Attribute)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                names.add(node.value.id if isinstance(node.value, ast.Name) else node.value.attr)
+                found += [f"{m}.py:{node.lineno}: {n}" for n in sorted(names) if any(
+                    n in defined[o] for o in MODULES if o != m)]
+    assert found == []
+
+
+def test_each_module_of_the_package_is_bound_under_its_own_name():
+    # `geometry as geo` is the one alias of a module, in src/ and tests/.
+    found = []
+    for path in [*sorted(ROOT.glob("src/cuntzkit/*.py")), *sorted(ROOT.glob("tests/*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "cuntzkit") == "cuntzkit" and node.level <= 1:
+                pairs = [(a.name, a.asname) for a in node.names if a.name in MODULES]
+            elif isinstance(node, ast.Import):
+                pairs = [(a.name.partition(".")[2], a.asname) for a in node.names if a.name.startswith("cuntzkit.")]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name} as {alias}" for name, alias in pairs
+                      if alias not in (None, name) and (name, alias) != ("geometry", "geo")]
     assert found == []
 
 
@@ -558,7 +594,7 @@ def test_each_layer_is_one_module_in_either_import_order(fresh_package, first):
         assert getattr(pkg, name) is mod
         assert getattr(cli, name, mod) is mod
     suite = importlib.import_module("cuntzkit.suite")
-    assert (checks.chains, suite.models, suite.propcheck) == (pkg.chains, pkg.models, checks)
+    assert (checks.chains, suite.models, suite.checks) == (pkg.chains, pkg.models, checks)
     # Values made in one layer are instances of the classes another names.
     model = suite.models.load_model("z")
     verdict = checks.check_refinable_sums(model, [model.parse("1")], [model.parse("1")])
