@@ -842,6 +842,22 @@ def test_benchmark_cli_calls_at_other_seeds_keep_their_golden_bytes(capsys, tmp_
         assert {"exit": code, "stdout_sha256": digest} == pins[call.name], call.name
 
 
+GOLDEN_VERBS = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())["verbs"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERBS))
+def test_verbs_the_mixes_leave_out_keep_their_golden_bytes(capsys, tmp_path, name):
+    # One seeded call of each verb the benchmark's mixes do not run, with
+    # its input files, as tests/pin_golden.py stored them; "{dir}" in an
+    # argument names the directory they are written to.
+    pin = GOLDEN_VERBS[name]
+    for file, obj in pin["files"].items():
+        (tmp_path / file).write_text(json.dumps(obj, sort_keys=True))
+    code, out, _ = run(capsys, [w.replace("{dir}", str(tmp_path)) for w in pin["argv"]])
+    assert {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} == {
+        "exit": pin["exit"], "stdout_sha256": pin["stdout_sha256"]}
+
+
 def workflow_commands(text: str) -> list:
     """The argv of each `-m cuntzkit.cli` call in a workflow's shell
     lines: continuation lines joined, each `for NAME in WORD ...` loop

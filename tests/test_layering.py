@@ -435,11 +435,15 @@ def module_reads(source: str) -> list:
     """(line, module, name) for each name read from a module of the
     package: `from .X import name` or `from cuntzkit.X import name`, and
     `alias.name` where `from . import X as alias`, `from cuntzkit import
-    X as alias` or `import cuntzkit.X` bound the alias. Dunders are not
-    counted, nor names read from the package itself."""
+    X as alias`, `import cuntzkit.X`, `alias = _lazy("X")` or `alias, ...
+    = map(_lazy, ("X", ...))` (as `cli` loads its layers) bound the
+    alias. Dunders are not counted, nor names read from the package
+    itself."""
     tree = ast.parse(source)
     aliases, packages, found = {}, set(), []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            aliases.update(_lazy_binds(node.targets[0], node.value))
         if isinstance(node, ast.ImportFrom) and node.level <= 1:
             mod = node.module or ""
             if node.level == 0:
@@ -465,17 +469,35 @@ def module_reads(source: str) -> list:
     return sorted(found)
 
 
+def _lazy_binds(target, call: ast.Call) -> dict:
+    """{alias: module} for `alias = _lazy("X")` and `a, b = map(_lazy, ("X", "Y"))`."""
+    fn, args = call.func, call.args
+    if isinstance(fn, ast.Name) and fn.id == "_lazy" and len(args) == 1:
+        names, targets = args, [target]
+    elif (isinstance(fn, ast.Name) and fn.id == "map" and len(args) == 2 and isinstance(args[0], ast.Name)
+          and args[0].id == "_lazy" and isinstance(args[1], (ast.Tuple, ast.List)) and isinstance(target, ast.Tuple)):
+        names, targets = args[1].elts, target.elts
+    else:
+        return {}
+    return {t.id: n.value for t, n in zip(targets, names)
+            if isinstance(t, ast.Name) and isinstance(n, ast.Constant) and n.value in MODULES}
+
+
 def test_the_read_rule_catches_each_kind_of_read():
     src = (
         "import cuntzkit.cli\n"
         "from cuntzkit import geometry as geo, InputError\n"
         "from .views import spans\n"
+        "gen = _lazy(\"gen\")\n"
+        "ch, lsc = map(_lazy, (\"checks\", \"lsc\"))\n"
         "def f(sp):\n"
         "    from . import chains\n"
         "    return geo.union(chains.make_cover, cuntzkit.cli.main, geo.__name__, cuntzkit.arc)\n"
+        "g = gen.rand_space(ch.check_axioms, lsc.zero, _lazy(name).x)\n"
     )
     assert module_reads(src) == [
-        (3, "views", "spans"), (6, "chains", "make_cover"), (6, "cli", "main"), (6, "geometry", "union"),
+        (3, "views", "spans"), (8, "chains", "make_cover"), (8, "cli", "main"), (8, "geometry", "union"),
+        (9, "checks", "check_axioms"), (9, "gen", "rand_space"), (9, "lsc", "zero"),
     ]
 
 
