@@ -54,7 +54,16 @@ from .segment import (
 # canonical parts directly.
 # Records are immutable and every stored part is canonical, so `union` and
 # `intersect` of two sets of one class return an operand when the other
-# side is empty or the same object.
+# side is empty or the same object. Per component, an operand's stored
+# part stands for the result wherever it decides it, with no sweep: equal
+# parts, an empty side (the other part for a union, the empty one for an
+# intersection) or a full side (the full part for a union, the other part
+# for an intersection); and where a sweep ends on one operand's pieces at
+# the common scale, that operand's part is kept. `subset` skips a
+# component where a's part is empty, equals b's or b's is full. Parts do
+# not depend on the class, so a mixed pair takes the same rules.
+# `empty_set` keeps the set it built last and hands it out again while
+# asked for the same space object.
 # `grid_set` and `views.grid_windows` take integers at a scale and
 # `views.scaled_spans` gives them back; otherwise Fractions only cross the
 # boundary: `normalize`, `open_set_from_json` and the views
@@ -140,8 +149,16 @@ def _open_part_ok(comp: Component, part: Part) -> bool:
     return comp.kind != "circle" or _contains(pieces, 0) == _contains(pieces, L)
 
 
+_EMPTY = None
+
+
 def empty_set(sp: SpaceDescriptor) -> OpenSet:
-    return OpenSet(sp, tuple(_empty(c) for c in sp.components))
+    """The empty set of sp: the one built last while sp is the same
+    object, else a new one, kept for the next call."""
+    global _EMPTY
+    if _EMPTY is None or _EMPTY.space is not sp:
+        _EMPTY = OpenSet(sp, tuple(_empty(c) for c in sp.components))
+    return _EMPTY
 
 
 def full_set(sp: SpaceDescriptor) -> OpenSet:
@@ -248,11 +265,19 @@ def union(a: SetLike, b: SetLike):
             return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
-        if not pa[1] or not pb[1]:
-            parts.append(pb if not pa[1] else pa)
+        if not pb[1] or pa == pb:
+            parts.append(pa)
+            continue
+        if not pa[1]:
+            parts.append(pb)
+            continue
+        full = _full(comp.length)
+        if pa == full or pb == full:
+            parts.append(pa if pa == full else pb)
             continue
         d, xs, ys = _common(pa, pb)
-        parts.append(_settle(comp, d, _merge(xs + ys), len(xs) + len(ys)))
+        zs = _merge(xs + ys)
+        parts.append(pa if zs == xs else pb if zs == ys else _settle(comp, d, zs, len(xs) + len(ys)))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -266,8 +291,19 @@ def intersect(a: SetLike, b: SetLike):
             return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+        if not pa[1] or pa == pb:
+            parts.append(pa)
+            continue
+        if not pb[1]:
+            parts.append(pb)
+            continue
+        full = _full(comp.length)
+        if pa == full or pb == full:
+            parts.append(pb if pa == full else pa)
+            continue
         d, xs, ys = _common(pa, pb)
-        parts.append(_least(d, _intersect(xs, ys), comp.length))
+        zs = _intersect(xs, ys)
+        parts.append(pa if zs == xs else pb if zs == ys else _least(d, zs, comp.length))
     cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
     return cls(a.space, tuple(parts))
 
@@ -304,8 +340,8 @@ def subset(a: SetLike, b: SetLike) -> bool:
     intersection with b's, as canonical tuples are unique and the
     intersection of two is canonical."""
     _check_same_space(a, b)
-    for pa, pb in zip(a.parts, b.parts):
-        if pa[1]:
+    for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
+        if pa[1] and pa != pb and pb != _full(comp.length):
             _, xs, ys = _common(pa, pb)
             if _intersect(xs, ys) != xs:
                 return False

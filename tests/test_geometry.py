@@ -605,19 +605,55 @@ def same(got, want) -> bool:
     return type(got) is want.cls and oracles.rat_parts(got) == want.parts
 
 
+def spliced(s, ci, part):
+    """s with its stored part on component ci replaced by part."""
+    return type(s)(s.space, s.parts[:ci] + (part,) + s.parts[ci + 1:])
+
+
 def oracle_sweep_pool(rng):
-    """Open and closed sets on KERNEL, their closures and complements, and
-    the empty and full sets."""
+    """Open and closed sets on KERNEL, their closures and complements, sets
+    whole or empty on one component alone, and the empty and full sets."""
     opens_ = [coarse_open_set(rng, KERNEL) for _ in range(3)]
     closeds = [coarse_closed_set(rng, KERNEL) for _ in range(2)]
     pool = opens_ + closeds
     pool += [geo.closure(s) for s in opens_] + [geo.complement(s) for s in pool]
+    # In each class a set whole on component i alone, and one empty on j
+    # alone that shares i's part with a set of the pool: an arc and a
+    # circle, then the other circle and the point. They reach the
+    # per-component rules of union, intersect and subset on components
+    # where the rest of the operands differ.
+    full, empty = geo.full_set(KERNEL), geo.empty_set(KERNEL)
+    for x, none, whole, i, j in (
+        (opens_[0], empty, full, 0, 1),
+        (closeds[0], geo.complement(full), geo.complement(empty), 3, 2),
+    ):
+        pool += [spliced(none, i, whole.parts[i]), spliced(spliced(whole, j, none.parts[j]), i, x.parts[i])]
     # Empty sides, the same object twice and mixed classes with an
     # empty side reach the operand shortcuts of union and intersect.
-    return pool + [geo.empty_set(KERNEL), geo.complement(geo.full_set(KERNEL)), geo.full_set(KERNEL)]
+    return pool + [empty, geo.complement(full), full]
+
+
+def cut_rule(op, full, pa, pb, on_operand=False) -> str:
+    """The rule by which `op` finds its part of one component of two
+    sets: one of the operands decides it, or the sweep ends on an
+    operand's pieces (`on_operand`, which the oracle tells), or it builds
+    a part of its own. `full` is the component's full part."""
+    if pa == pb:
+        return "equal"
+    if not pa[1] or (not pb[1] and op != "subset"):
+        return "empty side"
+    if pb == full or (pa == full and op != "subset"):
+        return "full side"
+    return "operand" if on_operand else "sweep"
 
 
 def test_cut_algebra_sweeps_match_the_merge_oracle():
+    # Each component of a union, an intersection or a subset test either
+    # takes a rule that reads the answer off the operands or sweeps, and
+    # every rule must turn up. A part an operand decides, and one whose
+    # sweep ends on an operand's pieces, is that operand's stored part.
+    seen = {op: set() for op in ("union", "intersect", "subset")}
+    fulls = geo.full_set(KERNEL).parts
     for seed in range(60):
         rng = seeded(seed)
         pool = oracle_sweep_pool(rng)
@@ -634,15 +670,37 @@ def test_cut_algebra_sweeps_match_the_merge_oracle():
             assert all(map(is_canonical, got)), (seed, x)
             assert views.diameter(x) == oracles.diameter(x), (seed, x)
             assert geo.set_to_json(x) == oracles.set_to_json(x), (seed, x)
+            rx = oracles.rat_parts(x)
             for y in pool:
+                ry = oracles.rat_parts(y)
                 for op, got, want in (
                     ("union", geo.union(x, y), oracles.union(x, y)),
                     ("intersect", geo.intersect(x, y), oracles.intersect(x, y)),
                 ):
                     assert same(got, want), (seed, op, x, y)
                     assert is_canonical(got), (seed, op, x, y)
+                    for ci, (full, pa, pb, part) in enumerate(zip(fulls, x.parts, y.parts, got.parts)):
+                        rule = cut_rule(op, full, pa, pb, want.parts[ci] in (rx[ci], ry[ci]))
+                        seen[op].add(rule)
+                        if rule != "sweep":
+                            assert part is pa or part is pb, (seed, op, rule, x, y, ci)
                 assert geo.subset(x, y) == oracles.subset(x, y), (seed, x, y)
+                seen["subset"] |= {cut_rule("subset", *args) for args in zip(fulls, x.parts, y.parts)}
                 assert views.set_distance(x, y) == oracles.set_distance(x, y), (seed, x, y)
+    rules = {"equal", "empty side", "full side", "operand", "sweep"}
+    assert seen == {"union": rules, "intersect": rules, "subset": rules - {"operand"}}
+
+
+def test_a_space_builds_its_empty_set_once():
+    # The set built last is kept while the space is the same object; an
+    # equal space that is another object gets a set of its own.
+    assert geo.empty_set(KERNEL) is geo.empty_set(KERNEL)
+    twin = geo.space(*KERNEL.components)
+    assert twin == KERNEL and twin is not KERNEL
+    e = geo.empty_set(twin)
+    assert e.space is twin and geo.empty_set(twin) is e
+    assert geo.empty_set(KERNEL).space is KERNEL and geo.empty_set(KERNEL) == e
+    assert geo.is_empty(e) and oracles.rat_parts(e) == ((), (), False, ())
 
 
 def test_meets_matches_an_empty_intersection_over_the_oracle_pool():
