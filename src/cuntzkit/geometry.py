@@ -153,8 +153,6 @@ _EMPTY = None
 
 
 def empty_set(sp: SpaceDescriptor) -> OpenSet:
-    """The empty set of sp: the one built last while sp is the same
-    object, else a new one, kept for the next call."""
     global _EMPTY
     if _EMPTY is None or _EMPTY.space is not sp:
         _EMPTY = OpenSet(sp, tuple(_empty(c) for c in sp.components))
