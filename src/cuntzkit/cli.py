@@ -13,7 +13,7 @@ identical inputs produce byte-identical bytes.
 Importing this module runs only `base`. `geometry` and every layer above
 it are registered unexecuted and run on the first read of one of their
 attributes, so a call loads only the layers its verb touches. This
-module holds the verb table, the parser, `main`, the readers the
+module holds the verb table, the parser, `main`, `run`, the readers the
 handlers share and `space validate`; the handlers of the other groups
 live in one module per group, `cli_<group>`, which loads when one of its
 verbs is dispatched.
@@ -22,6 +22,7 @@ verbs is dispatched.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -259,9 +260,26 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> int:
+    """`main` for a process that ends when it returns, as the `cuntzkit`
+    script and `python -m cuntzkit.cli` do. Every object still alive is
+    then frozen, so the collections at interpreter exit do not walk them.
+    `main` never freezes: the tests and the benchmark's launcher call it
+    in a process that goes on. Exiting with `os._exit` would skip the
+    atexit handlers, and with them the output of profilers and coverage
+    tools."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
     # Run as `python -m cuntzkit.cli`, this module is `__main__`. The
     # handler modules import the shared readers from `cuntzkit.cli`, so
-    # that name is this module too, not a second copy of it.
-    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
-    sys.exit(main(argv=sys.argv[1:]))
+    # that name is this module too, not a second copy of it. A runner that
+    # executes this code in a namespace of its own, as `python -m cProfile
+    # -m cuntzkit.cli` does, keeps its own module as `__main__`; the
+    # handler modules then import `cuntzkit.cli` as any importer does.
+    if getattr(sys.modules.get(__name__), "__dict__", None) is globals():
+        sys.modules.setdefault(__spec__.name, sys.modules[__name__])
+    sys.exit(run())
