@@ -1239,7 +1239,8 @@ EXIT_CALLS = {
         {"xs": ["1", "1", "11/10'"], "xps": ["1", "1", "1/2'"]}),
     2: (["lsc", "leq", "-s", "{space}", "--instance", "{instance}"],
         {"a": {"levels": [{"sets": [5]}]}, "b": lsc.element_to_json(chi((0, F(1, 2), True, False)))}),
-    # Inconclusive for now: the pinched row 0 has no compact member (CHANGES.md).
+    # Inconclusive for now: the rational models decide no window above
+    # `compact_cap` (CHANGES.md, FOUND).
     3: (["check", "refinable-sums", "--model", "nbar", "--instance", "{instance}"],
         {"xs": ["100", "200"], "xps": ["2", "4"]}),
 }
@@ -1276,9 +1277,9 @@ def test_the_console_script_ends_through_run():
 
 def test_a_runner_with_its_own_main_module_runs_every_verb(arc_file, tmp_path):
     # `python -m cProfile -m cuntzkit.cli` runs this code in a namespace of
-    # its own and keeps its module as `__main__`; the handler modules once
-    # imported their names from there, and crashed. The profile is written
-    # at exit, which `os._exit` would skip.
+    # its own and keeps its module as `__main__`, so the handler modules
+    # must not take their names from `__main__` there. The profile is
+    # written at exit, which `os._exit` would skip.
     inst = write_json(tmp_path, "i.json", {"a": lsc.element_to_json(chi((0, F(1, 2), True, False))),
                                            "b": lsc.element_to_json(chi((F(1, 4), 1, False, True)))})
     argv = ["lsc", "leq", "-s", arc_file, "--instance", inst]
