@@ -1,13 +1,14 @@
 """The value layer under `geometry`: input errors, exact rationals and
 their strings, the immutable `Record` every value class builds on, the
-space descriptors with their constructors, and the one reader of input
-files. Nothing here reads the stored parts of a set. The package reads
-these names from here; `geometry` re-exports the public ones for users,
-the tests and `bench/`.
+space descriptors with their constructors, the rule that operands live
+on one space, and the one reader of input files. Nothing here reads the
+stored parts of a set. The package reads these names from here;
+`geometry` re-exports the public ones for users, the tests and `bench/`.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from operator import attrgetter
 
@@ -25,13 +26,18 @@ class SpaceMismatchError(ValueError):
     pass
 
 
+def check_space(sp, x) -> None:
+    """The rule every operation on two or more operands applies first:
+    x, a set, element or cover, must live on the space sp."""
+    if x.space is not sp and x.space != sp:
+        raise SpaceMismatchError("operands live on different spaces")
+
+
 def load_json(path: str, label: str, at: str = "$"):
     """The JSON value of the UTF-8 file at path. A file that cannot be
     read or decoded (bad bytes, an integer past Python's digit limit,
     nesting past the recursion limit, or `NaN` and `Infinity`, which are
     not JSON) is an `InputError` at `at` that names the file."""
-    import json  # here, so that `import cuntzkit` does not load it
-
     def not_json(name):
         raise ValueError(f"{name} is not a JSON value")
 

@@ -19,7 +19,7 @@ from math import lcm
 
 from . import geometry as geo
 from . import views
-from .base import InputError, Record, SpaceDescriptor, SpaceMismatchError, frac, frac_from_str, frac_to_str
+from .base import InputError, Record, SpaceDescriptor, check_space, frac, frac_from_str, frac_to_str
 from .geometry import OpenSet
 
 
@@ -60,8 +60,7 @@ def make_cover(pieces) -> Cover:
         raise ValueError("a cover needs at least one piece")
     sp = pieces[0].space
     for p in pieces:
-        if p.space != sp:
-            raise SpaceMismatchError("cover pieces live on different spaces")
+        check_space(sp, p)
         if geo.is_empty(p):
             raise ValueError("cover pieces must be nonempty")
     return Cover(sp, pieces)
@@ -79,8 +78,8 @@ def chain_pattern_ok(pieces, almost: bool) -> bool:
     if not pieces:
         return True
     sp = pieces[0].space
-    if any(p.space != sp for p in pieces):
-        raise SpaceMismatchError("chain pieces live on different spaces")
+    for p in pieces:
+        check_space(sp, p)
     linked = set()  # the i for which pieces i and i + 1 meet
     for ci in range(len(sp.components)):
         ivs = sorted((a, not a_in, b, b_in, i) for i, spans in enumerate(_lifted(sp, pieces, ci))
@@ -131,11 +130,9 @@ def _held(sp, w, cover, n) -> bool:
 def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
     if w.kind not in ("chain", "almost_chain"):
         return False
-    if any(p.space != target.space for p in w.pieces):
-        raise SpaceMismatchError("witness pieces live on a different space")
-    if cover.space != target.space:
-        raise SpaceMismatchError("cover lives on a different space")
     sp, n = target.space, len(w.pieces)
+    for x in (*w.pieces, cover):
+        check_space(sp, x)
     if not (chain_pattern_ok(w.pieces, almost=w.kind == "almost_chain") and w.mesh == views.max_diameter(w.pieces)
             and geo.subset(target, views.union_all(sp, w.pieces)) and len(w.refines) == n
             and all(0 <= idx < len(cover.pieces) for idx in w.refines)):
@@ -335,8 +332,7 @@ def refine_to_almost_chain(cover: Cover, target: OpenSet):
     inside the cover piece its `refines` entry names. Impossible when a
     component is a whole circle."""
     sp, m = cover.space, len(cover.pieces)
-    if target.space != sp:
-        raise SpaceMismatchError("target lives on a different space")
+    check_space(sp, target)
     if not geo.subset(target, views.union_all(sp, cover.pieces)):
         raise ValueError("cover does not cover target")
     descs = [_component_span(piece) for piece in views.connected_components(target)]

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 # ones are re-exported here for users, the tests and bench/.
 from .base import (
     Component, InputError, Record, SpaceDescriptor, SpaceMismatchError, _set,
-    arc, circle, frac, frac_from_str, frac_to_str, load_json, point, space,
+    arc, check_space, circle, frac, frac_from_str, frac_to_str, load_json, point, space,
 )
 # The sweeps over piece tuples that this module runs.
 from .segment import (
@@ -134,11 +134,6 @@ class ClosedSet(Record):
 
 
 SetLike = Union[OpenSet, ClosedSet]
-
-
-def _check_same_space(a: SetLike, b: SetLike):
-    if a.space is not b.space and a.space != b.space:
-        raise SpaceMismatchError("operands live on different spaces")
 
 
 def _open_part_ok(comp: Component, part: Part) -> bool:
@@ -255,7 +250,7 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
 
 
 def union(a: SetLike, b: SetLike):
-    _check_same_space(a, b)
+    check_space(a.space, b)
     if a.__class__ is b.__class__:
         if a is b or is_empty(b):
             return a
@@ -281,7 +276,7 @@ def union(a: SetLike, b: SetLike):
 
 
 def intersect(a: SetLike, b: SetLike):
-    _check_same_space(a, b)
+    check_space(a.space, b)
     if a.__class__ is b.__class__:
         if a is b or is_empty(a):
             return a
@@ -337,7 +332,7 @@ def subset(a: SetLike, b: SetLike) -> bool:
     """Whether a lies in b: on each component a's pieces are their
     intersection with b's, as canonical tuples are unique and the
     intersection of two is canonical."""
-    _check_same_space(a, b)
+    check_space(a.space, b)
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
         if pa[1] and pa != pb and pb != _full(comp.length):
             _, xs, ys = _common(pa, pb)
@@ -347,7 +342,7 @@ def subset(a: SetLike, b: SetLike) -> bool:
 
 
 def sets_equal(a: SetLike, b: SetLike) -> bool:
-    _check_same_space(a, b)
+    check_space(a.space, b)
     return a.parts == b.parts
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 from . import geometry as geo
-from .base import InputError, Record, SpaceDescriptor, SpaceMismatchError, _set, frac
+from . import views
+from .base import InputError, Record, SpaceDescriptor, _set, check_space, frac
 from .geometry import OpenSet
 
 
@@ -45,8 +46,7 @@ class LscElement(Record):
 def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) -> LscElement:
     """Canonicalize: fold the infinity part into each level, drop trailing levels equal to it."""
     v = infinity if infinity is not None else geo.empty_set(sp)
-    if v.space != sp or any(lv.space != sp for lv in levels):
-        raise SpaceMismatchError("levels live on a different space")
+    check_space(sp, v)  # and `union` checks each level against v
     promoted = [geo.union(lv, v) for lv in levels]
     for hi, lo in zip(promoted, promoted[1:]):
         if not geo.subset(lo, hi):
@@ -75,11 +75,6 @@ def unit(sp: SpaceDescriptor) -> LscElement:
     return indicator(geo.full_set(sp))
 
 
-def _same_space(f: LscElement, g: LscElement):
-    if f.space is not g.space and f.space != g.space:
-        raise SpaceMismatchError("elements live on different spaces")
-
-
 def num_levels(f: LscElement) -> int:
     return len(f.levels)
 
@@ -97,15 +92,11 @@ def supp(f: LscElement) -> OpenSet:
 
 def embed_element(f: LscElement, target: SpaceDescriptor, offset: int) -> LscElement:
     """f on a larger space that holds f's components from the given offset on."""
-    from . import views
-
     levels = tuple(views.embed(lv, target, offset) for lv in f.levels)
     return LscElement(target, levels, views.embed(f.infinity, target, offset))
 
 
 def eval_at(f: LscElement, ci: int, p=None):
-    from . import views
-
     comp = views._comp(f.space, ci, p)
     if comp.kind != "point":
         p = frac(p)
@@ -117,23 +108,26 @@ def eval_at(f: LscElement, ci: int, p=None):
 
 
 def leq(f: LscElement, g: LscElement) -> bool:
-    _same_space(f, g)
+    check_space(f.space, g)
     if not geo.subset(f.infinity, g.infinity):
         return False
     return all(geo.subset(f.levels[k], level(g, k + 1)) for k in range(len(f.levels)))
 
 
+def _levelwise(op, f: LscElement, g: LscElement, m: int) -> list:
+    """op of f's and g's k-th levels, for k = 1 .. m."""
+    return [op(level(f, k), level(g, k)) for k in range(1, m + 1)]
+
+
 def join(f: LscElement, g: LscElement) -> LscElement:
-    _same_space(f, g)
-    m = max(len(f.levels), len(g.levels))
-    levels = [geo.union(level(f, k), level(g, k)) for k in range(1, m + 1)]
+    check_space(f.space, g)
+    levels = _levelwise(geo.union, f, g, max(len(f.levels), len(g.levels)))
     return _trusted(f.space, levels, geo.union(f.infinity, g.infinity))
 
 
 def meet(f: LscElement, g: LscElement) -> LscElement:
-    _same_space(f, g)
-    m = max(len(f.levels), len(g.levels))
-    levels = [geo.intersect(level(f, k), level(g, k)) for k in range(1, m + 1)]
+    check_space(f.space, g)
+    levels = _levelwise(geo.intersect, f, g, max(len(f.levels), len(g.levels)))
     return _trusted(f.space, levels, geo.intersect(f.infinity, g.infinity))
 
 
@@ -141,8 +135,8 @@ def add(f: LscElement, g: LscElement) -> LscElement:
     """Pointwise sum by level pairs: {f+g >= n} joins {f >= n}, {g >= n} and
     F_i & G_j over stored levels with i + j = n. Every other term of the
     convolution lies in an infinity part, which {f >= n} or {g >= n} holds."""
-    _same_space(f, g)
-    levels = [geo.union(level(f, n), level(g, n)) for n in range(1, len(f.levels) + len(g.levels) + 1)]
+    check_space(f.space, g)
+    levels = _levelwise(geo.union, f, g, len(f.levels) + len(g.levels))
     for i, fi in enumerate(f.levels, 1):
         for j, gj in enumerate(g.levels, 1):
             levels[i + j - 1] = geo.union(levels[i + j - 1], geo.intersect(fi, gj))
@@ -162,7 +156,7 @@ def sum(sp: SpaceDescriptor, terms) -> LscElement:
 
 def way_below(f: LscElement, g: LscElement) -> bool:
     """Structural way-below: f is bounded and each closed level fits inside g's level."""
-    _same_space(f, g)
+    check_space(f.space, g)
     if not geo.is_empty(f.infinity):
         return False
     return all(
@@ -185,7 +179,7 @@ def scalar_mul(n: int, f: LscElement) -> LscElement:
 
 def scaled_below(f: LscElement, g: LscElement) -> bool:
     """True iff f <= n*g for some natural n."""
-    _same_space(f, g)
+    check_space(f.space, g)
     return geo.subset(supp(f), supp(g)) and geo.subset(f.infinity, g.infinity)
 
 
@@ -249,7 +243,7 @@ def almost_complement(y: LscElement, z: LscElement) -> LscElement:
     later level is V, and V is the answer's infinity part. Each level
     holds V for the same reason, and the levels shrink as k grows.
     """
-    _same_space(y, z)
+    check_space(y.space, z)
     if not geo.is_empty(y.infinity):
         raise ValueError("left operand must be bounded")
     if not leq(y, z):
@@ -266,8 +260,6 @@ def almost_complement(y: LscElement, z: LscElement) -> LscElement:
 
 def interpolate_between(f: LscElement, h: LscElement) -> LscElement:
     """Produce g with f way-below g way-below h, by a uniform level expansion."""
-    from . import views
-
     if not way_below(f, h):
         raise ValueError("interpolation needs f way below h")
     if not f.levels:

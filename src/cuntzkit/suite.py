@@ -17,6 +17,7 @@ plants a known bug and the matching law must go red.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -32,8 +33,6 @@ _LAWS: dict = {}
 
 
 def _rng_for(seed: int, name: str) -> random.Random:
-    import hashlib  # here, not at the top: it loads OpenSSL, and most CLI calls run no law
-
     digest = hashlib.sha256(f"{seed}:{name}".encode()).hexdigest()[:8]
     return random.Random(int(digest, 16))
 

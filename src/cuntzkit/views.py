@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 from typing import Sequence
 
-from .base import Component, InputError, SpaceDescriptor, SpaceMismatchError, frac
+from .base import Component, InputError, SpaceDescriptor, SpaceMismatchError, check_space, frac
 from .geometry import (
-    ClosedSet, OpenSet, SetLike, _check_same_space, _empty, _full, _open_part_ok, _part, _settle, closure,
+    ClosedSet, OpenSet, SetLike, _empty, _full, _open_part_ok, _part, _settle, closure,
     complement, empty_set, is_empty,
 )
 from .segment import (
@@ -160,8 +160,7 @@ def union_all(sp: SpaceDescriptor, sets: Sequence[SetLike]):
     ClosedSet."""
     cls = OpenSet
     for s in sets:
-        if s.space is not sp and s.space != sp:
-            raise SpaceMismatchError("operands live on different spaces")
+        check_space(sp, s)
         if s.__class__ is not OpenSet:
             cls = ClosedSet
     parts = []
@@ -180,7 +179,7 @@ def meets(a: SetLike, b: SetLike) -> bool:
     """Whether a and b share a point: `not is_empty(intersect(a, b))`,
     read off the intersection sweep, with no set built and no least
     scale sought."""
-    _check_same_space(a, b)
+    check_space(a.space, b)
     return any(pa[1] and pb[1] and _intersect(*_common(pa, pb)[1:]) for pa, pb in zip(a.parts, b.parts))
 
 
@@ -357,7 +356,7 @@ def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
 
 def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
     """Infimum of point distances between two nonempty sets; None if either is empty."""
-    _check_same_space(a, b)
+    check_space(a.space, b)
     if is_empty(a) or is_empty(b):
         return None
     ca, cb = closure(a), closure(b)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzkit import gen
+from cuntzkit import chains, gen
 from cuntzkit import geometry as geo
 from cuntzkit import lsc
 from cuntzkit import segment
@@ -301,6 +301,38 @@ def test_component_set_rejects_bad_spans():
     ):
         with pytest.raises(ValueError):
             views.component_set(sp, 0, span)
+
+
+# Each operation that takes operands on one space, called on two: the
+# whole arc and the whole circle, as sets, indicators and covers.
+_A, _B = geo.full_set(ARC), geo.full_set(CIRC)
+SPACE_CHECKED = {
+    "geometry.union": lambda: geo.union(_A, _B),
+    "geometry.intersect": lambda: geo.intersect(_A, _B),
+    "geometry.subset": lambda: geo.subset(_A, _B),
+    "geometry.sets_equal": lambda: geo.sets_equal(_A, _B),
+    "views.meets": lambda: views.meets(_A, _B),
+    "views.set_distance": lambda: views.set_distance(_A, _B),
+    "views.union_all": lambda: views.union_all(ARC, [_A, _B]),
+    "lsc.from_levels level": lambda: lsc.from_levels(ARC, [_B]),
+    "lsc.from_levels infinity": lambda: lsc.from_levels(ARC, [_A], _B),
+    **{f"lsc.{name}": functools.partial(getattr(lsc, name), lsc.indicator(_A), lsc.indicator(_B))
+       for name in ("leq", "join", "meet", "add", "way_below", "scaled_below", "almost_complement")},
+    "chains.make_cover": lambda: chains.make_cover([_A, _B]),
+    "chains.chain_pattern_ok": lambda: chains.chain_pattern_ok([_A, _B], almost=False),
+    "chains.verify_witness pieces": lambda: chains.verify_witness(
+        chains.ChainWitness("chain", (_B,), F(1), (0,)), _A, chains.make_cover([_A])),
+    "chains.verify_witness cover": lambda: chains.verify_witness(
+        chains.ChainWitness("chain", (_A,), F(1), (0,)), _A, chains.make_cover([_B])),
+    "chains.refine_to_almost_chain": lambda: chains.refine_to_almost_chain(chains.make_cover([_A]), _B),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_CHECKED))
+def test_operands_on_two_spaces_raise_the_one_space_mismatch(name):
+    with pytest.raises(geo.SpaceMismatchError) as info:
+        SPACE_CHECKED[name]()
+    assert str(info.value) == "operands live on different spaces"
 
 
 def test_embed_rejects_foreign_components():

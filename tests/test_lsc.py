@@ -210,10 +210,10 @@ def test_ordered_sum_rejects_bad_input():
         (pair, ([two], [small, big]), ValueError, "first summands must be indicator elements"),
         (pair, ([small, big], [two]), ValueError, "first summands must be decreasing"),
         (pair, ([big], [small, big]), ValueError, "second summands must be decreasing"),
-        (pair, ([big], [other]), mismatch, "elements live on different spaces"),
-        (pair, ([big, other], []), mismatch, "elements live on different spaces"),
+        (pair, ([big], [other]), mismatch, "operands live on different spaces"),
+        (pair, ([big, other], []), mismatch, "operands live on different spaces"),
         (refold, ([big, two],), ValueError, "terms must be indicator elements"),
-        (refold, ([big, other],), mismatch, "elements live on different spaces"),
+        (refold, ([big, other],), mismatch, "operands live on different spaces"),
     ]
     for fn, args, exc, message in cases:
         with pytest.raises(exc) as info:

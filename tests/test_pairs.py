@@ -65,3 +65,28 @@ def test_bad_arguments_are_refused(argv, capsys):
         pairs.parse_args(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err
+
+
+# Ten pairs with base median 0.945 and q1-q3 0.9175-0.9725 (spread
+# 0.055): a head median of 0.80 is a gain of 0.145, past the spread.
+BASE = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99]
+
+
+def test_nine_of_ten_wins_with_a_gap_past_the_spread_clear_the_bar():
+    head = [0.80] * 9 + [1.00]
+    m = pairs.summarize(BASE, head, "lower")
+    assert (m["head_wins"], m["clears_bar"]) == (9, True)
+    # The same numbers the other way round, for a higher-is-better metric.
+    assert pairs.summarize([-v for v in BASE], [-v for v in head], "higher")["clears_bar"] is True
+
+
+def test_eight_of_ten_wins_do_not_clear_the_bar():
+    m = pairs.summarize(BASE, [0.80] * 8 + [1.00] * 2, "lower")
+    assert (m["head_wins"], m["clears_bar"]) == (8, False)
+
+
+def test_ten_of_ten_wins_with_a_gap_inside_the_spread_do_not_clear_the_bar():
+    m = pairs.summarize(BASE, [v - 0.05 for v in BASE], "lower")  # a gain of 0.05
+    assert m["head_wins"] == 10
+    assert m["base"]["median"] - m["head"]["median"] < m["base"]["q3"] - m["base"]["q1"]
+    assert m["clears_bar"] is False

@@ -15,9 +15,12 @@ each run is read as its JSON result.
 
 For each workload and metric the file gives both sides' values, medians
 and quartiles (`statistics.quantiles(v, n=4)`), and the number of pairs
-in which HEAD is better; for each run, its `correct` and `failed`. A pair
-in which either run printed no result is left out of the metrics. The
-runner only reports numbers: nothing here passes or fails a change.
+in which HEAD is better, and whether the change clears the review bar
+(`clears_bar`): HEAD better in at least ceil(0.9 N) of the N pairs, and
+its median better than the base median by more than the base q1-q3
+spread. For each run, its `correct` and `failed`. A pair in which either
+run printed no result is left out of the metrics. The runner only
+reports: its exit code does not pass or fail a change.
 Put the copies elsewhere than the system's temporary directory with
 TMPDIR.
 """
@@ -62,13 +65,17 @@ def side_stats(values: list[float]) -> dict:
 
 def summarize(base: list[float], head: list[float], better: str) -> dict:
     """Both sides' statistics for one metric, with the number of pairs in
-    which HEAD's value is strictly better."""
+    which HEAD's value is strictly better and whether that clears the
+    review bar."""
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (h - b) < 0 for b, h in zip(base, head, strict=True))
-    return {"better": better, "pairs": len(base), "head_wins": wins,
-            "base": side_stats(base), "head": side_stats(head)}
+    b, h = side_stats(base), side_stats(head)
+    gain = sign * (b["median"] - h["median"])
+    # wins >= ceil(0.9 N), in integers.
+    clears = 10 * wins >= 9 * len(base) and gain > b["q3"] - b["q1"]
+    return {"better": better, "pairs": len(base), "head_wins": wins, "clears_bar": clears, "base": b, "head": h}
 
 
 def first_side(pair: int) -> str:
@@ -149,7 +156,8 @@ def main(argv=None) -> int:
     for workload, w in report["workloads"].items():
         for name, m in w["metrics"].items():
             print(f"{workload} {name}: {m['base']['median']:.6g} -> {m['head']['median']:.6g} "
-                  f"(head better in {m['head_wins']} of {m['pairs']})")
+                  f"(head better in {m['head_wins']} of {m['pairs']}; "
+                  f"{'clears' if m['clears_bar'] else 'does not clear'} the review bar)")
     print(f"wrote {out}")
     return 0
 
