@@ -86,6 +86,11 @@ def level(f: LscElement, k: int) -> OpenSet:
     return f.infinity
 
 
+def _levelwise(op, f: LscElement, g: LscElement, m: int) -> list:
+    """op of f's and g's k-th levels, for k = 1 .. m."""
+    return [op(level(f, k), level(g, k)) for k in range(1, m + 1)]
+
+
 def supp(f: LscElement) -> OpenSet:
     return f.levels[0] if f.levels else f.infinity
 
@@ -112,11 +117,6 @@ def leq(f: LscElement, g: LscElement) -> bool:
     if not geo.subset(f.infinity, g.infinity):
         return False
     return all(geo.subset(f.levels[k], level(g, k + 1)) for k in range(len(f.levels)))
-
-
-def _levelwise(op, f: LscElement, g: LscElement, m: int) -> list:
-    """op of f's and g's k-th levels, for k = 1 .. m."""
-    return [op(level(f, k), level(g, k)) for k in range(1, m + 1)]
 
 
 def join(f: LscElement, g: LscElement) -> LscElement:
