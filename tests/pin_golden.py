@@ -1,17 +1,22 @@
-"""Record the bytes of the benchmark's CLI mixes at seeds 7 and 3, and of
-one seeded call of each verb those mixes leave out.
+"""Record the bytes of the benchmark's CLI mixes at seeds 7 and 3, of
+one seeded call of each verb those mixes leave out, and of one input
+error of each reader of input files.
 
 Usage: python tests/pin_golden.py
 
 Builds `workloads.cli_calls` at each seed in a temporary directory, runs
 each call in process through `cuntzkit.cli.main`, and writes its exit
-code and the sha256 of its stdout to tests/golden.json, which
-tests/test_cli.py checks. The other verbs' calls go under "verbs" with
-their argv and input files, so that the test runs them without drawing
-them again. This script is the file's only writer. Run it only at a
-commit whose outputs are meant to be the reference: a change that claims
-no output change does not run it, and one that changes an output on
-purpose names each moved call.
+code and the sha256 of its stdout and of its stderr to tests/golden.json,
+which tests/test_cli.py checks; the stderr is hashed with the call's
+input directory written as "{dir}". The other verbs' calls go under
+"verbs" and the input errors under "errors", each with its argv and
+input files, so that the test runs them without drawing them again. A
+file given as a string is written as that text, else as its JSON. This
+script is the file's only writer. Run it only at a commit whose outputs
+are meant to be the reference: a change that claims no output change
+runs it only to add cases or fields, and checks that no recorded exit
+code or digest moved; one that changes an output on purpose names each
+moved call.
 """
 
 import contextlib
@@ -36,16 +41,22 @@ SEEDS = (7, 3)
 DIR = "{dir}"
 
 
-def run(argv: list) -> dict:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv: list, d: str) -> dict:
+    """The pins of one call whose input files are in the directory d."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    return {"exit": code, "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    return {"exit": code, "stdout_sha256": sha256(stdout.getvalue()),
+            "stderr_sha256": sha256(stderr.getvalue().replace(d, DIR))}
 
 
 def pins(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as d:
-        return {call.name: run(list(call.argv)) for call in workloads.cli_calls(seed, pathlib.Path(d))}
+        return {call.name: run(list(call.argv), d) for call in workloads.cli_calls(seed, pathlib.Path(d))}
 
 
 def _space(rng: random.Random):
@@ -101,23 +112,54 @@ def verb_calls() -> dict:
     return calls
 
 
+def error_calls() -> dict:
+    """{name: (argv, files)} for one input error of each reader of input
+    files, every one exit 2 with nothing on stdout."""
+    arc = {"components": [{"kind": "arc", "length": "1"}]}
+    s = f"{DIR}/space.json"
+    half = {"sets": [[["0", "1/2", True, False]]], "full_flags": [False]}
+    element = {"levels": [half], "infinity": {"sets": [[]], "full_flags": [False]}}
+
+    def on_arc(verb, instance):
+        group, name = verb.split()
+        return [group, name, "-s", s, "--instance", f"{DIR}/{name}.json"], {"space.json": arc, f"{name}.json": instance}
+
+    return {
+        "load-json-unreadable": (["space", "validate", "-s", f"{DIR}/missing.json"], {}),
+        "load-json-not-json": (["space", "validate", "-s", s], {"space.json": "not json\n"}),
+        "space-from-json": (["space", "validate", "-s", s], {"space.json": {"components": [{"kind": "disk"}]}}),
+        "open-set-from-json": on_arc("chains decide", {"target": {"sets": [[["0", "2", True, False]]],
+                                                                  "full_flags": [False]}}),
+        "element-from-json": on_arc("lsc add", {"a": element, "b": {"levels": [half, element["infinity"], half]}}),
+        "witness-from-json": on_arc("chains verify", {"witness": {"kind": "chain"}, "target": half,
+                                                      "cover": {"pieces": [half]}}),
+        "cover-from-json": on_arc("chains lebesgue", {"cover": {"pieces": "all"}}),
+        "table-from-json": (["check", "axioms", "--model", f"table:{DIR}/table.json"],
+                            {"table.json": {"elements": ["0", "1"], "le": [[1]]}}),
+        "rational-model-parse": (["check", "refinable-sums", "--model", "z", "--instance", f"{DIR}/sums.json"],
+                                 {"sums.json": {"xs": ["1", "1/2"], "xps": ["1"]}}),
+        "merge-reports": (["verify", "lemmas", "--merge", f"{DIR}/report.json"], {"report.json": {"seed": 42}}),
+    }
+
+
 def write_files(d: pathlib.Path, argv: list, files: dict) -> list:
     """Write each input file into d; return argv with DIR read as d."""
     for name, obj in files.items():
-        (d / name).write_text(json.dumps(obj, sort_keys=True))
+        (d / name).write_text(obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True))
     return [w.replace(DIR, str(d)) for w in argv]
 
 
-def verb_pins() -> dict:
+def file_pins(calls: dict) -> dict:
     out = {}
-    for name, (argv, files) in verb_calls().items():
+    for name, (argv, files) in calls.items():
         with tempfile.TemporaryDirectory() as d:
-            out[name] = {"argv": argv, "files": files, **run(write_files(pathlib.Path(d), argv, files))}
+            out[name] = {"argv": argv, "files": files, **run(write_files(pathlib.Path(d), argv, files), d)}
     return out
 
 
 def main() -> None:
-    golden = {**{str(seed): pins(seed) for seed in SEEDS}, "verbs": verb_pins()}
+    golden = {**{str(seed): pins(seed) for seed in SEEDS}, "verbs": file_pins(verb_calls()),
+              "errors": file_pins(error_calls())}
     with open(ROOT / "tests" / "golden.json", "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -835,36 +835,55 @@ def test_benchmark_cli_calls_keep_their_pinned_bytes(capsys, tmp_path, monkeypat
         assert (code, digest) == (call.exit, pins[f"cli.{call.name}"]), call.name
 
 
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())
+
+
+def golden_pins(capsys, argv, d) -> dict:
+    """A call's exit code and the sha256 of its stdout and of its stderr,
+    with its input directory d written as "{dir}", as tests/pin_golden.py
+    records them."""
+    code, out, err = run(capsys, argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.replace(str(d), "{dir}").encode()).hexdigest()}
+
+
 @pytest.mark.parametrize("seed", [7, 3])
 def test_benchmark_cli_calls_at_other_seeds_keep_their_golden_bytes(capsys, tmp_path, monkeypatch, seed):
-    # The verb mix at seeds 7 and 3: each call's exit code and the sha256
-    # of its stdout as tests/pin_golden.py recorded them in tests/golden.json.
+    # The verb mix at seeds 7 and 3, as tests/pin_golden.py recorded it in
+    # tests/golden.json.
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
-    pins = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())[str(seed)]
+    pins = GOLDEN[str(seed)]
     calls = workloads.cli_calls(seed, tmp_path)
     assert sorted(call.name for call in calls) == sorted(pins)
     for call in calls:
-        code, out, _ = run(capsys, list(call.argv))
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert {"exit": code, "stdout_sha256": digest} == pins[call.name], call.name
+        assert golden_pins(capsys, list(call.argv), tmp_path) == pins[call.name], call.name
 
 
-GOLDEN_VERBS = json.loads(pathlib.Path(__file__).with_name("golden.json").read_text())["verbs"]
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_VERBS))
-def test_verbs_the_mixes_leave_out_keep_their_golden_bytes(capsys, tmp_path, name):
-    # One seeded call of each verb the benchmark's mixes do not run, with
-    # its input files, as tests/pin_golden.py stored them; "{dir}" in an
-    # argument names the directory they are written to.
-    pin = GOLDEN_VERBS[name]
+def run_golden_call(capsys, tmp_path, pin) -> dict:
+    """A call stored with its input files, as tests/pin_golden.py stored
+    it: a string is the file's text, any other value its JSON, and
+    "{dir}" in an argument names the directory they are written to."""
     for file, obj in pin["files"].items():
-        (tmp_path / file).write_text(json.dumps(obj, sort_keys=True))
-    code, out, _ = run(capsys, [w.replace("{dir}", str(tmp_path)) for w in pin["argv"]])
-    assert {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} == {
-        "exit": pin["exit"], "stdout_sha256": pin["stdout_sha256"]}
+        (tmp_path / file).write_text(obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True))
+    return golden_pins(capsys, [w.replace("{dir}", str(tmp_path)) for w in pin["argv"]], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["verbs"]))
+def test_verbs_the_mixes_leave_out_keep_their_golden_bytes(capsys, tmp_path, name):
+    # One seeded call of each verb the benchmark's mixes do not run.
+    pin = GOLDEN["verbs"][name]
+    assert run_golden_call(capsys, tmp_path, pin) == {k: pin[k] for k in ("exit", "stdout_sha256", "stderr_sha256")}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["errors"]))
+def test_each_reader_error_keeps_its_golden_bytes(capsys, tmp_path, name):
+    # One input error of each reader of input files: exit 2, nothing on
+    # stdout, and the stderr recorded.
+    pin = GOLDEN["errors"][name]
+    assert (pin["exit"], pin["stdout_sha256"]) == (2, hashlib.sha256(b"").hexdigest())
+    assert run_golden_call(capsys, tmp_path, pin) == {k: pin[k] for k in ("exit", "stdout_sha256", "stderr_sha256")}
 
 
 def workflow_commands(text: str) -> list:

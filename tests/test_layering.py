@@ -12,17 +12,19 @@ read them see real names, and `geometry.py` stays below the size at
 which compiling it takes a step more memory. A CLI process imports no
 more of the standard library than it needs: no module uses
 `dataclasses`, and importing the CLI loads neither it, `inspect` nor
-`hashlib`. A CLI call runs only the layers and the handler module its
-verb touches, and compiles no more than a fixed budget of tokens for two
-of them. Each layer is one module object whichever is imported first,
-and `import cuntzkit.cli` still puts every layer the benchmark traces in
-`sys.modules`. Each name has one home: the package and its tests read
-a name from the module that defines it, and `geometry` and `chains`
-forward to the modules split from them only the names `bench/` reads
-through them, each as that module's own object. Each concept has one
-name: no top-level alias in the package binds or reads a name another
-module binds, and every module of the package is bound under its own
-name, `geometry` as `geo` apart.
+`hashlib`. No function imports a module but the two forwards below: the
+CLI's lazy loader is the one import deferral. A CLI call runs only the
+layers and the handler module its verb touches, and compiles no more
+than a fixed budget of tokens for two of them. Each layer is one module
+object whichever is imported first, and `import cuntzkit.cli` still
+puts every layer the benchmark traces in `sys.modules`. Each name has
+one home: the package and its tests read a name from the module that
+defines it, and `geometry` and `chains` forward to the modules split
+from them only the names `bench/` reads through them, each as that
+module's own object. Each concept has one name: no top-level alias in
+the package binds or reads a name another module binds, and every
+module of the package is bound under its own name, `geometry` as `geo`
+apart.
 """
 
 import ast
@@ -263,6 +265,18 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.name}:{node.lineno}" for n in names if n and n.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_no_function_imports_a_module_but_the_forwards():
+    # `cli`'s lazy loader is the one import deferral: every import
+    # statement sits at a module's top, apart from the `__getattr__`
+    # forwards of `geometry` and `chains`, kept for `bench/`.
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{fn.name}" for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert sorted(found) == ["chains.py:__getattr__", "geometry.py:__getattr__"]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
