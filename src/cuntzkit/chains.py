@@ -20,19 +20,19 @@ from math import lcm
 from . import geometry as geo
 from . import views
 from .base import InputError, Record, SpaceDescriptor, check_space, frac, frac_from_str, frac_to_str
-from .geometry import OpenSet
+from .geometry import PointSet
 
 
 class Cover(Record):
     __slots__ = ("space", "pieces")
     space: SpaceDescriptor
-    pieces: tuple[OpenSet, ...]
+    pieces: tuple[PointSet, ...]
 
 
 class ChainWitness(Record):
     __slots__ = ("kind", "pieces", "mesh", "refines")
     kind: str
-    pieces: tuple[OpenSet, ...]
+    pieces: tuple[PointSet, ...]
     mesh: Fraction
     refines: tuple[int, ...]
 
@@ -127,7 +127,7 @@ def _held(sp, w, cover, n) -> bool:
     return True
 
 
-def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
+def verify_witness(w: ChainWitness, target: PointSet, cover: Cover) -> bool:
     if w.kind not in ("chain", "almost_chain"):
         return False
     sp, n = target.space, len(w.pieces)
@@ -140,7 +140,7 @@ def verify_witness(w: ChainWitness, target: OpenSet, cover: Cover) -> bool:
     return _held(sp, w, cover, n)
 
 
-def decide_chainable(target: OpenSet) -> bool:
+def decide_chainable(target: PointSet) -> bool:
     """Connected and not a whole circle. The empty set counts as chainable."""
     comps = views.connected_components(target)
     if len(comps) > 1:
@@ -154,7 +154,7 @@ def decide_almost_chainable(sp: SpaceDescriptor) -> bool:
     return all(c.kind != "circle" for c in sp.components)
 
 
-def _home(piece: OpenSet):
+def _home(piece: PointSet):
     """(ci, spans): the component a nonempty connected piece lies on, and
     its `spans` there."""
     for ci in range(len(piece.space.components)):
@@ -163,7 +163,7 @@ def _home(piece: OpenSet):
             return ci, got
 
 
-def _component_span(piece: OpenSet):
+def _component_span(piece: PointSet):
     """Describe a connected open piece: (ci, None) for a point, or
     (ci, (a, a_in, b, b_in)) in lifted coordinates, from its one span. None
     for a full circle, whose span is exactly (0, True, L, True); an open
@@ -177,7 +177,7 @@ def _component_span(piece: OpenSet):
     return ci, spans[0]
 
 
-def epsilon_chain(target: OpenSet, eps) -> ChainWitness:
+def epsilon_chain(target: PointSet, eps) -> ChainWitness:
     """A chain of mesh below eps covering a connected chainable target.
 
     Raises ChainTooLargeError, before it builds any piece, when the chain
@@ -326,7 +326,7 @@ def _least_holders(per, windows) -> list:
     return out
 
 
-def refine_to_almost_chain(cover: Cover, target: OpenSet):
+def refine_to_almost_chain(cover: Cover, target: PointSet):
     """An almost chain refining the cover and covering the target, built
     chain by chain over the target's connected components, each window
     inside the cover piece its `refines` entry names. Impossible when a

@@ -16,7 +16,7 @@ from . import lsc, views
 from .base import SpaceDescriptor
 
 
-def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> geo.OpenSet:
+def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> geo.PointSet:
     """`views.point_complement`, kept for its one reader,
     bench/workloads.py, until ROADMAP item 1."""
     return views.point_complement(sp, ci, p)
@@ -88,7 +88,7 @@ def verify_topology_laws(sp: SpaceDescriptor, ys) -> dict:
         _unit_indicator(y)
     out = {}
 
-    closed_meet = geo.complement(geo.empty_set(sp))
+    closed_meet = geo.full_set(sp)
     for y in ys:
         closed_meet = geo.intersect(closed_meet, geo.complement(lsc.supp(y)))
     joined = lsc.zero(sp)
@@ -98,7 +98,7 @@ def verify_topology_laws(sp: SpaceDescriptor, ys) -> dict:
         closed_meet, geo.complement(lsc.supp(joined))
     )
 
-    closed_join = geo.complement(geo.full_set(sp))
+    closed_join = geo.empty_set(sp)
     for y in ys:
         closed_join = geo.union(closed_join, geo.complement(lsc.supp(y)))
     met = e

@@ -32,7 +32,7 @@ def rand_space(rng: random.Random, max_components: int = 4, kinds=("arc", "arc",
     return space(*comps)
 
 
-def rand_open_set(rng: random.Random, sp: SpaceDescriptor, max_intervals: int = 6, full_bias: float = 0.05) -> geo.OpenSet:
+def rand_open_set(rng: random.Random, sp: SpaceDescriptor, max_intervals: int = 6, full_bias: float = 0.05) -> geo.PointSet:
     raw = []
     for comp in sp.components:
         if comp.kind == "point":
@@ -61,7 +61,7 @@ def rand_open_set(rng: random.Random, sp: SpaceDescriptor, max_intervals: int = 
     return geo.grid_set(sp, raw)
 
 
-def rand_nonempty_open_set(rng: random.Random, sp: SpaceDescriptor, **kw) -> geo.OpenSet:
+def rand_nonempty_open_set(rng: random.Random, sp: SpaceDescriptor, **kw) -> geo.PointSet:
     for _ in range(64):
         s = rand_open_set(rng, sp, **kw)
         if not geo.is_empty(s):
@@ -111,7 +111,7 @@ def rand_decreasing_indicators(rng: random.Random, sp: SpaceDescriptor, m: int):
     return out
 
 
-def rand_connected_target(rng: random.Random, sp: SpaceDescriptor, allow_full_circle: bool = False) -> geo.OpenSet:
+def rand_connected_target(rng: random.Random, sp: SpaceDescriptor, allow_full_circle: bool = False) -> geo.PointSet:
     """A nonempty connected open subset of one component."""
     ci = rng.randrange(len(sp.components))
     comp = sp.components[ci]

@@ -3,9 +3,9 @@
 A space is a finite ordered disjoint union of components, each an arc
 (a segment [0, L]), a circle of circumference L, or an isolated point.
 All coordinates are exact rationals; a set stores them as integers over
-one least common denominator per component. Open and closed subsets are
-kept in a canonical form so that structural equality coincides with
-equality of the represented point sets.
+one least common denominator per component. Every set, open, closed or
+neither, is one `PointSet` in a canonical form, so two records are equal
+exactly when they hold the same points, however each was built.
 
 The metric of `views` is the arc-length metric inside a component
 (geodesic on circles) and a constant 2 between points of different
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 # The value layer. The package reads these names from `base`; its public
 # ones are re-exported here for users, the tests and bench/.
@@ -53,15 +53,14 @@ from .segment import (
 # settles its one closed point, and `views.grid_windows` writes its
 # canonical parts directly.
 # Records are immutable and every stored part is canonical, so `union` and
-# `intersect` of two sets of one class return an operand when the other
-# side is empty or the same object. Per component, an operand's stored
-# part stands for the result wherever it decides it, with no sweep: equal
-# parts, an empty side (the other part for a union, the empty one for an
-# intersection) or a full side (the full part for a union, the other part
-# for an intersection); and where a sweep ends on one operand's pieces at
-# the common scale, that operand's part is kept. `subset` skips a
-# component where a's part is empty, equals b's or b's is full. Parts do
-# not depend on the class, so a mixed pair takes the same rules.
+# `intersect` return an operand when the other side is empty or the same
+# object. Per component, an operand's stored part stands for the result
+# wherever it decides it, with no sweep: equal parts, an empty side (the
+# other part for a union, the empty one for an intersection) or a full
+# side (the full part for a union, the other part for an intersection);
+# and where a sweep ends on one operand's pieces at the common scale, that
+# operand's part is kept. `subset` skips a component where a's part is
+# empty, equals b's or b's is full.
 # `empty_set` keeps the set it built last and hands it out again while
 # asked for the same space object.
 # `grid_set` and `views.grid_windows` take integers at a scale and
@@ -103,14 +102,13 @@ def _settle(comp: Component, d: int, pieces: tuple[Piece, ...], n: int) -> Part:
 
 
 # ---------------------------------------------------------------------------
-# Public set types. `parts` holds one scaled part (d, pieces) per
-# component. Both types share the representation; the distinction is the
-# openness/closedness invariant of the stored pieces. This module and
-# `views` are the only ones that read `parts`: other modules see a set
-# through the set operations and the per-component views of `views`.
+# The set type. `parts` holds one scaled part (d, pieces) per component.
+# This module and `views` are the only ones that read `parts`: other
+# modules see a set through the set operations and the per-component
+# views of `views`.
 
 
-class OpenSet(Record):
+class PointSet(Record):
     __slots__ = ("space", "parts")
 
     def __init__(self, space: SpaceDescriptor, parts: tuple[Part, ...]):
@@ -128,14 +126,6 @@ class OpenSet(Record):
     __hash__ = Record.__hash__
 
 
-class ClosedSet(Record):
-    __slots__ = ("space", "parts")
-    __init__, __eq__, __hash__ = OpenSet.__init__, OpenSet.__eq__, Record.__hash__
-
-
-SetLike = Union[OpenSet, ClosedSet]
-
-
 def _open_part_ok(comp: Component, part: Part) -> bool:
     d, pieces = part
     L = _at(comp.length, d)
@@ -147,19 +137,19 @@ def _open_part_ok(comp: Component, part: Part) -> bool:
 _EMPTY = None
 
 
-def empty_set(sp: SpaceDescriptor) -> OpenSet:
+def empty_set(sp: SpaceDescriptor) -> PointSet:
     global _EMPTY
     if _EMPTY is None or _EMPTY.space is not sp:
-        _EMPTY = OpenSet(sp, tuple(_empty(c) for c in sp.components))
+        _EMPTY = PointSet(sp, tuple(_empty(c) for c in sp.components))
     return _EMPTY
 
 
-def full_set(sp: SpaceDescriptor) -> OpenSet:
-    return OpenSet(sp, tuple(_full(c.length) for c in sp.components))
+def full_set(sp: SpaceDescriptor) -> PointSet:
+    return PointSet(sp, tuple(_full(c.length) for c in sp.components))
 
 
-def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
-    """Build a canonical OpenSet from raw per-component interval data.
+def normalize(sp: SpaceDescriptor, raw, path: str = "$") -> PointSet:
+    """Build a canonical PointSet from raw per-component interval data.
 
     Raw data is a sequence with one entry per component: a bool for point
     components, the string "full" for a full circle, or an iterable of
@@ -193,7 +183,7 @@ def _on_grid(L: Fraction, ivs) -> tuple[int, list[tuple]]:
     return d, [(_at(iv[0], d), _at(iv[1], d)) + iv[2:] if len(iv) in (2, 4) else iv for iv in out]
 
 
-def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
+def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> PointSet:
     """`normalize` on an integer grid: an arc or circle entry is "full" or
     (d, intervals), where d is a positive multiple of the denominator of
     the component's length and each interval end is an integer x standing
@@ -246,16 +236,15 @@ def grid_set(sp: SpaceDescriptor, raw, path: str = "$") -> OpenSet:
         # circle pieces carry none, `_wrap` holds the seam on both sides it
         # cuts, and `_merge` and `_seam_sync` keep open pieces open.
         parts.append(_part(comp, *_least(d, pieces, L)))
-    return OpenSet(sp, tuple(parts))
+    return PointSet(sp, tuple(parts))
 
 
-def union(a: SetLike, b: SetLike):
+def union(a: PointSet, b: PointSet) -> PointSet:
     check_space(a.space, b)
-    if a.__class__ is b.__class__:
-        if a is b or is_empty(b):
-            return a
-        if is_empty(a):
-            return b
+    if a is b or is_empty(b):
+        return a
+    if is_empty(a):
+        return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
         if not pb[1] or pa == pb:
@@ -271,17 +260,15 @@ def union(a: SetLike, b: SetLike):
         d, xs, ys = _common(pa, pb)
         zs = _merge(xs + ys)
         parts.append(pa if zs == xs else pb if zs == ys else _settle(comp, d, zs, len(xs) + len(ys)))
-    cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
-    return cls(a.space, tuple(parts))
+    return PointSet(a.space, tuple(parts))
 
 
-def intersect(a: SetLike, b: SetLike):
+def intersect(a: PointSet, b: PointSet) -> PointSet:
     check_space(a.space, b)
-    if a.__class__ is b.__class__:
-        if a is b or is_empty(a):
-            return a
-        if is_empty(b):
-            return b
+    if a is b or is_empty(a):
+        return a
+    if is_empty(b):
+        return b
     parts = []
     for comp, pa, pb in zip(a.space.components, a.parts, b.parts):
         if not pa[1] or pa == pb:
@@ -297,38 +284,36 @@ def intersect(a: SetLike, b: SetLike):
         d, xs, ys = _common(pa, pb)
         zs = _intersect(xs, ys)
         parts.append(pa if zs == xs else pb if zs == ys else _least(d, zs, comp.length))
-    cls = OpenSet if isinstance(a, OpenSet) and isinstance(b, OpenSet) else ClosedSet
-    return cls(a.space, tuple(parts))
+    return PointSet(a.space, tuple(parts))
 
 
-def closure(a: SetLike) -> ClosedSet:
+def closure(a: PointSet) -> PointSet:
     parts: list[Part] = []
     for comp, (d, pieces) in zip(a.space.components, a.parts):
         parts.append(_settle(comp, d, _seg_closure(pieces), len(pieces)))
-    return ClosedSet(a.space, tuple(parts))
+    return PointSet(a.space, tuple(parts))
 
 
-def complement(a: SetLike):
-    """Set complement within the space. Open sets go to closed and back."""
+def complement(a: PointSet) -> PointSet:
+    """Set complement within the space."""
     parts: list[Part] = []
     for comp, (d, pieces) in zip(a.space.components, a.parts):
         parts.append((d, _complement(pieces, _at(comp.length, d))))
-    cls = ClosedSet if isinstance(a, OpenSet) else OpenSet
-    return cls(a.space, tuple(parts))
+    return PointSet(a.space, tuple(parts))
 
 
-def interior(c: SetLike) -> OpenSet:
+def interior(c: PointSet) -> PointSet:
     return complement(closure(complement(c)))
 
 
-def is_empty(a: SetLike) -> bool:
+def is_empty(a: PointSet) -> bool:
     for p in a.parts:
         if p[1]:
             return False
     return True
 
 
-def subset(a: SetLike, b: SetLike) -> bool:
+def subset(a: PointSet, b: PointSet) -> bool:
     """Whether a lies in b: on each component a's pieces are their
     intersection with b's, as canonical tuples are unique and the
     intersection of two is canonical."""
@@ -341,12 +326,12 @@ def subset(a: SetLike, b: SetLike) -> bool:
     return True
 
 
-def sets_equal(a: SetLike, b: SetLike) -> bool:
+def sets_equal(a: PointSet, b: PointSet) -> bool:
     check_space(a.space, b)
     return a.parts == b.parts
 
 
-def compactly_contained(a: OpenSet, b: OpenSet) -> bool:
+def compactly_contained(a: PointSet, b: PointSet) -> bool:
     return subset(closure(a), b)
 
 
@@ -370,7 +355,7 @@ def __getattr__(name):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding. Rationals are "p/q" strings; an open or closed set is
+# JSON encoding. Rationals are "p/q" strings; a set is
 # {"sets": [[quadruple, ...], ...], "full_flags": [bool, ...]} with one entry
 # per component. Point components use full_flags for membership and an empty
 # interval list. A fully covered circle uses full_flags, never intervals.
@@ -418,7 +403,7 @@ def _ratio_str(x: int, d: int) -> str:
     return f"{x // g}/{d // g}"
 
 
-def set_to_json(a: SetLike) -> dict:
+def set_to_json(a: PointSet) -> dict:
     sets = []
     fulls = []
     for comp, part in zip(a.space.components, a.parts):
@@ -434,7 +419,7 @@ def set_to_json(a: SetLike) -> dict:
     return {"sets": sets, "full_flags": fulls}
 
 
-def open_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> OpenSet:
+def open_set_from_json(sp: SpaceDescriptor, obj, path: str = "$") -> PointSet:
     if not isinstance(obj, dict) or "sets" not in obj:
         raise InputError(path, "expected an object with 'sets' and 'full_flags'")
     sets = obj["sets"]

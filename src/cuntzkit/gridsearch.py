@@ -12,10 +12,10 @@ from __future__ import annotations
 from . import views
 from .base import frac
 from .chains import ChainWitness, _component_span, _home, make_cover, verify_witness
-from .geometry import OpenSet
+from .geometry import PointSet
 
 
-def exhaustive_chain_search(target: OpenSet, eps, depth: int = 4):
+def exhaustive_chain_search(target: PointSet, eps, depth: int = 4):
     """Search all grid-arc chains of mesh below eps covering the target.
 
     Pieces are open arcs with endpoints on the dyadic grid of the target at

@@ -20,13 +20,13 @@ import math
 from . import geometry as geo
 from . import views
 from .base import InputError, Record, SpaceDescriptor, _set, check_space, frac
-from .geometry import OpenSet
+from .geometry import PointSet
 
 
 class LscElement(Record):
     __slots__ = ("space", "levels", "infinity")
 
-    def __init__(self, space: SpaceDescriptor, levels: tuple[OpenSet, ...], infinity: OpenSet):
+    def __init__(self, space: SpaceDescriptor, levels: tuple[PointSet, ...], infinity: PointSet):
         _set(self, "space", space)
         _set(self, "levels", levels)
         _set(self, "infinity", infinity)
@@ -43,7 +43,7 @@ class LscElement(Record):
     __hash__ = Record.__hash__
 
 
-def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) -> LscElement:
+def from_levels(sp: SpaceDescriptor, levels, infinity: PointSet | None = None) -> LscElement:
     """Canonicalize: fold the infinity part into each level, drop trailing levels equal to it."""
     v = infinity if infinity is not None else geo.empty_set(sp)
     check_space(sp, v)  # and `union` checks each level against v
@@ -54,7 +54,7 @@ def from_levels(sp: SpaceDescriptor, levels, infinity: OpenSet | None = None) ->
     return _trusted(sp, promoted, v)
 
 
-def _trusted(sp: SpaceDescriptor, levels: list, v: OpenSet) -> LscElement:
+def _trusted(sp: SpaceDescriptor, levels: list, v: PointSet) -> LscElement:
     """The element of levels that are already nested and contain v: only
     trailing levels equal to v are dropped."""
     while levels and levels[-1] == v:
@@ -62,7 +62,7 @@ def _trusted(sp: SpaceDescriptor, levels: list, v: OpenSet) -> LscElement:
     return LscElement(sp, tuple(levels), v)
 
 
-def indicator(s: OpenSet) -> LscElement:
+def indicator(s: PointSet) -> LscElement:
     return _trusted(s.space, [s], geo.empty_set(s.space))
 
 
@@ -79,7 +79,7 @@ def num_levels(f: LscElement) -> int:
     return len(f.levels)
 
 
-def level(f: LscElement, k: int) -> OpenSet:
+def level(f: LscElement, k: int) -> PointSet:
     """The superlevel set {f >= k} for k >= 1 (the infinity part beyond the stored levels)."""
     if k <= len(f.levels):
         return f.levels[k - 1]
@@ -91,7 +91,7 @@ def _levelwise(op, f: LscElement, g: LscElement, m: int) -> list:
     return [op(level(f, k), level(g, k)) for k in range(1, m + 1)]
 
 
-def supp(f: LscElement) -> OpenSet:
+def supp(f: LscElement) -> PointSet:
     return f.levels[0] if f.levels else f.infinity
 
 

@@ -23,8 +23,7 @@ from typing import Sequence
 
 from .base import Component, InputError, SpaceDescriptor, SpaceMismatchError, check_space, frac
 from .geometry import (
-    ClosedSet, OpenSet, SetLike, _empty, _full, _open_part_ok, _part, _settle, closure,
-    complement, empty_set, is_empty,
+    PointSet, _empty, _full, _open_part_ok, _part, _settle, closure, complement, empty_set, is_empty,
 )
 from .segment import (
     Part, Piece, _at, _circle_spans, _common, _contains, _intersect, _least, _merge, _rescale, _seam_sync,
@@ -102,7 +101,7 @@ def _comp(sp: SpaceDescriptor, ci: int, p=...) -> Component:
     return comp
 
 
-def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
+def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> PointSet:
     """Everything but one point: point component ci, or the point p of
     arc or circle ci. A point off an arc raises the `InputError` that
     `grid_set` gives its intervals, and a p for a point component
@@ -116,11 +115,11 @@ def point_complement(sp: SpaceDescriptor, ci: int, p=None) -> OpenSet:
         raise InputError(f"$[{ci}][0]", "interval ends beyond the arc" if Q > 0
                          else "interval starts before the component")
     part = _settle(c, d, ((Q, True, Q, True),), 1)
-    return complement(ClosedSet(sp, _only(sp, ci, part)))
+    return complement(PointSet(sp, _only(sp, ci, part)))
 
 
 def grid_windows(sp: SpaceDescriptor, ci: int, d: int, lo: int, step: int, width: int, count: int,
-                 lo_in: bool = False, hi_in: bool = False) -> tuple[OpenSet, ...]:
+                 lo_in: bool = False, hi_in: bool = False) -> tuple[PointSet, ...]:
     """The open windows (x, x + width), x = lo + i*step for i < count, of
     arc or circle ci, integers at the scale d as in `grid_set`; the first
     is closed at lo if lo_in, the last at its upper end if hi_in. The outer
@@ -149,20 +148,16 @@ def grid_windows(sp: SpaceDescriptor, ci: int, d: int, lo: int, step: int, width
         g = gcd(k, x, x + width)
         piece = (x // g, lo_in and i == 0, (x + width) // g, hi_in and i == count - 1)
         part = d // g, (piece,) if not circle else tuple(sorted(_wrap(*piece, Li // g)))
-        out.append(OpenSet(sp, before + (part,) + after))
+        out.append(PointSet(sp, before + (part,) + after))
     return tuple(out)
 
 
-def union_all(sp: SpaceDescriptor, sets: Sequence[SetLike]):
+def union_all(sp: SpaceDescriptor, sets: Sequence[PointSet]) -> PointSet:
     """The union of sets on sp, the empty set for none: the fold of `union`
     from the empty set, with each component's pieces merged once, at the
-    lcm of their scales. An OpenSet when every set is one, else a
-    ClosedSet."""
-    cls = OpenSet
+    lcm of their scales."""
     for s in sets:
         check_space(sp, s)
-        if s.__class__ is not OpenSet:
-            cls = ClosedSet
     parts = []
     for ci, comp in enumerate(sp.components):
         held = [s.parts[ci] for s in sets if s.parts[ci][1]]
@@ -172,10 +167,10 @@ def union_all(sp: SpaceDescriptor, sets: Sequence[SetLike]):
         D = lcm(*[d for d, _ in held])
         pieces = [p for d, xs in held for p in (xs if d == D else _rescale(xs, D // d))]
         parts.append(_settle(comp, D, _merge(pieces), len(pieces)))
-    return cls(sp, tuple(parts))
+    return PointSet(sp, tuple(parts))
 
 
-def meets(a: SetLike, b: SetLike) -> bool:
+def meets(a: PointSet, b: PointSet) -> bool:
     """Whether a and b share a point: `not is_empty(intersect(a, b))`,
     read off the intersection sweep, with no set built and no least
     scale sought."""
@@ -183,7 +178,7 @@ def meets(a: SetLike, b: SetLike) -> bool:
     return any(pa[1] and pb[1] and _intersect(*_common(pa, pb)[1:]) for pa, pb in zip(a.parts, b.parts))
 
 
-def contains_point(a: SetLike, ci: int, p: Fraction | None = None) -> bool:
+def contains_point(a: PointSet, ci: int, p: Fraction | None = None) -> bool:
     comp = _comp(a.space, ci, p)
     part = a.parts[ci]
     if comp.kind == "point":
@@ -194,9 +189,8 @@ def contains_point(a: SetLike, ci: int, p: Fraction | None = None) -> bool:
     return _contains(pieces, frac(p) * d)
 
 
-def connected_components(a: SetLike) -> list:
+def connected_components(a: PointSet) -> list:
     """Maximal connected pieces, each returned as a set on the same space."""
-    cls = type(a)
     out = []
     for ci, (comp, (d, pieces)) in enumerate(zip(a.space.components, a.parts)):
         L = comp.length
@@ -204,10 +198,10 @@ def connected_components(a: SetLike) -> list:
             # The first and last pieces meet through the seam (a whole
             # circle is one piece, met by itself).
             seam_part = _least(d, _merge([pieces[0], pieces[-1]]), L)
-            out.append(cls(a.space, _only(a.space, ci, seam_part)))
+            out.append(PointSet(a.space, _only(a.space, ci, seam_part)))
             pieces = pieces[1:-1]
         for p in pieces:
-            out.append(cls(a.space, _only(a.space, ci, _least(d, (p,), L))))
+            out.append(PointSet(a.space, _only(a.space, ci, _least(d, (p,), L))))
     return out
 
 
@@ -215,7 +209,7 @@ def _only(sp: SpaceDescriptor, ci: int, part: Part) -> tuple[Part, ...]:
     return tuple(part if i == ci else _empty(c) for i, c in enumerate(sp.components))
 
 
-def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> OpenSet:
+def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> PointSet:
     """The whole component ci, or its open interval span in lifted
     coordinates (a < b <= a + L on a circle, wrapping through the seam).
     A point component is always the whole point."""
@@ -235,16 +229,16 @@ def component_set(sp: SpaceDescriptor, ci: int, span: Piece | None = None) -> Op
         part = _part(comp, d, [(_at(a, d), ain, _at(b, d), bin_)])
         if not _open_part_ok(comp, part):
             raise ValueError("span is not open in the component")
-    return OpenSet(sp, _only(sp, ci, part))
+    return PointSet(sp, _only(sp, ci, part))
 
 
-def restrict(s: SetLike, ci: int):
+def restrict(s: PointSet, ci: int) -> PointSet:
     """s on component ci only, empty on every other component."""
     _comp(s.space, ci)
-    return type(s)(s.space, _only(s.space, ci, s.parts[ci]))
+    return PointSet(s.space, _only(s.space, ci, s.parts[ci]))
 
 
-def scaled_spans(sp: SpaceDescriptor, sets: Sequence[SetLike], ci: int, window: Piece | None = None):
+def scaled_spans(sp: SpaceDescriptor, sets: Sequence[PointSet], ci: int, window: Piece | None = None):
     """(D, spans of each set): the spans of `spans`, for every set on
     component ci, as integers at one scale D, the lcm of the scales of L,
     of each set and of the window's ends, each a sorted sequence that may
@@ -275,7 +269,7 @@ def scaled_spans(sp: SpaceDescriptor, sets: Sequence[SetLike], ci: int, window: 
     return D, out
 
 
-def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
+def spans(s: PointSet, ci: int, window: Piece | None = None) -> list[Piece]:
     """The connected spans of s on component ci, sorted, in lifted
     coordinates; a whole circle is the one span (0, True, L, True), and a
     point component the span (0, True, 0, True).
@@ -287,7 +281,7 @@ def spans(s: SetLike, ci: int, window: Piece | None = None) -> list[Piece]:
     return [(Fraction(a, D), ain, Fraction(b, D), bin_) for a, ain, b, bin_ in out]
 
 
-def breakpoints(s: SetLike, ci: int) -> list[Fraction]:
+def breakpoints(s: PointSet, ci: int) -> list[Fraction]:
     """The endpoints of the pieces stored for component ci, each in [0, L].
     A set through a circle's seam contributes both 0 and L; a point
     component has none."""
@@ -297,7 +291,7 @@ def breakpoints(s: SetLike, ci: int) -> list[Fraction]:
     return [Fraction(x, d) for x in sorted({x for a, _, b, _ in pieces for x in (a, b)})]
 
 
-def probe_points(sp: SpaceDescriptor, sets: Sequence[SetLike], within: SetLike | None = None) -> list:
+def probe_points(sp: SpaceDescriptor, sets: Sequence[PointSet], within: PointSet | None = None) -> list:
     """The probes of sets as (ci, p, inside), component by component: a
     point component probes once, with p None; an arc or circle probes 0,
     L/2, L and every stored endpoint, with the midpoint of each two
@@ -323,7 +317,7 @@ def probe_points(sp: SpaceDescriptor, sets: Sequence[SetLike], within: SetLike |
     return out
 
 
-def embed(s: SetLike, target: SpaceDescriptor, offset: int):
+def embed(s: PointSet, target: SpaceDescriptor, offset: int) -> PointSet:
     """s re-housed on a larger space whose component list contains the
     components of s verbatim from the given offset on; empty elsewhere."""
     src = s.space.components
@@ -331,10 +325,10 @@ def embed(s: SetLike, target: SpaceDescriptor, offset: int):
         raise SpaceMismatchError("target space does not contain the source components")
     parts = list(empty_set(target).parts)
     parts[offset:offset + len(src)] = s.parts
-    return type(s)(target, tuple(parts))
+    return PointSet(target, tuple(parts))
 
 
-def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
+def neighborhood(s: PointSet, delta: Fraction) -> PointSet:
     """Open metric neighborhood {x : dist(x, s) < delta}, per component.
 
     delta must stay below 2, the distance between components, so the
@@ -351,10 +345,10 @@ def neighborhood(s: SetLike, delta: Fraction) -> OpenSet:
         d = lcm(d0, delta.denominator)
         grown = _grown(_rescale(pieces, d // d0), _at(delta, d), _at(L, d), comp.kind == "circle")
         parts.append(_full(L) if grown is None else _least(d, grown, L))
-    return OpenSet(s.space, tuple(parts))
+    return PointSet(s.space, tuple(parts))
 
 
-def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
+def set_distance(a: PointSet, b: PointSet) -> Fraction | None:
     """Infimum of point distances between two nonempty sets; None if either is empty."""
     check_space(a.space, b)
     if is_empty(a) or is_empty(b):
@@ -375,12 +369,12 @@ def set_distance(a: SetLike, b: SetLike) -> Fraction | None:
     return min(cands)
 
 
-def diameter(a: SetLike) -> Fraction:
+def diameter(a: PointSet) -> Fraction:
     """Sup of pairwise distances; 0 for the empty set."""
     return max_diameter((a,))
 
 
-def max_diameter(sets: Sequence[SetLike]) -> Fraction:
+def max_diameter(sets: Sequence[PointSet]) -> Fraction:
     """The largest `diameter` of the sets, 0 for none: the mesh of a chain.
     Each component's diameter is a ratio of integers at its scale, compared
     with the largest so far by cross-multiplication, and one Fraction is

@@ -139,8 +139,8 @@ def way_below_oracle(f, g, kmax: int = 64) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chain pattern and bounded searches, on OpenSet algebra alone: every pair
-# of pieces is intersected, and the searches build an OpenSet at every node.
+# Chain pattern and bounded searches, on PointSet algebra alone: every pair
+# of pieces is intersected, and the searches build a PointSet at every node.
 # The library's sweep and grid-mask searches must agree with these exactly.
 
 
@@ -321,7 +321,7 @@ def chain_dfs(masks, roots, full):
     """`gridsearch._chain_dfs` on the same masks, with no reachability prune and
     the list of the masks that meet each mask built up front for every
     mask. It reaches the depth-5 circle of the benchmark, where
-    `exhaustive_chain_search` above, with an OpenSet per node, is too slow."""
+    `exhaustive_chain_search` above, with a PointSet per node, is too slow."""
     seen = set()
     meets = [[c for c, cand in enumerate(masks) if cand & m] for m in masks]
     for root in roots:
@@ -615,9 +615,8 @@ def seam_sync(pieces, L):
 
 @dataclass(frozen=True)
 class Result:
-    """An oracle set: the library class it stands for and its Fraction parts."""
+    """An oracle set: its space and its Fraction parts."""
 
-    cls: type
     space: geo.SpaceDescriptor
     parts: tuple
 
@@ -645,14 +644,6 @@ def rat_parts(s):
     return tuple(out)
 
 
-def _cls(s):
-    return s.cls if isinstance(s, Result) else type(s)
-
-
-def _joint_class(a, b):
-    return geo.OpenSet if _cls(a) is geo.OpenSet and _cls(b) is geo.OpenSet else geo.ClosedSet
-
-
 def union(a, b):
     parts = []
     for comp, pa, pb in zip(a.space.components, rat_parts(a), rat_parts(b)):
@@ -662,21 +653,21 @@ def union(a, b):
             parts.append(seam_sync(seg_union(pa, pb), comp.length))
         else:
             parts.append(seg_union(pa, pb))
-    return Result(_joint_class(a, b), a.space, tuple(parts))
+    return Result(a.space, tuple(parts))
 
 
 def intersect(a, b):
     parts = []
     for comp, pa, pb in zip(a.space.components, rat_parts(a), rat_parts(b)):
         parts.append((pa and pb) if comp.kind == "point" else seg_intersect(pa, pb))
-    return Result(_joint_class(a, b), a.space, tuple(parts))
+    return Result(a.space, tuple(parts))
 
 
 def complement(a):
     parts = []
     for comp, pa in zip(a.space.components, rat_parts(a)):
         parts.append((not pa) if comp.kind == "point" else seg_complement(pa, comp.length))
-    return Result(geo.ClosedSet if _cls(a) is geo.OpenSet else geo.OpenSet, a.space, tuple(parts))
+    return Result(a.space, tuple(parts))
 
 
 def closure(a):
@@ -687,7 +678,7 @@ def closure(a):
             continue
         closed = merge((x, True, y, True) for x, _, y, _ in pa)
         parts.append(seam_sync(closed, comp.length) if comp.kind == "circle" else closed)
-    return Result(geo.ClosedSet, a.space, tuple(parts))
+    return Result(a.space, tuple(parts))
 
 
 def interior(c):
@@ -717,7 +708,7 @@ def connected_components(a):
             groups = [(p,) for p in part]
             if comp.kind == "circle" and len(part) >= 2 and part[0][0] == 0 and part[0][1]:
                 groups = [(part[0], part[-1])] + groups[1:-1]
-        out += [Result(_cls(a), a.space, empty[:ci] + (g,) + empty[ci + 1:]) for g in groups]
+        out += [Result(a.space, empty[:ci] + (g,) + empty[ci + 1:]) for g in groups]
     return out
 
 

@@ -1,5 +1,6 @@
 """Record the bytes of the benchmark's CLI mixes at seeds 7 and 3, of
-one seeded call of each verb those mixes leave out, and of one input
+one seeded call of each verb those mixes leave out, of the law suite's
+100-case report whole, in three shards and merged, and of one input
 error of each reader of input files.
 
 Usage: python tests/pin_golden.py
@@ -8,9 +9,10 @@ Builds `workloads.cli_calls` at each seed in a temporary directory, runs
 each call in process through `cuntzkit.cli.main`, and writes its exit
 code and the sha256 of its stdout and of its stderr to tests/golden.json,
 which tests/test_cli.py checks; the stderr is hashed with the call's
-input directory written as "{dir}". The other verbs' calls go under
-"verbs" and the input errors under "errors", each with its argv and
-input files, so that the test runs them without drawing them again. A
+input directory written as "{dir}". The other verbs' calls and the law
+suite's go under "verbs" and the input errors under "errors", each with
+its argv and input files, so that the test runs them without drawing
+them again; the merge reads the three shard reports as its files. A
 file given as a string is written as that text, else as its JSON. This
 script is the file's only writer. Run it only at a commit whose outputs
 are meant to be the reference: a change that claims no output change
@@ -45,13 +47,18 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv: list, d: str) -> dict:
-    """The pins of one call whose input files are in the directory d."""
+def call(argv: list) -> tuple:
+    """The exit code, stdout and stderr of one call run in process."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    return {"exit": code, "stdout_sha256": sha256(stdout.getvalue()),
-            "stderr_sha256": sha256(stderr.getvalue().replace(d, DIR))}
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run(argv: list, d: str) -> dict:
+    """The pins of one call whose input files are in the directory d."""
+    code, out, err = call(argv)
+    return {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err.replace(d, DIR))}
 
 
 def pins(seed: int) -> dict:
@@ -112,6 +119,20 @@ def verb_calls() -> dict:
     return calls
 
 
+def lemma_calls() -> dict:
+    """{name: (argv, files)} for `verify lemmas --seed 42 --cases 100`,
+    its three shards, and the merge of the three shard reports, which
+    are that call's input files."""
+    argv = ["verify", "lemmas", "--seed", "42", "--cases", "100"]
+    calls, reports = {"verify-lemmas-100": (argv, {})}, {}
+    for i in range(3):
+        shard = argv + ["--shard", f"{i}/3"]
+        calls[f"verify-lemmas-100-shard-{i}"] = (shard, {})
+        reports[f"shard-{i}.json"] = call(shard)[1]
+    calls["verify-lemmas-100-merge"] = (["verify", "lemmas", "--merge", *[f"{DIR}/{f}" for f in reports]], reports)
+    return calls
+
+
 def error_calls() -> dict:
     """{name: (argv, files)} for one input error of each reader of input
     files, every one exit 2 with nothing on stdout."""
@@ -158,7 +179,7 @@ def file_pins(calls: dict) -> dict:
 
 
 def main() -> None:
-    golden = {**{str(seed): pins(seed) for seed in SEEDS}, "verbs": file_pins(verb_calls()),
+    golden = {**{str(seed): pins(seed) for seed in SEEDS}, "verbs": file_pins({**verb_calls(), **lemma_calls()}),
               "errors": file_pins(error_calls())}
     with open(ROOT / "tests" / "golden.json", "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=2, sort_keys=True)

@@ -335,7 +335,7 @@ def _mask_families(rng):
     """Seeded (masks, roots, full): the arcs of up to `most` cells on a path
     or cycle grid, each kept at random, in a shuffled order, with random
     roots, and full the whole grid or a random part of it. Then the whole
-    circles of `exhaustive_chain_search` at depth 5, which the OpenSet
+    circles of `exhaustive_chain_search` at depth 5, which the PointSet
     oracle is too slow to reach, below and above eps 1/2."""
     for _ in range(300):
         cyclic = rng.random() < 0.5

@@ -877,6 +877,19 @@ def test_verbs_the_mixes_leave_out_keep_their_golden_bytes(capsys, tmp_path, nam
     assert run_golden_call(capsys, tmp_path, pin) == {k: pin[k] for k in ("exit", "stdout_sha256", "stderr_sha256")}
 
 
+def test_the_three_shards_of_the_100_case_report_merge_to_the_whole_report():
+    # The merge case reads the three shard reports as its files; what it
+    # prints is the unsharded report, whose sha256 is the 100-case pin.
+    verbs = GOLDEN["verbs"]
+    merge = verbs["verify-lemmas-100-merge"]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in merge["files"].values()] == [
+        verbs[f"verify-lemmas-100-shard-{i}"]["stdout_sha256"] for i in range(3)
+    ]
+    assert merge["stdout_sha256"] == verbs["verify-lemmas-100"]["stdout_sha256"] == (
+        "50de42afbca2215b1243f3543dc5fbf0cd6ef5c9b1c9e873e7240931d78df1a1"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN["errors"]))
 def test_each_reader_error_keeps_its_golden_bytes(capsys, tmp_path, name):
     # One input error of each reader of input files: exit 2, nothing on

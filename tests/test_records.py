@@ -18,8 +18,7 @@ ARC = geo.space(geo.arc(1))
 RECORDS = [
     (geo.Component, lambda: ("arc", F(1))),
     (geo.SpaceDescriptor, lambda: ((geo.arc(1), geo.point()),)),
-    (geo.OpenSet, lambda: (geo.space(geo.arc(1)), ((1, ((0, False, 1, False),)),))),
-    (geo.ClosedSet, lambda: (geo.space(geo.arc(1)), ((2, ((0, True, 1, True),)),))),
+    (geo.PointSet, lambda: (geo.space(geo.arc(1)), ((1, ((0, False, 1, False),)),))),
     (lsc.LscElement, lambda: (geo.space(geo.arc(1)), (geo.full_set(ARC),), geo.empty_set(ARC))),
     (chains.Cover, lambda: (geo.space(geo.arc(1)), (geo.full_set(ARC),))),
     (chains.ChainWitness, lambda: ("chain", (geo.full_set(ARC),), F(1), (0,))),
@@ -35,23 +34,23 @@ IDS = [cls.__name__ for cls, _ in RECORDS]
 def test_the_table_holds_every_record_class():
     assert geo.Record is base.Record
     assert {cls for cls, _ in RECORDS} == set(geo.Record.__subclasses__())
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 11
 
 
-# The records compared most often write Record's rule out field by field.
-HOT = {
-    geo.OpenSet: lambda rng, sp: gen.rand_open_set(rng, sp),
-    geo.ClosedSet: lambda rng, sp: geo.closure(gen.rand_open_set(rng, sp)),
-    lsc.LscElement: lambda rng, sp: gen.rand_lsc(rng, sp),
-    models.El: lambda rng, sp: rng.choice([
+# The records compared most often write Record's rule out field by field;
+# sets are drawn open and as closures.
+HOT = [
+    ("PointSet-open", geo.PointSet, lambda rng, sp: gen.rand_open_set(rng, sp)),
+    ("PointSet-closure", geo.PointSet, lambda rng, sp: geo.closure(gen.rand_open_set(rng, sp))),
+    ("LscElement", lsc.LscElement, lambda rng, sp: gen.rand_lsc(rng, sp)),
+    ("El", models.El, lambda rng, sp: rng.choice([
         models.compact(rng.randrange(3)), models.soft(F(rng.randint(1, 3), 2)), models.soft(None), models.TWIN,
-    ]),
-}
+    ])),
+]
 
 
-@pytest.mark.parametrize("cls", HOT, ids=[cls.__name__ for cls in HOT])
-def test_field_by_field_equality_matches_the_key_tuples(cls):
-    draw = HOT[cls]
+@pytest.mark.parametrize("cls, draw", [row[1:] for row in HOT], ids=[row[0] for row in HOT])
+def test_field_by_field_equality_matches_the_key_tuples(cls, draw):
     assert cls.__eq__ is not geo.Record.__eq__ and cls.__hash__ is geo.Record.__hash__
     seen = set()
     for seed in range(400):
@@ -98,13 +97,15 @@ def test_a_different_field_gives_an_unequal_record(cls, make):
         assert cls(*fields) != changed
 
 
-def test_open_and_closed_sets_with_equal_fields_are_unequal():
-    fields = (ARC, ((1, ((0, True, 1, True),)),))
-    o, c = geo.OpenSet(*fields), geo.ClosedSet(*fields)
-    assert o != c and c != o
-    assert not o == c
-    assert geo.OpenSet.__eq__(o, c) is NotImplemented and geo.ClosedSet.__eq__(c, o) is NotImplemented
-    assert geo.full_set(ARC) != geo.complement(geo.empty_set(ARC))
+@pytest.mark.parametrize("sp", [ARC, geo.space(geo.circle(F(3, 2)), geo.point(), geo.arc(F(1, 3)))],
+                         ids=["arc", "circle-point-arc"])
+def test_the_empty_and_the_full_set_are_one_record_however_built(sp):
+    # Built directly or as the complement of the other, each is one record.
+    for direct, built in ((geo.empty_set(sp), geo.complement(geo.full_set(sp))),
+                          (geo.full_set(sp), geo.complement(geo.empty_set(sp)))):
+        assert direct == built and built == direct and not direct != built
+        assert hash(direct) == hash(built)
+    assert geo.empty_set(sp) != geo.full_set(sp)
 
 
 @pytest.mark.parametrize("cls, make", RECORDS, ids=IDS)
@@ -129,7 +130,7 @@ def test_repr_names_the_class_and_each_field(cls, make):
 
 def test_repr_of_a_set():
     assert repr(geo.empty_set(ARC)) == (
-        "OpenSet(space=SpaceDescriptor(components=(Component(kind='arc', length=Fraction(1, 1)),)), "
+        "PointSet(space=SpaceDescriptor(components=(Component(kind='arc', length=Fraction(1, 1)),)), "
         "parts=((1, ()),))"
     )
 
