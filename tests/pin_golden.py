@@ -47,7 +47,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def call(argv: list) -> tuple:
+def capture(argv: list) -> tuple:
     """The exit code, stdout and stderr of one call run in process."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -57,7 +57,7 @@ def call(argv: list) -> tuple:
 
 def run(argv: list, d: str) -> dict:
     """The pins of one call whose input files are in the directory d."""
-    code, out, err = call(argv)
+    code, out, err = capture(argv)
     return {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err.replace(d, DIR))}
 
 
@@ -128,7 +128,7 @@ def lemma_calls() -> dict:
     for i in range(3):
         shard = argv + ["--shard", f"{i}/3"]
         calls[f"verify-lemmas-100-shard-{i}"] = (shard, {})
-        reports[f"shard-{i}.json"] = call(shard)[1]
+        reports[f"shard-{i}.json"] = capture(shard)[1]
     calls["verify-lemmas-100-merge"] = (["verify", "lemmas", "--merge", *[f"{DIR}/{f}" for f in reports]], reports)
     return calls
 
