@@ -1,7 +1,8 @@
 """Record the bytes of the benchmark's CLI mixes at seeds 7 and 3, of
-one seeded call of each verb those mixes leave out, of the law suite's
-100-case report whole, in three shards and merged, and of one input
-error of each reader of input files.
+one seeded call of each verb those mixes leave out, of two inconclusive
+verdicts, of the law suite's 1,000-case report and its 100-case report
+whole, in three shards and merged, and of one input error of each
+reader of input files.
 
 Usage: python tests/pin_golden.py
 
@@ -112,6 +113,14 @@ def verb_calls() -> dict:
     calls["check-almost-ordered"] = (
         ["check", "almost-ordered", "--model", "zprime", "--instance", f"{DIR}/twin.json", "--depth", "6"],
         {"twin.json": {"xs": ["1", "1''"]}})
+    # Two inconclusive verdicts, which echo the search limits: one with
+    # --depth and one at the default depth.
+    calls["check-refinable-sums-inconclusive"] = (
+        ["check", "refinable-sums", "--model", "nbar", "--instance", f"{DIR}/window.json", "--depth", "5"],
+        {"window.json": {"xs": ["100", "200"], "xps": ["2", "4"]}})
+    calls["check-almost-ordered-inconclusive"] = (
+        ["check", "almost-ordered", "--model", "zprime", "--instance", f"{DIR}/soft.json"],
+        {"soft.json": {"xs": ["1''", "1'"]}})
     names = ["0", "1", "2"]
     table = {"elements": names, "le": [[int(i <= j) for j in range(3)] for i in range(3)],
              "add": [[names[min(i + j, 2)] for j in range(3)] for i in range(3)], "unit": "1"}
@@ -121,10 +130,11 @@ def verb_calls() -> dict:
 
 def lemma_calls() -> dict:
     """{name: (argv, files)} for `verify lemmas --seed 42 --cases 100`,
-    its three shards, and the merge of the three shard reports, which
-    are that call's input files."""
+    its three shards, the merge of the three shard reports, which are
+    that call's input files, and the 1,000-case report, the one run of
+    the point-probing laws past their 100th case."""
     argv = ["verify", "lemmas", "--seed", "42", "--cases", "100"]
-    calls, reports = {"verify-lemmas-100": (argv, {})}, {}
+    calls, reports = {"verify-lemmas-100": (argv, {}), "verify-lemmas-1000": (argv[:-1] + ["1000"], {})}, {}
     for i in range(3):
         shard = argv + ["--shard", f"{i}/3"]
         calls[f"verify-lemmas-100-shard-{i}"] = (shard, {})

@@ -890,6 +890,22 @@ def test_the_three_shards_of_the_100_case_report_merge_to_the_whole_report():
     )
 
 
+def test_the_1000_case_report_is_the_1000_case_pin():
+    # The one run of the point-probing laws past their 100th case.
+    assert GOLDEN["verbs"]["verify-lemmas-1000"]["stdout_sha256"] == (
+        "c44de745035095abdf70739c514f912d3dc937e4504c3bd9dd0bfcbac19944e2"
+    )
+
+
+def test_the_inconclusive_cases_echo_the_depth_they_ran_at():
+    # The echoed limits of an undecided verdict are pinned bytes: one case
+    # passes --depth 5, the other runs at the default depth.
+    verbs = GOLDEN["verbs"]
+    assert [verbs[f"check-{name}-inconclusive"]["exit"] for name in ("refinable-sums", "almost-ordered")] == [3, 3]
+    assert verbs["check-refinable-sums-inconclusive"]["argv"][-2:] == ["--depth", "5"]
+    assert "--depth" not in verbs["check-almost-ordered-inconclusive"]["argv"]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN["errors"]))
 def test_each_reader_error_keeps_its_golden_bytes(capsys, tmp_path, name):
     # One input error of each reader of input files: exit 2, nothing on
@@ -930,8 +946,7 @@ def test_the_workflow_calls_only_verbs_and_options_the_parser_takes():
     path = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     commands = workflow_commands(path.read_text())
     assert {tuple(argv[:2]) for argv in commands} == {
-        ("verify", "lemmas"), ("check", "almost-ordered"), ("chains", "refine"),
-        ("check", "refinable-sums"), ("lsc", "add"),
+        ("check", "almost-ordered"), ("chains", "refine"), ("check", "refinable-sums"), ("lsc", "add"),
     }
     for argv in commands:
         parsed, _, err = _parse_with(cli.build_parser(), argv)
