@@ -40,11 +40,10 @@ __all__ = [
     "unit",
     "zero",
     "PropertyVerdict",
-    "SearchBounds",
 ]
 
 # Public names defined above `base`, by the module that defines them.
-_HOMES = {"indicator": "lsc", "unit": "lsc", "zero": "lsc", "PropertyVerdict": "checks", "SearchBounds": "checks"}
+_HOMES = {"indicator": "lsc", "unit": "lsc", "zero": "lsc", "PropertyVerdict": "checks"}
 
 
 def __getattr__(name):

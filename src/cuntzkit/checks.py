@@ -4,12 +4,13 @@ Every checker produces a PropertyVerdict whose kind is "witness",
 "counterexample" or "inconclusive". Witness data is always revalidated
 against the defining clauses before it is returned, and counterexamples
 carry the concrete violating instances in their data. Inconclusive means
-the bounded search space was exhausted without a decision; the bounds
-are echoed, though not each bounds every search. The depth is the
-closure depth of a rational model's candidate pool for almost ordered
-sums (a table model ignores it) and the grid size named in the log line
-of a whole-circle weak-chain counterexample; refinable sums only echo
-it, as compact_cap bounds their search.
+the bounded search space was exhausted without a decision; the search
+limits are echoed, though not each bounds every search. The checkers
+take one setting, the depth (default DEPTH): the closure depth of a
+rational model's candidate pool for almost ordered sums (a table model
+ignores it) and the grid size named in the log line of a whole-circle
+weak-chain counterexample. Refinable sums only echo it, as COMPACT_CAP
+bounds their search.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .base import InputError, Record, SpaceDescriptor
 
 MAX_ALMOST_ORDERED_TERMS = 16  # check_almost_ordered_sums walks every subset of them
 MAX_CIRCLE_TRACES = 40  # traces on a whole circle: check_weak_chainability tries every triple
+DEPTH = 3  # the checkers' default search depth
+COMPACT_CAP = 64  # a rational window's compacts are scanned from 0 up to this
 
 
 class PropertyVerdict(Record):
@@ -37,15 +40,10 @@ def verdict_to_json(v: PropertyVerdict) -> dict:
     return {"kind": v.kind, "data": v.data, "log": list(v.log)}
 
 
-class SearchBounds(Record):
-    __slots__ = ("depth", "propto_cap", "compact_cap")
-
-    def __init__(self, depth: int = 3, propto_cap: int = 64, compact_cap: int = 64):
-        super().__init__(depth, propto_cap, compact_cap)
-
-
-def _inconclusive(bounds: SearchBounds, log) -> PropertyVerdict:
-    data = {"depth": bounds.depth, "propto_cap": bounds.propto_cap, "compact_cap": bounds.compact_cap}
+def _inconclusive(depth: int, log) -> PropertyVerdict:
+    # The propto_cap 64 bounds nothing, as `propto` is exact; it stays
+    # because these bytes are pinned.
+    data = {"depth": depth, "propto_cap": 64, "compact_cap": COMPACT_CAP}
     return PropertyVerdict("inconclusive", {"bounds": data}, tuple(log))
 
 
@@ -103,9 +101,8 @@ def _require_least_zero(model):
         raise InputError("$.model", "the neutral element must be the least element")
 
 
-def check_refinable_sums(model, xs, xps, bounds: SearchBounds | None = None) -> PropertyVerdict:
+def check_refinable_sums(model, xs, xps, depth: int = DEPTH) -> PropertyVerdict:
     _require_least_zero(model)
-    bounds = bounds or SearchBounds()
     n = len(xs)
     if n == 0 or len(xps) != n:
         raise InputError("$.xps", "need equally many xs and xps, at least one each")
@@ -124,7 +121,7 @@ def check_refinable_sums(model, xs, xps, bounds: SearchBounds | None = None) -> 
         )
     if model.kind == "lsc":
         return _refinable_lsc(model, xs, xps)
-    return _refinable_search(model, xs, xps, bounds)
+    return _refinable_search(model, xs, xps, depth)
 
 
 def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
@@ -141,7 +138,7 @@ def _refinable_lsc(model, xs, xps) -> PropertyVerdict:
     return PropertyVerdict("witness", data, tuple(log))
 
 
-def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
+def _refinable_search(model, xs, xps, depth: int) -> PropertyVerdict:
     # A row is exhausted when its window is complete, has no probes and
     # every decomposition list is complete: its candidates then hold every
     # row that sums into the window.
@@ -149,7 +146,7 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
     cand_rows = []
     exhausted = []
     for r in range(len(xs) - 1):
-        w = model.sums_between(xs[r], xs[r + 1], bounds.compact_cap)
+        w = model.sums_between(xs[r], xs[r + 1], COMPACT_CAP)
         line = (
             f"row {r} sums are pinched between {model.el_str(xs[r])} and "
             f"{model.el_str(xs[r + 1])}: compact members "
@@ -194,7 +191,7 @@ def _refinable_search(model, xs, xps, bounds: SearchBounds) -> PropertyVerdict:
             return verdict
 
     log.append("bounded search exhausted without a decision")
-    return _inconclusive(bounds, log)
+    return _inconclusive(depth, log)
 
 
 def _refuted(model, xs, xps, log, reason, forced=None) -> PropertyVerdict:
@@ -373,9 +370,8 @@ def _find_violation(model, hyps, D):
     return None
 
 
-def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> PropertyVerdict:
+def check_almost_ordered_sums(model, xs, depth: int = DEPTH) -> PropertyVerdict:
     _require_least_zero(model)
-    bounds = bounds or SearchBounds()
     n = len(xs)
     if n == 0:
         raise InputError("$.xs", "need at least one term")
@@ -404,17 +400,17 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
     total = model.sum(xs)
     if not model.is_compact(total):
         log.append("the sum is not compact, so exact decompositions do not exhaust the witnesses")
-        return _inconclusive(bounds, log)
+        return _inconclusive(depth, log)
     try:
         decs, complete = model.decompositions(total, n)
     except ValueError:
         log.append("the sum is too large to enumerate decompositions")
-        return _inconclusive(bounds, log)
+        return _inconclusive(depth, log)
     cands = []
     for d in decs:
         if len(d) <= n:
             cands.append(tuple(d) + (model.zero,) * (n - len(d)))
-    hyps = _hypotheses(model, xs, model.closure(list(xs), depth=bounds.depth))
+    hyps = _hypotheses(model, xs, model.closure(list(xs), depth))
     log.append(
         f"the sum {model.el_str(total)} is compact, so any witness eventually decomposes it exactly"
     )
@@ -431,7 +427,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
                 "a decomposition resists both refutation and certification: "
                 + ", ".join(model.el_str(t) for t in D)
             )
-            return _inconclusive(bounds, log)
+            return _inconclusive(depth, log)
         records.append({"terms": [model.to_json(t) for t in D], "violation": viol})
         side = "lower" if viol["broken"] == "lower" else "upper"
         log.append(
@@ -441,7 +437,7 @@ def check_almost_ordered_sums(model, xs, bounds: SearchBounds | None = None) -> 
         )
     if not complete:
         log.append("decomposition enumeration was truncated")
-        return _inconclusive(bounds, log)
+        return _inconclusive(depth, log)
     return PropertyVerdict(
         "counterexample",
         {"sum": model.to_json(total), "decompositions": records},
@@ -475,8 +471,7 @@ def _validate_weak_chain(x, y, ys, xp, zs):
     return True, None
 
 
-def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None) -> PropertyVerdict:
-    bounds = bounds or SearchBounds()
+def check_weak_chainability(space, x, y, ys, depth: int = DEPTH) -> PropertyVerdict:
     if not ys:
         raise InputError("$.ys", "need at least one cover element")
     if not lsc.way_below(x, y):
@@ -515,7 +510,7 @@ def check_weak_chainability(space, x, y, ys, bounds: SearchBounds | None = None)
                 "$.ys", f"{len(traces)} cover elements meet circle component {ci}, "
                 f"more than the cap of {MAX_CIRCLE_TRACES}"
             )
-        block = _circle_block_search(space, ci, traces, bounds, log)
+        block = _circle_block_search(space, ci, traces, depth, log)
         if block is None:
             log.append(
                 f"the support contains circle component {ci} entirely, and the cover "
@@ -550,7 +545,7 @@ def _chained(xp, zs, log) -> PropertyVerdict:
     return PropertyVerdict("witness", data, tuple(log))
 
 
-def _circle_block_search(space, ci, traces, bounds, log):
+def _circle_block_search(space, ci, traces, depth: int, log):
     """Pieces going around one whole circle component, or None.
 
     Tries, in order: one trace covering the circle, two traces covering
@@ -588,7 +583,7 @@ def _circle_block_search(space, ci, traces, bounds, log):
             return [v1, traces[j], v3]
 
     L = space.components[ci].length
-    grid = 2 ** min(bounds.depth, 4)
+    grid = 2 ** min(depth, 4)
     bps = set()
     for tr in traces:
         bps.update(x % L for x in views.breakpoints(tr, ci))

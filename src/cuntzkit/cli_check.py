@@ -12,12 +12,12 @@ from .cli import (
 )
 
 
-def _bounds_of(args) -> checks.SearchBounds:
+def _depth_of(args) -> int:
     if args.depth is None:
-        return checks.SearchBounds()
+        return checks.DEPTH
     if args.depth < 0:
         raise InputError("$.depth", "depth must be nonnegative")
-    return checks.SearchBounds(depth=args.depth)
+    return args.depth
 
 
 def _emit_verdict(verdict) -> int:
@@ -35,19 +35,19 @@ def _sum_terms(args):
 def cmd_check_refinable_sums(args) -> int:
     model, inst, xs = _sum_terms(args)
     xps = _parse_elements(model.parse, _field(inst, "xps"), "$.xps")
-    return _emit_verdict(checks.check_refinable_sums(model, xs, xps, bounds=_bounds_of(args)))
+    return _emit_verdict(checks.check_refinable_sums(model, xs, xps, _depth_of(args)))
 
 
 def cmd_check_almost_ordered(args) -> int:
     model, _, xs = _sum_terms(args)
-    return _emit_verdict(checks.check_almost_ordered_sums(model, xs, bounds=_bounds_of(args)))
+    return _emit_verdict(checks.check_almost_ordered_sums(model, xs, _depth_of(args)))
 
 
 def cmd_check_weak_chain(args) -> int:
     sp, inst, (x, y) = _operands(args)
     ys = _parse_elements(functools.partial(lsc.element_from_json, sp), _field(inst, "ys"), "$.ys")
     try:
-        verdict = checks.check_weak_chainability(sp, x, y, ys, bounds=_bounds_of(args))
+        verdict = checks.check_weak_chainability(sp, x, y, ys, _depth_of(args))
     except chains.ChainTooLargeError as exc:
         # The cover of the ys' supports overlaps by too thin a margin to chain.
         raise InputError("$.ys", str(exc))

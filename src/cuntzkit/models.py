@@ -34,6 +34,9 @@ from . import lsc
 from .base import InputError, Record, SpaceDescriptor, frac, frac_from_str, frac_to_str, load_json
 
 
+POOL_CAP = 160  # the most elements a candidate pool (`closure`) holds
+
+
 class El(Record):
     """One element of a rational model.
 
@@ -280,7 +283,7 @@ class RationalModel(_Ops):
         self.validate(el, path)
         return el
 
-    def sums_between(self, a: El, b: El, compact_cap: int = 64) -> Window:
+    def sums_between(self, a: El, b: El, compact_cap: int) -> Window:
         compacts = []
         complete = True
         nb = _num(b)
@@ -321,7 +324,7 @@ class RationalModel(_Ops):
                             probes.append(p)
         return Window(tuple(sorted(compacts, key=lambda c: _encode(c, 1))), complete, tuple(probes))
 
-    def decompositions(self, c: El, parts_cap: int = 4):
+    def decompositions(self, c: El, parts_cap: int):
         """All decreasing tuples of nonzero parts summing exactly to a
         compact element, of any length: parts_cap is ignored. Complete: a
         sum of compacts is only reached by compact parts, since any soft
@@ -358,10 +361,10 @@ class RationalModel(_Ops):
                 raise AssertionError(f"a decomposition of {self.el_str(c)} sums elsewhere")
         return out, True
 
-    def closure(self, values, depth: int = 3, cap: int = 160):
+    def closure(self, values, depth: int):
         """Candidate pool: the inputs closed under addition and soft
         midpoints, round by round up to the given depth or until a round
-        adds nothing, sorted and cut at cap elements. The partial lattice
+        adds nothing, sorted and cut at POOL_CAP elements. The partial lattice
         operations would only add an operand, which is in the pool already.
 
         The pool runs on one integer scale D: an element is the tuple
@@ -377,7 +380,7 @@ class RationalModel(_Ops):
         bound = 2 * max(v for top, v, _ in pool if not top) + 2 * D
         m = 2 if self.finite_softs else 1
         for _ in range(depth):
-            if len(pool) >= cap:
+            if len(pool) >= POOL_CAP:
                 break
             # A sum with zero or the top, and a midpoint with the top, is
             # in the pool already; so only nonzero finite pairs add sums.
@@ -398,7 +401,7 @@ class RationalModel(_Ops):
             pool |= new
             if len(pool) == n:
                 break
-        return [_decode(x, D) for x in sorted(pool)[:cap]]
+        return [_decode(x, D) for x in sorted(pool)[:POOL_CAP]]
 
 
 class TableModel(_Ops):
@@ -465,11 +468,11 @@ class TableModel(_Ops):
             raise InputError(path, f"unknown table element {s!r}")
         return self.names.index(s)
 
-    def sums_between(self, a: int, b: int, compact_cap: int = 64) -> Window:
+    def sums_between(self, a: int, b: int, compact_cap: int) -> Window:
         mid = [s for s in self.elements() if self.le(a, s) and self.le(s, b)]
         return Window(tuple(mid), True, ())
 
-    def decompositions(self, c: int, parts_cap: int = 4):
+    def decompositions(self, c: int, parts_cap: int):
         out = []
         complete = True
 
@@ -491,8 +494,8 @@ class TableModel(_Ops):
             out.insert(0, ())
         return out, complete
 
-    def closure(self, values, depth: int = 3, cap: int = 160):
-        return list(self.elements())[:cap]
+    def closure(self, values, depth: int):
+        return list(self.elements())[:POOL_CAP]
 
 
 class LscModel(_Ops):

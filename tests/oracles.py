@@ -436,7 +436,7 @@ def sweep_delta(intervals, lo, lo_in, hi, hi_in, absorb_hi: bool = True):
     return delta
 
 
-def circle_block_search(space, ci, traces, bounds, log):
+def circle_block_search(space, ci, traces, depth, log):
     import itertools
 
     fullc = views.component_set(space, ci)
@@ -456,7 +456,7 @@ def circle_block_search(space, ci, traces, bounds, log):
             return [v1, traces[j], v3]
 
     L = space.components[ci].length
-    grid = 2 ** min(bounds.depth, 4)
+    grid = 2 ** min(depth, 4)
     bps = set()
     for tr in traces:
         bps.update(x % L for x in views.breakpoints(tr, ci))
@@ -1075,7 +1075,7 @@ def weak_chain_one_refine(space, x, y, ys):
     return _weak_chain_json(xp, zs, [f"refined the cover supports to an almost chain of {len(zs)} pieces over the support"])
 
 
-def weak_chain_clipped(space, x, y, ys, bounds):
+def weak_chain_clipped(space, x, y, ys, depth):
     """Verdict JSON of weak chainability for an instance with at least two
     cover elements and x nonzero: whole circles of the support by
     `circle_block_search`, the rest by `_clipped_refinement`.
@@ -1092,7 +1092,7 @@ def weak_chain_clipped(space, x, y, ys, bounds):
     zs, log = [], []
     for ci in full:
         traces = [tr for tr in (views.restrict(lsc.supp(t), ci) for t in ys) if not geo.is_empty(tr)]
-        block = circle_block_search(space, ci, traces, bounds, log)
+        block = circle_block_search(space, ci, traces, depth, log)
         if block is None:
             log.append(f"the support contains circle component {ci} entirely, and the cover "
                        f"elements admit no almost chain around it")

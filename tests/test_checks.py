@@ -196,7 +196,7 @@ def test_refutation_matches_the_triple_loop_oracle():
         if model.is_compact(total):
             decs, _ = model.decompositions(total, n)
             cands = [tuple(d) + (model.zero,) * (n - len(d)) for d in decs if len(d) <= n]
-        pool = model.closure(list(xs), depth=checks.SearchBounds().depth)
+        pool = model.closure(list(xs), checks.DEPTH)
         hyps = checks._hypotheses(model, xs, pool)
         want = [oracles.find_violation(model, xs, D, pool) for D in cands]
         assert [checks._find_violation(model, hyps, D) for D in cands] == want, (xs, cands)
@@ -371,11 +371,10 @@ def _circle_block_cases(rng):
 def test_circle_block_search_matches_the_openset_oracle():
     sizes = set()
     for sp, traces, depth in _circle_block_cases(random.Random(3)):
-        bounds = checks.SearchBounds(depth=depth)
         got_log, want_log = [], []
-        got = checks._circle_block_search(sp, 0, traces, bounds, got_log)
-        want = oracles.circle_block_search(sp, 0, traces, bounds, want_log)
-        assert (got, got_log) == (want, want_log), (traces, bounds)
+        got = checks._circle_block_search(sp, 0, traces, depth, got_log)
+        want = oracles.circle_block_search(sp, 0, traces, depth, want_log)
+        assert (got, got_log) == (want, want_log), (traces, depth)
         sizes.add(None if got is None else len(got))
     assert sizes == {None, 1, 2, 3}
 
@@ -460,9 +459,9 @@ def test_weak_chain_matches_the_clipped_route():
     for sp, x, y, ys in instances:
         if geo.is_empty(lsc.supp(x)):
             continue
-        bounds = checks.SearchBounds(depth=rng.randint(1, 4))
-        got = checks.verdict_to_json(checks.check_weak_chainability(sp, x, y, ys, bounds))
-        assert got == oracles.weak_chain_clipped(sp, x, y, ys, bounds)
+        depth = rng.randint(1, 4)
+        got = checks.verdict_to_json(checks.check_weak_chainability(sp, x, y, ys, depth))
+        assert got == oracles.weak_chain_clipped(sp, x, y, ys, depth)
         kinds.add((got["kind"], len(sp.components) > 1, any(c.kind == "point" for c in sp.components)))
     assert {("witness", True, True), ("counterexample", True, True)} <= kinds
 
@@ -720,11 +719,11 @@ def test_axioms_on_wide_tables_match_the_nested_loop_route():
     assert late == {"o3", "o5", "weak_cancellation"}
 
 
-# --- bounds and serialization ---------------------------------------------
+# --- depth and serialization ----------------------------------------------
 
 
 def test_the_depth_environment_variable_has_no_effect(tmp_path):
-    # The search depth comes from --depth or the SearchBounds default only.
+    # The search depth comes from --depth or checks.DEPTH only.
     inst = tmp_path / "i.json"
     inst.write_text(json.dumps({"xs": ["1", "1''"]}))
     src = str(pathlib.Path(cuntzkit.__file__).resolve().parents[1])

@@ -731,7 +731,7 @@ def test_a_partner_ratio_above_the_old_cap_gets_a_verdict(capsys, tmp_path):
 
 def test_a_window_cut_by_the_compact_cap_refutes_nothing(capsys, tmp_path):
     # Rows of 2s sum to 100, so no counterexample exists; the compacts of
-    # the window between 100 and 200 all lie above compact_cap (64).
+    # the window between 100 and 200 all lie above checks.COMPACT_CAP (64).
     f = write_json(tmp_path, "i.json", {"xs": ["100", "200"], "xps": ["2", "4"]})
     code, out, _ = run(capsys, ["check", "refinable-sums", "--model", "nbar", "--instance", f])
     payload = json.loads(out)
@@ -1287,7 +1287,7 @@ EXIT_CALLS = {
     2: (["lsc", "leq", "-s", "{space}", "--instance", "{instance}"],
         {"a": {"levels": [{"sets": [5]}]}, "b": lsc.element_to_json(chi((0, F(1, 2), True, False)))}),
     # Inconclusive for now: the rational models decide no window above
-    # `compact_cap` (CHANGES.md, FOUND).
+    # `checks.COMPACT_CAP` (CHANGES.md, FOUND).
     3: (["check", "refinable-sums", "--model", "nbar", "--instance", "{instance}"],
         {"xs": ["100", "200"], "xps": ["2", "4"]}),
 }

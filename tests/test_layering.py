@@ -634,6 +634,6 @@ def test_each_layer_is_one_module_in_either_import_order(fresh_package, first):
     # Values made in one layer are instances of the classes another names.
     model = suite.models.load_model("z")
     verdict = checks.check_refinable_sums(model, [model.parse("1")], [model.parse("1")])
-    assert isinstance(verdict, pkg.checks.PropertyVerdict) and pkg.SearchBounds is checks.SearchBounds
+    assert isinstance(verdict, pkg.checks.PropertyVerdict) and pkg.PropertyVerdict is checks.PropertyVerdict
     assert isinstance(cli.lsc.zero(pkg.space(pkg.arc())), sys.modules["cuntzkit.lsc"].LscElement)
     assert pkg.InputError is cli.InputError is sys.modules["cuntzkit.base"].InputError

@@ -163,11 +163,11 @@ def test_sums_between_is_incomplete_only_when_the_cap_cuts_it():
 
 
 def test_sums_between_window_frozen():
-    w = Z.sums_between(compact(1), compact(1))
+    w = Z.sums_between(compact(1), compact(1), 64)
     assert w.compacts == (compact(1),)
     assert w.complete
     assert w.probes == ()
-    w2 = Z.sums_between(compact(1), soft(F(11, 10)))
+    w2 = Z.sums_between(compact(1), soft(F(11, 10)), 64)
     assert w2.compacts == (compact(1),)
     assert w2.complete
     assert soft(F(21, 20)) in w2.probes
@@ -176,26 +176,26 @@ def test_sums_between_window_frozen():
 
 
 def test_decompositions_naturals():
-    decs, complete = Z.decompositions(compact(3))
+    decs, complete = Z.decompositions(compact(3), 4)
     assert complete
     assert sorted(decs, key=len) == [
         (compact(3),),
         (compact(2), compact(1)),
         (compact(1), compact(1), compact(1)),
     ]
-    zero_decs, _ = Z.decompositions(compact(0))
+    zero_decs, _ = Z.decompositions(compact(0), 4)
     assert zero_decs == [()]
 
 
 def test_decompositions_with_twin():
-    decs, complete = ZP.decompositions(compact(2))
+    decs, complete = ZP.decompositions(compact(2), 4)
     assert complete
     assert set(decs) == {
         (compact(2),),
         (compact(1), compact(1)),
         (TWIN, TWIN),
     }
-    decs3, _ = ZP.decompositions(compact(3))
+    decs3, _ = ZP.decompositions(compact(3), 4)
     assert (compact(2), TWIN) in decs3
     assert (TWIN, TWIN, TWIN) in decs3
     assert (compact(1), compact(1), TWIN) not in decs3

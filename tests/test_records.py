@@ -24,7 +24,6 @@ RECORDS = [
     (chains.ChainWitness, lambda: ("chain", (geo.full_set(ARC),), F(1), (0,))),
     (chains.Impossible, lambda: ("a whole circle admits no chain",)),
     (checks.PropertyVerdict, lambda: ("witness", {"m": 1}, ("one line",))),
-    (checks.SearchBounds, lambda: (4, 32, 16)),
     (models.El, lambda: ("s", F(1, 2))),
     (models.Window, lambda: ((models.compact(1),), True, (models.soft(F(1, 2)),))),
 ]
@@ -34,7 +33,7 @@ IDS = [cls.__name__ for cls, _ in RECORDS]
 def test_the_table_holds_every_record_class():
     assert geo.Record is base.Record
     assert {cls for cls, _ in RECORDS} == set(geo.Record.__subclasses__())
-    assert len(RECORDS) == 11
+    assert len(RECORDS) == 10
 
 
 # The records compared most often write Record's rule out field by field;
@@ -147,10 +146,7 @@ def test_records_take_their_fields_in_order():
 
 def test_defaults_and_keywords():
     assert geo.Component("point").length == 0
-    b = checks.SearchBounds()
-    assert (b.depth, b.propto_cap, b.compact_cap) == (3, 64, 64)
-    assert checks.SearchBounds(depth=5) == checks.SearchBounds(5, 64, 64)
-    assert checks.SearchBounds(compact_cap=8, depth=2).compact_cap == 8
+    assert geo.Component(length=F(1), kind="arc") == geo.arc(1)
 
 
 @pytest.mark.parametrize("build, message", [
