@@ -55,9 +55,8 @@ def cmd_check_weak_chain(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
-    model = models.load_model(args.model)
-    if model.kind != "table":
+    if not args.model.startswith("table:"):
         raise InputError("$.model", "axioms run on finite table models only")
-    report = checks.check_axioms(model)
+    report = checks.check_axioms(models.load_model(args.model))
     _emit({"report": report})
     return EXIT_NEGATIVE if any(v["status"] == "fail" for v in report.values()) else EXIT_OK

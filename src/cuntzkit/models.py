@@ -271,10 +271,10 @@ class RationalModel(_Ops):
         if t == "1''":
             el = TWIN
         elif t.endswith("'"):
-            try:
-                el = soft(frac_from_str(t[:-1], path))
-            except ValueError:
+            v = frac_from_str(t[:-1], path)
+            if v <= 0:
                 raise InputError(path, f"soft values must be positive, got '{t}'")
+            el = soft(v)
         else:
             v = frac_from_str(t, path)
             if v.denominator != 1 or v < 0:

@@ -681,8 +681,25 @@ def test_over_the_cap_instances_exit_2_at_once(capsys, arc_file, circle_file, tm
 
 
 def test_check_axioms_rejects_non_table(capsys):
-    code, _, err = run(capsys, ["check", "axioms", "--model", "z"])
-    assert code == 2 and "table" in err
+    # Before any model is loaded: lsc once asked for a space the verb
+    # does not take, and an unknown name was reported as unknown.
+    for model in ("lsc", "z", "foo"):
+        got = run(capsys, ["check", "axioms", "--model", model])
+        assert got == (2, "", "error: $.model: axioms run on finite table models only\n"), model
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("x'", "expected a rational 'p/q', got 'x'"),
+    ("1e5'", "expected a rational 'p/q', got '1e5'"),
+    ("1/0'", "expected a rational 'p/q', got '1/0'"),
+    ("inf'", "expected a rational 'p/q', got 'inf'"),
+    ("0'", "soft values must be positive, got '0''"),
+    ("-1'", "soft values must be positive, got '-1''"),
+])
+def test_a_soft_value_is_read_as_a_rational_then_checked_positive(capsys, tmp_path, value, reason):
+    f = write_json(tmp_path, "i.json", {"xs": [value], "xps": ["1"]})
+    got = run(capsys, ["check", "refinable-sums", "--model", "z", "--instance", f])
+    assert got == (2, "", f"error: $.xs[0]: {reason}\n")
 
 
 # One instance per verdict branch of the rational-model sum checks: the
