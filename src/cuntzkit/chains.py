@@ -280,7 +280,7 @@ def lebesgue_number(cover: Cover) -> Fraction:
     delta lies inside one cover piece. On circles a subset of diameter d
     is only pinned inside an arc of length 2d, so the arc margin is halved."""
     sp = cover.space
-    if not geo.sets_equal(views.union_all(sp, cover.pieces), geo.full_set(sp)):
+    if views.union_all(sp, cover.pieces) != geo.full_set(sp):
         raise ValueError("not a cover of the whole space")
     best = frac(2)
     for ci, comp in enumerate(sp.components):

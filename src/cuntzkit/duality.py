@@ -59,12 +59,8 @@ def verify_basictop(y: lsc.LscElement, z: lsc.LscElement) -> dict:
     out["disjointness_is_zero_meet"] = disjoint == (lsc.meet(y, z) == lsc.zero(sp))
 
     ac = lsc.almost_complement(y, e)
-    out["closure_via_almost_complement"] = geo.sets_equal(
-        geo.closure(uy), geo.complement(lsc.supp(ac))
-    )
-    out["interior_via_almost_complement"] = geo.sets_equal(
-        geo.interior(cy), lsc.supp(ac)
-    )
+    out["closure_via_almost_complement"] = geo.closure(uy) == geo.complement(lsc.supp(ac))
+    out["interior_via_almost_complement"] = geo.interior(cy) == lsc.supp(ac)
 
     out["closed_inside_open_is_unit_join"] = geo.subset(cy, uz) == (lsc.join(y, z) == e)
     return out
@@ -94,9 +90,7 @@ def verify_topology_laws(sp: SpaceDescriptor, ys) -> dict:
     joined = lsc.zero(sp)
     for y in ys:
         joined = lsc.join(joined, y)
-    out["closed_sets_of_a_join_intersect"] = geo.sets_equal(
-        closed_meet, geo.complement(lsc.supp(joined))
-    )
+    out["closed_sets_of_a_join_intersect"] = closed_meet == geo.complement(lsc.supp(joined))
 
     closed_join = geo.empty_set(sp)
     for y in ys:
@@ -104,9 +98,7 @@ def verify_topology_laws(sp: SpaceDescriptor, ys) -> dict:
     met = e
     for y in ys:
         met = lsc.meet(met, y)
-    out["closed_sets_of_a_meet_unite"] = geo.sets_equal(
-        closed_join, geo.complement(lsc.supp(met))
-    )
+    out["closed_sets_of_a_meet_unite"] = closed_join == geo.complement(lsc.supp(met))
 
     # One probe per distinct point, so the probes i and j are of the same
     # point exactly when i == j: a circle's probe at L is its probe at 0.

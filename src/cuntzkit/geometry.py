@@ -326,11 +326,6 @@ def subset(a: PointSet, b: PointSet) -> bool:
     return True
 
 
-def sets_equal(a: PointSet, b: PointSet) -> bool:
-    check_space(a.space, b)
-    return a.parts == b.parts
-
-
 def compactly_contained(a: PointSet, b: PointSet) -> bool:
     return subset(closure(a), b)
 

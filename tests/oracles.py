@@ -1254,4 +1254,4 @@ def round_trip(u) -> bool:
     """Open set to indicator and back."""
     from cuntzkit import lsc
 
-    return geo.sets_equal(lsc.supp(lsc.indicator(u)), u)
+    return lsc.supp(lsc.indicator(u)) == u

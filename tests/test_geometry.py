@@ -310,7 +310,6 @@ SPACE_CHECKED = {
     "geometry.union": lambda: geo.union(_A, _B),
     "geometry.intersect": lambda: geo.intersect(_A, _B),
     "geometry.subset": lambda: geo.subset(_A, _B),
-    "geometry.sets_equal": lambda: geo.sets_equal(_A, _B),
     "views.meets": lambda: views.meets(_A, _B),
     "views.set_distance": lambda: views.set_distance(_A, _B),
     "views.union_all": lambda: views.union_all(ARC, [_A, _B]),
