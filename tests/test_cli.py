@@ -633,7 +633,13 @@ OPEN_XY = {"x": lsc.element_to_json(chi((F(1, 4), F(1, 2)))), "y": lsc.element_t
      "x must be way below y"),
     (["weak-chain"], {"x": lsc.element_to_json(lsc.zero(ARC)), "y": lsc.element_to_json(lsc.unit(ARC)),
                       "ys": [OPEN_XY["x"]]}, "$.y", "y must be way below the sum of the cover elements"),
-], ids=["xps-count", "xs-chain", "xps-partner", "xs-empty", "ys-empty", "x-below-y", "y-below-sum"])
+    # A soft value is read as a rational first, then checked positive.
+    *[(["refinable-sums", "--model", "z"], {"xs": [t + "'"], "xps": ["1"]}, "$.xs[0]",
+       f"expected a rational 'p/q', got '{t}'") for t in ("x", "1e5", "1/0", "inf")],
+    *[(["refinable-sums", "--model", "z"], {"xs": [t + "'"], "xps": ["1"]}, "$.xs[0]",
+       f"soft values must be positive, got '{t}''") for t in ("0", "-1")],
+], ids=["xps-count", "xs-chain", "xps-partner", "xs-empty", "ys-empty", "x-below-y", "y-below-sum",
+        "soft-x", "soft-1e5", "soft-1/0", "soft-inf", "soft-0", "soft--1"])
 def test_instance_errors_name_the_field_in_the_instance_file(capsys, arc_file, tmp_path, argv, inst, path, reason):
     # The same paths as an element that fails to parse, e.g. `$.xs[0]`.
     f = write_json(tmp_path, "i.json", inst)
@@ -686,20 +692,6 @@ def test_check_axioms_rejects_non_table(capsys):
     for model in ("lsc", "z", "foo"):
         got = run(capsys, ["check", "axioms", "--model", model])
         assert got == (2, "", "error: $.model: axioms run on finite table models only\n"), model
-
-
-@pytest.mark.parametrize("value, reason", [
-    ("x'", "expected a rational 'p/q', got 'x'"),
-    ("1e5'", "expected a rational 'p/q', got '1e5'"),
-    ("1/0'", "expected a rational 'p/q', got '1/0'"),
-    ("inf'", "expected a rational 'p/q', got 'inf'"),
-    ("0'", "soft values must be positive, got '0''"),
-    ("-1'", "soft values must be positive, got '-1''"),
-])
-def test_a_soft_value_is_read_as_a_rational_then_checked_positive(capsys, tmp_path, value, reason):
-    f = write_json(tmp_path, "i.json", {"xs": [value], "xps": ["1"]})
-    got = run(capsys, ["check", "refinable-sums", "--model", "z", "--instance", f])
-    assert got == (2, "", f"error: $.xs[0]: {reason}\n")
 
 
 # One instance per verdict branch of the rational-model sum checks: the
@@ -912,15 +904,6 @@ def test_the_1000_case_report_is_the_1000_case_pin():
     assert GOLDEN["verbs"]["verify-lemmas-1000"]["stdout_sha256"] == (
         "c44de745035095abdf70739c514f912d3dc937e4504c3bd9dd0bfcbac19944e2"
     )
-
-
-def test_the_inconclusive_cases_echo_the_depth_they_ran_at():
-    # The echoed limits of an undecided verdict are pinned bytes: one case
-    # passes --depth 5, the other runs at the default depth.
-    verbs = GOLDEN["verbs"]
-    assert [verbs[f"check-{name}-inconclusive"]["exit"] for name in ("refinable-sums", "almost-ordered")] == [3, 3]
-    assert verbs["check-refinable-sums-inconclusive"]["argv"][-2:] == ["--depth", "5"]
-    assert "--depth" not in verbs["check-almost-ordered-inconclusive"]["argv"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["errors"]))
